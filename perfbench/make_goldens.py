@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write the golden answers the benchmark checks against, for seed 0.
 
-    python3 perfbench/make_goldens.py [--workload NAME]
+    python3 perfbench/make_goldens.py
 
 Run from the repository root.  Each answer is checked once against a
 reference that does not depend on the code being measured, before it is
@@ -24,7 +24,6 @@ informational baseline comparison of traced runs.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
@@ -201,12 +200,9 @@ GOLDEN_MAKERS = {"mv-search": mv_search, "small-sweep": small_sweep, "greedy-wid
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", choices=sorted(GOLDEN_MAKERS), action="append")
-    ns = ap.parse_args()
     vl = run.import_vislab()
     os.makedirs(W.GOLDEN_DIR, exist_ok=True)
-    for name in ns.workload or sorted(GOLDEN_MAKERS):
+    for name in sorted(GOLDEN_MAKERS):
         golden = GOLDEN_MAKERS[name](vl)
         # the workload loads its goldens from the file, so write them first
         with open(W.golden_path(name), "w", encoding="utf-8") as handle:

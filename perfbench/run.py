@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """vislab benchmark: one seeded workload, measured end to end or traced.
 
-    python3 perfbench/run.py --workload mv-search --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload mv-search --seed 0 --seconds 18 --trace 0
 
 Run from the repository root; vislab is imported from ``src/``.  The loop
 is closed, single process and single threaded: one caller, and each op
 starts when the previous one returns.
 
-``--trace 0`` sets up the workload several times (``setup_s`` is the
-median), then repeats timed passes over its ops for at least ``--seconds``
-and prints the end-to-end metrics.  ``--trace 1`` alternates untraced and
-traced passes and prints the per-layer metrics from the spans (see
-``tracer.py``).  Every answer is checked after its pass, outside the
+``--trace 0`` sets up the workload several times back to back (``setup_s``
+is the median), then repeats timed passes over its ops for at least
+``--seconds`` and prints the end-to-end metrics.  ``--trace 1`` alternates
+untraced and traced passes and prints the per-layer metrics from the spans
+(see ``tracer.py``).  Every answer is checked after its pass, outside the
 timed region.  The last line of stdout is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the lines above it
 name every metric with its unit, the environment and the checks.
@@ -20,6 +20,7 @@ name every metric with its unit, the environment and the checks.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import math
@@ -35,7 +36,7 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(HERE, "out")
 
-SETUP_REPEATS = 11  # at least; the first passes round it up
+SETUP_REPEATS = 15
 
 
 def import_vislab():
@@ -138,19 +139,17 @@ def measure(args, lines):
 
     cls = WORKLOADS[args.workload]
     setups = []
-
-    def set_up():
+    for _ in range(SETUP_REPEATS):
+        # collect the previous set-up's discarded module graph outside the timing
+        gc.collect()
         t0 = time.perf_counter()
-        workload = cls(import_vislab(), args.seed)
+        wl = cls(import_vislab(), args.seed)
         setups.append(time.perf_counter() - t0)
-        return workload
+    gc.collect()
 
-    # The set-ups are spread over the first passes rather than done back to
-    # back, so that their median does not rest on one moment of the machine.
-    wl = set_up()
-    per_gap = math.ceil((SETUP_REPEATS - 1) / wl.min_passes)
     checker = Checker(wl)
-    walls = []
+    walls = {}  # labelling -> pass walls
+    pass_ops = {}  # labelling -> ops in its pass
     best = {}  # op input -> fastest latency over its repeats
     start = time.perf_counter()
     passes = 0
@@ -162,27 +161,32 @@ def measure(args, lines):
         ops = wl.pass_ops(passes)
         wall, pass_lat, outs = run_pass(ops)
         checker.check_pass(ops, outs)
-        walls.append(wall)
+        walls.setdefault(passes % wl.labels, []).append(wall)
+        pass_ops[passes % wl.labels] = len(ops)
         for (key, _), seconds in zip(ops, pass_lat):
             best[key] = min(seconds, best.get(key, seconds))
         passes += 1
-        if passes <= wl.min_passes:
-            for _ in range(per_gap):
-                set_up()
 
+    # Throughput: the ops of one labelling cycle over the fastest whole pass of
+    # each labelling, so every cost a pass incurs stays in.  Latency: each
+    # distinct input at its fastest repeat.  The host's slow spells last
+    # seconds to minutes; fastest repeats halve the run-to-run spread that
+    # medians leave (README.md).
+    cycle_wall = sum(min(w) for w in walls.values())
     lat = list(best.values())
     tail_value, beyond = tail(lat, wl.tail_pct)
     metrics = {
         # median: in a fresh checkout the first set-up also compiles bytecode
         "setup_s": (statistics.median(setups), "s"),
-        "ops_per_s": (len(lat) / sum(lat), "ops/s"),
+        "ops_per_s": (sum(pass_ops.values()) / cycle_wall, "ops/s"),
         "op_p50_ms": (statistics.median(lat) * 1e3, "ms"),
         "op_tail_ms": (tail_value * 1e3, "ms"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
     }
+    all_walls = [w for label in sorted(walls) for w in walls[label]]
     lines.append(
         f"run passes={passes} setups={len(setups)} op_samples={checker.attempted} distinct_ops={len(lat)} "
-        f"labellings={wl.labels} pass_wall_s=[{', '.join(f'{w:.3f}' for w in walls)}]"
+        f"labellings={wl.labels} pass_wall_s=[{', '.join(f'{w:.3f}' for w in all_walls)}]"
     )
     lines.append(
         f"tail op_tail_ms is p{wl.tail_pct:g} of {len(lat)} distinct ops "
@@ -271,7 +275,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float, default=18.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     if args.seed < 0:
