@@ -9,17 +9,21 @@ starts when the previous one returns.
 
 ``--trace 0`` sets up the workload several times back to back (``setup_s``
 is the median), then repeats timed passes over its ops for at least
-``--seconds`` and prints the end-to-end metrics.  ``--trace 1`` alternates
-untraced and traced passes and prints the per-layer metrics from the spans
-(see ``tracer.py``).  Every answer is checked after its pass, outside the
-timed region.  The last line of stdout is one JSON object with the keys
-``correct``, ``attempted``, ``failed`` and ``metrics``; the lines above it
-name every metric with its unit, the environment and the checks.
+``--seconds`` and prints the end-to-end metrics.  Their times are rescaled
+to a reference host speed, measured by a fixed kernel timed throughout the
+run (``hostspeed.py``); the measured figures are printed beside them.
+``--trace 1`` alternates untraced and traced passes and prints the
+per-layer metrics from the spans (see ``tracer.py``).  Every answer is
+checked after its pass, outside the timed region.  The last line of stdout
+is one JSON object with the keys ``correct``, ``attempted``, ``failed`` and
+``metrics``; the lines above it name every metric with its unit, the
+environment and the checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import array
 import gc
 import importlib
 import json
@@ -31,12 +35,15 @@ import statistics
 import sys
 import time
 
+from hostspeed import REF_SECONDS, WINDOW_S, HostSpeed
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(HERE, "out")
 
 SETUP_REPEATS = 15
+MAX_REPEATS = 16  # latency samples kept per op input
 
 
 def import_vislab():
@@ -83,9 +90,9 @@ def environment(args) -> dict:
 
 
 def run_pass(ops, tracer=None):
-    """Run one pass; returns (wall seconds, per-op seconds, outputs)."""
+    """Run one pass; returns (start, [(op start, op end)], outputs)."""
     clock = time.perf_counter
-    lat = []
+    spans = []
     outs = []
     start = clock()
     for index, (key, call) in enumerate(ops):
@@ -94,9 +101,22 @@ def run_pass(ops, tracer=None):
             out = call() if tracer is None else tracer.run_op(index, call)
         except Exception as exc:  # a failed op is counted, and the loop goes on
             out = ("raised", f"{type(exc).__name__}: {exc}")
-        lat.append(clock() - t0)
+        spans.append((t0, clock()))
         outs.append(out)
-    return clock() - start, lat, outs
+    return start, spans, outs
+
+
+def rescale(speed, start, spans):
+    """(pass wall, per-op seconds) less the kernels, at the reference speed."""
+    wall = 0.0
+    lat = []
+    prev = start
+    for t0, t1 in spans:
+        slowness = speed.slowness(t0, t1)
+        lat.append((t1 - t0 - speed.kernel_s(t0, t1)) / slowness)
+        wall += (t1 - prev - speed.kernel_s(prev, t1)) / slowness
+        prev = t1
+    return wall, lat
 
 
 class Checker:
@@ -134,63 +154,104 @@ def tail(samples, pct):
 # -- the two kinds of run -------------------------------------------------------
 
 
+class Repeats:
+    """Per-op-input latencies of the first ``MAX_REPEATS`` repeats, in fixed
+    storage so that peak RSS does not grow with the number of passes."""
+
+    def __init__(self):
+        self.samples = {}
+
+    def add(self, key, seconds: float) -> None:
+        entry = self.samples.get(key)
+        if entry is None:
+            entry = self.samples[key] = [0, array.array("d", bytes(8 * MAX_REPEATS))]
+        if entry[0] < MAX_REPEATS:
+            entry[1][entry[0]] = seconds
+            entry[0] += 1
+
+    def medians(self) -> list:
+        return [statistics.median(values[:count]) for count, values in self.samples.values()]
+
+
 def measure(args, lines):
     from workloads import WORKLOADS
 
     cls = WORKLOADS[args.workload]
-    setups = []
-    for _ in range(SETUP_REPEATS):
-        # collect the previous set-up's discarded module graph outside the timing
+    setup_spans = []
+    walls, raw_walls, pass_ops = {}, {}, {}  # per labelling
+    repeats = Repeats()
+    pending = []  # passes whose rescaling waits for the kernels after them
+
+    def settle(until):
+        # rescale the passes that ended before ``until``
+        while pending and pending[0][3][-1][1] <= until:
+            label, keys, begin, spans = pending.pop(0)
+            wall, pass_lat = rescale(speed, begin, spans)
+            walls.setdefault(label, []).append(wall)
+            end = spans[-1][1]
+            raw_walls.setdefault(label, []).append(end - begin - speed.kernel_s(begin, end))
+            pass_ops[label] = len(keys)
+            for key, seconds in zip(keys, pass_lat):
+                repeats.add(key, seconds)
+
+    with HostSpeed() as speed:
+        for _ in range(SETUP_REPEATS):
+            # collect the previous set-up's discarded module graph outside the timing
+            gc.collect()
+            t0 = time.perf_counter()
+            wl = cls(import_vislab(), args.seed)
+            setup_spans.append((t0, time.perf_counter()))
         gc.collect()
-        t0 = time.perf_counter()
-        wl = cls(import_vislab(), args.seed)
-        setups.append(time.perf_counter() - t0)
-    gc.collect()
 
-    checker = Checker(wl)
-    walls = {}  # labelling -> pass walls
-    pass_ops = {}  # labelling -> ops in its pass
-    best = {}  # op input -> fastest latency over its repeats
-    start = time.perf_counter()
-    passes = 0
-    while (
-        passes < wl.min_passes
-        or passes % wl.labels
-        or time.perf_counter() - start < args.seconds
-    ):
-        ops = wl.pass_ops(passes)
-        wall, pass_lat, outs = run_pass(ops)
-        checker.check_pass(ops, outs)
-        walls.setdefault(passes % wl.labels, []).append(wall)
-        pass_ops[passes % wl.labels] = len(ops)
-        for (key, _), seconds in zip(ops, pass_lat):
-            best[key] = min(seconds, best.get(key, seconds))
-        passes += 1
+        checker = Checker(wl)
+        start = time.perf_counter()
+        passes = 0
+        while (
+            passes < wl.min_passes
+            or passes % wl.labels
+            or time.perf_counter() - start < args.seconds
+        ):
+            ops = wl.pass_ops(passes)
+            begin, spans, outs = run_pass(ops)
+            checker.check_pass(ops, outs)
+            pending.append((passes % wl.labels, [key for key, _ in ops], begin, spans))
+            passes += 1
+            settle(time.perf_counter() - WINDOW_S)
+        setups = [speed.rescaled(t0, t1) for t0, t1 in setup_spans]
+        raw_setups = [t1 - t0 - speed.kernel_s(t0, t1) for t0, t1 in setup_spans]
+    settle(float("inf"))  # the last passes see kernels on one side only
 
-    # Throughput: the ops of one labelling cycle over the fastest whole pass of
-    # each labelling, so every cost a pass incurs stays in.  Latency: each
-    # distinct input at its fastest repeat.  The host's slow spells last
-    # seconds to minutes; fastest repeats halve the run-to-run spread that
-    # medians leave (README.md).
-    cycle_wall = sum(min(w) for w in walls.values())
-    lat = list(best.values())
+    # Throughput: the ops of one labelling cycle over the median pass wall of
+    # each labelling.  Latency: each distinct input at the median of its
+    # repeats.  All at the reference speed; the measured figures beside them.
+    cycle_ops = sum(pass_ops.values())
+    lat = repeats.medians()
     tail_value, beyond = tail(lat, wl.tail_pct)
     metrics = {
         # median: in a fresh checkout the first set-up also compiles bytecode
         "setup_s": (statistics.median(setups), "s"),
-        "ops_per_s": (sum(pass_ops.values()) / cycle_wall, "ops/s"),
+        "ops_per_s": (cycle_ops / sum(statistics.median(w) for w in walls.values()), "ops/s"),
         "op_p50_ms": (statistics.median(lat) * 1e3, "ms"),
         "op_tail_ms": (tail_value * 1e3, "ms"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
     }
-    all_walls = [w for label in sorted(walls) for w in walls[label]]
+    all_walls = [w for label in sorted(raw_walls) for w in raw_walls[label]]
     lines.append(
-        f"run passes={passes} setups={len(setups)} op_samples={checker.attempted} distinct_ops={len(lat)} "
-        f"labellings={wl.labels} pass_wall_s=[{', '.join(f'{w:.3f}' for w in all_walls)}]"
+        f"run passes={passes} setups={len(setups)} op_samples={checker.attempted} "
+        f"distinct_ops={len(lat)} labellings={wl.labels} "
+        f"measured_pass_wall_s=[{', '.join(f'{w:.3f}' for w in all_walls)}]"
+    )
+    lines.append(
+        f"host kernels={len(speed.seconds)} kernel_median_ms={speed.median_s() * 1e3:.4f} "
+        f"reference_ms={REF_SECONDS * 1e3:g} slowness={speed.median_s() / REF_SECONDS:.4f}"
+    )
+    lines.append(
+        f"measured (not rescaled) setup_s={statistics.median(raw_setups):.6g} "
+        f"ops_per_s={cycle_ops / sum(statistics.median(w) for w in raw_walls.values()):.6g}"
     )
     lines.append(
         f"tail op_tail_ms is p{wl.tail_pct:g} of {len(lat)} distinct ops "
-        f"(each at its fastest repeat), {beyond} beyond it"
+        f"(each at the median of its repeats), {beyond} beyond it"
     )
     return checker, metrics, True
 
@@ -217,19 +278,19 @@ def traced(args, lines):
     first_tracer = None
     start = time.perf_counter()
     while len(reports) < 2 or time.perf_counter() - start < args.seconds:
-        wall, _, outs = run_pass(ops)
+        begin, spans, outs = run_pass(ops)
         checker.check_pass(ops, outs)
-        untraced_walls.append(wall)
+        untraced_walls.append(spans[-1][1] - begin)
 
         tracer = Tracer(mods)
         tracer.install()
         try:
-            wall, lat, outs = run_pass(ops, tracer)
+            begin, spans, outs = run_pass(ops, tracer)
         finally:
             tracer.uninstall()
         checker.check_pass(ops, outs)
-        traced_walls.append(wall)
-        reports.append(layers.pass_report(tracer.spans, sum(lat)))
+        traced_walls.append(spans[-1][1] - begin)
+        reports.append(layers.pass_report(tracer.spans, sum(t1 - t0 for t0, t1 in spans)))
         if first_tracer is None:
             first_tracer = tracer
 

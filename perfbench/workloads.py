@@ -118,8 +118,8 @@ MV_QUERIES = (
     ("K3xK5", "lower", False),
 )
 # MV_QUERIES[MV_CHEAP_FROM:] take under half a second each.  Every pass runs
-# them for all labellings, three times and a few seconds apart, so each has
-# nine repeats per run to take the fastest of; the median op is among them.
+# them for all labellings, twice and seconds apart, so each has six repeats
+# per run to take the median of; the median op is among them.
 MV_CHEAP_FROM = 5
 
 
@@ -167,7 +167,7 @@ class MvSearch(Workload):
     def pass_ops(self, index: int) -> list:
         own = self.ops(index % self.labels)[:MV_CHEAP_FROM]
         cheap = [op for labelling in range(self.labels) for op in self.ops(labelling)[MV_CHEAP_FROM:]]
-        return cheap + own[:2] + cheap + own[2:4] + cheap + own[4:]
+        return cheap + own[:3] + cheap + own[3:]
 
     def check(self, key, out) -> bool:
         labelling, qi = key
