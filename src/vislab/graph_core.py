@@ -8,7 +8,9 @@ endpoints in range).
 The on-disk format is a plain edge list: a header line ``n m`` followed by
 m lines ``u v``, whitespace separated, LF endings.  Lines starting with
 ``#`` are comments and blank lines are skipped.  ``parse_graph`` reports
-the offending line number on any malformed input.
+the offending line number on any malformed input, and rejects a header
+claiming more than ``PRODUCT_VERTEX_LIMIT`` vertices before allocating
+anything per vertex.
 
 Distances use the sentinel ``UNREACHABLE`` (an alias of ``None``) for
 vertex pairs with no connecting path; it can never leak into arithmetic
@@ -27,7 +29,8 @@ UNREACHABLE = None
 # Bron-Kerbosch is the only routine with a hard width limit (bitmask pivoting).
 CLIQUE_VERTEX_LIMIT = 64
 
-# Guard against accidentally materializing astronomically large products.
+# Most vertices any graph may have when built from a product or parsed from
+# text; guards against materializing astronomically large graphs.
 PRODUCT_VERTEX_LIMIT = 1 << 20
 
 EdgeList = list  # list[tuple[int, int]], endpoints normalized (small, large)
@@ -174,6 +177,7 @@ def parse_graph(text: str) -> Graph:
     """Parse edge-list text (see the module docstring for the grammar).
 
     Raises ``ParseError`` naming the offending line on malformed headers,
+    headers claiming more than ``PRODUCT_VERTEX_LIMIT`` vertices,
     out-of-range endpoints, self-loops, duplicate edges, or a line count
     that disagrees with the header.
     """
@@ -195,6 +199,10 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(f"line {line_no}: malformed header {line!r}") from None
             if n < 0 or m < 0:
                 raise ParseError(f"line {line_no}: malformed header {line!r}")
+            if n > PRODUCT_VERTEX_LIMIT:
+                raise ParseError(
+                    f"line {line_no}: header claims {n} vertices (limit {PRODUCT_VERTEX_LIMIT})"
+                )
             header_done = True
             continue
         if len(edges) == m:

@@ -8,9 +8,11 @@ above a configurable cap (default 24 effective vertices) unless forced.
 Each kind gets a small engine that answers "can vertex v join the current
 set" incrementally:
 
-* mv: adding v can also break visibility between vertices already in the
-  set, so the engine rechecks every member whose geodesics to another
-  member pass through v (a blocked breadth-first search per such member);
+* mv: v must see every member, checked by one breadth-first search from
+  v that keeps only the true-distance layer at each step and stops once
+  every member is reached; adding v can also break visibility between
+  members, so each member pair with a geodesic through v is rechecked by
+  a layered walk inside that pair's interval, avoiding the set and v;
 * tmv: on a connected graph a set is total-mutual-visibility valid exactly
   when no distance-2 pair has all of its common neighbors inside the set,
   so validity reduces to a fixed family of "forbidden full subsets";
@@ -116,15 +118,44 @@ def _between_table(g: Graph, dmat: DistanceMatrix) -> list[list[int]]:
 
 
 class _MvEngine:
+    """Mutual visibility by layered reach over distance-layer masks.
+
+    ``layers[a][k]`` holds the vertices at distance k from a, padded with
+    one empty layer.  A prefix of a geodesic is a geodesic, so a search
+    that keeps only the true-distance layer at each step reaches exactly
+    the vertices visible past the blocked set.  ``thru[v][a]`` holds the
+    vertices b such that v is interior to some a,b-geodesic: adding v can
+    only break those member pairs, since a valid set already keeps every
+    other pair visible.
+    """
+
     kind = "mv"
 
     def __init__(self, g: Graph, dmat: DistanceMatrix):
-        self.g = g
-        self.dmat = dmat
-        self.universe = list(range(g.n))
+        n = g.n
+        self.adj = g.adj_masks
+        self.universe = list(range(n))
         self.seed_state = (0, ())
         self.seed_mask = 0
+        self.dist = dmat.rows
+        self.layers = []
+        for row in self.dist:
+            lay = [0] * (max(row) + 2)
+            for w, d in enumerate(row):
+                lay[d] |= 1 << w
+            self.layers.append(lay)
         self.between = _between_table(g, dmat)
+        thru = [[0] * n for _ in range(n)]
+        for a, row in enumerate(self.between):
+            for b in range(a + 1, n):
+                m = row[b]
+                while m:
+                    low = m & -m
+                    t = thru[low.bit_length() - 1]
+                    t[a] |= 1 << b
+                    t[b] |= 1 << a
+                    m ^= low
+        self.thru = thru
 
     def mask_of(self, state) -> int:
         return state[0]
@@ -135,28 +166,53 @@ class _MvEngine:
 
     def can_add(self, state, v: int) -> bool:
         mask, members = state
-        bit = 1 << v
-        new_mask = mask | bit
-        # v itself must see every current member past the others
-        vis = visibility.visible_mask(self.g, self.dmat, v, mask)
-        if mask & ~vis:
-            return False
-        # members whose geodesics to another member can route through v
-        affected = 0
-        bt = self.between
-        for i, a in enumerate(members):
-            row = bt[a]
-            for b in members[i + 1 :]:
-                if (row[b] >> v) & 1:
-                    affected |= 1 << a
-                    break
-        while affected:
-            low = affected & -affected
-            a = low.bit_length() - 1
-            vis = visibility.visible_mask(self.g, self.dmat, a, new_mask & ~low)
-            if new_mask & ~low & ~vis:
+        adj = self.adj
+        # v must see every member: members end paths but are never expanded
+        lay = self.layers[v]
+        frontier = 1 << v
+        todo = mask
+        k = 0
+        while todo:
+            k += 1
+            nxt = 0
+            m = frontier
+            while m:
+                low = m & -m
+                nxt |= adj[low.bit_length() - 1]
+                m ^= low
+            nxt &= lay[k]
+            if not nxt:
                 return False
-            affected ^= low
+            todo &= ~nxt
+            frontier = nxt & ~mask
+        # member pairs with a geodesic through v must keep one that avoids it
+        new_mask = mask | (1 << v)
+        thru = self.thru[v]
+        rest = mask
+        for a in members:
+            rest ^= 1 << a
+            pairs = thru[a] & rest
+            if not pairs:
+                continue
+            lay = self.layers[a]
+            row = self.dist[a]
+            between = self.between[a]
+            while pairs:
+                low = pairs & -pairs
+                b = low.bit_length() - 1
+                pairs ^= low
+                inside = between[b] & ~new_mask
+                frontier = 1 << a
+                for k in range(1, row[b]):
+                    nxt = 0
+                    m = frontier
+                    while m:
+                        bit = m & -m
+                        nxt |= adj[bit.bit_length() - 1]
+                        m ^= bit
+                    frontier = nxt & lay[k] & inside
+                    if not frontier:
+                        return False
         return True
 
 
@@ -332,6 +388,57 @@ def solve_max(g: Graph, kind: str, *, cap: int = DEFAULT_CAP, force: bool = Fals
     return SolveResult(kind, "max", best_size, witness, nodes, time.perf_counter() - start)
 
 
+def _geodesic_counts(g: Graph, row) -> list[int]:
+    """Number of shortest paths from the source of distance ``row`` to each vertex."""
+    order = sorted(range(g.n), key=row.__getitem__)
+    count = [0] * g.n
+    count[order[0]] = 1
+    for v in order[1:]:
+        up = row[v] - 1
+        count[v] = sum(count[u] for u in g.adj[v] if row[u] == up)
+    return count
+
+
+def _first_maximal_pair(g: Graph, dmat: DistanceMatrix, stop: tuple[int, int]):
+    """Lexicographically first vertex pair that is a maximal mv set.
+
+    On a connected graph every pair is mv-valid, so only maximality is
+    checked: w extends {a, b} unless one of the three vertices lies on
+    every geodesic between the other two, which geodesic counts decide
+    (y is on every x,z-geodesic iff d(x,y) + d(y,z) = d(x,z) and
+    sigma(x,y) * sigma(y,z) = sigma(x,z)).  ``stop`` must be a pair known
+    to be maximal (the endpoints of a cut edge are), so the scan ends there.
+    """
+    rows = dmat.rows
+    sigma: list[Optional[list[int]]] = [None] * g.n
+
+    def counts(v: int) -> list[int]:
+        if sigma[v] is None:
+            sigma[v] = _geodesic_counts(g, rows[v])
+        return sigma[v]
+
+    for a in range(g.n):
+        da, sa = rows[a], counts(a)
+        for b in range(a + 1, g.n):
+            if (a, b) == stop:
+                return stop
+            db, sb = rows[b], counts(b)
+            dab, sab = da[b], sa[b]
+            for w in range(g.n):
+                if w == a or w == b:
+                    continue
+                if da[w] == dab + db[w] and sa[w] == sab * sb[w]:
+                    continue  # b blocks a from w
+                if db[w] == dab + da[w] and sb[w] == sab * sa[w]:
+                    continue  # a blocks b from w
+                if dab == da[w] + db[w] and sab == sa[w] * sb[w]:
+                    continue  # w blocks a from b
+                break
+            else:
+                return (a, b)
+    return stop
+
+
 def solve_lower(
     g: Graph,
     kind: str,
@@ -346,7 +453,9 @@ def solve_lower(
     set no single vertex can extend is optimal, since all smaller
     cardinalities were exhausted first.  For mv a cut edge shortcuts the
     search: its endpoints always form a maximal set of size 2, and no
-    maximal set of size below 2 exists on two or more vertices.
+    maximal set of size below 2 exists on two or more vertices.  The
+    shortcut then returns the first maximal pair in lexicographic order,
+    which is the witness the search would find.
     """
     _require_connected(g)
     start = time.perf_counter()
@@ -355,8 +464,7 @@ def solve_lower(
     if fast_path and kind == "mv" and g.n >= 2:
         cut = bridges(g)
         if cut:
-            u, v = cut[0]
-            witness = VertexSet.from_ids(g.n, (u, v))
+            witness = VertexSet.from_ids(g.n, _first_maximal_pair(g, dmat, cut[0]))
             if not visibility.is_maximal_set(g, witness, "mv", dmat):
                 raise RuntimeError("cut-edge witness failed revalidation")
             return SolveResult(

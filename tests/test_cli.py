@@ -4,7 +4,7 @@ import pytest
 
 from vislab.cli import run
 from vislab.families import gen_gadget, gen_subdivided_complete, path
-from vislab.graph_core import format_edge_list, parse_graph
+from vislab.graph_core import PRODUCT_VERTEX_LIMIT, format_edge_list, parse_graph
 
 
 def cli(*argv, stdin_text=""):
@@ -327,6 +327,13 @@ class TestHarness:
             "solve", "--kind", "mv", "--variant", "max", stdin_text="nonsense\n"
         )
         assert rc == 2 and "malformed header" in err
+
+    def test_oversized_header(self):
+        # rejected from the header alone, before any per-vertex allocation
+        text = f"{PRODUCT_VERTEX_LIMIT + 1} 0\n"
+        rc, out, err = cli("solve", "--kind", "mv", "--variant", "max", stdin_text=text)
+        assert rc == 2 and out == ""
+        assert "line 1" in err and f"limit {PRODUCT_VERTEX_LIMIT}" in err
 
     def test_threads_env_rejected(self, monkeypatch):
         for bad in ("abc", "0", "-3"):

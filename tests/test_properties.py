@@ -59,6 +59,7 @@ def test_shortcut_value_matches_search(g):
     fast = solve_lower(g, "mv")
     slow = solve_lower(g, "mv", fast_path=False)
     assert fast.value == slow.value == 2
+    assert fast.witness == slow.witness
 
 
 @given(g=connected_graphs(min_n=1, max_n=6), kind=st.sampled_from(KINDS))

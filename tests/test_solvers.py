@@ -131,10 +131,14 @@ class TestFastPath:
         assert got.witness.members() == (0, 1)
 
     def test_disabled_matches(self):
-        for g in (path(5), star(4), random_tree(9, 3), bowtie()):
+        # path 0-2-1: both cut edges contain 2, but the canonical witness
+        # is the non-edge {0, 1}
+        p3 = Graph.from_edges(3, [(0, 2), (1, 2)])
+        for g in (path(5), star(4), random_tree(9, 3), bowtie(), p3):
             fast = solve_lower(g, "mv")
             slow = solve_lower(g, "mv", fast_path=False)
             assert fast.value == slow.value
+            assert fast.witness == slow.witness
 
     def test_bridgeless_untagged(self):
         got = solve_lower(cycle(5), "mv")
