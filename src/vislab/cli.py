@@ -8,7 +8,8 @@ Graphs travel as edge lists on stdin or a file argument; ``gen`` stamps
 grid-like outputs with a ``# dims ...`` comment so later stages can
 annotate witness vertices with product coordinates.  Exit codes: 0 on
 success, 1 when a verify suite has a failing row, 2 on usage errors
-(bad flags, malformed input, solver cap without ``--force``).
+(bad flags, malformed input, a graph above the size limit, solver cap
+without ``--force``).
 
 Stdout for a given invocation is byte-stable: timings and node counts
 go to stderr under ``--stats``, never to stdout.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import re
 import sys
 
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--force", action="store_true",
                            help="run past the search-size cap")
             p.add_argument("--stats", action="store_true",
-                           help="print node count and elapsed time to stderr")
+                           help="print the can_add test count and elapsed time to stderr")
         if name == "greedy":
             p.add_argument("--runs", type=int, default=1)
             p.add_argument("--seed", type=int, default=0)
@@ -270,15 +270,6 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-
-    threads = os.environ.get("VISLAB_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            stderr.write("error: VISLAB_THREADS must be a positive integer\n")
-            return 2
 
     parser = _build_parser()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

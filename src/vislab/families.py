@@ -3,7 +3,9 @@
 Plain families (paths, cycles, cliques, bipartite, stars, grids,
 hypercubes) are pure functions of their sizes.  Random families (trees,
 block graphs) take an explicit seed and draw from the documented
-generator in ``rng``, so corpora replay byte for byte.
+generator in ``rng``, so corpora replay byte for byte.  Every generator
+raises ``InstanceTooLargeError`` for sizes that would give more than
+``PRODUCT_VERTEX_LIMIT`` vertices or edges, before building anything.
 
 Three constructions return a role string per vertex alongside the graph,
 because downstream checks reason about roles rather than raw ids:
@@ -21,7 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import Graph, cartesian_product, is_connected
+from .graph_core import (
+    PRODUCT_VERTEX_LIMIT,
+    Graph,
+    InstanceTooLargeError,
+    cartesian_product,
+    is_connected,
+)
 from .rng import SplitMix64
 
 FAMILIES = (
@@ -56,21 +64,34 @@ def _need(spec: FamilySpec, count: int) -> tuple[int, ...]:
     return spec.sizes
 
 
+def _check_size(vertices: int, edges: int) -> None:
+    """Refuse an instance above ``PRODUCT_VERTEX_LIMIT`` vertices or edges
+    before any of it is built."""
+    if vertices > PRODUCT_VERTEX_LIMIT or edges > PRODUCT_VERTEX_LIMIT:
+        raise InstanceTooLargeError(
+            f"instance would have {vertices} vertices and {edges} edges "
+            f"(limit {PRODUCT_VERTEX_LIMIT})"
+        )
+
+
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least one vertex")
+    _check_size(n, n - 1)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
+    _check_size(n, n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
+    _check_size(n, n * (n - 1) // 2)
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -78,6 +99,7 @@ def complete_bipartite(r: int, s: int) -> Graph:
     """Sides 0..r-1 and r..r+s-1."""
     if r < 1 or s < 1:
         raise ValueError("both sides need at least one vertex")
+    _check_size(r + s, r * s)
     return Graph.from_edges(r + s, [(i, r + j) for i in range(r) for j in range(s)])
 
 
@@ -94,6 +116,10 @@ def grid(dims: tuple[int, ...]) -> Graph:
         raise ValueError("grid needs at least one dimension")
     if any(d < 1 for d in dims):
         raise ValueError("grid dimensions must be positive")
+    total = 1
+    for d in dims:
+        total *= d
+    _check_size(total, sum(total // d * (d - 1) for d in dims))
     g = path(dims[0])
     for d in dims[1:]:
         g = cartesian_product(g, path(d))
@@ -104,6 +130,7 @@ def hypercube(k: int) -> Graph:
     """Product of k copies of a single edge; vertex ids read as k-bit words."""
     if k < 0:
         raise ValueError("hypercube dimension must be nonnegative")
+    _check_size(1 << k, (k << k) // 2)
     g = path(1)
     for _ in range(k):
         g = cartesian_product(g, path(2))
@@ -114,6 +141,7 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform labeled tree decoded from a random length n-2 sequence."""
     if n < 1:
         raise ValueError("tree needs at least one vertex")
+    _check_size(n, n - 1)
     if n == 1:
         return Graph.from_edges(1, [])
     rng = SplitMix64(seed)
@@ -149,6 +177,7 @@ def random_block_graph(n: int, max_block: int, seed: int) -> Graph:
         raise ValueError("block graph needs at least one vertex")
     if max_block < 2:
         raise ValueError("blocks need at least two vertices")
+    _check_size(n, n - 1)
     rng = SplitMix64(seed)
     edges: list[tuple[int, int]] = []
     cur = 1
@@ -161,6 +190,7 @@ def random_block_graph(n: int, max_block: int, seed: int) -> Graph:
             for j in range(i + 1, len(block)):
                 edges.append((block[i], block[j]))
         cur += fresh
+        _check_size(n, len(edges))
     return Graph.from_edges(n, edges)
 
 
@@ -172,6 +202,8 @@ def gen_subdivided_complete(n: int) -> tuple[Graph, tuple[str, ...]]:
     """
     if n < 2:
         raise ValueError("subdivision needs at least two original vertices")
+    pairs = n * (n - 1) // 2
+    _check_size(n + pairs, 2 * pairs)
     roles = [f"original:{i}" for i in range(n)]
     edges = []
     nxt = n
@@ -196,6 +228,10 @@ def gen_gstar(b: int, t: int, t1: int, t2: int) -> tuple[Graph, tuple[str, ...]]
         raise ValueError("block B needs at least one vertex")
     if t < 1 or t1 < 1 or t2 < 1:
         raise ValueError("all three cliques need at least one vertex")
+    _check_size(
+        3 + b + t + t1 + t2,
+        2 + 2 * b + t * (t + 3) // 2 + t1 * (t1 + 1) // 2 + t2 * (t2 + 3) // 2,
+    )
     roles = ["a", "a-prime", "b-hub"]
     edges = [(0, 2), (1, 2)]
     nxt = 3
@@ -237,6 +273,10 @@ def gen_gadget(g: Graph, t: int) -> tuple[Graph, tuple[str, ...]]:
         raise ValueError("base graph must be connected")
     base_edges = list(g.edges())
     n, m = g.n, len(base_edges)
+    _check_size(
+        n + m + (t + 1) + t * m,
+        m * (m + 5) // 2 + n + t * (t + 1) // 2 + m * t * (t + 1) // 2,
+    )
     roles = [f"original:{i}" for i in range(n)]
     edges = list(base_edges)
     edge_vertex = {}

@@ -5,6 +5,17 @@ maximal valid set ("lower") for the three set kinds, by explicit search
 over vertex subsets.  Instances are desk scale: searches refuse to start
 above a configurable cap (default 24 effective vertices) unless forced.
 
+All three kinds are hereditary (every subset of a valid set is valid),
+which both searches rely on:
+
+* max: a Russian-doll search (Östergård 2002) over the engine's vertex
+  order; the best count found in each suffix of the order bounds every
+  branch that starts there;
+* lower: one depth-first pass over the valid sets; a vertex refused by
+  a set stays refused by its supersets, so maximality is tested only
+  against the vertices no ancestor refused, and for mv the incumbent
+  starts at the Neighborhood Lemma bound deg(x) + 1.
+
 Each kind gets a small engine that answers "can vertex v join the current
 set" incrementally:
 
@@ -26,10 +37,10 @@ visibility module before being returned; a disagreement raises rather
 than passing silently.
 
 Witnesses are canonical: among all optima the lexicographically smallest
-(as an ascending member tuple) is returned.  The search visits candidate
-sets in exactly that order and only improves strictly, which makes the
-first optimum found the canonical one, independent of any execution
-schedule.
+(as an ascending member tuple) is returned.  Both searches extend sets
+by ascending vertex ids, so they meet sets of one size in exactly that
+order: the lower pass only improves strictly, and the max search ends
+with a pass that stops at the first optimum.
 """
 
 from __future__ import annotations
@@ -60,9 +71,10 @@ class SolveResult:
     """Outcome of an exact solve.
 
     ``value`` always equals ``len(witness)``.  ``fast_path`` names the
-    shortcut taken, if any; ``nodes`` counts search-tree nodes (zero when
-    a shortcut answered).  ``elapsed`` is wall-clock seconds and is the
-    only field that is not reproducible bit for bit.
+    shortcut taken, if any; ``nodes`` counts the search's ``can_add``
+    tests (zero when a shortcut answered; search-tree nodes for
+    ``independent_domination``).  ``elapsed`` is wall-clock seconds and is
+    the only field that is not reproducible bit for bit.
     """
 
     kind: str
@@ -352,8 +364,16 @@ def _check_cap(g: Graph, engine, cap: int, force: bool) -> None:
 def solve_max(g: Graph, kind: str, *, cap: int = DEFAULT_CAP, force: bool = False) -> SolveResult:
     """Largest valid set of the given kind, with canonical witness.
 
-    Branch and bound over ascending candidate ids; a branch is cut when
-    even taking every remaining candidate cannot beat the incumbent.
+    Russian-doll search (Östergård 2002, "A fast algorithm for the maximum
+    clique problem"), sound because every kind is hereditary.  ``doll[i]``
+    is the most vertices of ``universe[i:]`` that can join the seed
+    together, computed for i = k-1 down to 0.  Phase i first tries to add
+    ``universe[i]`` to the set witnessing ``doll[i+1]``; only if that fails
+    does it search for ``doll[i+1] + 1`` vertices that include it.  A
+    branch is cut once the doll value at its next candidate, or its
+    candidate count, falls short of the vertices it still needs.  A final
+    lexicographic pass returns the first set of ``doll[0]`` vertices,
+    taking a phase's set instead where that set is known to be the first.
     """
     _require_connected(g)
     start = time.perf_counter()
@@ -363,29 +383,103 @@ def solve_max(g: Graph, kind: str, *, cap: int = DEFAULT_CAP, force: bool = Fals
 
     uni = engine.universe
     k = len(uni)
-    best_mask = engine.seed_mask
-    best_size = _bits(best_mask)
+    can_add, add = engine.can_add, engine.add
+    full = (1 << k) - 1
+    doll = [0] * (k + 1)
     nodes = 0
 
-    def dfs(idx0: int, state, size: int) -> None:
-        nonlocal best_mask, best_size, nodes
-        for idx in range(idx0, k):
-            if size + (k - idx) <= best_size:
-                break
-            v = uni[idx]
-            nodes += 1
-            if engine.can_add(state, v):
-                nxt = engine.add(state, v)
-                if size + 1 > best_size:
-                    best_size = size + 1
-                    best_mask = engine.mask_of(nxt)
-                dfs(idx + 1, nxt, size + 1)
+    accepted = 0  # positions the last failed grow call found able to join
 
-    dfs(0, engine.seed_state, _bits(engine.seed_mask))
-    witness = VertexSet(g.n, best_mask)
+    def grow(state, cands: int, need: int):
+        """State of the first extension of ``state`` by ``need`` vertices at
+        the positions in ``cands`` (a bitmask of universe positions that may
+        join), or None.
+
+        A node dives on its first candidate that can join and filters the
+        rest only after that dive fails.  By heredity no vertex outside the
+        filtered set can join any child, and every vertex that can join
+        the dive child can join the node, so those are not tested again.
+        """
+        nonlocal nodes, accepted
+        if not need:
+            return state
+        count = cands.bit_count()
+        while True:
+            low = cands & -cands
+            j = low.bit_length() - 1
+            if count < need or doll[j] < need:
+                accepted = 0
+                return None
+            cands ^= low
+            count -= 1
+            nodes += 1
+            if can_add(state, uni[j]):
+                break
+        nxt = add(state, uni[j])
+        if need == 1:
+            return nxt
+        got = grow(nxt, cands, need - 1)
+        if got is not None:
+            return got
+        ok = accepted
+        rest = cands & ~ok
+        while rest and (ok | rest).bit_count() >= need:
+            bit = rest & -rest
+            j = bit.bit_length() - 1
+            if not ok and doll[j] < need:
+                break
+            rest ^= bit
+            nodes += 1
+            if can_add(state, uni[j]):
+                ok |= bit
+        joined = low | ok
+        while ok:
+            low = ok & -ok
+            if doll[low.bit_length() - 1] < need or ok.bit_count() < need:
+                break
+            ok ^= low
+            got = grow(add(state, uni[low.bit_length() - 1]), ok, need - 1)
+            if got is not None:
+                return got
+        accepted = joined
+        return None
+
+    seed = engine.seed_state
+    wit = seed
+    # first[i]: the first set of doll[i] vertices of universe[i:], when known.
+    # A search meets sets in lexicographic order, and adding universe[i] to
+    # the first set of the next doll keeps it first.
+    first = [None] * (k + 1)
+    first[k] = seed
+    for i in range(k - 1, -1, -1):
+        nodes += 1
+        if can_add(wit, uni[i]):
+            wit = add(wit, uni[i])
+            doll[i] = doll[i + 1] + 1
+            if first[i + 1] is not None:
+                first[i] = wit
+            continue
+        got = grow(add(seed, uni[i]), full >> (i + 1) << (i + 1), doll[i + 1])
+        if got is None:
+            doll[i] = doll[i + 1]
+        else:
+            wit = first[i] = got
+            doll[i] = doll[i + 1] + 1
+
+    # the first optimum contains the first position from which doll[0] is reachable
+    best = doll[0]
+    for i in range(k):
+        if first[i] is not None:
+            wit = first[i]
+            break
+        got = grow(add(seed, uni[i]), full >> (i + 1) << (i + 1), best - 1)
+        if got is not None:
+            wit = got
+            break
+    witness = VertexSet(g.n, engine.mask_of(wit))
     if not visibility.is_valid_set(g, witness, kind, dmat):
         raise RuntimeError("solver produced an invalid witness; engine and predicate disagree")
-    return SolveResult(kind, "max", best_size, witness, nodes, time.perf_counter() - start)
+    return SolveResult(kind, "max", len(witness), witness, nodes, time.perf_counter() - start)
 
 
 def _geodesic_counts(g: Graph, row) -> list[int]:
@@ -449,13 +543,21 @@ def solve_lower(
 ) -> SolveResult:
     """Smallest maximal valid set of the given kind, canonical witness.
 
-    Enumerates candidate sets by ascending cardinality; the first valid
-    set no single vertex can extend is optimal, since all smaller
-    cardinalities were exhausted first.  For mv a cut edge shortcuts the
-    search: its endpoints always form a maximal set of size 2, and no
-    maximal set of size below 2 exists on two or more vertices.  The
-    shortcut then returns the first maximal pair in lexicographic order,
-    which is the witness the search would find.
+    One depth-first pass visits the valid sets in lexicographic order.  A
+    set some later vertex can join is not maximal (the child proves it);
+    otherwise the non-members not yet refused by the set or an ancestor
+    are tested, and a maximal set is recorded only when it is strictly
+    smaller than the incumbent, so the first smallest one is kept.  Sets
+    at or above the incumbent's size are not extended.  For mv the
+    incumbent bound starts at ``visibility.neighborhood_bound``: a flagged
+    closed neighborhood N[x] is a maximal mv set, so the answer is at most
+    deg(x) + 1.
+
+    For mv a cut edge shortcuts the search: its endpoints always form a
+    maximal set of size 2, and no maximal set of size below 2 exists on
+    two or more vertices.  The shortcut then returns the first maximal
+    pair in lexicographic order, which is the witness the search would
+    find.
     """
     _require_connected(g)
     start = time.perf_counter()
@@ -474,52 +576,65 @@ def solve_lower(
     engine = _make_engine(g, kind, dmat)
     _check_cap(g, engine, cap, force)
 
-    uni = engine.universe
-    k = len(uni)
-    seed_size = _bits(engine.seed_mask)
+    can_add, add, mask_of = engine.can_add, engine.add, engine.mask_of
+    uni_mask = 0
+    for v in engine.universe:
+        uni_mask |= 1 << v
+    bound = visibility.neighborhood_bound(g) if kind == "mv" else None
+    if bound is None:
+        bound = _bits(engine.seed_mask | uni_mask)
+    best_size = bound + 1
+    best_mask = None
     nodes = 0
 
-    def extendable(state) -> bool:
-        mask = engine.mask_of(state)
-        for w in uni:
-            if not (mask >> w) & 1 and engine.can_add(state, w):
-                return True
-        return False
+    def visit(state, size: int, ahead: int, refused: int) -> None:
+        """Extend ``state`` by the vertices of ``ahead`` (all of them above
+        its last member) while the result can still beat the incumbent,
+        then record ``state`` if it is maximal.
 
-    def dfs_exact(idx0: int, state, left: int) -> Optional[int]:
-        nonlocal nodes
-        if left == 0:
-            if extendable(state):
-                return None
-            return engine.mask_of(state)
-        for idx in range(idx0, k):
-            if k - idx < left:
-                break
-            v = uni[idx]
+        ``refused`` holds vertices that cannot join ``state``: by heredity
+        a vertex refused by a subset stays refused.  A set too large to
+        extend tests its non-members in ascending order, the earlier ones
+        first: in measurements those tests are the cheaper ones.
+        """
+        nonlocal best_size, best_mask, nodes
+        if size + 1 < best_size:
+            joined = False
+            ahead &= ~refused
+            while ahead:
+                low = ahead & -ahead
+                ahead ^= low
+                v = low.bit_length() - 1
+                nodes += 1
+                if can_add(state, v):
+                    joined = True
+                    visit(add(state, v), size + 1, ahead, refused)
+                    if size + 1 >= best_size:
+                        return
+                else:
+                    refused |= low
+            if joined:
+                return
+        mask = mask_of(state)
+        rest = uni_mask & ~mask & ~refused
+        while rest:
+            low = rest & -rest
             nodes += 1
-            if engine.can_add(state, v):
-                got = dfs_exact(idx + 1, engine.add(state, v), left - 1)
-                if got is not None:
-                    return got
-        return None
+            if can_add(state, low.bit_length() - 1):
+                return
+            rest ^= low
+        best_size = size
+        best_mask = mask
 
-    for extra in range(k + 1):
-        got = dfs_exact(0, engine.seed_state, extra)
-        if got is not None:
-            witness = VertexSet(g.n, got)
-            if not visibility.is_maximal_set(g, witness, kind, dmat):
-                raise RuntimeError(
-                    "solver produced a non-maximal witness; engine and predicate disagree"
-                )
-            return SolveResult(
-                kind,
-                "lower",
-                seed_size + extra,
-                witness,
-                nodes,
-                time.perf_counter() - start,
-            )
-    raise RuntimeError("no maximal set found; this cannot happen on a connected graph")
+    visit(engine.seed_state, _bits(engine.seed_mask), uni_mask, 0)
+    if best_mask is None:
+        raise RuntimeError(
+            "no maximal set within the starting bound; lemma and engine disagree"
+        )
+    witness = VertexSet(g.n, best_mask)
+    if not visibility.is_maximal_set(g, witness, kind, dmat):
+        raise RuntimeError("solver produced a non-maximal witness; engine and predicate disagree")
+    return SolveResult(kind, "lower", best_size, witness, nodes, time.perf_counter() - start)
 
 
 def greedy_maximal(g: Graph, kind: str, seed: int) -> VertexSet:

@@ -1,0 +1,48 @@
+"""The frozen graph-atlas corpus and the solver-versus-oracle comparison.
+
+``data/atlas_connected.txt`` holds every connected graph with at most 7
+vertices up to isomorphism (written by ``scripts/freeze_atlas.py``).
+"""
+
+import os
+
+import oracles
+from vislab.graph_core import Graph
+from vislab.solvers import solve_lower, solve_max
+from vislab.visibility import KINDS
+
+ATLAS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "atlas_connected.txt")
+
+
+def load_atlas(sizes):
+    """[(atlas index, graph)] for the graphs whose vertex count is in ``sizes``."""
+    out = []
+    with open(ATLAS, "r", encoding="utf-8") as handle:
+        for line in handle:
+            if line.startswith("#"):
+                continue
+            index, n, *edges = line.split()
+            if int(n) in sizes:
+                pairs = [tuple(int(x) for x in e.split("-")) for e in edges]
+                out.append((int(index), Graph.from_edges(int(n), pairs)))
+    return out
+
+
+def oracle_mismatches(g):
+    """(kind, query, solver answer, oracle answer) wherever they differ.
+
+    Answers are (value, witness tuple); the lower variant is solved with
+    the mv cut-edge shortcut both on and off.
+    """
+    bad = []
+    for kind in KINDS:
+        want = oracles.solve_max_oracle(g, kind)
+        res = solve_max(g, kind)
+        if (res.value, res.witness.members()) != want:
+            bad.append((kind, "max", (res.value, res.witness.members()), want))
+        want = oracles.solve_lower_oracle(g, kind)
+        for fast in (True, False):
+            res = solve_lower(g, kind, fast_path=fast)
+            if (res.value, res.witness.members()) != want:
+                bad.append((kind, f"lower fast={fast}", (res.value, res.witness.members()), want))
+    return bad

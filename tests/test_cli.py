@@ -4,7 +4,7 @@ import pytest
 
 from vislab.cli import run
 from vislab.families import gen_gadget, gen_subdivided_complete, path
-from vislab.graph_core import PRODUCT_VERTEX_LIMIT, format_edge_list, parse_graph
+from vislab.graph_core import PRODUCT_VERTEX_LIMIT, Graph, format_edge_list, parse_graph
 
 
 def cli(*argv, stdin_text=""):
@@ -15,6 +15,7 @@ def cli(*argv, stdin_text=""):
 
 P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
 C4_TEXT = "4 4\n0 1\n1 2\n2 3\n0 3\n"
+LIMIT = PRODUCT_VERTEX_LIMIT
 
 
 class TestGen:
@@ -34,6 +35,31 @@ class TestGen:
         rc, out, _ = cli("gen", "hypercube", "3")
         assert rc == 0
         assert "# dims 2 2 2\n" in out
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["path", str(LIMIT + 1)],
+            ["cycle", str(LIMIT + 1)],
+            ["complete", str(LIMIT + 1)],
+            ["complete_bipartite", "2", str(LIMIT // 2 + 1)],  # edges only
+            ["star", str(LIMIT + 1)],
+            ["grid", str(LIMIT + 1), "1"],
+            ["hypercube", "21"],
+            ["random_tree", str(LIMIT + 1)],
+            ["random_block_graph", str(LIMIT + 1), "3"],
+            ["skn", "1449"],
+            ["gstar", "--b", str(LIMIT + 1), "--t", "1", "1", "1"],
+        ],
+    )
+    def test_oversized_sizes_rejected_before_building(self, params, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph built despite the size limit")
+
+        monkeypatch.setattr(Graph, "from_edges", refuse)
+        rc, out, err = cli("gen", *params)
+        assert rc == 2 and out == ""
+        assert f"(limit {LIMIT})" in err
 
     def test_skn_alias(self):
         rc1, a, _ = cli("gen", "skn", "3")
@@ -334,17 +360,6 @@ class TestHarness:
         rc, out, err = cli("solve", "--kind", "mv", "--variant", "max", stdin_text=text)
         assert rc == 2 and out == ""
         assert "line 1" in err and f"limit {PRODUCT_VERTEX_LIMIT}" in err
-
-    def test_threads_env_rejected(self, monkeypatch):
-        for bad in ("abc", "0", "-3"):
-            monkeypatch.setenv("VISLAB_THREADS", bad)
-            rc, _, err = cli("gen", "path", "3")
-            assert rc == 2 and "VISLAB_THREADS" in err
-
-    def test_threads_env_accepted(self, monkeypatch):
-        monkeypatch.setenv("VISLAB_THREADS", "4")
-        rc, out, _ = cli("gen", "path", "3")
-        assert rc == 0 and parse_graph(out).n == 3
 
 
 class TestRoundTrips:
