@@ -12,9 +12,11 @@ the offending line number on any malformed input, and rejects a header
 claiming more than ``PRODUCT_VERTEX_LIMIT`` vertices before allocating
 anything per vertex.
 
-Distances use the sentinel ``UNREACHABLE`` (an alias of ``None``) for
-vertex pairs with no connecting path; it can never leak into arithmetic
-because adding it raises.
+``DistanceMatrix`` is the one metric: distance rows, per-source BFS
+layer masks and the geodesic interiors of every pair.  Distance rows use
+the sentinel ``UNREACHABLE`` (an alias of ``None``) for vertex pairs with
+no connecting path; it can never leak into arithmetic because adding it
+raises.  It appears in ``rows`` only: layers and interiors are masks.
 """
 
 from __future__ import annotations
@@ -164,13 +166,43 @@ class VertexSet:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs hop distances; unreachable pairs hold ``UNREACHABLE``."""
+    """All-pairs hop distances with per-source BFS layers.
+
+    ``rows[u][v]`` is the hop distance, ``UNREACHABLE`` for pairs in
+    different components.  ``layers[u][k]`` is the bitmask of vertices at
+    distance k from u, padded with one empty layer.  ``between[u][v]`` is
+    the bitmask of internal vertices of the u,v-geodesics, built on first
+    use: w is one exactly when it lies in ``layers[u][k]`` and
+    ``layers[v][d - k]`` for some 0 < k < d = d(u, v).  ``layers`` and
+    ``between`` are meant for connected graphs; on a disconnected one
+    they see only the source's component.
+    """
 
     n: int
     rows: tuple[tuple[Optional[int], ...], ...]
+    layers: tuple[tuple[int, ...], ...]
 
     def __getitem__(self, u: int) -> tuple[Optional[int], ...]:
         return self.rows[u]
+
+    @cached_property
+    def between(self) -> tuple[tuple[int, ...], ...]:
+        layers = self.layers
+        table = [[0] * self.n for _ in range(self.n)]
+        for u, lay_u in enumerate(layers):
+            above = -1 << (u + 1)
+            for d in range(2, len(lay_u) - 1):
+                m = lay_u[d] & above
+                while m:
+                    low = m & -m
+                    v = low.bit_length() - 1
+                    lay_v = layers[v]
+                    inner = 0
+                    for k in range(1, d):
+                        inner |= lay_u[k] & lay_v[d - k]
+                    table[u][v] = table[v][u] = inner
+                    m ^= low
+        return tuple(tuple(row) for row in table)
 
 
 def parse_graph(text: str) -> Graph:
@@ -254,23 +286,32 @@ def bfs_distances(g: Graph, src: int) -> list[Optional[int]]:
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    return DistanceMatrix(g.n, tuple(tuple(bfs_distances(g, v)) for v in range(g.n)))
-
-
-def interval(g: Graph, dmat: DistanceMatrix, u: int, v: int) -> VertexSet:
-    """Vertices lying on some shortest u,v-path (endpoints included)."""
-    g.check_vertex(u)
-    g.check_vertex(v)
-    duv = dmat[u][v]
-    if duv is UNREACHABLE:
-        raise ValueError(f"disconnected pair ({u}, {v})")
-    mask = 0
-    row_u, row_v = dmat[u], dmat[v]
-    for w in range(g.n):
-        a, b = row_u[w], row_v[w]
-        if a is not UNREACHABLE and b is not UNREACHABLE and a + b == duv:
-            mask |= 1 << w
-    return VertexSet(g.n, mask)
+    """Rows and layers from one bitmask-frontier BFS per source."""
+    adj = g.adj_masks
+    rows = []
+    layers = []
+    for src in range(g.n):
+        row: list[Optional[int]] = [UNREACHABLE] * g.n
+        lay = []
+        frontier = seen = 1 << src
+        d = 0
+        while frontier:
+            lay.append(frontier)
+            nxt = 0
+            m = frontier
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                row[v] = d
+                nxt |= adj[v]
+                m ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+            d += 1
+        lay.append(0)
+        rows.append(tuple(row))
+        layers.append(tuple(lay))
+    return DistanceMatrix(g.n, tuple(rows), tuple(layers))
 
 
 def neighborhood(g: Graph, v: int, closed: bool = False) -> VertexSet:
@@ -421,86 +462,6 @@ def is_chordal(g: Graph) -> bool:
             if u != p and not g.has_edge(p, u):
                 return False
     return True
-
-
-def _biconnected_components(g: Graph) -> list[int]:
-    """Vertex masks of the biconnected components (edge-wise)."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    comps: list[int] = []
-    estack: list[tuple[int, int]] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, Iterator[int]]] = [(root, iter(g.adj[root]))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] < 0:
-                    parent[w] = v
-                    estack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, iter(g.adj[w])))
-                    advanced = True
-                    break
-                if w != parent[v] and disc[w] < disc[v]:
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:
-                    comp = 0
-                    while estack:
-                        a, b = estack.pop()
-                        comp |= (1 << a) | (1 << b)
-                        if (a, b) == (p, v):
-                            break
-                    if comp:
-                        comps.append(comp)
-    return comps
-
-
-def is_block_graph(g: Graph) -> bool:
-    """True when every biconnected component induces a complete subgraph."""
-    masks = g.adj_masks
-    for comp in _biconnected_components(g):
-        m = comp
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            if comp & ~masks[u] & ~low:
-                return False
-            m ^= low
-    return True
-
-
-def twins(g: Graph) -> list[tuple[int, int, str]]:
-    """Vertex pairs u < v with N(u) - {v} = N(v) - {u}.
-
-    The third component is ``"closed"`` when the pair is adjacent (equal
-    closed neighborhoods) and ``"open"`` otherwise (equal open ones).
-    """
-    masks = g.adj_masks
-    out = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            bu, bv = 1 << u, 1 << v
-            if masks[u] & ~bv == masks[v] & ~bu:
-                out.append((u, v, "closed" if masks[u] & bv else "open"))
-    return out
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

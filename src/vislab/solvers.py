@@ -20,17 +20,19 @@ Each kind gets a small engine that answers "can vertex v join the current
 set" incrementally:
 
 * mv: v must see every member, checked by one breadth-first search from
-  v that keeps only the true-distance layer at each step and stops once
-  every member is reached; adding v can also break visibility between
-  members, so each member pair with a geodesic through v is rechecked by
-  a layered walk inside that pair's interval, avoiding the set and v;
+  v that keeps only the true-distance layer ``dmat.layers[v][k]`` at each
+  step and stops once every member is reached; adding v can also break
+  visibility between members, so each member pair a, b with v in
+  ``dmat.between[a][b]`` is rechecked by a layered walk inside that
+  interior, avoiding the set and v;
 * tmv: on a connected graph a set is total-mutual-visibility valid exactly
   when no distance-2 pair has all of its common neighbors inside the set,
   so validity reduces to a fixed family of "forbidden full subsets";
   vertices appearing in no such family member belong to every maximal set
   and are forced up front;
-* gp: a union of shortest-path interiors of current pairs is carried
-  along; v must avoid it and contribute no member-covering interior.
+* gp: a union of the ``dmat.between`` interiors of current pairs is
+  carried along; v must avoid it and contribute no member-covering
+  interior.
 
 Answers are revalidated through the definitional predicates in the
 visibility module before being returned; a disagreement raises rather
@@ -102,43 +104,14 @@ class GreedyProfile:
     best_min_witness: VertexSet
 
 
-def _bits(mask: int) -> int:
-    return mask.bit_count()
-
-
-def _between_table(g: Graph, dmat: DistanceMatrix) -> list[list[int]]:
-    """between[u][v] = bitmask of internal vertices of u,v-geodesics."""
-    n = g.n
-    table = [[0] * n for _ in range(n)]
-    for u in range(n):
-        row_u = dmat[u]
-        for v in range(u + 1, n):
-            duv = row_u[v]
-            if duv is None or duv < 2:
-                continue
-            row_v = dmat[v]
-            m = 0
-            for w in range(n):
-                if w == u or w == v:
-                    continue
-                a, b = row_u[w], row_v[w]
-                if a is not None and b is not None and a + b == duv:
-                    m |= 1 << w
-            table[u][v] = m
-            table[v][u] = m
-    return table
-
-
 class _MvEngine:
-    """Mutual visibility by layered reach over distance-layer masks.
+    """Mutual visibility by layered reach over the metric's layer masks.
 
-    ``layers[a][k]`` holds the vertices at distance k from a, padded with
-    one empty layer.  A prefix of a geodesic is a geodesic, so a search
-    that keeps only the true-distance layer at each step reaches exactly
-    the vertices visible past the blocked set.  ``thru[v][a]`` holds the
-    vertices b such that v is interior to some a,b-geodesic: adding v can
-    only break those member pairs, since a valid set already keeps every
-    other pair visible.
+    A prefix of a geodesic is a geodesic, so a search that keeps only the
+    true-distance layer at each step reaches exactly the vertices visible
+    past the blocked set.  ``thru[v][a]`` holds the vertices b such that v
+    is interior to some a,b-geodesic: adding v can only break those member
+    pairs, since a valid set already keeps every other pair visible.
     """
 
     kind = "mv"
@@ -150,13 +123,8 @@ class _MvEngine:
         self.seed_state = (0, ())
         self.seed_mask = 0
         self.dist = dmat.rows
-        self.layers = []
-        for row in self.dist:
-            lay = [0] * (max(row) + 2)
-            for w, d in enumerate(row):
-                lay[d] |= 1 << w
-            self.layers.append(lay)
-        self.between = _between_table(g, dmat)
+        self.layers = dmat.layers
+        self.between = dmat.between
         thru = [[0] * n for _ in range(n)]
         for a, row in enumerate(self.between):
             for b in range(a + 1, n):
@@ -249,8 +217,6 @@ class _TmvEngine:
     kind = "tmv"
 
     def __init__(self, g: Graph, dmat: DistanceMatrix):
-        self.g = g
-        self.dmat = dmat
         masks = g.adj_masks
         blockers = set()
         for u in range(g.n):
@@ -260,7 +226,7 @@ class _TmvEngine:
                     blockers.add(masks[u] & masks[w])
         singles = 0
         for b in blockers:
-            if _bits(b) == 1:
+            if b.bit_count() == 1:
                 singles |= b
         cand_mask = ((1 << g.n) - 1) & ~singles
         kept = [b for b in blockers if not b & ~cand_mask]
@@ -299,13 +265,11 @@ class _GpEngine:
     kind = "gp"
 
     def __init__(self, g: Graph, dmat: DistanceMatrix):
-        self.g = g
-        self.dmat = dmat
         self.universe = list(range(g.n))
         # state: (member mask, union of member-pair path interiors)
         self.seed_state = (0, 0)
         self.seed_mask = 0
-        self.between = _between_table(g, dmat)
+        self.between = dmat.between
 
     def mask_of(self, state) -> int:
         return state[0]
@@ -350,7 +314,7 @@ def _check_cap(g: Graph, engine, cap: int, force: bool) -> None:
     if force:
         return
     if engine.kind == "tmv":
-        size = _bits(engine.candidate_mask)
+        size = engine.candidate_mask.bit_count()
         what = f"{size} candidate vertices"
     else:
         size = g.n
@@ -482,14 +446,16 @@ def solve_max(g: Graph, kind: str, *, cap: int = DEFAULT_CAP, force: bool = Fals
     return SolveResult(kind, "max", len(witness), witness, nodes, time.perf_counter() - start)
 
 
-def _geodesic_counts(g: Graph, row) -> list[int]:
-    """Number of shortest paths from the source of distance ``row`` to each vertex."""
-    order = sorted(range(g.n), key=row.__getitem__)
+def _geodesic_counts(g: Graph, layers) -> list[int]:
+    """Number of shortest paths from the source of ``layers`` to each vertex."""
     count = [0] * g.n
-    count[order[0]] = 1
-    for v in order[1:]:
-        up = row[v] - 1
-        count[v] = sum(count[u] for u in g.adj[v] if row[u] == up)
+    count[layers[0].bit_length() - 1] = 1
+    for prev, layer in zip(layers, layers[1:]):
+        while layer:
+            low = layer & -layer
+            v = low.bit_length() - 1
+            count[v] = sum(count[u] for u in g.adj[v] if (prev >> u) & 1)
+            layer ^= low
     return count
 
 
@@ -508,7 +474,7 @@ def _first_maximal_pair(g: Graph, dmat: DistanceMatrix, stop: tuple[int, int]):
 
     def counts(v: int) -> list[int]:
         if sigma[v] is None:
-            sigma[v] = _geodesic_counts(g, rows[v])
+            sigma[v] = _geodesic_counts(g, dmat.layers[v])
         return sigma[v]
 
     for a in range(g.n):
@@ -582,7 +548,7 @@ def solve_lower(
         uni_mask |= 1 << v
     bound = visibility.neighborhood_bound(g) if kind == "mv" else None
     if bound is None:
-        bound = _bits(engine.seed_mask | uni_mask)
+        bound = (engine.seed_mask | uni_mask).bit_count()
     best_size = bound + 1
     best_mask = None
     nodes = 0
@@ -626,7 +592,7 @@ def solve_lower(
         best_size = size
         best_mask = mask
 
-    visit(engine.seed_state, _bits(engine.seed_mask), uni_mask, 0)
+    visit(engine.seed_state, engine.seed_mask.bit_count(), uni_mask, 0)
     if best_mask is None:
         raise RuntimeError(
             "no maximal set within the starting bound; lemma and engine disagree"

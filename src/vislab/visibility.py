@@ -264,54 +264,6 @@ def neighborhood_bound(g: Graph) -> Optional[int]:
     return min(g.degree(x) + 1 for x in flagged)
 
 
-def line(g: Graph, x: int, y: int, dmat: Optional[DistanceMatrix] = None) -> VertexSet:
-    """The line through x and y: vertices between them or beyond them.
-
-    A vertex w belongs when d(x,y) equals d(x,w) + d(w,y) (between) or
-    |d(x,w) - d(w,y)| (beyond one endpoint).  Always contains x and y.
-    """
-    g.check_vertex(x)
-    g.check_vertex(y)
-    if x == y:
-        raise ValueError("a line needs two distinct vertices")
-    if dmat is None:
-        dmat = distance_matrix(g)
-    dxy = dmat[x][y]
-    if dxy is UNREACHABLE:
-        raise ValueError(f"disconnected pair ({x}, {y})")
-    row_x, row_y = dmat[x], dmat[y]
-    mask = 0
-    for w in range(g.n):
-        a, b = row_x[w], row_y[w]
-        if a is UNREACHABLE or b is UNREACHABLE:
-            continue
-        if a + b == dxy or abs(a - b) == dxy:
-            mask |= 1 << w
-    return VertexSet(g.n, mask)
-
-
-def has_universal_line(
-    g: Graph, dmat: Optional[DistanceMatrix] = None
-) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Whether some line covers every vertex; first witness pair if so.
-
-    Pairs are scanned in lexicographic order, so the witness is
-    canonical.  Requires a connected graph on at least two vertices.
-    """
-    if g.n < 2:
-        raise ValueError("universal lines need at least two vertices")
-    if not is_connected(g):
-        raise ValueError("universal lines are defined on connected graphs")
-    if dmat is None:
-        dmat = distance_matrix(g)
-    full = (1 << g.n) - 1
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if line(g, x, y, dmat).mask == full:
-                return True, (x, y)
-    return False, None
-
-
 def greedy_maximal(
     g: Graph, kind: str, order: Sequence[int], dmat: Optional[DistanceMatrix] = None
 ) -> VertexSet:

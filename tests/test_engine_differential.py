@@ -12,6 +12,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atlas import load_atlas
 from conftest import connected_graphs
 from vislab.graph_core import Graph, VertexSet, bridges, distance_matrix, is_connected
 from vislab.solvers import _make_engine, solve_lower
@@ -61,15 +62,29 @@ def mismatches(g, kind, valid, x_masks):
     return bad
 
 
+def exhaustive_mismatches(g, kind):
+    """``mismatches`` over every valid X of ``g``."""
+    table = [is_valid_set(g, VertexSet(g.n, m), kind) for m in range(1 << g.n)]
+    x_masks = [m for m in range(1 << g.n) if table[m]]
+    return mismatches(g, kind, table.__getitem__, x_masks)
+
+
 def test_exhaustive_up_to_five_vertices():
     graphs = list(connected_labelled_graphs(5))
     assert len(graphs) == 772
     for g in graphs:
         for kind in KINDS:
-            table = [is_valid_set(g, VertexSet(g.n, m), kind) for m in range(1 << g.n)]
-            x_masks = [m for m in range(1 << g.n) if table[m]]
-            bad = mismatches(g, kind, table.__getitem__, x_masks)
+            bad = exhaustive_mismatches(g, kind)
             assert not bad, (kind, g.n, list(g.edges()), bad[:3])
+
+
+def test_exhaustive_atlas_up_to_six_vertices():
+    graphs = load_atlas(range(1, 7))
+    assert len(graphs) == 143
+    for index, g in graphs:
+        for kind in KINDS:
+            bad = exhaustive_mismatches(g, kind)
+            assert not bad, (kind, index, list(g.edges()), bad[:3])
 
 
 @given(g=connected_graphs(min_n=2, max_n=8), kind=st.sampled_from(KINDS), data=st.data())

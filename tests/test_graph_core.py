@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import bowtie, graphs
+from atlas import load_atlas
+from conftest import bowtie, connected_graphs, graphs
 from vislab.families import complete, cycle, grid, path, star
 from vislab.graph_core import (
     CLIQUE_VERTEX_LIMIT,
@@ -18,16 +19,30 @@ from vislab.graph_core import (
     distance_matrix,
     export_dot,
     format_edge_list,
-    interval,
-    is_block_graph,
     is_chordal,
     is_connected,
     maximal_cliques,
     neighborhood,
     parse_graph,
     simplicial_vertices,
-    twins,
 )
+
+
+def metric_mismatches(g):
+    """Where ``layers`` and ``between`` disagree with the brute-force oracles."""
+    dmat = distance_matrix(g)
+    rows = oracles.bfs_rows(g)
+    bad = []
+    for u in range(g.n):
+        ecc = max(rows[u])
+        want = [sum(1 << v for v in range(g.n) if rows[u][v] == k) for k in range(ecc + 1)]
+        if list(dmat.layers[u]) != want + [0]:
+            bad.append(("layers", u))
+        for v in range(g.n):
+            inner = oracles.interval_oracle(g, u, v) - {u, v}
+            if dmat.between[u][v] != sum(1 << w for w in inner):
+                bad.append(("between", u, v))
+    return bad
 
 
 class TestGraph:
@@ -136,26 +151,21 @@ class TestMetric:
             for v in range(g.n):
                 assert dmat[u][v] == rows[u][v]
 
-    def test_interval_c4(self):
-        g = cycle(4)
-        dmat = distance_matrix(g)
-        assert interval(g, dmat, 0, 2).members() == (0, 1, 2, 3)
-        assert interval(g, dmat, 0, 1).members() == (0, 1)
+    def test_between_c4(self):
+        dmat = distance_matrix(cycle(4))
+        assert dmat.layers[0] == (0b0001, 0b1010, 0b0100, 0)
+        assert dmat.between[0][2] == dmat.between[2][0] == 0b1010
+        assert dmat.between[0][1] == dmat.between[0][0] == 0
 
-    def test_interval_disconnected_raises(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            interval(g, distance_matrix(g), 0, 2)
+    @given(connected_graphs(max_n=6))
+    def test_metric_matches_oracle(self, g):
+        assert not metric_mismatches(g)
 
-    @given(graphs(min_n=2, max_n=6))
-    def test_interval_matches_geodesic_union(self, g):
-        dmat = distance_matrix(g)
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if dmat[u][v] is UNREACHABLE:
-                    continue
-                assert set(interval(g, dmat, u, v).members()) == \
-                    oracles.interval_oracle(g, u, v)
+    def test_metric_atlas_up_to_six_vertices(self):
+        graphs = load_atlas(range(1, 7))
+        assert len(graphs) == 143
+        for index, g in graphs:
+            assert not metric_mismatches(g), (index, metric_mismatches(g))
 
     def test_neighborhood(self):
         g = star(3)
@@ -208,18 +218,6 @@ class TestStructure:
     def test_chordal_matches_oracle(self, g):
         assert is_chordal(g) == oracles.chordal_oracle(g)
 
-    @given(graphs(max_n=6))
-    @settings(max_examples=60)
-    def test_block_graph_matches_oracle(self, g):
-        assert is_block_graph(g) == oracles.block_graph_oracle(g)
-
-    def test_twins(self):
-        g = complete_bipartite = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        found = twins(g)
-        assert (0, 1, "open") in found and (2, 3, "open") in found
-        assert twins(complete(3)) == [
-            (0, 1, "closed"), (0, 2, "closed"), (1, 2, "closed"),
-        ]
 
 
 class TestProduct:

@@ -11,10 +11,8 @@ from vislab.visibility import (
     check_kind,
     convex_p3_centers,
     greedy_maximal,
-    has_universal_line,
     is_maximal_set,
     is_valid_set,
-    line,
     neighborhood_bound,
     neighborhood_lemma_scan,
     pair_visible,
@@ -221,53 +219,6 @@ class TestNeighborhoodScan:
     def test_bound(self):
         assert neighborhood_bound(grid((3, 4))) == 3
         assert neighborhood_bound(complete(4)) == 4
-
-
-class TestLines:
-    def test_path_line_is_everything(self):
-        g = path(4)
-        assert line(g, 1, 2).members() == (0, 1, 2, 3)
-
-    def test_same_vertex_raises(self):
-        with pytest.raises(ValueError):
-            line(path(3), 1, 1)
-
-    def test_disconnected_raises(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            line(g, 0, 2)
-
-    def test_definition_brute(self):
-        g = bowtie()
-        dmat = distance_matrix(g)
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                got = set(line(g, x, y, dmat).members())
-                want = set()
-                d = dmat[x][y]
-                for w in range(g.n):
-                    a, b = dmat[x][w], dmat[w][y]
-                    if a + b == d or abs(a - b) == d:
-                        want.add(w)
-                assert got == want
-
-    def test_universal_line_on_path(self):
-        found, pair = has_universal_line(path(5))
-        assert found and pair == (0, 1)
-
-    def test_universal_line_needs_two_vertices(self):
-        with pytest.raises(ValueError):
-            has_universal_line(complete(1))
-
-    def test_star_line_reaches_past_center(self):
-        # other leaves sit beyond the center: |d(w,x) - d(w,y)| = 1
-        found, pair = has_universal_line(star(3))
-        assert found and pair == (0, 1)
-
-    def test_no_universal_line_on_triangle(self):
-        # in a complete graph every line is just its two endpoints
-        found, pair = has_universal_line(complete(3))
-        assert not found and pair is None
 
 
 class TestGreedyScan:
