@@ -21,7 +21,6 @@ raises.  It appears in ``rows`` only: layers and interiors are masks.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -269,46 +268,41 @@ def format_edge_list(g: Graph, comments: Sequence[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bfs(adj: Sequence[int], n: int, src: int) -> tuple[list[Optional[int]], list[int]]:
+    """Distance row and frontier masks (padded with one empty layer) from ``src``."""
+    row: list[Optional[int]] = [UNREACHABLE] * n
+    lay = []
+    frontier = seen = 1 << src
+    d = 0
+    while frontier:
+        lay.append(frontier)
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            row[v] = d
+            nxt |= adj[v]
+            m ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+        d += 1
+    lay.append(0)
+    return row, lay
+
+
 def bfs_distances(g: Graph, src: int) -> list[Optional[int]]:
     """Hop distances from ``src``; unreachable vertices get ``UNREACHABLE``."""
     g.check_vertex(src)
-    dist: list[Optional[int]] = [UNREACHABLE] * g.n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        for w in g.adj[v]:
-            if dist[w] is UNREACHABLE:
-                dist[w] = dv + 1
-                queue.append(w)
-    return dist
+    return _bfs(g.adj_masks, g.n, src)[0]
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """Rows and layers from one bitmask-frontier BFS per source."""
-    adj = g.adj_masks
     rows = []
     layers = []
     for src in range(g.n):
-        row: list[Optional[int]] = [UNREACHABLE] * g.n
-        lay = []
-        frontier = seen = 1 << src
-        d = 0
-        while frontier:
-            lay.append(frontier)
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                row[v] = d
-                nxt |= adj[v]
-                m ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-            d += 1
-        lay.append(0)
+        row, lay = _bfs(g.adj_masks, g.n, src)
         rows.append(tuple(row))
         layers.append(tuple(lay))
     return DistanceMatrix(g.n, tuple(rows), tuple(layers))

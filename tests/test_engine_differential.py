@@ -78,9 +78,10 @@ def test_exhaustive_up_to_five_vertices():
             assert not bad, (kind, g.n, list(g.edges()), bad[:3])
 
 
-def test_exhaustive_atlas_up_to_six_vertices():
-    graphs = load_atlas(range(1, 7))
-    assert len(graphs) == 143
+def test_exhaustive_atlas_six_vertices():
+    # every labelled graph with at most 5 vertices is covered by the test above
+    graphs = load_atlas([6])
+    assert len(graphs) == 112
     for index, g in graphs:
         for kind in KINDS:
             bad = exhaustive_mismatches(g, kind)

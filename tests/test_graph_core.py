@@ -219,7 +219,6 @@ class TestStructure:
         assert is_chordal(g) == oracles.chordal_oracle(g)
 
 
-
 class TestProduct:
     def test_hypercube_counts(self):
         q3 = cartesian_product(
