@@ -76,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--force", action="store_true",
                            help="run past the search-size cap")
             p.add_argument("--stats", action="store_true",
-                           help="print the can_add test count and elapsed time to stderr")
+                           help="print the can_add test count, the children skipped "
+                                "by symmetry and the elapsed time to stderr")
         if name == "greedy":
             p.add_argument("--runs", type=int, default=1)
             p.add_argument("--seed", type=int, default=0)
@@ -214,7 +215,7 @@ def _cmd_solve(ns, stdin, stdout, stderr) -> int:
     if res.fast_path:
         stdout.write(f"fast-path {res.fast_path}\n")
     if ns.stats:
-        stderr.write(f"nodes {res.nodes} elapsed {res.elapsed:.3f}s\n")
+        stderr.write(f"nodes {res.nodes} skipped {res.skipped} elapsed {res.elapsed:.3f}s\n")
     return 0
 
 

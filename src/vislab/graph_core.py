@@ -203,6 +203,26 @@ class DistanceMatrix:
                     m ^= low
         return tuple(tuple(row) for row in table)
 
+    @cached_property
+    def alike(self) -> tuple[int, ...]:
+        """``alike[v]``: mask of the vertices w that look like v by layer
+        sizes: at each distance k, the vertices k away from w have, as a
+        multiset, the same layer sizes as those k away from v.  An
+        automorphism maps v into ``alike[v]``.
+        """
+        def classes(keys) -> dict:
+            out: dict = {}
+            for v, key in enumerate(keys):
+                out[key] = out.get(key, 0) | (1 << v)
+            return out
+
+        sizes = [tuple(m.bit_count() for m in lay) for lay in self.layers]
+        by_size = classes(sizes)
+        ids = [by_size[key] for key in sizes]
+        keys = [tuple(sorted(zip(row, ids))) for row in self.rows]
+        by_key = classes(keys)
+        return tuple(by_key[key] for key in keys)
+
 
 def parse_graph(text: str) -> Graph:
     """Parse edge-list text (see the module docstring for the grammar).
@@ -306,6 +326,101 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
         rows.append(tuple(row))
         layers.append(tuple(lay))
     return DistanceMatrix(g.n, tuple(rows), tuple(layers))
+
+
+def find_automorphism(
+    dmat: DistanceMatrix, fixed: int, src: int, dst: int, tries: int
+) -> Optional[tuple[int, ...]]:
+    """An automorphism fixing every vertex of the mask ``fixed`` and mapping
+    ``src`` to ``dst``, as an image tuple, or None.
+
+    For connected graphs.  A bijection that preserves the distance between
+    every two vertices preserves adjacency, so the search extends the
+    partial map one vertex at a time and keeps, for each unmapped vertex
+    w, only the images at the right distance from every image so far
+    (``layers[image][d]`` masks), starting from ``alike[w]``.  It branches
+    on the vertex with the fewest images left and gives up after ``tries``
+    images that leave some vertex without one: None means no automorphism
+    was found, not that none exists.
+    """
+    n = dmat.n
+    rows, layers = dmat.rows, dmat.layers
+    if not (dmat.alike[src] >> dst) & 1:
+        return None
+    # dst must keep src's distances to the fixed vertices; check before narrowing
+    m = fixed
+    while m:
+        low = m & -m
+        x = low.bit_length() - 1
+        if rows[x][src] != rows[x][dst]:
+            return None
+        m ^= low
+
+    def narrow(cand: list[int], todo: int, u: int, c: int) -> Optional[list[int]]:
+        """``cand`` after mapping u to c, or None when the unmapped vertices
+        cannot all get distinct images: some vertex has none, or more
+        vertices than images share one candidate set."""
+        cand = cand[:]
+        row, lay, free = rows[u], layers[c], ~(1 << c)
+        sharing: dict[int, int] = {}
+        while todo:
+            low = todo & -todo
+            w = low.bit_length() - 1
+            m = cand[w] & lay[row[w]] & free
+            if not m:
+                return None
+            cand[w] = m
+            sharing[m] = sharing.get(m, 0) + 1
+            todo ^= low
+        for m, count in sharing.items():
+            if count > m.bit_count():
+                return None
+        return cand
+
+    image = list(range(n))
+    cand: Optional[list[int]] = list(dmat.alike)
+    todo = ((1 << n) - 1) & ~fixed
+    m = fixed
+    while m and cand is not None:
+        low = m & -m
+        m ^= low
+        cand = narrow(cand, todo, low.bit_length() - 1, low.bit_length() - 1)
+    if cand is None or not (cand[src] >> dst) & 1:
+        return None
+    # branch points: (vertex, images not yet tried, candidates, unmapped)
+    stack: list[tuple[int, int, list[int], int]] = []
+    u, choices = src, 1 << dst
+    while True:
+        if not choices:
+            if not stack:
+                return None
+            u, choices, cand, todo = stack.pop()
+            continue
+        low = choices & -choices
+        choices ^= low
+        c = low.bit_length() - 1
+        todo_u = todo & ~(1 << u)
+        nxt = narrow(cand, todo_u, u, c)
+        if nxt is None:
+            tries -= 1
+            if tries <= 0:
+                return None
+            continue
+        if choices:
+            stack.append((u, choices, cand, todo))
+        image[u] = c
+        cand, todo = nxt, todo_u
+        if not todo:
+            return tuple(image)
+        m, u, fewest = todo, -1, n + 1
+        while m:
+            low = m & -m
+            w = low.bit_length() - 1
+            count = cand[w].bit_count()
+            if count < fewest:
+                u, fewest = w, count
+            m ^= low
+        choices = cand[u]
 
 
 def neighborhood(g: Graph, v: int, closed: bool = False) -> VertexSet:

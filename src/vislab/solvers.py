@@ -14,7 +14,11 @@ which both searches rely on:
 * lower: one depth-first pass over the valid sets; a vertex refused by
   a set stays refused by its supersets, so maximality is tested only
   against the vertices no ancestor refused, and for mv the incumbent
-  starts at the Neighborhood Lemma bound deg(x) + 1.
+  starts at the Neighborhood Lemma bound deg(x) + 1.  A child that an
+  automorphism fixing the set maps onto an earlier, costly child is
+  skipped (``graph_core.find_automorphism``): each of its maximal sets
+  has an image that is maximal, of the same size and lexicographically
+  smaller.
 
 Each kind gets a small engine that answers "can vertex v join the current
 set" incrementally:
@@ -58,6 +62,7 @@ from .graph_core import (
     VertexSet,
     bridges,
     distance_matrix,
+    find_automorphism,
     is_connected,
 )
 from . import visibility
@@ -75,8 +80,10 @@ class SolveResult:
     ``value`` always equals ``len(witness)``.  ``fast_path`` names the
     shortcut taken, if any; ``nodes`` counts the search's ``can_add``
     tests (zero when a shortcut answered; search-tree nodes for
-    ``independent_domination``).  ``elapsed`` is wall-clock seconds and is
-    the only field that is not reproducible bit for bit.
+    ``independent_domination``).  ``skipped`` counts the children
+    ``solve_lower`` resolved by symmetry, with no test and no search below
+    them; ``nodes`` does not count them.  ``elapsed`` is wall-clock seconds
+    and is the only field that is not reproducible bit for bit.
     """
 
     kind: str
@@ -86,6 +93,7 @@ class SolveResult:
     nodes: int
     elapsed: float
     fast_path: Optional[str] = None
+    skipped: int = 0
 
 
 @dataclass(frozen=True)
@@ -524,6 +532,19 @@ def solve_lower(
     two or more vertices.  The shortcut then returns the first maximal
     pair in lexicographic order, which is the witness the search would
     find.
+
+    Symmetric children are skipped.  Let an automorphism σ fix the set X
+    pointwise and map a child y onto an earlier child r that joined.
+    Validity of every kind, and the tmv seed set, are defined by the
+    metric, which σ preserves, so y joins too.  Its subtree is not
+    searched: each maximal set W there has the image σ(W), maximal, of
+    the same size and lexicographically smaller (σ(W) holds r, while W
+    differs from it only at y and later).  So neither the value nor the
+    canonical witness changes.  σ is looked for
+    (``graph_core.find_automorphism``) only onto a child whose own search
+    cost at least n² tests, and only until a later child costs less, so
+    graphs without symmetry pay little for it; ``skipped`` counts the
+    children resolved this way.
     """
     _require_connected(g)
     start = time.perf_counter()
@@ -551,7 +572,30 @@ def solve_lower(
         bound = (engine.seed_mask | uni_mask).bit_count()
     best_size = bound + 1
     best_mask = None
-    nodes = 0
+    nodes = skipped = 0
+    costly = g.n * g.n  # tests a child must cost before children are mirrored onto it
+    found: list[tuple[tuple[int, ...], int]] = []  # (images, mask of moved vertices)
+
+    def mirrored(mask: int, y: int, onto: int) -> bool:
+        """Whether an automorphism fixing ``mask`` pointwise maps y into
+        ``onto``: the ones found so far are tried first, then a search
+        that gives up after 2n failed images."""
+        for perm, moved in found:
+            if not mask & moved and (onto >> perm[y]) & 1:
+                return True
+        onto &= dmat.alike[y]
+        while onto:
+            low = onto & -onto
+            onto ^= low
+            perm = find_automorphism(dmat, mask, y, low.bit_length() - 1, 2 * g.n)
+            if perm is not None:
+                moved = 0
+                for v, w in enumerate(perm):
+                    if v != w:
+                        moved |= 1 << v
+                found.append((perm, moved))
+                return True
+        return False
 
     def visit(state, size: int, ahead: int, refused: int) -> None:
         """Extend ``state`` by the vertices of ``ahead`` (all of them above
@@ -562,21 +606,37 @@ def solve_lower(
         a vertex refused by a subset stays refused.  A set too large to
         extend tests its non-members in ascending order, the earlier ones
         first: in measurements those tests are the cheaper ones.
+
+        ``dear`` holds the children that joined and cost at least n² tests
+        to search, since the last searched child that cost less; a later
+        vertex mirrored onto one of them is skipped.  A cheap child shows
+        that the incumbent now cuts these subtrees short, so a search for
+        the automorphism would cost more than it saves.  A refused child is
+        not mirrored onto: its refusal cost one test, less than that search.
         """
-        nonlocal best_size, best_mask, nodes
+        nonlocal best_size, best_mask, nodes, skipped
         if size + 1 < best_size:
             joined = False
+            dear = 0
             ahead &= ~refused
             while ahead:
                 low = ahead & -ahead
                 ahead ^= low
                 v = low.bit_length() - 1
+                if dear and mirrored(mask_of(state), v, dear):
+                    skipped += 1
+                    continue
                 nodes += 1
                 if can_add(state, v):
                     joined = True
+                    before = nodes
                     visit(add(state, v), size + 1, ahead, refused)
                     if size + 1 >= best_size:
                         return
+                    if nodes - before >= costly:
+                        dear |= low
+                    else:
+                        dear = 0
                 else:
                     refused |= low
             if joined:
@@ -600,7 +660,9 @@ def solve_lower(
     witness = VertexSet(g.n, best_mask)
     if not visibility.is_maximal_set(g, witness, kind, dmat):
         raise RuntimeError("solver produced a non-maximal witness; engine and predicate disagree")
-    return SolveResult(kind, "lower", best_size, witness, nodes, time.perf_counter() - start)
+    return SolveResult(
+        kind, "lower", best_size, witness, nodes, time.perf_counter() - start, skipped=skipped
+    )
 
 
 def greedy_maximal(g: Graph, kind: str, seed: int) -> VertexSet:

@@ -376,7 +376,7 @@ def run_closed_form_suite(config: SuiteConfig | None = None) -> list[CheckReport
         reports.append(_row("grid-mv-lower", f"P{dims[0]}xP{dims[1]}", claim, 3, got, start))
 
     claim = "the lower mutual-visibility number of K_m x K_n equals m+n-1"
-    for m, n in ((2, 3), (3, 3), (3, 4)):
+    for m, n in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (4, 6)):
         start = time.perf_counter()
         got = _solved(cartesian_product(complete(m), complete(n)), "mv", "lower", config)
         reports.append(_row("clique-mv-lower", f"K{m}xK{n}", claim, m + n - 1, got, start))

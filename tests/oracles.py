@@ -6,6 +6,7 @@ library's search code, so agreement is meaningful evidence.
 """
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 
 INF = None
@@ -27,11 +28,12 @@ def bfs_rows(g):
     return rows
 
 
+@lru_cache(maxsize=1 << 16)
 def all_geodesics(g, u, v):
-    """Every shortest u..v path as a vertex tuple."""
+    """Every shortest u..v path as a vertex tuple (cached: graphs are immutable)."""
     dist = bfs_rows(g)[u]
     if dist[v] is INF:
-        return []
+        return ()
     paths = []
 
     def walk(w, acc):
@@ -43,7 +45,7 @@ def all_geodesics(g, u, v):
                 walk(p, acc + [p])
 
     walk(v, [v])
-    return paths
+    return tuple(paths)
 
 
 def interval_oracle(g, u, v):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from atlas import load_atlas
 from conftest import bowtie, connected_graphs, graphs
-from vislab.families import complete, cycle, grid, path, star
+from vislab.families import complete, cycle, grid, hypercube, path, star
 from vislab.graph_core import (
     CLIQUE_VERTEX_LIMIT,
     UNREACHABLE,
@@ -18,6 +20,7 @@ from vislab.graph_core import (
     cartesian_product,
     distance_matrix,
     export_dot,
+    find_automorphism,
     format_edge_list,
     is_chordal,
     is_connected,
@@ -171,6 +174,57 @@ class TestMetric:
         g = star(3)
         assert neighborhood(g, 0).members() == (1, 2, 3)
         assert neighborhood(g, 0, closed=True).members() == (0, 1, 2, 3)
+
+
+def automorphisms(g):
+    """Every automorphism of g by brute force over all permutations."""
+    edges = set(g.edges())
+    return [
+        p for p in permutations(range(g.n))
+        if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)
+    ]
+
+
+class TestAutomorphism:
+    def test_atlas_up_to_six_vertices(self):
+        # with no budget the finder is exact: it returns an automorphism
+        # fixing the mask and mapping src to dst exactly when one exists
+        for index, g in load_atlas(range(1, 7)):
+            dmat = distance_matrix(g)
+            auts = automorphisms(g)
+            for fixed in range(1 << g.n):
+                moves = {(s, p[s]) for p in auts for s in range(g.n)
+                         if all(p[x] == x for x in range(g.n) if (fixed >> x) & 1)}
+                for src in range(g.n):
+                    for dst in range(g.n):
+                        got = find_automorphism(dmat, fixed, src, dst, 1 << 30)
+                        assert (got is not None) == ((src, dst) in moves), (index, fixed, src, dst)
+                        if got is not None:
+                            assert got in auts and got[src] == dst, (index, fixed, src, dst)
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle(n) for n in range(3, 10)]
+        + [cartesian_product(complete(a), complete(b)) for a in range(2, 6) for b in range(a, 7)]
+        + [hypercube(3), hypercube(4)],
+    )
+    def test_vertex_transitive_within_budget(self, g):
+        # the budget solve_lower gives the finder
+        dmat = distance_matrix(g)
+        edges = set(g.edges())
+        for v in range(g.n):
+            p = find_automorphism(dmat, 0, v, 0, 2 * g.n)
+            assert p is not None and p[v] == 0 and sorted(p) == list(range(g.n))
+            assert all((min(p[a], p[b]), max(p[a], p[b])) in edges for a, b in edges)
+
+    def test_invariants_differ(self):
+        g = path(4)
+        dmat = distance_matrix(g)
+        assert dmat.alike == (0b1001, 0b0110, 0b0110, 0b1001)
+        assert find_automorphism(dmat, 0, 0, 1, 1 << 30) is None
+        assert find_automorphism(dmat, 0, 1, 2, 1 << 30) is not None
+        # distances to a fixed vertex differ: 0 and 3 are alike, but not fixing 1
+        assert find_automorphism(dmat, 0b0010, 0, 3, 1 << 30) is None
 
 
 class TestStructure:

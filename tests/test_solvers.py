@@ -10,6 +10,7 @@ from vislab.families import (
     cycle,
     gen_subdivided_complete,
     grid,
+    hypercube,
     path,
     random_tree,
     star,
@@ -154,6 +155,58 @@ class TestFastPath:
         # bowtie has no bridge, so no shortcut applies
         assert got.fast_path is None
         assert got.value == 3
+
+
+def circulant(n, steps):
+    return Graph.from_edges(
+        n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+    )
+
+
+def relabelled(g, seed):
+    perm = permutation(g.n, seed)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize(
+        "g, prunes",
+        [
+            (cycle(7), False),  # no child costs the n² tests that start a mirror search
+            (cartesian_product(complete(3), complete(4)), True),
+            (hypercube(3), True),
+            (circulant(10, (1, 2, 3)), True),
+        ],
+    )
+    def test_relabelled_matches_oracle(self, g, prunes):
+        # in a non-identity labelling the automorphisms solve_lower mirrors
+        # children with move vertices far from their ids
+        skipped = 0
+        for seed in (1, 2, 3):
+            h = relabelled(g, seed)
+            for kind in KINDS:
+                got = solve_lower(h, kind)
+                assert (got.value, got.witness.members()) == oracles.solve_lower_oracle(h, kind)
+                skipped += got.skipped
+        assert skipped > 0 or not prunes
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            circulant(11, (2, 5)),
+            circulant(11, (1, 2, 3)),
+            circulant(12, (1, 2, 5)),
+            cartesian_product(complete(3), complete(5)),
+        ],
+    )
+    def test_value_independent_of_labelling(self, g):
+        # past the oracles' reach: every labelling must give the same value,
+        # and the solver's own revalidation raises on a non-maximal witness
+        want = {kind: solve_lower(g, kind).value for kind in KINDS}
+        for seed in (1, 2, 3):
+            h = relabelled(g, seed)
+            for kind in KINDS:
+                assert solve_lower(h, kind).value == want[kind], (seed, kind)
 
 
 class TestCap:
