@@ -43,6 +43,9 @@ LADDER = (
     ("K5xK5", "max", False),
     ("Q5", "lower", True),
     ("P6xP6", "lower", True),
+    ("P6xP6", "max", True),
+    ("K5xK5", "max", True),
+    ("Q5", "max", True),
 )
 
 

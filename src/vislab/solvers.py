@@ -8,9 +8,11 @@ above a configurable cap (default 24 effective vertices) unless forced.
 All three kinds are hereditary (every subset of a valid set is valid),
 which both searches rely on:
 
-* max: a Russian-doll search (Östergård 2002) over the engine's vertex
-  order; the best count found in each suffix of the order bounds every
-  branch that starts there;
+* max: a Russian-doll search (Östergård 2002) over the engine's vertices
+  in maximum cardinality search order, which the graph sets and not its
+  labelling; the best count found in each suffix of that order bounds
+  every branch whose candidates start there.  A second pass in ascending
+  ids, cut by the same bounds, returns the canonical witness;
 * lower: one depth-first pass over the valid sets; a vertex refused by
   a set stays refused by its supersets, so maximality is tested only
   against the vertices no ancestor refused, and for mv the incumbent
@@ -43,10 +45,10 @@ visibility module before being returned; a disagreement raises rather
 than passing silently.
 
 Witnesses are canonical: among all optima the lexicographically smallest
-(as an ascending member tuple) is returned.  Both searches extend sets
-by ascending vertex ids, so they meet sets of one size in exactly that
-order: the lower pass only improves strictly, and the max search ends
-with a pass that stops at the first optimum.
+(as an ascending member tuple) is returned.  The lower pass and the
+witness pass of the max search extend sets by ascending vertex ids, so
+they meet sets of one size in exactly that order: the lower pass only
+improves strictly, and the witness pass stops at the first optimum.
 """
 
 from __future__ import annotations
@@ -58,12 +60,12 @@ from typing import Optional
 from .graph_core import (
     DistanceMatrix,
     Graph,
+    UNREACHABLE,
     InstanceTooLargeError,
     VertexSet,
     bridges,
     distance_matrix,
     find_automorphism,
-    is_connected,
 )
 from . import visibility
 from .rng import permutation
@@ -72,6 +74,15 @@ DEFAULT_CAP = 24
 
 FAST_PATH_CUT_EDGE = "cut-edge shortcut"
 
+# solve_lower mirrors children onto a child only once that child's search
+# cost n² * _MIRROR_GATE[kind] tests, so that the tests a skip saves outweigh
+# the automorphism search.  Measured over the small-sweep corpus (n = 6..10,
+# CPython 3.11.7, 2-vCPU Xeon): a can_add test took 2.1 µs for mv, 0.49 µs
+# for tmv and 0.34 µs for gp, DistanceMatrix.alike 33 µs and a
+# find_automorphism call 24 µs.  A tmv or gp test costs a quarter of an mv
+# test or less, so those kinds wait for four times the tests.
+_MIRROR_GATE = {"mv": 1, "tmv": 4, "gp": 4}
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -79,7 +90,8 @@ class SolveResult:
 
     ``value`` always equals ``len(witness)``.  ``fast_path`` names the
     shortcut taken, if any; ``nodes`` counts the search's ``can_add``
-    tests (zero when a shortcut answered; search-tree nodes for
+    tests (for max, those of the doll pass and of the witness pass; zero
+    when a shortcut answered; search-tree nodes for
     ``independent_domination``).  ``skipped`` counts the children
     ``solve_lower`` resolved by symmetry, with no test and no search below
     them; ``nodes`` does not count them.  ``elapsed`` is wall-clock seconds
@@ -313,9 +325,12 @@ def _make_engine(g: Graph, kind: str, dmat: DistanceMatrix):
     return _ENGINES[visibility.check_kind(kind)](g, dmat)
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
+def _connected_metric(g: Graph) -> DistanceMatrix:
+    """The metric of ``g``; its first row shows whether ``g`` is connected."""
+    dmat = distance_matrix(g)
+    if g.n and UNREACHABLE in dmat.rows[0]:
         raise ValueError("graph is disconnected; solvers require a connected graph")
+    return dmat
 
 
 def _check_cap(g: Graph, engine, cap: int, force: bool) -> None:
@@ -333,39 +348,85 @@ def _check_cap(g: Graph, engine, cap: int, force: bool) -> None:
         )
 
 
+def _mcs_order(g: Graph, dmat: DistanceMatrix, universe: list[int]) -> list[int]:
+    """``universe`` in maximum cardinality search order (Tarjan & Yannakakis
+    1984), an order set by the graph rather than by its labelling.
+
+    The first vertex has the least degree and, among those, the largest
+    eccentricity; each later one has the most neighbours already placed.
+    Remaining ties go to the lowest id.
+    """
+    adj, layers = g.adj_masks, dmat.layers
+    left = 0
+    first = low_deg = high_ecc = -1
+    for v in universe:
+        left |= 1 << v
+        deg, ecc = adj[v].bit_count(), len(layers[v])
+        if first < 0 or deg < low_deg or (deg == low_deg and ecc > high_ecc):
+            first, low_deg, high_ecc = v, deg, ecc
+    if first < 0:
+        return []
+    order = [first]
+    placed = 1 << first
+    near = adj[first]
+    left ^= placed
+    while left:
+        # a vertex off the neighbourhood of the placed ones has a count of 0
+        most = -1
+        m = left & near or left
+        while m:
+            low = m & -m
+            count = (adj[low.bit_length() - 1] & placed).bit_count()
+            if count > most:
+                pick, most = low, count
+            m ^= low
+        placed |= pick
+        left ^= pick
+        v = pick.bit_length() - 1
+        near |= adj[v]
+        order.append(v)
+    return order
+
+
 def solve_max(g: Graph, kind: str, *, cap: int = DEFAULT_CAP, force: bool = False) -> SolveResult:
     """Largest valid set of the given kind, with canonical witness.
 
     Russian-doll search (Östergård 2002, "A fast algorithm for the maximum
-    clique problem"), sound because every kind is hereditary.  ``doll[i]``
-    is the most vertices of ``universe[i:]`` that can join the seed
-    together, computed for i = k-1 down to 0.  Phase i first tries to add
-    ``universe[i]`` to the set witnessing ``doll[i+1]``; only if that fails
-    does it search for ``doll[i+1] + 1`` vertices that include it.  A
-    branch is cut once the doll value at its next candidate, or its
-    candidate count, falls short of the vertices it still needs.  A final
-    lexicographic pass returns the first set of ``doll[0]`` vertices,
-    taking a phase's set instead where that set is known to be the first.
+    clique problem"), sound because every kind is hereditary, over the
+    universe in maximum cardinality search order (``_mcs_order``), so its
+    cost follows the graph and not the labelling.  ``doll[i]`` is the most
+    vertices of ``order[i:]`` that can join the seed together, computed for
+    i = k-1 down to 0.  Phase i first tries to add ``order[i]`` to the set
+    witnessing ``doll[i+1]``; only if that fails does it search for
+    ``doll[i+1] + 1`` vertices that include it.
+
+    A second pass, in ascending ids, returns the first set of ``doll[0]``
+    vertices.  Both passes cut a branch once none of its candidates is in
+    ``live[need]``, the vertices whose position i in the order has
+    ``doll[i] >= need``: the candidates all lie in the suffix of the order
+    that starts at the earliest of them, and at most the doll value there
+    of them can join together.  A branch is also cut once its candidates
+    are fewer than the vertices it still needs.
     """
-    _require_connected(g)
     start = time.perf_counter()
-    dmat = distance_matrix(g)
+    dmat = _connected_metric(g)
     engine = _make_engine(g, kind, dmat)
     _check_cap(g, engine, cap, force)
 
-    uni = engine.universe
-    k = len(uni)
+    order = _mcs_order(g, dmat, engine.universe)
+    k = len(order)
     can_add, add = engine.can_add, engine.add
-    full = (1 << k) - 1
     doll = [0] * (k + 1)
+    # live[t]: the candidate bits whose doll value is at least t
+    live = [0] * (k + 1)
+    verts = order  # the vertex of each candidate bit, in the pass under way
     nodes = 0
 
-    accepted = 0  # positions the last failed grow call found able to join
+    accepted = 0  # candidates the last failed grow call found able to join
 
     def grow(state, cands: int, need: int):
-        """State of the first extension of ``state`` by ``need`` vertices at
-        the positions in ``cands`` (a bitmask of universe positions that may
-        join), or None.
+        """State of the first extension of ``state`` by ``need`` vertices of
+        ``cands`` (a bitmask of candidate bits, lowest first), or None.
 
         A node dives on its first candidate that can join and filters the
         rest only after that dive fails.  By heredity no vertex outside the
@@ -375,19 +436,19 @@ def solve_max(g: Graph, kind: str, *, cap: int = DEFAULT_CAP, force: bool = Fals
         nonlocal nodes, accepted
         if not need:
             return state
+        bound = live[need]
         count = cands.bit_count()
         while True:
-            low = cands & -cands
-            j = low.bit_length() - 1
-            if count < need or doll[j] < need:
+            if count < need or not cands & bound:
                 accepted = 0
                 return None
+            low = cands & -cands
             cands ^= low
             count -= 1
             nodes += 1
-            if can_add(state, uni[j]):
+            if can_add(state, verts[low.bit_length() - 1]):
                 break
-        nxt = add(state, uni[j])
+        nxt = add(state, verts[low.bit_length() - 1])
         if need == 1:
             return nxt
         got = grow(nxt, cands, need - 1)
@@ -396,21 +457,18 @@ def solve_max(g: Graph, kind: str, *, cap: int = DEFAULT_CAP, force: bool = Fals
         ok = accepted
         rest = cands & ~ok
         while rest and (ok | rest).bit_count() >= need:
-            bit = rest & -rest
-            j = bit.bit_length() - 1
-            if not ok and doll[j] < need:
+            if not ok and not rest & bound:
                 break
+            bit = rest & -rest
             rest ^= bit
             nodes += 1
-            if can_add(state, uni[j]):
+            if can_add(state, verts[bit.bit_length() - 1]):
                 ok |= bit
         joined = low | ok
-        while ok:
+        while ok.bit_count() >= need and ok & bound:
             low = ok & -ok
-            if doll[low.bit_length() - 1] < need or ok.bit_count() < need:
-                break
             ok ^= low
-            got = grow(add(state, uni[low.bit_length() - 1]), ok, need - 1)
+            got = grow(add(state, verts[low.bit_length() - 1]), ok, need - 1)
             if got is not None:
                 return got
         accepted = joined
@@ -418,36 +476,30 @@ def solve_max(g: Graph, kind: str, *, cap: int = DEFAULT_CAP, force: bool = Fals
 
     seed = engine.seed_state
     wit = seed
-    # first[i]: the first set of doll[i] vertices of universe[i:], when known.
-    # A search meets sets in lexicographic order, and adding universe[i] to
-    # the first set of the next doll keeps it first.
-    first = [None] * (k + 1)
-    first[k] = seed
+    full = (1 << k) - 1
     for i in range(k - 1, -1, -1):
         nodes += 1
-        if can_add(wit, uni[i]):
-            wit = add(wit, uni[i])
-            doll[i] = doll[i + 1] + 1
-            if first[i + 1] is not None:
-                first[i] = wit
-            continue
-        got = grow(add(seed, uni[i]), full >> (i + 1) << (i + 1), doll[i + 1])
-        if got is None:
-            doll[i] = doll[i + 1]
+        if can_add(wit, order[i]):
+            wit = add(wit, order[i])
         else:
-            wit = first[i] = got
-            doll[i] = doll[i + 1] + 1
-
-    # the first optimum contains the first position from which doll[0] is reachable
-    best = doll[0]
-    for i in range(k):
-        if first[i] is not None:
-            wit = first[i]
-            break
-        got = grow(add(seed, uni[i]), full >> (i + 1) << (i + 1), best - 1)
-        if got is not None:
+            got = grow(add(seed, order[i]), full >> (i + 1) << (i + 1), doll[i + 1])
+            if got is None:
+                doll[i] = doll[i + 1]
+                continue
             wit = got
-            break
+        doll[i] = doll[i + 1] + 1
+        # bits 0..i: those below i are searched only after their doll is set
+        live[doll[i]] = (2 << i) - 1
+
+    # the first set of doll[0] vertices, over vertex-id bits
+    best = doll[0]
+    reach = 0
+    for i, v in enumerate(order):
+        reach |= 1 << v
+        if doll[i + 1] < doll[i]:
+            live[doll[i]] = reach
+    verts = range(g.n)
+    wit = grow(seed, reach, best)
     witness = VertexSet(g.n, engine.mask_of(wit))
     if not visibility.is_valid_set(g, witness, kind, dmat):
         raise RuntimeError("solver produced an invalid witness; engine and predicate disagree")
@@ -542,13 +594,13 @@ def solve_lower(
     differs from it only at y and later).  So neither the value nor the
     canonical witness changes.  σ is looked for
     (``graph_core.find_automorphism``) only onto a child whose own search
-    cost at least n² tests, and only until a later child costs less, so
+    cost at least n² tests (4n² for tmv and gp, whose tests are cheaper;
+    see ``_MIRROR_GATE``), and only until a later child costs less, so
     graphs without symmetry pay little for it; ``skipped`` counts the
     children resolved this way.
     """
-    _require_connected(g)
     start = time.perf_counter()
-    dmat = distance_matrix(g)
+    dmat = _connected_metric(g)
 
     if fast_path and kind == "mv" and g.n >= 2:
         cut = bridges(g)
@@ -573,7 +625,7 @@ def solve_lower(
     best_size = bound + 1
     best_mask = None
     nodes = skipped = 0
-    costly = g.n * g.n  # tests a child must cost before children are mirrored onto it
+    costly = g.n * g.n * _MIRROR_GATE[kind]  # tests before children are mirrored onto a child
     found: list[tuple[tuple[int, ...], int]] = []  # (images, mask of moved vertices)
 
     def mirrored(mask: int, y: int, onto: int) -> bool:
@@ -607,8 +659,8 @@ def solve_lower(
         extend tests its non-members in ascending order, the earlier ones
         first: in measurements those tests are the cheaper ones.
 
-        ``dear`` holds the children that joined and cost at least n² tests
-        to search, since the last searched child that cost less; a later
+        ``dear`` holds the children that joined and cost at least ``costly``
+        tests to search, since the last searched child that cost less; a later
         vertex mirrored onto one of them is skipped.  A cheap child shows
         that the incumbent now cuts these subtrees short, so a search for
         the automorphism would cost more than it saves.  A refused child is
@@ -670,8 +722,7 @@ def greedy_maximal(g: Graph, kind: str, seed: int) -> VertexSet:
 
     Deterministic given the seed; the resulting set is maximal (checked).
     """
-    _require_connected(g)
-    dmat = distance_matrix(g)
+    dmat = _connected_metric(g)
     order = permutation(g.n, seed)
     result = visibility.greedy_maximal(g, kind, order, dmat)
     if not visibility.is_maximal_set(g, result, kind, dmat):

@@ -19,11 +19,14 @@ from vislab.graph_core import (
     Graph,
     InstanceTooLargeError,
     cartesian_product,
+    distance_matrix,
     is_connected,
 )
 from vislab.rng import permutation
 from vislab.solvers import (
     DEFAULT_CAP,
+    _make_engine,
+    _mcs_order,
     greedy_maximal,
     greedy_profile,
     independent_domination,
@@ -193,6 +196,24 @@ class TestSymmetry:
     @pytest.mark.parametrize(
         "g",
         [
+            cycle(7),
+            cartesian_product(complete(3), complete(4)),
+            hypercube(3),
+            circulant(10, (1, 2, 3)),
+        ],
+    )
+    def test_max_relabelled_matches_oracle(self, g):
+        # solve_max searches in an order set by the graph; the witness must
+        # still be the lexicographically first optimum of each labelling
+        for seed in (1, 2, 3):
+            h = relabelled(g, seed)
+            for kind in KINDS:
+                got = solve_max(h, kind)
+                assert (got.value, got.witness.members()) == oracles.solve_max_oracle(h, kind)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
             circulant(11, (2, 5)),
             circulant(11, (1, 2, 3)),
             circulant(12, (1, 2, 5)),
@@ -207,6 +228,66 @@ class TestSymmetry:
             h = relabelled(g, seed)
             for kind in KINDS:
                 assert solve_lower(h, kind).value == want[kind], (seed, kind)
+
+
+def spider() -> Graph:
+    # legs of 1, 2 and 3 edges from the centre 0; the leaves 3 and 6 have
+    # the least degree and the largest eccentricity (5)
+    return Graph.from_edges(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+
+
+class TestMcsOrder:
+    GRAPHS = [
+        spider(),
+        relabelled(spider(), 4),
+        grid((3, 4)),
+        relabelled(hypercube(3), 2),
+        circulant(10, (1, 2, 3)),
+        cartesian_product(complete(3), complete(4)),
+        relabelled(cartesian_product(cycle(4), path(3)), 1),
+    ]
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_order(self, g, kind):
+        dmat = distance_matrix(g)
+        universe = _make_engine(g, kind, dmat).universe
+        order = _mcs_order(g, dmat, universe)
+        assert sorted(order) == universe
+        assert _mcs_order(g, dmat, universe) == order
+        if not order:
+            return
+        rows = oracles.bfs_rows(g)
+        first = min(universe, key=lambda v: (g.degree(v), -max(rows[v]), v))
+        assert order[0] == first
+        # each later vertex has the most placed neighbours, ties to the lowest id
+        for i in range(1, len(order)):
+            placed = set(order[:i])
+            rest = [v for v in universe if v not in placed]
+            want = min(rest, key=lambda v: (-len(placed & set(g.adj[v])), v))
+            assert order[i] == want
+
+    def test_spider_starts_at_far_leaf(self):
+        g = spider()
+        dmat = distance_matrix(g)
+        assert _mcs_order(g, dmat, list(range(7)))[0] == 3
+
+
+class TestMaxEdgeCases:
+    def test_empty_tmv_universe(self):
+        # no pair at distance 2: every vertex is seeded and nothing is searched
+        g = complete(5)
+        dmat = distance_matrix(g)
+        assert _make_engine(g, "tmv", dmat).universe == []
+        assert _mcs_order(g, dmat, []) == []
+        got = solve_max(g, "tmv")
+        assert (got.value, got.witness.members()) == (5, (0, 1, 2, 3, 4))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_vertex(self, kind):
+        got = solve_max(complete(1), kind)
+        assert (got.value, got.witness.members()) == oracles.solve_max_oracle(complete(1), kind)
+        assert got.value == 1
 
 
 class TestCap:
@@ -324,10 +405,11 @@ class TestIndependentDomination:
 class TestDeterminism:
     @pytest.mark.parametrize("kind", KINDS)
     def test_repeat_solves_identical(self, kind):
-        g = grid((2, 4))
-        first = solve_lower(g, kind, fast_path=False)
-        second = solve_lower(g, kind, fast_path=False)
-        assert (first.value, first.witness) == (second.value, second.witness)
-        fmax = solve_max(g, kind)
-        smax = solve_max(g, kind)
-        assert (fmax.value, fmax.witness) == (smax.value, smax.witness)
+        # the counters are reproducible too, the symmetry skip's included
+        def fields(res):
+            return res.value, res.witness, res.nodes, res.skipped
+
+        # neither graph has a cut edge, so both variants search
+        for g in (grid((2, 4)), relabelled(circulant(10, (1, 2, 3)), 1)):
+            for solve in (solve_lower, solve_max):
+                assert fields(solve(g, kind)) == fields(solve(g, kind))
