@@ -23,15 +23,8 @@ import re
 import sys
 
 from . import families
-from .graph_core import (
-    InstanceTooLargeError,
-    ParseError,
-    VertexSet,
-    export_dot,
-    format_edge_list,
-    parse_graph,
-)
-from .solvers import DEFAULT_CAP, greedy_profile, solve_lower, solve_max
+from .graph_core import VertexSet, export_dot, format_edge_list, parse_graph
+from .solvers import greedy_profile, solve_lower, solve_max
 from .theorems import SUITES, format_reports, format_reports_machine, run_suite
 from .visibility import KINDS, is_maximal_set, is_valid_set
 
@@ -293,16 +286,8 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         if ns.command == "export":
             return _cmd_export(ns, stdin, stdout)
         raise _UsageError(f"unknown command {ns.command!r}")
-    except _UsageError as exc:
-        stderr.write(f"error: {exc}\n")
-        return 2
-    except (ParseError, InstanceTooLargeError) as exc:
-        stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
-        stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
+        # ParseError and InstanceTooLargeError are ValueErrors
         stderr.write(f"error: {exc}\n")
         return 2
 

@@ -2,8 +2,9 @@
 
 Computes the maximum size of a valid set ("max") and the minimum size of a
 maximal valid set ("lower") for the three set kinds, by explicit search
-over vertex subsets.  Instances are desk scale: searches refuse to start
-above a configurable cap (default 24 effective vertices) unless forced.
+over vertex subsets.  Instances are desk scale: unless forced, searches
+refuse to start above a cap (default 24) on the candidate vertices, those
+whose singleton is valid: every vertex for mv and gp, fewer for tmv.
 
 All three kinds are hereditary (every subset of a valid set is valid),
 which both searches rely on:
@@ -20,10 +21,16 @@ which both searches rely on:
   automorphism fixing the set maps onto an earlier, costly child is
   skipped (``graph_core.find_automorphism``): each of its maximal sets
   has an image that is maximal, of the same size and lexicographically
-  smaller.
+  smaller.  ``independent_domination`` runs the same pass over
+  independence, whose maximal sets are the independent dominating sets.
 
 Each kind gets a small engine that answers "can vertex v join the current
-set" incrementally:
+set" incrementally.  An engine has the vertices the searches branch on
+(``universe``), the state holding the vertices in every maximal set
+(``seed_state``, their bitmask ``seed_mask``), ``add`` and ``can_add``;
+``state[0]`` is the member bitmask of every state.  Its ``gate`` sets how
+costly a child's search must be before ``solve_lower`` looks for
+automorphisms onto it.  The engines:
 
 * mv: v must see every member, checked by one breadth-first search from
   v that keeps only the true-distance layer ``dmat.layers[v][k]`` at each
@@ -38,7 +45,9 @@ set" incrementally:
   and are forced up front;
 * gp: a union of the ``dmat.between`` interiors of current pairs is
   carried along; v must avoid it and contribute no member-covering
-  interior.
+  interior;
+* independence (private, for ``independent_domination``): v must have
+  no neighbour in the set.
 
 Answers are revalidated through the definitional predicates in the
 visibility module before being returned; a disagreement raises rather
@@ -74,15 +83,6 @@ DEFAULT_CAP = 24
 
 FAST_PATH_CUT_EDGE = "cut-edge shortcut"
 
-# solve_lower mirrors children onto a child only once that child's search
-# cost n² * _MIRROR_GATE[kind] tests, so that the tests a skip saves outweigh
-# the automorphism search.  Measured over the small-sweep corpus (n = 6..10,
-# CPython 3.11.7, 2-vCPU Xeon): a can_add test took 2.1 µs for mv, 0.49 µs
-# for tmv and 0.34 µs for gp, DistanceMatrix.alike 33 µs and a
-# find_automorphism call 24 µs.  A tmv or gp test costs a quarter of an mv
-# test or less, so those kinds wait for four times the tests.
-_MIRROR_GATE = {"mv": 1, "tmv": 4, "gp": 4}
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -91,11 +91,12 @@ class SolveResult:
     ``value`` always equals ``len(witness)``.  ``fast_path`` names the
     shortcut taken, if any; ``nodes`` counts the search's ``can_add``
     tests (for max, those of the doll pass and of the witness pass; zero
-    when a shortcut answered; search-tree nodes for
-    ``independent_domination``).  ``skipped`` counts the children
-    ``solve_lower`` resolved by symmetry, with no test and no search below
-    them; ``nodes`` does not count them.  ``elapsed`` is wall-clock seconds
-    and is the only field that is not reproducible bit for bit.
+    when a shortcut answered).  ``skipped`` counts the children the lower
+    search resolved by symmetry, with no test and no search below them;
+    ``nodes`` does not count them.  ``independent_domination`` runs the
+    lower search, so both count the same way there.  ``elapsed`` is
+    wall-clock seconds and is the only field that is not reproducible bit
+    for bit.
     """
 
     kind: str
@@ -134,7 +135,15 @@ class _MvEngine:
     pairs, since a valid set already keeps every other pair visible.
     """
 
-    kind = "mv"
+    # solve_lower mirrors children onto a child only once that child's
+    # search cost n² * gate tests, so that the tests a skip saves outweigh
+    # the automorphism search.  Measured over the small-sweep corpus
+    # (n = 6..10, CPython 3.11.7, 2-vCPU Xeon): a can_add test took 2.1 µs
+    # for mv, 0.49 µs for tmv and 0.34 µs for gp, DistanceMatrix.alike
+    # 33 µs and a find_automorphism call 24 µs.  A tmv or gp test costs a
+    # quarter of an mv test or less, so those engines, and independence,
+    # whose test is cheaper still, wait for four times the tests.
+    gate = 1
 
     def __init__(self, g: Graph, dmat: DistanceMatrix):
         n = g.n
@@ -156,9 +165,6 @@ class _MvEngine:
                     t[b] |= 1 << a
                     m ^= low
         self.thru = thru
-
-    def mask_of(self, state) -> int:
-        return state[0]
 
     def add(self, state, v: int):
         mask, members = state
@@ -234,7 +240,7 @@ class _TmvEngine:
     they lie in every maximal set and are seeded as mandatory.
     """
 
-    kind = "tmv"
+    gate = 4  # see _MvEngine.gate
 
     def __init__(self, g: Graph, dmat: DistanceMatrix):
         masks = g.adj_masks
@@ -253,7 +259,6 @@ class _TmvEngine:
         union = 0
         for b in kept:
             union |= b
-        self.candidate_mask = cand_mask
         self.seed_mask = cand_mask & ~union
         self.seed_state = (self.seed_mask,)
         self.universe = [
@@ -267,9 +272,6 @@ class _TmvEngine:
                 self.by_bit[low.bit_length() - 1].append(b)
                 m ^= low
 
-    def mask_of(self, state) -> int:
-        return state[0]
-
     def add(self, state, v: int):
         return (state[0] | (1 << v),)
 
@@ -282,7 +284,7 @@ class _TmvEngine:
 
 
 class _GpEngine:
-    kind = "gp"
+    gate = 4  # see _MvEngine.gate
 
     def __init__(self, g: Graph, dmat: DistanceMatrix):
         self.universe = list(range(g.n))
@@ -290,9 +292,6 @@ class _GpEngine:
         self.seed_state = (0, 0)
         self.seed_mask = 0
         self.between = dmat.between
-
-    def mask_of(self, state) -> int:
-        return state[0]
 
     def add(self, state, v: int):
         mask, forbid = state
@@ -318,6 +317,25 @@ class _GpEngine:
         return True
 
 
+class _IndepEngine:
+    """Independence: v can join when it has no neighbour in the set.  An
+    independent set is maximal exactly when it dominates the graph."""
+
+    gate = 4  # see _MvEngine.gate
+
+    def __init__(self, g: Graph):
+        self.adj = g.adj_masks
+        self.universe = list(range(g.n))
+        self.seed_state = (0,)
+        self.seed_mask = 0
+
+    def add(self, state, v: int):
+        return (state[0] | (1 << v),)
+
+    def can_add(self, state, v: int) -> bool:
+        return not self.adj[v] & state[0]
+
+
 _ENGINES = {"mv": _MvEngine, "tmv": _TmvEngine, "gp": _GpEngine}
 
 
@@ -333,18 +351,12 @@ def _connected_metric(g: Graph) -> DistanceMatrix:
     return dmat
 
 
-def _check_cap(g: Graph, engine, cap: int, force: bool) -> None:
-    if force:
-        return
-    if engine.kind == "tmv":
-        size = engine.candidate_mask.bit_count()
-        what = f"{size} candidate vertices"
-    else:
-        size = g.n
-        what = f"{size} vertices"
-    if size > cap:
+def _check_cap(engine, cap: int, force: bool) -> None:
+    size = len(engine.universe) + engine.seed_mask.bit_count()
+    if size > cap and not force:
         raise InstanceTooLargeError(
-            f"instance too large: {what} exceed the search cap {cap} (use force to override)"
+            f"instance too large: {size} candidate vertices exceed the search cap {cap} "
+            "(use force to override)"
         )
 
 
@@ -411,7 +423,7 @@ def solve_max(g: Graph, kind: str, *, cap: int = DEFAULT_CAP, force: bool = Fals
     start = time.perf_counter()
     dmat = _connected_metric(g)
     engine = _make_engine(g, kind, dmat)
-    _check_cap(g, engine, cap, force)
+    _check_cap(engine, cap, force)
 
     order = _mcs_order(g, dmat, engine.universe)
     k = len(order)
@@ -500,7 +512,7 @@ def solve_max(g: Graph, kind: str, *, cap: int = DEFAULT_CAP, force: bool = Fals
             live[doll[i]] = reach
     verts = range(g.n)
     wit = grow(seed, reach, best)
-    witness = VertexSet(g.n, engine.mask_of(wit))
+    witness = VertexSet(g.n, wit[0])
     if not visibility.is_valid_set(g, witness, kind, dmat):
         raise RuntimeError("solver produced an invalid witness; engine and predicate disagree")
     return SolveResult(kind, "max", len(witness), witness, nodes, time.perf_counter() - start)
@@ -559,73 +571,39 @@ def _first_maximal_pair(g: Graph, dmat: DistanceMatrix, stop: tuple[int, int]):
     return stop
 
 
-def solve_lower(
-    g: Graph,
-    kind: str,
-    *,
-    cap: int = DEFAULT_CAP,
-    force: bool = False,
-    fast_path: bool = True,
-) -> SolveResult:
-    """Smallest maximal valid set of the given kind, canonical witness.
+def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
+    """Smallest maximal set of ``engine`` with at most ``bound`` vertices
+    (any size when None), as (member mask, tests, children skipped).
 
     One depth-first pass visits the valid sets in lexicographic order.  A
     set some later vertex can join is not maximal (the child proves it);
     otherwise the non-members not yet refused by the set or an ancestor
     are tested, and a maximal set is recorded only when it is strictly
     smaller than the incumbent, so the first smallest one is kept.  Sets
-    at or above the incumbent's size are not extended.  For mv the
-    incumbent bound starts at ``visibility.neighborhood_bound``: a flagged
-    closed neighborhood N[x] is a maximal mv set, so the answer is at most
-    deg(x) + 1.
-
-    For mv a cut edge shortcuts the search: its endpoints always form a
-    maximal set of size 2, and no maximal set of size below 2 exists on
-    two or more vertices.  The shortcut then returns the first maximal
-    pair in lexicographic order, which is the witness the search would
-    find.
+    at or above the incumbent's size are not extended.
 
     Symmetric children are skipped.  Let an automorphism σ fix the set X
     pointwise and map a child y onto an earlier child r that joined.
-    Validity of every kind, and the tmv seed set, are defined by the
+    Validity of every engine, and the tmv seed set, are defined by the
     metric, which σ preserves, so y joins too.  Its subtree is not
     searched: each maximal set W there has the image σ(W), maximal, of
     the same size and lexicographically smaller (σ(W) holds r, while W
     differs from it only at y and later).  So neither the value nor the
     canonical witness changes.  σ is looked for
     (``graph_core.find_automorphism``) only onto a child whose own search
-    cost at least n² tests (4n² for tmv and gp, whose tests are cheaper;
-    see ``_MIRROR_GATE``), and only until a later child costs less, so
-    graphs without symmetry pay little for it; ``skipped`` counts the
-    children resolved this way.
+    cost at least n² times the engine's ``gate`` tests, and only until a
+    later child costs less, so graphs without symmetry pay little for it.
     """
-    start = time.perf_counter()
-    dmat = _connected_metric(g)
-
-    if fast_path and kind == "mv" and g.n >= 2:
-        cut = bridges(g)
-        if cut:
-            witness = VertexSet.from_ids(g.n, _first_maximal_pair(g, dmat, cut[0]))
-            if not visibility.is_maximal_set(g, witness, "mv", dmat):
-                raise RuntimeError("cut-edge witness failed revalidation")
-            return SolveResult(
-                "mv", "lower", 2, witness, 0, time.perf_counter() - start, FAST_PATH_CUT_EDGE
-            )
-
-    engine = _make_engine(g, kind, dmat)
-    _check_cap(g, engine, cap, force)
-
-    can_add, add, mask_of = engine.can_add, engine.add, engine.mask_of
+    can_add, add = engine.can_add, engine.add
     uni_mask = 0
     for v in engine.universe:
         uni_mask |= 1 << v
-    bound = visibility.neighborhood_bound(g) if kind == "mv" else None
     if bound is None:
         bound = (engine.seed_mask | uni_mask).bit_count()
     best_size = bound + 1
     best_mask = None
     nodes = skipped = 0
-    costly = g.n * g.n * _MIRROR_GATE[kind]  # tests before children are mirrored onto a child
+    costly = g.n * g.n * engine.gate  # tests before children are mirrored onto a child
     found: list[tuple[tuple[int, ...], int]] = []  # (images, mask of moved vertices)
 
     def mirrored(mask: int, y: int, onto: int) -> bool:
@@ -675,7 +653,7 @@ def solve_lower(
                 low = ahead & -ahead
                 ahead ^= low
                 v = low.bit_length() - 1
-                if dear and mirrored(mask_of(state), v, dear):
+                if dear and mirrored(state[0], v, dear):
                     skipped += 1
                     continue
                 nodes += 1
@@ -693,7 +671,7 @@ def solve_lower(
                     refused |= low
             if joined:
                 return
-        mask = mask_of(state)
+        mask = state[0]
         rest = uni_mask & ~mask & ~refused
         while rest:
             low = rest & -rest
@@ -709,11 +687,56 @@ def solve_lower(
         raise RuntimeError(
             "no maximal set within the starting bound; lemma and engine disagree"
         )
-    witness = VertexSet(g.n, best_mask)
+    return best_mask, nodes, skipped
+
+
+def solve_lower(
+    g: Graph,
+    kind: str,
+    *,
+    cap: int = DEFAULT_CAP,
+    force: bool = False,
+    fast_path: bool = True,
+) -> SolveResult:
+    """Smallest maximal valid set of the given kind, canonical witness.
+
+    The search is one lexicographic depth-first pass over the valid sets
+    that keeps the first smallest maximal set (``_lower_search``).  For mv
+    its incumbent bound starts at ``visibility.neighborhood_bound``: a
+    flagged closed neighborhood N[x] is a maximal mv set, so the answer
+    is at most deg(x) + 1.
+
+    For mv a cut edge shortcuts the search: its endpoints always form a
+    maximal set of size 2, and no maximal set of size below 2 exists on
+    two or more vertices.  The shortcut then returns the first maximal
+    pair in lexicographic order, which is the witness the search would
+    find.
+
+    ``skipped`` counts the children the search resolved by symmetry, which
+    changes neither the value nor the canonical witness.
+    """
+    start = time.perf_counter()
+    dmat = _connected_metric(g)
+
+    if fast_path and kind == "mv" and g.n >= 2:
+        cut = bridges(g)
+        if cut:
+            witness = VertexSet.from_ids(g.n, _first_maximal_pair(g, dmat, cut[0]))
+            if not visibility.is_maximal_set(g, witness, "mv", dmat):
+                raise RuntimeError("cut-edge witness failed revalidation")
+            return SolveResult(
+                "mv", "lower", 2, witness, 0, time.perf_counter() - start, FAST_PATH_CUT_EDGE
+            )
+
+    engine = _make_engine(g, kind, dmat)
+    _check_cap(engine, cap, force)
+    bound = visibility.neighborhood_bound(g) if kind == "mv" else None
+    mask, nodes, skipped = _lower_search(g, dmat, engine, bound)
+    witness = VertexSet(g.n, mask)
     if not visibility.is_maximal_set(g, witness, kind, dmat):
         raise RuntimeError("solver produced a non-maximal witness; engine and predicate disagree")
     return SolveResult(
-        kind, "lower", best_size, witness, nodes, time.perf_counter() - start, skipped=skipped
+        kind, "lower", len(witness), witness, nodes, time.perf_counter() - start, skipped=skipped
     )
 
 
@@ -758,70 +781,31 @@ def independent_domination(
 ) -> SolveResult:
     """Minimum independent dominating set, canonical witness.
 
-    Cardinality-ascending search; a branch dies once the lowest vertex
-    not yet dominated has no potential dominator ahead of the cursor.
+    An independent set dominates exactly when it is maximal, so this is
+    the lower search (``_lower_search``) over independence, and ``nodes``
+    counts its adjacency tests.  Like the solvers, it needs a connected
+    graph and raises ``ValueError`` otherwise: its symmetry skip reads the
+    metric.
     """
-    if g.n > cap and not force:
-        raise InstanceTooLargeError(
-            f"instance too large: {g.n} vertices exceed the search cap {cap} (use force to override)"
-        )
     start = time.perf_counter()
-    n = g.n
+    dmat = _connected_metric(g)
+    engine = _IndepEngine(g)
+    _check_cap(engine, cap, force)
+    mask, nodes, skipped = _lower_search(g, dmat, engine, None)
     adj = g.adj_masks
-    closed = [adj[v] | (1 << v) for v in range(n)]
-    full = (1 << n) - 1
-    # reach[v] = union of closed neighborhoods of vertices >= v
-    reach = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        reach[v] = reach[v + 1] | closed[v]
-    nodes = 0
-
-    def dfs_exact(idx0: int, chosen: int, dominated: int, left: int) -> Optional[int]:
-        nonlocal nodes
-        if left == 0:
-            return chosen if dominated == full else None
-        for idx in range(idx0, n):
-            if n - idx < left:
-                break
-            # vertices only idx can still dominate; later cursors cannot
-            undom = full & ~(dominated | reach[idx + 1])
-            if undom & ~closed[idx]:
-                return None
-            if adj[idx] & chosen:
-                if undom:
-                    return None
-                continue
-            nodes += 1
-            got = dfs_exact(idx + 1, chosen | (1 << idx), dominated | closed[idx], left - 1)
-            if got is not None:
-                return got
-            if undom:
-                break
-        return None
-
-    for size in range(n + 1):
-        got = dfs_exact(0, 0, 0, size)
-        if got is not None:
-            witness = VertexSet(n, got)
-            mask = got
-            m = mask
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                if adj[v] & mask:
-                    raise RuntimeError("dominating witness is not independent")
-                m ^= low
-            cover = 0
-            for v in witness:
-                cover |= closed[v]
-            if cover != full:
-                raise RuntimeError("witness does not dominate the graph")
-            return SolveResult(
-                "independent-domination",
-                "lower",
-                size,
-                witness,
-                nodes,
-                time.perf_counter() - start,
-            )
-    raise RuntimeError("unreachable: the full vertex set dominates")
+    cover = 0
+    m = mask
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        if adj[v] & mask:
+            raise RuntimeError("dominating witness is not independent")
+        cover |= adj[v] | low
+        m ^= low
+    if cover != (1 << g.n) - 1:
+        raise RuntimeError("witness does not dominate the graph")
+    witness = VertexSet(g.n, mask)
+    return SolveResult(
+        "independent-domination", "lower", len(witness), witness, nodes,
+        time.perf_counter() - start, skipped=skipped,
+    )

@@ -5,7 +5,8 @@ Three suites, aggregated by ``run_suite``:
 
 * closed-forms: named families with known exact values (grids, clique
   products, complete bipartite graphs, subdivided cliques, block graphs,
-  trees, the reduction gadget, the separator construction);
+  trees, the reduction gadget, the separator construction), followed by
+  the characterization rows;
 * matrix: the bijection between vertex subsets of K_m x K_n and 0/1
   matrices, with the C4-free / saturation equivalences checked
   exhaustively at small sizes;
@@ -49,7 +50,7 @@ from .graph_core import (
     simplicial_vertices,
 )
 from .rng import SplitMix64
-from .solvers import DEFAULT_CAP, independent_domination, solve_lower, solve_max
+from .solvers import independent_domination, solve_lower, solve_max
 from .visibility import (
     convex_p3_centers,
     is_maximal_set,
@@ -60,15 +61,6 @@ from .visibility import (
 
 CORPUS_SEED = 1729
 SUITES = ("closed-forms", "matrix", "characterizations", "all")
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    corpus_seed: int = CORPUS_SEED
-    block_count: int = 20
-    tree_count: int = 10
-    matrix_cell_cap: int = 16
-    solver_cap: int = DEFAULT_CAP
 
 
 @dataclass(frozen=True)
@@ -92,13 +84,6 @@ def _row(name, instance, claim, expected, computed, start, ok=None):
         ok = exp_s == comp_s
     status = "pass" if ok else "fail"
     return CheckReport(name, instance, exp_s, comp_s, status, claim, time.perf_counter() - start)
-
-
-def _skip(name, instance, claim, expected, reason, start):
-    return CheckReport(
-        name, instance, str(expected), f"skipped: {reason}", "SKIPPED", claim,
-        time.perf_counter() - start,
-    )
 
 
 # --- binary matrix bridge -------------------------------------------------
@@ -329,10 +314,6 @@ def named_corpus() -> list[tuple[str, Graph]]:
     ]
 
 
-def characterization_corpus(config: SuiteConfig) -> list[tuple[str, Graph]]:
-    return random_corpus(config.corpus_seed) + named_corpus()
-
-
 def gadget_instances() -> list[tuple[str, Graph, int]]:
     return [
         ("gadget(P3,t=3)", path(3), 3),
@@ -359,26 +340,25 @@ def _is_cograph(g: Graph) -> bool:
 
 # --- closed-form suite ----------------------------------------------------
 
-def _solved(g: Graph, kind: str, variant: str, config: SuiteConfig, fast_path=True):
+def _solved(g: Graph, kind: str, variant: str, fast_path=True):
     if variant == "max":
-        return solve_max(g, kind, cap=config.solver_cap).value
-    return solve_lower(g, kind, cap=config.solver_cap, fast_path=fast_path).value
+        return solve_max(g, kind).value
+    return solve_lower(g, kind, fast_path=fast_path).value
 
 
-def run_closed_form_suite(config: SuiteConfig | None = None) -> list[CheckReport]:
-    config = config or SuiteConfig()
+def run_closed_form_suite() -> list[CheckReport]:
     reports: list[CheckReport] = []
 
     claim = "every grid P_m x P_n with m,n >= 2 has lower mutual-visibility number 3"
     for dims in ((2, 2), (3, 4), (4, 5)):
         start = time.perf_counter()
-        got = _solved(grid(dims), "mv", "lower", config)
+        got = _solved(grid(dims), "mv", "lower")
         reports.append(_row("grid-mv-lower", f"P{dims[0]}xP{dims[1]}", claim, 3, got, start))
 
     claim = "the lower mutual-visibility number of K_m x K_n equals m+n-1"
     for m, n in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (4, 6)):
         start = time.perf_counter()
-        got = _solved(cartesian_product(complete(m), complete(n)), "mv", "lower", config)
+        got = _solved(cartesian_product(complete(m), complete(n)), "mv", "lower")
         reports.append(_row("clique-mv-lower", f"K{m}xK{n}", claim, m + n - 1, got, start))
 
     claim = (
@@ -387,11 +367,11 @@ def run_closed_form_suite(config: SuiteConfig | None = None) -> list[CheckReport
     )
     for m, n in ((3, 3), (3, 4)):
         start = time.perf_counter()
-        got = _solved(cartesian_product(complete(m), complete(n)), "tmv", "lower", config)
+        got = _solved(cartesian_product(complete(m), complete(n)), "tmv", "lower")
         reports.append(_row("clique-tmv-lower", f"K{m}xK{n}", claim, min(m, n), got, start))
 
     start = time.perf_counter()
-    got = _solved(cartesian_product(complete(3), complete(4)), "tmv", "max", config)
+    got = _solved(cartesian_product(complete(3), complete(4)), "tmv", "max")
     reports.append(_row(
         "clique-tmv-max", "K3xK4",
         "the total mutual-visibility number of K_m x K_n equals max(m,n)",
@@ -405,33 +385,33 @@ def run_closed_form_suite(config: SuiteConfig | None = None) -> list[CheckReport
     )
     for dims in ((3, 3), (3, 3, 3)):
         start = time.perf_counter()
-        got = _solved(grid(dims), "tmv", "lower", config)
+        got = _solved(grid(dims), "tmv", "lower")
         label = "x".join(f"P{d}" for d in dims)
         reports.append(_row("grid-tmv-lower", label, claim, 2 ** len(dims), got, start))
 
     claim = "the lower mutual-visibility number of K_{r,s} with r >= s >= 1 is s+1"
     for r, s in ((1, 1), (3, 2), (3, 3), (4, 2)):
         start = time.perf_counter()
-        got = _solved(complete_bipartite(r, s), "mv", "lower", config)
+        got = _solved(complete_bipartite(r, s), "mv", "lower")
         reports.append(_row("bipartite-mv-lower", f"K{{{r},{s}}}", claim, s + 1, got, start))
 
     claim = "the lower general-position number of K_{r,s} with r >= s >= 2 is 2"
     for r, s in ((3, 2), (3, 3)):
         start = time.perf_counter()
-        got = _solved(complete_bipartite(r, s), "gp", "lower", config)
+        got = _solved(complete_bipartite(r, s), "gp", "lower")
         reports.append(_row("bipartite-gp-lower", f"K{{{r},{s}}}", claim, 2, got, start))
 
     # K_{2,2} is the 4-cycle; the two lower numbers genuinely differ
     # there, so both are pinned by exhaustive search.
     start = time.perf_counter()
-    got = _solved(cycle(4), "mv", "lower", config, fast_path=False)
+    got = _solved(cycle(4), "mv", "lower", fast_path=False)
     reports.append(_row(
         "bipartite-square-mv-lower", "C4",
         "the smallest maximal mutual-visibility set of the 4-cycle has size 3",
         3, got, start,
     ))
     start = time.perf_counter()
-    got = _solved(cycle(4), "gp", "lower", config)
+    got = _solved(cycle(4), "gp", "lower")
     reports.append(_row(
         "bipartite-square-gp-lower", "C4",
         "the smallest maximal general-position set of the 4-cycle has size 2 "
@@ -445,7 +425,7 @@ def run_closed_form_suite(config: SuiteConfig | None = None) -> list[CheckReport
     )
     for n in (3, 4):
         start = time.perf_counter()
-        got = _solved(gen_subdivided_complete(n)[0], "mv", "lower", config)
+        got = _solved(gen_subdivided_complete(n)[0], "mv", "lower")
         reports.append(_row("skn-mv-lower", f"S(K{n})", claim, n, got, start))
 
     claim = (
@@ -455,7 +435,7 @@ def run_closed_form_suite(config: SuiteConfig | None = None) -> list[CheckReport
     )
     for n in (3, 4):
         start = time.perf_counter()
-        got = _solved(gen_subdivided_complete(n)[0], "tmv", "lower", config)
+        got = _solved(gen_subdivided_complete(n)[0], "tmv", "lower")
         reports.append(_row("skn-tmv-lower", f"S(K{n})", claim, 0, got, start))
 
     tmv_claim = (
@@ -466,33 +446,32 @@ def run_closed_form_suite(config: SuiteConfig | None = None) -> list[CheckReport
         "in a block graph with at least 2 vertices the lower mutual-visibility "
         "number is the smallest cardinality of a block"
     )
-    blocks = block_corpus(config.corpus_seed, config.block_count)
-    for label, g in blocks:
+    for label, g in block_corpus():
         start = time.perf_counter()
-        got = _solved(g, "tmv", "lower", config)
+        got = _solved(g, "tmv", "lower")
         reports.append(_row("block-tmv-lower", label, tmv_claim,
                             len(simplicial_vertices(g)), got, start))
         start = time.perf_counter()
-        got = _solved(g, "mv", "lower", config)
+        got = _solved(g, "mv", "lower")
         want = min(len(c) for c in maximal_cliques(g))
         reports.append(_row("block-mv-lower", label, mv_claim, want, got, start))
 
     start = time.perf_counter()
     bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     reports.append(_row("block-tmv-lower", "bowtie", tmv_claim, 4,
-                        _solved(bowtie, "tmv", "lower", config), start))
+                        _solved(bowtie, "tmv", "lower"), start))
     start = time.perf_counter()
     reports.append(_row("block-mv-lower", "bowtie", mv_claim, 3,
-                        _solved(bowtie, "mv", "lower", config), start))
+                        _solved(bowtie, "mv", "lower"), start))
 
     claim = (
         "in a tree with at least 2 vertices the lower total mutual-visibility "
         "number equals the number of leaves"
     )
-    for label, g in tree_corpus(config.corpus_seed, config.tree_count):
+    for label, g in tree_corpus():
         start = time.perf_counter()
         leaves = sum(1 for v in range(g.n) if g.degree(v) == 1)
-        got = _solved(g, "tmv", "lower", config)
+        got = _solved(g, "tmv", "lower")
         reports.append(_row("tree-tmv-lower", label, claim, leaves, got, start))
 
     claim = (
@@ -504,14 +483,14 @@ def run_closed_form_suite(config: SuiteConfig | None = None) -> list[CheckReport
     for label, base, t in gadget_instances():
         start = time.perf_counter()
         gadget, _ = gen_gadget(base, t)
-        i_val = independent_domination(base, cap=config.solver_cap).value
+        i_val = independent_domination(base).value
         want = t * (base.edge_count() + 1) + i_val
-        got = _solved(gadget, "tmv", "lower", config)
+        got = _solved(gadget, "tmv", "lower")
         reports.append(_row("gadget-tmv-formula", label, claim, want, got, start))
 
     start = time.perf_counter()
     gstar, _ = gen_gstar(4, 4, 4, 4)
-    res = solve_lower(gstar, "mv", cap=config.solver_cap)
+    res = solve_lower(gstar, "mv")
     got = f"{res.value} witness " + ",".join(str(v) for v in res.witness.members())
     reports.append(_row(
         "gstar-mv-lower", "Gstar(4,4,4,4)",
@@ -520,41 +499,35 @@ def run_closed_form_suite(config: SuiteConfig | None = None) -> list[CheckReport
         "3 witness 0,1,2", got, start,
     ))
 
-    reports.append(_gstar_gp_report(config))
-    reports.extend(_characterization_rows(config))
+    start = time.perf_counter()
+    got = solve_lower(gstar, "gp").value
+    reports.append(_row(
+        "gstar-gp-lower", "Gstar(4,4,4,4)",
+        "the separator construction with all four size parameters equal to 4 "
+        "has lower general-position number at least min(t,t1,t2,|B|) = 4, "
+        "strictly above its lower mutual-visibility number 3",
+        ">= 4", got, start, ok=got >= 4,
+    ))
+
+    reports.extend(run_characterization_suite())
     reports.sort(key=lambda r: (r.name, r.instance))
     return reports
 
 
-def _gstar_gp_report(config: SuiteConfig) -> CheckReport:
-    start = time.perf_counter()
-    gstar, _ = gen_gstar(4, 4, 4, 4)
-    claim = (
-        "the separator construction with all four size parameters equal to 4 "
-        "has lower general-position number at least min(t,t1,t2,|B|) = 4, "
-        "strictly above its lower mutual-visibility number 3"
-    )
-    if gstar.n > config.solver_cap:
-        return _skip("gstar-gp-lower", "Gstar(4,4,4,4)", claim, ">= 4",
-                     f"{gstar.n} vertices over cap {config.solver_cap}", start)
-    got = solve_lower(gstar, "gp", cap=config.solver_cap).value
-    return _row("gstar-gp-lower", "Gstar(4,4,4,4)", claim, ">= 4", got, start, ok=got >= 4)
-
-
 # --- characterization suite -----------------------------------------------
 
-def _characterization_rows(config: SuiteConfig) -> list[CheckReport]:
-    corpus = characterization_corpus(config)
+def run_characterization_suite() -> list[CheckReport]:
+    corpus = random_corpus() + named_corpus()
     values = []
     for label, g in corpus:
         values.append({
             "label": label,
             "g": g,
-            "mv_lower": _solved(g, "mv", "lower", config, fast_path=False),
-            "tmv_lower": _solved(g, "tmv", "lower", config),
-            "mv_max": _solved(g, "mv", "max", config),
-            "tmv_max": _solved(g, "tmv", "max", config),
-            "gp_max": _solved(g, "gp", "max", config),
+            "mv_lower": _solved(g, "mv", "lower", fast_path=False),
+            "tmv_lower": _solved(g, "tmv", "lower"),
+            "mv_max": _solved(g, "mv", "max"),
+            "tmv_max": _solved(g, "tmv", "max"),
+            "gp_max": _solved(g, "gp", "max"),
         })
 
     def aggregate(name, claim, bad, start):
@@ -683,7 +656,7 @@ def _characterization_rows(config: SuiteConfig) -> list[CheckReport]:
     bad = []
     for v in values:
         if bridges(v["g"]):
-            with_fp = solve_lower(v["g"], "mv", cap=config.solver_cap).value
+            with_fp = solve_lower(v["g"], "mv").value
             if with_fp != v["mv_lower"]:
                 bad.append(v["label"])
     reports.append(aggregate(
@@ -697,25 +670,10 @@ def _characterization_rows(config: SuiteConfig) -> list[CheckReport]:
     return reports
 
 
-def run_characterization_suite(config: SuiteConfig | None = None) -> list[CheckReport]:
-    return _characterization_rows(config or SuiteConfig())
-
-
 # --- matrix suite ---------------------------------------------------------
 
-def run_matrix_suite(config: SuiteConfig | None = None) -> list[CheckReport]:
-    config = config or SuiteConfig()
-    reports = []
-    for m, n in ((2, 2), (2, 3), (3, 3), (3, 4)):
-        if m * n > config.matrix_cell_cap:
-            reports.append(_skip(
-                "matrix-equivalence", f"{m}x{n}",
-                "exhaustive equivalence sweep", "0 mismatches",
-                f"{m * n} cells over cap {config.matrix_cell_cap}",
-                time.perf_counter(),
-            ))
-        else:
-            reports.append(mv_matrix_equivalence(m, n))
+def run_matrix_suite() -> list[CheckReport]:
+    reports = [mv_matrix_equivalence(m, n) for m, n in ((2, 2), (2, 3), (3, 3), (3, 4))]
 
     start = time.perf_counter()
     bad = 0
@@ -768,17 +726,16 @@ def run_matrix_suite(config: SuiteConfig | None = None) -> list[CheckReport]:
     return reports
 
 
-def run_suite(suite: str, config: SuiteConfig | None = None) -> list[CheckReport]:
-    config = config or SuiteConfig()
+def run_suite(suite: str) -> list[CheckReport]:
     if suite == "closed-forms":
-        reports = run_closed_form_suite(config)
+        reports = run_closed_form_suite()
     elif suite == "matrix":
-        reports = run_matrix_suite(config)
+        reports = run_matrix_suite()
     elif suite == "characterizations":
-        reports = run_characterization_suite(config)
+        reports = run_characterization_suite()
     elif suite == "all":
         # the closed-form suite already carries the characterization rows
-        reports = run_closed_form_suite(config) + run_matrix_suite(config)
+        reports = run_closed_form_suite() + run_matrix_suite()
     else:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     reports.sort(key=lambda r: (r.name, r.instance))

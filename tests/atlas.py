@@ -7,8 +7,9 @@ vertices up to isomorphism (written by ``scripts/freeze_atlas.py``).
 import os
 
 import oracles
+from vislab.families import gen_gadget
 from vislab.graph_core import Graph
-from vislab.solvers import solve_lower, solve_max
+from vislab.solvers import independent_domination, solve_lower, solve_max
 from vislab.visibility import KINDS
 
 ATLAS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "atlas_connected.txt")
@@ -32,7 +33,8 @@ def oracle_mismatches(g):
     """(kind, query, solver answer, oracle answer) wherever they differ.
 
     Answers are (value, witness tuple); the lower variant is solved with
-    the mv cut-edge shortcut both on and off.
+    the mv cut-edge shortcut both on and off.  ``independent_domination``,
+    the lower search over independence, is compared too.
     """
     bad = []
     for kind in KINDS:
@@ -45,4 +47,17 @@ def oracle_mismatches(g):
             res = solve_lower(g, kind, fast_path=fast)
             if (res.value, res.witness.members()) != want:
                 bad.append((kind, f"lower fast={fast}", (res.value, res.witness.members()), want))
+    want = oracles.independent_domination_oracle(g)
+    res = independent_domination(g)
+    if (res.value, res.witness.members()) != want:
+        bad.append(("independence", "lower", (res.value, res.witness.members()), want))
     return bad
+
+
+def reduction_holds(base, t=3):
+    """Whether the NP-completeness reduction's formula holds on ``base``:
+    the lower tmv number of gadget(base, t) is t(m + 1) + i(base).  The
+    gadget's tmv candidates can exceed the search cap, so it is forced."""
+    gadget, _ = gen_gadget(base, t)
+    want = t * (base.edge_count() + 1) + independent_domination(base).value
+    return solve_lower(gadget, "tmv", force=True).value == want

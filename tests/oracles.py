@@ -190,17 +190,18 @@ def maximal_cliques_oracle(g):
 
 
 def independent_domination_oracle(g):
-    best = None
-    for mask in range(1 << g.n):
-        ids = [v for v in range(g.n) if mask >> v & 1]
-        if any(g.has_edge(a, b) for a, b in combinations(ids, 2)):
-            continue
-        dominated = set(ids)
-        for v in ids:
-            dominated.update(g.adj[v])
-        if len(dominated) == g.n and (best is None or len(ids) < best):
-            best = len(ids)
-    return best
+    """(size, member tuple) of the first independent dominating set that
+    ``combinations`` yields at the smallest size: the canonical witness."""
+    for r in range(g.n + 1):
+        for ids in combinations(range(g.n), r):
+            if any(g.has_edge(a, b) for a, b in combinations(ids, 2)):
+                continue
+            dominated = set(ids)
+            for v in ids:
+                dominated.update(g.adj[v])
+            if len(dominated) == g.n:
+                return r, ids
+    return None
 
 
 def girth_oracle(g):

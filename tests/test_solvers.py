@@ -383,7 +383,19 @@ class TestIndependentDomination:
     @settings(max_examples=50)
     def test_matches_oracle(self, g):
         got = independent_domination(g)
-        assert got.value == oracles.independent_domination_oracle(g)
+        assert (got.value, got.witness.members()) == oracles.independent_domination_oracle(g)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_symmetry_skip_keeps_witness(self, seed):
+        # the lower search's symmetry skip fires on C20 in every labelling
+        g = relabelled(cycle(20), seed)
+        got = independent_domination(g)
+        assert got.skipped > 0
+        assert (got.value, got.witness.members()) == oracles.independent_domination_oracle(g)
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValueError, match="connected"):
+            independent_domination(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
     def test_witness_is_independent_dominating(self):
         got = independent_domination(grid((3, 4)))

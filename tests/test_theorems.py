@@ -1,13 +1,12 @@
 import pytest
 
 from vislab.graph_core import VertexSet
+from vislab.solvers import DEFAULT_CAP
 from vislab.theorems import (
     CORPUS_SEED,
-    _gstar_gp_report,
     SUITES,
     BinaryMatrix,
     CheckReport,
-    SuiteConfig,
     block_corpus,
     cross_matrix,
     format_reports,
@@ -123,7 +122,7 @@ class TestCorpora:
         from vislab.visibility import tmv_candidates
 
         for label, g, expected in gadget_instances():
-            assert len(tmv_candidates(g)) <= SuiteConfig().solver_cap, label
+            assert len(tmv_candidates(g)) <= DEFAULT_CAP, label
 
 
 class TestSuites:
@@ -157,13 +156,6 @@ class TestSuites:
         for r in run_suite("all"):
             assert r.claim.strip()
             assert r.expected.strip()
-
-    def test_gstar_gp_row_skips_over_the_cap(self):
-        # Gstar(4,4,4,4) has 19 vertices
-        assert _gstar_gp_report(SuiteConfig()).status == "pass"
-        rep = _gstar_gp_report(SuiteConfig(solver_cap=18))
-        assert rep.status == "SKIPPED"
-        assert rep.computed == "skipped: 19 vertices over cap 18"
 
     def test_skip_counts_as_passed(self):
         rep = CheckReport("x", "y", "1", "skipped: capped", "SKIPPED", "c", 0.0)
