@@ -49,7 +49,7 @@ def main() -> int:
     print("-" * len(header))
     for label, g in instances():
         for kind in KINDS:
-            lo = solve_lower(g, kind, fast_path=False).value
+            lo = solve_lower(g, kind).value
             hi = solve_max(g, kind).value
             prof = greedy_profile(g, kind, runs=ns.runs, seed=ns.seed)
             marker = ""

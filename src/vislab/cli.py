@@ -4,12 +4,15 @@ Subcommands: ``gen`` (family generators), ``solve`` (exact search),
 ``greedy`` (seeded greedy profiles), ``check`` (validate a given set),
 ``verify`` (replay the known-results suites), ``export`` (DOT output).
 
-Graphs travel as edge lists on stdin or a file argument; ``gen`` stamps
-grid-like outputs with a ``# dims ...`` comment so later stages can
-annotate witness vertices with product coordinates.  Exit codes: 0 on
-success, 1 when a verify suite has a failing row, 2 on usage errors
-(bad flags, malformed input, a graph above the size limit, solver cap
-without ``--force``).
+Graphs travel as edge lists on stdin or a file argument.  ``gen`` builds
+the plain families through ``families.generate`` and has its own branches
+only for the three constructions with a role map (``skn``, ``gstar``,
+``gadget``); it stamps grids and hypercubes with a ``# dims ...`` comment
+so later stages can annotate witness vertices with product coordinates.
+
+Exit codes: 0 on success, 1 when a verify suite has a failing row, 2 on
+usage errors (bad flags, malformed input, a graph above the size limit,
+solver cap without ``--force``).
 
 Stdout for a given invocation is byte-stable: timings and node counts
 go to stderr under ``--stats``, never to stdout.
@@ -142,27 +145,7 @@ def _cmd_gen(ns, stdin, stdout) -> int:
     fam = ns.family
     roles = None
     comments = []
-    if fam in ("path", "cycle", "complete", "star", "hypercube"):
-        (k,) = _int_params(ns, 1)
-        g = getattr(families, fam)(k)
-        if fam == "hypercube":
-            comments.append("dims " + " ".join(["2"] * k))
-    elif fam == "complete_bipartite":
-        r, s = _int_params(ns, 2)
-        g = families.complete_bipartite(r, s)
-    elif fam == "grid":
-        if not ns.params:
-            raise _UsageError("grid needs at least one dimension")
-        dims = tuple(_int_params(ns, len(ns.params)))
-        g = families.grid(dims)
-        comments.append("dims " + " ".join(str(d) for d in dims))
-    elif fam == "random_tree":
-        (n,) = _int_params(ns, 1)
-        g = families.random_tree(n, ns.seed)
-    elif fam == "random_block_graph":
-        n, b = _int_params(ns, 2)
-        g = families.random_block_graph(n, b, ns.seed)
-    elif fam in ("skn", "subdivided_complete"):
+    if fam in ("skn", "subdivided_complete"):
         (n,) = _int_params(ns, 1)
         g, roles = families.gen_subdivided_complete(n)
     elif fam == "gstar":
@@ -179,7 +162,11 @@ def _cmd_gen(ns, stdin, stdout) -> int:
         base = parse_graph(_read_graph_text(ns.params[0], stdin))
         g, roles = families.gen_gadget(base, ns.t[0])
     else:
-        raise _UsageError(f"unknown family {fam!r}")
+        sizes = tuple(_int_params(ns, len(ns.params)))
+        g = families.generate(families.FamilySpec(fam, sizes, ns.seed))
+        if fam in ("grid", "hypercube"):
+            dims = sizes if fam == "grid" else (2,) * sizes[0]
+            comments.append("dims " + " ".join(str(d) for d in dims))
 
     if ns.roles is not None:
         if roles is None:

@@ -311,12 +311,6 @@ def _bfs(adj: Sequence[int], n: int, src: int) -> tuple[list[Optional[int]], lis
     return row, lay
 
 
-def bfs_distances(g: Graph, src: int) -> list[Optional[int]]:
-    """Hop distances from ``src``; unreachable vertices get ``UNREACHABLE``."""
-    g.check_vertex(src)
-    return _bfs(g.adj_masks, g.n, src)[0]
-
-
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """Rows and layers from one bitmask-frontier BFS per source."""
     rows = []
@@ -435,8 +429,7 @@ def is_connected(g: Graph) -> bool:
     """One BFS from vertex 0; K_0 and K_1 count as connected."""
     if g.n <= 1:
         return True
-    dist = bfs_distances(g, 0)
-    return all(d is not UNREACHABLE for d in dist)
+    return UNREACHABLE not in _bfs(g.adj_masks, g.n, 0)[0]
 
 
 def bridges(g: Graph) -> EdgeList:
@@ -540,29 +533,56 @@ def simplicial_vertices(g: Graph) -> VertexSet:
     return VertexSet(g.n, out)
 
 
+def mcs_order(g: Graph, dmat: DistanceMatrix, universe: Iterable[int]) -> list[int]:
+    """``universe`` in maximum cardinality search order (Tarjan & Yannakakis
+    1984), an order set by the graph rather than by its labelling.
+
+    The first vertex has the least degree and, among those, the largest
+    eccentricity; each later one has the most neighbours already placed.
+    Remaining ties go to the lowest id.
+    """
+    adj, layers = g.adj_masks, dmat.layers
+    left = 0
+    first = low_deg = high_ecc = -1
+    for v in universe:
+        left |= 1 << v
+        deg, ecc = adj[v].bit_count(), len(layers[v])
+        if first < 0 or deg < low_deg or (deg == low_deg and ecc > high_ecc):
+            first, low_deg, high_ecc = v, deg, ecc
+    if first < 0:
+        return []
+    order = [first]
+    placed = 1 << first
+    near = adj[first]
+    left ^= placed
+    while left:
+        # a vertex off the neighbourhood of the placed ones has a count of 0
+        most = -1
+        m = left & near or left
+        while m:
+            low = m & -m
+            count = (adj[low.bit_length() - 1] & placed).bit_count()
+            if count > most:
+                pick, most = low, count
+            m ^= low
+        placed |= pick
+        left ^= pick
+        v = pick.bit_length() - 1
+        near |= adj[v]
+        order.append(v)
+    return order
+
+
 def is_chordal(g: Graph) -> bool:
-    """Maximum cardinality search plus the standard parent check."""
-    n = g.n
-    if n == 0:
-        return True
-    weight = [0] * n
-    visited = [False] * n
-    order: list[int] = []
-    for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not visited[v] and (best < 0 or weight[v] > weight[best]):
-                best = v
-        visited[best] = True
-        order.append(best)
-        for u in g.adj[best]:
-            if not visited[u]:
-                weight[u] += 1
-    elim = order[::-1]
-    pos = [0] * n
+    """Whether the reverse of ``mcs_order`` over every vertex is a perfect
+    elimination order: each vertex's later neighbours are all adjacent to
+    the earliest of them.  That holds exactly for chordal graphs, whatever
+    the tie-break of the search (Tarjan & Yannakakis 1984)."""
+    elim = mcs_order(g, distance_matrix(g), range(g.n))[::-1]
+    pos = [0] * g.n
     for i, v in enumerate(elim):
         pos[v] = i
-    for v in range(n):
+    for v in range(g.n):
         later = [u for u in g.adj[v] if pos[u] > pos[v]]
         if not later:
             continue

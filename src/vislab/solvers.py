@@ -3,17 +3,19 @@
 Computes the maximum size of a valid set ("max") and the minimum size of a
 maximal valid set ("lower") for the three set kinds, by explicit search
 over vertex subsets.  Instances are desk scale: unless forced, searches
-refuse to start above a cap (default 24) on the candidate vertices, those
-whose singleton is valid: every vertex for mv and gp, fewer for tmv.
+refuse to start above ``DEFAULT_CAP`` (24) candidate vertices, those whose
+singleton is valid: every vertex for mv and gp, fewer for tmv.  An engine
+refuses as soon as it knows its candidates, before it builds any table.
 
 All three kinds are hereditary (every subset of a valid set is valid),
 which both searches rely on:
 
 * max: a Russian-doll search (Östergård 2002) over the engine's vertices
-  in maximum cardinality search order, which the graph sets and not its
-  labelling; the best count found in each suffix of that order bounds
-  every branch whose candidates start there.  A second pass in ascending
-  ids, cut by the same bounds, returns the canonical witness;
+  in maximum cardinality search order (``graph_core.mcs_order``), which
+  the graph sets and not its labelling; the best count found in each
+  suffix of that order bounds every branch whose candidates start there.
+  A second pass in ascending ids, cut by the same bounds, returns the
+  canonical witness;
 * lower: one depth-first pass over the valid sets; a vertex refused by
   a set stays refused by its supersets, so maximality is tested only
   against the vertices no ancestor refused, and for mv the incumbent
@@ -75,6 +77,7 @@ from .graph_core import (
     bridges,
     distance_matrix,
     find_automorphism,
+    mcs_order,
 )
 from . import visibility
 from .rng import permutation
@@ -125,6 +128,17 @@ class GreedyProfile:
     best_min_witness: VertexSet
 
 
+def _check_cap(engine, force: bool) -> None:
+    """Refuse an engine over ``DEFAULT_CAP`` candidates unless forced; engines
+    call it once ``universe`` and ``seed_mask`` are set, before any table."""
+    size = len(engine.universe) + engine.seed_mask.bit_count()
+    if size > DEFAULT_CAP and not force:
+        raise InstanceTooLargeError(
+            f"instance too large: {size} candidate vertices exceed the search cap "
+            f"{DEFAULT_CAP} (use force to override)"
+        )
+
+
 class _MvEngine:
     """Mutual visibility by layered reach over the metric's layer masks.
 
@@ -145,12 +159,13 @@ class _MvEngine:
     # whose test is cheaper still, wait for four times the tests.
     gate = 1
 
-    def __init__(self, g: Graph, dmat: DistanceMatrix):
+    def __init__(self, g: Graph, dmat: DistanceMatrix, force: bool):
         n = g.n
         self.adj = g.adj_masks
         self.universe = list(range(n))
         self.seed_state = (0, ())
         self.seed_mask = 0
+        _check_cap(self, force)
         self.dist = dmat.rows
         self.layers = dmat.layers
         self.between = dmat.between
@@ -242,7 +257,7 @@ class _TmvEngine:
 
     gate = 4  # see _MvEngine.gate
 
-    def __init__(self, g: Graph, dmat: DistanceMatrix):
+    def __init__(self, g: Graph, dmat: DistanceMatrix, force: bool):
         masks = g.adj_masks
         blockers = set()
         for u in range(g.n):
@@ -264,6 +279,7 @@ class _TmvEngine:
         self.universe = [
             v for v in range(g.n) if (cand_mask >> v) & 1 and not (self.seed_mask >> v) & 1
         ]
+        _check_cap(self, force)
         self.by_bit: dict[int, list[int]] = {v: [] for v in self.universe}
         for b in kept:
             m = b & ~self.seed_mask
@@ -286,11 +302,12 @@ class _TmvEngine:
 class _GpEngine:
     gate = 4  # see _MvEngine.gate
 
-    def __init__(self, g: Graph, dmat: DistanceMatrix):
+    def __init__(self, g: Graph, dmat: DistanceMatrix, force: bool):
         self.universe = list(range(g.n))
         # state: (member mask, union of member-pair path interiors)
         self.seed_state = (0, 0)
         self.seed_mask = 0
+        _check_cap(self, force)
         self.between = dmat.between
 
     def add(self, state, v: int):
@@ -328,6 +345,7 @@ class _IndepEngine:
         self.universe = list(range(g.n))
         self.seed_state = (0,)
         self.seed_mask = 0
+        _check_cap(self, False)
 
     def add(self, state, v: int):
         return (state[0] | (1 << v),)
@@ -339,8 +357,8 @@ class _IndepEngine:
 _ENGINES = {"mv": _MvEngine, "tmv": _TmvEngine, "gp": _GpEngine}
 
 
-def _make_engine(g: Graph, kind: str, dmat: DistanceMatrix):
-    return _ENGINES[visibility.check_kind(kind)](g, dmat)
+def _make_engine(g: Graph, kind: str, dmat: DistanceMatrix, force: bool):
+    return _ENGINES[visibility.check_kind(kind)](g, dmat, force)
 
 
 def _connected_metric(g: Graph) -> DistanceMatrix:
@@ -351,61 +369,12 @@ def _connected_metric(g: Graph) -> DistanceMatrix:
     return dmat
 
 
-def _check_cap(engine, cap: int, force: bool) -> None:
-    size = len(engine.universe) + engine.seed_mask.bit_count()
-    if size > cap and not force:
-        raise InstanceTooLargeError(
-            f"instance too large: {size} candidate vertices exceed the search cap {cap} "
-            "(use force to override)"
-        )
-
-
-def _mcs_order(g: Graph, dmat: DistanceMatrix, universe: list[int]) -> list[int]:
-    """``universe`` in maximum cardinality search order (Tarjan & Yannakakis
-    1984), an order set by the graph rather than by its labelling.
-
-    The first vertex has the least degree and, among those, the largest
-    eccentricity; each later one has the most neighbours already placed.
-    Remaining ties go to the lowest id.
-    """
-    adj, layers = g.adj_masks, dmat.layers
-    left = 0
-    first = low_deg = high_ecc = -1
-    for v in universe:
-        left |= 1 << v
-        deg, ecc = adj[v].bit_count(), len(layers[v])
-        if first < 0 or deg < low_deg or (deg == low_deg and ecc > high_ecc):
-            first, low_deg, high_ecc = v, deg, ecc
-    if first < 0:
-        return []
-    order = [first]
-    placed = 1 << first
-    near = adj[first]
-    left ^= placed
-    while left:
-        # a vertex off the neighbourhood of the placed ones has a count of 0
-        most = -1
-        m = left & near or left
-        while m:
-            low = m & -m
-            count = (adj[low.bit_length() - 1] & placed).bit_count()
-            if count > most:
-                pick, most = low, count
-            m ^= low
-        placed |= pick
-        left ^= pick
-        v = pick.bit_length() - 1
-        near |= adj[v]
-        order.append(v)
-    return order
-
-
-def solve_max(g: Graph, kind: str, *, cap: int = DEFAULT_CAP, force: bool = False) -> SolveResult:
+def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     """Largest valid set of the given kind, with canonical witness.
 
     Russian-doll search (Östergård 2002, "A fast algorithm for the maximum
     clique problem"), sound because every kind is hereditary, over the
-    universe in maximum cardinality search order (``_mcs_order``), so its
+    universe in maximum cardinality search order (``mcs_order``), so its
     cost follows the graph and not the labelling.  ``doll[i]`` is the most
     vertices of ``order[i:]`` that can join the seed together, computed for
     i = k-1 down to 0.  Phase i first tries to add ``order[i]`` to the set
@@ -422,10 +391,9 @@ def solve_max(g: Graph, kind: str, *, cap: int = DEFAULT_CAP, force: bool = Fals
     """
     start = time.perf_counter()
     dmat = _connected_metric(g)
-    engine = _make_engine(g, kind, dmat)
-    _check_cap(engine, cap, force)
+    engine = _make_engine(g, kind, dmat, force)
 
-    order = _mcs_order(g, dmat, engine.universe)
+    order = mcs_order(g, dmat, engine.universe)
     k = len(order)
     can_add, add = engine.can_add, engine.add
     doll = [0] * (k + 1)
@@ -691,12 +659,7 @@ def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
 
 
 def solve_lower(
-    g: Graph,
-    kind: str,
-    *,
-    cap: int = DEFAULT_CAP,
-    force: bool = False,
-    fast_path: bool = True,
+    g: Graph, kind: str, *, force: bool = False, fast_path: bool = True
 ) -> SolveResult:
     """Smallest maximal valid set of the given kind, canonical witness.
 
@@ -728,8 +691,7 @@ def solve_lower(
                 "mv", "lower", 2, witness, 0, time.perf_counter() - start, FAST_PATH_CUT_EDGE
             )
 
-    engine = _make_engine(g, kind, dmat)
-    _check_cap(engine, cap, force)
+    engine = _make_engine(g, kind, dmat, force)
     bound = visibility.neighborhood_bound(g) if kind == "mv" else None
     mask, nodes, skipped = _lower_search(g, dmat, engine, bound)
     witness = VertexSet(g.n, mask)
@@ -776,9 +738,7 @@ def greedy_profile(g: Graph, kind: str, runs: int, seed: int) -> GreedyProfile:
     return GreedyProfile(kind, runs, seed, lo, hi, best)
 
 
-def independent_domination(
-    g: Graph, *, cap: int = DEFAULT_CAP, force: bool = False
-) -> SolveResult:
+def independent_domination(g: Graph) -> SolveResult:
     """Minimum independent dominating set, canonical witness.
 
     An independent set dominates exactly when it is maximal, so this is
@@ -790,7 +750,6 @@ def independent_domination(
     start = time.perf_counter()
     dmat = _connected_metric(g)
     engine = _IndepEngine(g)
-    _check_cap(engine, cap, force)
     mask, nodes, skipped = _lower_search(g, dmat, engine, None)
     adj = g.adj_masks
     cover = 0

@@ -69,13 +69,9 @@ class CheckReport:
     instance: str
     expected: str
     computed: str
-    status: str  # "pass" | "fail" | "SKIPPED"
+    status: str  # "pass" | "fail"
     claim: str
     runtime: float
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
 
 
 def _row(name, instance, claim, expected, computed, start, ok=None):
@@ -256,10 +252,10 @@ def _draw_connected(rng: SplitMix64, n: int, p: float) -> Graph:
     raise RuntimeError(f"no connected draw at n={n}, p={p}")
 
 
-def random_corpus(seed: int = CORPUS_SEED) -> list[tuple[str, Graph]]:
+def random_corpus() -> list[tuple[str, Graph]]:
     """60 connected graphs: n in 4..9, five edge probabilities, two draws
     each, all from one documented stream so the corpus replays exactly."""
-    rng = SplitMix64(seed)
+    rng = SplitMix64(CORPUS_SEED)
     out = []
     for n in range(4, 10):
         for p in (0.3, 0.45, 0.6, 0.75, 0.9):
@@ -269,27 +265,30 @@ def random_corpus(seed: int = CORPUS_SEED) -> list[tuple[str, Graph]]:
     return out
 
 
-def block_corpus(seed: int = CORPUS_SEED, count: int = 20) -> list[tuple[str, Graph]]:
+def block_corpus() -> list[tuple[str, Graph]]:
     out = []
-    for idx in range(count):
+    for idx in range(20):
         n = 5 + (idx % 10)
-        g = random_block_graph(n, 4, seed * 1000 + idx)
+        g = random_block_graph(n, 4, CORPUS_SEED * 1000 + idx)
         out.append((f"block-{idx:02d}(n={n})", g))
     return out
 
 
-def tree_corpus(seed: int = CORPUS_SEED, count: int = 10) -> list[tuple[str, Graph]]:
+def tree_corpus() -> list[tuple[str, Graph]]:
     out = []
-    for idx in range(count):
+    for idx in range(10):
         n = 5 + (idx % 10)
-        g = random_tree(n, seed * 2000 + idx)
+        g = random_tree(n, CORPUS_SEED * 2000 + idx)
         out.append((f"tree-{idx:02d}(n={n})", g))
     return out
 
 
+# two triangles sharing vertex 2: a block graph and a named corpus graph
+_BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+
+
 def named_corpus() -> list[tuple[str, Graph]]:
     """Small named instances mixed into the characterization sweep."""
-    bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     return [
         ("K1", complete(1)),
         ("K2", complete(2)),
@@ -310,7 +309,7 @@ def named_corpus() -> list[tuple[str, Graph]]:
         ("Q3", hypercube(3)),
         ("S(K3)", gen_subdivided_complete(3)[0]),
         ("S(K4)", gen_subdivided_complete(4)[0]),
-        ("bowtie", bowtie),
+        ("bowtie", _BOWTIE),
     ]
 
 
@@ -404,7 +403,7 @@ def run_closed_form_suite() -> list[CheckReport]:
     # K_{2,2} is the 4-cycle; the two lower numbers genuinely differ
     # there, so both are pinned by exhaustive search.
     start = time.perf_counter()
-    got = _solved(cycle(4), "mv", "lower", fast_path=False)
+    got = _solved(cycle(4), "mv", "lower")
     reports.append(_row(
         "bipartite-square-mv-lower", "C4",
         "the smallest maximal mutual-visibility set of the 4-cycle has size 3",
@@ -457,12 +456,11 @@ def run_closed_form_suite() -> list[CheckReport]:
         reports.append(_row("block-mv-lower", label, mv_claim, want, got, start))
 
     start = time.perf_counter()
-    bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     reports.append(_row("block-tmv-lower", "bowtie", tmv_claim, 4,
-                        _solved(bowtie, "tmv", "lower"), start))
+                        _solved(_BOWTIE, "tmv", "lower"), start))
     start = time.perf_counter()
     reports.append(_row("block-mv-lower", "bowtie", mv_claim, 3,
-                        _solved(bowtie, "mv", "lower"), start))
+                        _solved(_BOWTIE, "mv", "lower"), start))
 
     claim = (
         "in a tree with at least 2 vertices the lower total mutual-visibility "
@@ -510,7 +508,6 @@ def run_closed_form_suite() -> list[CheckReport]:
     ))
 
     reports.extend(run_characterization_suite())
-    reports.sort(key=lambda r: (r.name, r.instance))
     return reports
 
 
@@ -665,8 +662,6 @@ def run_characterization_suite() -> list[CheckReport]:
         "search agree on the lower mutual-visibility number",
         bad, start,
     ))
-
-    reports.sort(key=lambda r: (r.name, r.instance))
     return reports
 
 
@@ -721,12 +716,11 @@ def run_matrix_suite() -> list[CheckReport]:
         "of size 3+4-1",
         "valid maximal", "valid maximal" if ok else "not maximal", start, ok=ok,
     ))
-
-    reports.sort(key=lambda r: (r.name, r.instance))
     return reports
 
 
 def run_suite(suite: str) -> list[CheckReport]:
+    """The rows of ``suite``, sorted by name, then instance."""
     if suite == "closed-forms":
         reports = run_closed_form_suite()
     elif suite == "matrix":

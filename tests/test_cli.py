@@ -1,4 +1,5 @@
 import io
+import os
 import re
 
 import pytest
@@ -17,6 +18,9 @@ def cli(*argv, stdin_text=""):
 P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
 C4_TEXT = "4 4\n0 1\n1 2\n2 3\n0 3\n"
 LIMIT = PRODUCT_VERTEX_LIMIT
+VERIFY_ALL_GOLDEN = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "verify_all.machine"
+)
 
 
 class TestGen:
@@ -317,7 +321,15 @@ class TestVerify:
         assert rc == 0
         for line in out.splitlines():
             assert line.count("\t") == 4
-            assert line.split("\t")[4] in ("pass", "SKIPPED")
+            assert line.split("\t")[4] == "pass"
+
+    def test_all_machine_golden(self):
+        # stdout is the byte-stability contract: every row, in order, as committed
+        rc, out, err = cli("verify", "--suite", "all", "--machine")
+        with open(VERIFY_ALL_GOLDEN, "rb") as handle:
+            want = handle.read()
+        assert (rc, err) == (0, "")
+        assert out.encode("utf-8") == want
 
     def test_bad_suite(self):
         rc, _, err = cli("verify", "--suite", "nope")

@@ -45,7 +45,7 @@ def mismatches(g, kind, valid, x_masks):
     Vertices outside the engine's universe are either seeded (always
     addable) or impossible (never addable); both claims are checked too.
     """
-    engine = _make_engine(g, kind, distance_matrix(g))
+    engine = _make_engine(g, kind, distance_matrix(g), force=True)
     universe = set(engine.universe)
     bad = []
     for x in x_masks:

@@ -15,7 +15,6 @@ from vislab.graph_core import (
     InstanceTooLargeError,
     ParseError,
     VertexSet,
-    bfs_distances,
     bridges,
     cartesian_product,
     distance_matrix,
@@ -133,11 +132,11 @@ class TestParsing:
 
 class TestMetric:
     def test_bfs_path(self):
-        assert bfs_distances(path(4), 0) == [0, 1, 2, 3]
+        assert distance_matrix(path(4)).rows[0] == (0, 1, 2, 3)
 
     def test_disconnected_sentinel(self):
         g = Graph.from_edges(3, [(0, 1)])
-        assert bfs_distances(g, 0) == [0, 1, UNREACHABLE]
+        assert distance_matrix(g).rows[0] == (0, 1, UNREACHABLE)
 
     def test_distance_matrix_symmetry(self):
         g = bowtie()

@@ -16,17 +16,18 @@ from vislab.families import (
     star,
 )
 from vislab.graph_core import (
+    DistanceMatrix,
     Graph,
     InstanceTooLargeError,
     cartesian_product,
     distance_matrix,
     is_connected,
+    mcs_order,
 )
 from vislab.rng import permutation
 from vislab.solvers import (
     DEFAULT_CAP,
     _make_engine,
-    _mcs_order,
     greedy_maximal,
     greedy_profile,
     independent_domination,
@@ -251,10 +252,10 @@ class TestMcsOrder:
     @pytest.mark.parametrize("kind", KINDS)
     def test_order(self, g, kind):
         dmat = distance_matrix(g)
-        universe = _make_engine(g, kind, dmat).universe
-        order = _mcs_order(g, dmat, universe)
+        universe = _make_engine(g, kind, dmat, force=True).universe
+        order = mcs_order(g, dmat, universe)
         assert sorted(order) == universe
-        assert _mcs_order(g, dmat, universe) == order
+        assert mcs_order(g, dmat, universe) == order
         if not order:
             return
         rows = oracles.bfs_rows(g)
@@ -270,7 +271,7 @@ class TestMcsOrder:
     def test_spider_starts_at_far_leaf(self):
         g = spider()
         dmat = distance_matrix(g)
-        assert _mcs_order(g, dmat, list(range(7)))[0] == 3
+        assert mcs_order(g, dmat, list(range(7)))[0] == 3
 
 
 class TestMaxEdgeCases:
@@ -278,8 +279,8 @@ class TestMaxEdgeCases:
         # no pair at distance 2: every vertex is seeded and nothing is searched
         g = complete(5)
         dmat = distance_matrix(g)
-        assert _make_engine(g, "tmv", dmat).universe == []
-        assert _mcs_order(g, dmat, []) == []
+        assert _make_engine(g, "tmv", dmat, force=True).universe == []
+        assert mcs_order(g, dmat, []) == []
         got = solve_max(g, "tmv")
         assert (got.value, got.witness.members()) == (5, (0, 1, 2, 3, 4))
 
@@ -296,9 +297,25 @@ class TestCap:
         got = solve_lower(g, "mv", force=True, fast_path=False)
         assert got.value == 3
 
-    def test_custom_cap(self):
+    def test_over_cap_raises(self):
         with pytest.raises(InstanceTooLargeError):
-            solve_lower(path(5), "mv", cap=4, fast_path=False)
+            solve_lower(cycle(DEFAULT_CAP + 1), "mv")
+
+    @pytest.mark.parametrize(
+        "solve, g, kind",
+        [
+            (solve_max, path(DEFAULT_CAP + 1), "mv"),
+            (solve_max, path(DEFAULT_CAP + 1), "gp"),
+            (solve_lower, cycle(DEFAULT_CAP + 1), "gp"),
+        ],
+    )
+    def test_refused_before_tables(self, solve, g, kind, monkeypatch):
+        def refuse(self):
+            raise AssertionError("geodesic interiors built despite the cap")
+
+        monkeypatch.setattr(DistanceMatrix, "between", property(refuse))
+        with pytest.raises(InstanceTooLargeError):
+            solve(g, kind)
 
     def test_fast_path_dodges_cap(self):
         # the shortcut answers without any search, so size is no obstacle

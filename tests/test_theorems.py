@@ -3,7 +3,6 @@ import pytest
 from vislab.graph_core import VertexSet
 from vislab.solvers import DEFAULT_CAP
 from vislab.theorems import (
-    CORPUS_SEED,
     SUITES,
     BinaryMatrix,
     CheckReport,
@@ -101,8 +100,8 @@ class TestCorpora:
         assert sizes == set(range(4, 10))
 
     def test_random_corpus_deterministic(self):
-        a = random_corpus(CORPUS_SEED)
-        b = random_corpus(CORPUS_SEED)
+        a = random_corpus()
+        b = random_corpus()
         assert [(lbl, list(g.edges())) for lbl, g in a] == [
             (lbl, list(g.edges())) for lbl, g in b
         ]
@@ -110,7 +109,6 @@ class TestCorpora:
     def test_block_and_tree_corpora(self):
         assert len(block_corpus()) == 20
         assert len(tree_corpus()) == 10
-        assert len(block_corpus(count=5)) == 5
 
     def test_named_corpus(self):
         corpus = named_corpus()
@@ -157,18 +155,12 @@ class TestSuites:
             assert r.claim.strip()
             assert r.expected.strip()
 
-    def test_skip_counts_as_passed(self):
-        rep = CheckReport("x", "y", "1", "skipped: capped", "SKIPPED", "c", 0.0)
-        assert rep.passed
-        rep = CheckReport("x", "y", "1", "2", "fail", "c", 0.0)
-        assert not rep.passed
-
 
 class TestFormatting:
     def runs(self):
         return [
             CheckReport("alpha", "K3", "3", "3", "pass", "c1", 0.1),
-            CheckReport("beta-long-name", "P2", "0", "skipped: capped", "SKIPPED", "c2", 0.2),
+            CheckReport("beta-long-name", "P2", "0", "1", "fail", "c2", 0.2),
         ]
 
     def test_table(self):
@@ -185,7 +177,7 @@ class TestFormatting:
         text = format_reports_machine(self.runs())
         lines = text.splitlines()
         assert lines[0] == "alpha\tK3\t3\t3\tpass"
-        assert lines[1].split("\t")[4] == "SKIPPED"
+        assert lines[1].split("\t")[4] == "fail"
 
     def test_machine_empty(self):
         assert format_reports_machine([]) == ""
