@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import re
 import sys
 
@@ -33,12 +34,17 @@ from .visibility import KINDS, is_maximal_set, is_valid_set
 
 _DIMS_RE = re.compile(r"^#\s*dims((?:\s+\d+)+)\s*$")
 
+# the plain families, then the names with their own ``gen`` branch
+_GEN_FAMILIES = families.FAMILIES + ("skn", "gstar", "gadget")
+
 
 class _UsageError(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="vislab",
         description="exact mutual-visibility and general-position toolkit",
@@ -143,6 +149,8 @@ def _format_witness(x: VertexSet) -> str:
 
 def _cmd_gen(ns, stdin, stdout) -> int:
     fam = ns.family
+    if fam not in _GEN_FAMILIES:
+        raise _UsageError(f"unknown family {fam!r}; expected one of {', '.join(_GEN_FAMILIES)}")
     roles = None
     comments = []
     if fam in ("skn", "subdivided_complete"):

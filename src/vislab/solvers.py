@@ -34,11 +34,18 @@ set" incrementally.  An engine has the vertices the searches branch on
 costly a child's search must be before ``solve_lower`` looks for
 automorphisms onto it.  The engines:
 
-* mv: v must see every member, checked by one breadth-first search from
-  v that keeps only the true-distance layer ``dmat.layers[v][k]`` at each
-  step and stops once every member is reached; adding v can also break
-  visibility between members, so each member pair a, b with v in
-  ``dmat.between[a][b]`` is rechecked by a layered walk inside that
+* mv: v must see every member.  Most members are settled by one mask
+  test on their geodesic interior ``dmat.between[v][a]``: a member is
+  seen when no member lies inside it (an adjacent one has none), and one
+  at distance 2 is seen exactly when a common neighbour is left outside
+  the set.  Only the others go through a breadth-first search from v that
+  keeps only the true-distance layer ``dmat.layers[v][k]`` at each step,
+  inside the union of their interiors: every geodesic from v to a vertex
+  of the interval I(v, a) lies in I(v, a), so the restriction loses no
+  path.  Adding v can also break visibility between members, so each
+  member pair a, b with v in ``dmat.between[a][b]`` is rechecked: it is
+  lost when no interior vertex is left outside the set and v, kept at
+  distance 2 when one is, and otherwise walked layer by layer inside the
   interior, avoiding the set and v;
 * tmv: on a connected graph a set is total-mutual-visibility valid exactly
   when no distance-2 pair has all of its common neighbors inside the set,
@@ -140,13 +147,25 @@ def _check_cap(engine, force: bool) -> None:
 
 
 class _MvEngine:
-    """Mutual visibility by layered reach over the metric's layer masks.
+    """Mutual visibility, interval first, by layered reach over the metric's
+    layer masks.
 
-    A prefix of a geodesic is a geodesic, so a search that keeps only the
-    true-distance layer at each step reaches exactly the vertices visible
-    past the blocked set.  ``thru[v][a]`` holds the vertices b such that v
-    is interior to some a,b-geodesic: adding v can only break those member
-    pairs, since a valid set already keeps every other pair visible.
+    ``can_add(state, v)`` decides each member a from the mask
+    ``between[v][a]`` of interior vertices of the v,a-geodesics when it
+    can: with no member inside, a is seen; at distance 2 that interior is
+    the common neighbours, so a is seen exactly when one of them is not a
+    member.  The remaining members are *hard*.  A prefix of a geodesic is a
+    geodesic, so a search that keeps only the true-distance layer at each
+    step reaches exactly the vertices visible past the blocked set; for
+    the hard members it also keeps only their interiors and themselves.
+    That loses nothing: if w lies on a v,a-geodesic, every v,w-geodesic
+    followed by a w,a-geodesic is one, so it stays in the interval.
+
+    ``thru[v][a]`` holds the vertices b such that v is interior to some
+    a,b-geodesic: adding v can only break those member pairs, since a
+    valid set already keeps every other pair visible.  Such a pair is
+    settled by its interior mask at distance 2 or when nothing of the
+    interior is left, and is walked layer by layer otherwise.
     """
 
     # solve_lower mirrors children onto a child only once that child's
@@ -188,24 +207,42 @@ class _MvEngine:
     def can_add(self, state, v: int) -> bool:
         mask, members = state
         adj = self.adj
-        # v must see every member: members end paths but are never expanded
-        lay = self.layers[v]
-        frontier = 1 << v
-        todo = mask
-        k = 0
-        while todo:
-            k += 1
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= adj[low.bit_length() - 1]
-                m ^= low
-            nxt &= lay[k]
-            if not nxt:
-                return False
-            todo &= ~nxt
-            frontier = nxt & ~mask
+        # v must see every member; most are settled by their interval alone
+        bv = self.between[v]
+        dv = self.dist[v]
+        hard = region = 0
+        for a in members:
+            inner = bv[a] & mask
+            if not inner:
+                continue
+            if dv[a] == 2:
+                if bv[a] == inner:
+                    return False
+                continue
+            hard |= 1 << a
+            region |= bv[a]
+        if hard:
+            # the rest by one layered reach inside their intervals, whose
+            # first layer is v's neighbourhood: members end paths but are
+            # never expanded
+            region |= hard
+            lay = self.layers[v]
+            nxt = adj[v] & region
+            k = 1
+            while True:
+                if not nxt:
+                    return False
+                hard &= ~nxt
+                if not hard:
+                    break
+                k += 1
+                m = nxt & ~mask
+                nxt = 0
+                while m:
+                    low = m & -m
+                    nxt |= adj[low.bit_length() - 1]
+                    m ^= low
+                nxt &= lay[k] & region
         # member pairs with a geodesic through v must keep one that avoids it
         new_mask = mask | (1 << v)
         thru = self.thru[v]
@@ -223,8 +260,12 @@ class _MvEngine:
                 b = low.bit_length() - 1
                 pairs ^= low
                 inside = between[b] & ~new_mask
-                frontier = 1 << a
-                for k in range(1, row[b]):
+                if not inside:
+                    return False
+                if row[b] == 2:
+                    continue
+                frontier = adj[a] & inside
+                for k in range(2, row[b]):
                     nxt = 0
                     m = frontier
                     while m:

@@ -117,6 +117,13 @@ class TestGen:
         rc, _, err = cli("gen", "petersen")
         assert rc == 2 and "unknown family" in err
 
+    def test_unknown_family_before_parameters(self):
+        # the name is refused before its parameters are read, and the
+        # message lists the role constructions too
+        rc, out, err = cli("gen", "petersen", "four")
+        assert rc == 2 and out == ""
+        assert "unknown family" in err and "gstar" in err
+
     def test_wrong_arity(self):
         rc, _, err = cli("gen", "path")
         assert rc == 2 and "parameter" in err
@@ -356,6 +363,18 @@ class TestHarness:
     def test_help_exits_zero(self):
         rc, out, _ = cli("--help")
         assert rc == 0 and "gen" in out
+
+    def test_parses_in_one_process_share_no_state(self):
+        # the parser is built once per process; no parse may leak into the next
+        argv = ("solve", "--kind", "mv", "--variant", "lower")
+        first = cli(*argv, "--stats", stdin_text=C4_TEXT)
+        assert first[0] == 0 and first[2].startswith("nodes ")
+        rc, out, err = cli("solve", "--kind", "mv", "--variant", "sideways")
+        assert rc == 2 and out == "" and "invalid choice" in err
+        rc, out, err = cli("--help")
+        assert rc == 0 and "gen" in out and err == ""
+        last = cli(*argv, stdin_text=C4_TEXT)
+        assert last == (0, first[1], "")
 
     def test_no_command(self):
         rc, _, err = cli()

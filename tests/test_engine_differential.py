@@ -5,6 +5,14 @@ not one that is too strict: a ``can_add`` that wrongly refuses a vertex
 only makes the maximum smaller.  So every engine answer is compared
 directly with ``is_valid_set`` on the extended set.  The mv cut-edge
 shortcut must return the witness the search would return.
+
+The mv engine settles most members from their geodesic intervals alone
+(adjacent, at distance 2, or with no member inside the interval) and
+searches only the rest, inside the union of their intervals.  Random
+walks over valid sets of products, a hypercube and random graphs with 10
+to 20 vertices reach every one of those cases with several members left
+to search: an engine that searched only the last such member's interval
+passes every test on at most 8 vertices, but not these.
 """
 
 from itertools import combinations
@@ -13,8 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atlas import load_atlas
-from conftest import connected_graphs
-from vislab.graph_core import Graph, VertexSet, bridges, distance_matrix, is_connected
+from conftest import connected_graphs, relabelled
+from vislab.families import complete, cycle, grid, hypercube, path
+from vislab.graph_core import (
+    Graph,
+    VertexSet,
+    bridges,
+    cartesian_product,
+    distance_matrix,
+    is_connected,
+)
+from vislab.rng import SplitMix64
 from vislab.solvers import _make_engine, solve_lower
 from vislab.visibility import KINDS, is_valid_set
 
@@ -108,3 +125,67 @@ def test_shortcut_witness_exhaustive_up_to_five_vertices():
         slow = solve_lower(g, "mv", fast_path=False)
         assert fast.fast_path is not None
         assert fast.witness == slow.witness, list(g.edges())
+
+
+def random_connected(n, p, rng):
+    while True:
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.unit() < p]
+        )
+        if is_connected(g):
+            return g
+
+
+def mv_walk_mismatches(g, walks, rng):
+    """Grow ``walks`` random valid mv sets one vertex at a time, comparing
+    ``can_add`` with ``is_valid_set`` for every non-member at every step.
+    Returns the (members, v) pairs that disagree and the number of checks."""
+    engine = _make_engine(g, "mv", distance_matrix(g), force=True)
+    bad, checks = [], 0
+    for _ in range(walks):
+        state, x = engine.seed_state, 0
+        while True:
+            joinable = []
+            for v in range(g.n):
+                if (x >> v) & 1:
+                    continue
+                want = is_valid_set(g, VertexSet(g.n, x | (1 << v)), "mv")
+                checks += 1
+                if engine.can_add(state, v) != want:
+                    bad.append((state[1], v))
+                if want:
+                    joinable.append(v)
+            if not joinable:
+                break
+            v = joinable[rng.below(len(joinable))]
+            state, x = engine.add(state, v), x | (1 << v)
+    return bad, checks
+
+
+def test_mv_walks_on_products_and_hypercube():
+    bases = {
+        "P4xP5": grid((4, 5)),
+        "Q4": hypercube(4),
+        "K3xK4": cartesian_product(complete(3), complete(4)),
+        "C5xC4": cartesian_product(cycle(5), cycle(4)),
+        "P3xK4": cartesian_product(path(3), complete(4)),
+    }
+    total = 0
+    for name, base in bases.items():
+        for seed, g in enumerate((base, relabelled(base, 1), relabelled(base, 2))):
+            bad, checks = mv_walk_mismatches(g, 10, SplitMix64(seed))
+            assert not bad, (name, seed, bad[:3])
+            total += checks
+    assert total > 15000
+
+
+def test_mv_walks_on_random_graphs():
+    rng = SplitMix64(2024)
+    total = 0
+    for i in range(30):
+        n = 10 + i % 7
+        g = random_connected(n, (0.2, 0.35, 0.5)[i % 3], rng)
+        bad, checks = mv_walk_mismatches(g, 10, rng)
+        assert not bad, (n, list(g.edges()), bad[:3])
+        total += checks
+    assert total > 20000

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import bowtie, connected_graphs
+from conftest import bowtie, connected_graphs, relabelled
 from vislab.families import (
     complete,
     complete_bipartite,
@@ -165,11 +165,6 @@ def circulant(n, steps):
     return Graph.from_edges(
         n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
     )
-
-
-def relabelled(g, seed):
-    perm = permutation(g.n, seed)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 class TestSymmetry:
