@@ -743,12 +743,17 @@ def solve_lower(
     )
 
 
-def greedy_maximal(g: Graph, kind: str, seed: int) -> VertexSet:
+def greedy_maximal(
+    g: Graph, kind: str, seed: int, dmat: Optional[DistanceMatrix] = None
+) -> VertexSet:
     """One greedy pass over a seed-derived vertex permutation.
 
     Deterministic given the seed; the resulting set is maximal (checked).
+    ``dmat``, when given, must be the metric of ``g``, which must be
+    connected.
     """
-    dmat = _connected_metric(g)
+    if dmat is None:
+        dmat = _connected_metric(g)
     order = permutation(g.n, seed)
     result = visibility.greedy_maximal(g, kind, order, dmat)
     if not visibility.is_maximal_set(g, result, kind, dmat):
@@ -757,14 +762,16 @@ def greedy_maximal(g: Graph, kind: str, seed: int) -> VertexSet:
 
 
 def greedy_profile(g: Graph, kind: str, runs: int, seed: int) -> GreedyProfile:
-    """Run greedy_maximal over ``runs`` consecutive seeds and aggregate."""
+    """Run greedy_maximal over ``runs`` consecutive seeds and aggregate;
+    the metric is built once for all of them."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
     visibility.check_kind(kind)
+    dmat = _connected_metric(g)
     best: Optional[VertexSet] = None
     lo = hi = -1
     for s in range(seed, seed + runs):
-        x = greedy_maximal(g, kind, s)
+        x = greedy_maximal(g, kind, s, dmat)
         size = len(x)
         if lo < 0:
             lo = hi = size

@@ -16,7 +16,8 @@ Three downward-closed set properties are built on top of this:
 
 Downward closure means every subset of a valid set is valid, so a valid
 set is maximal exactly when no single vertex can be added.  Everything in
-this module is definitional: checks run a blocked breadth-first search or
+this module is definitional: checks follow the geodesics out of a source
+layer by layer, stopping at blocked vertices (``visible_mask``), or
 inspect shortest-path intervals directly, with no structural shortcuts.
 Solvers revalidate their answers against these predicates.
 """
@@ -46,41 +47,33 @@ def check_kind(kind: str) -> str:
 def visible_mask(g: Graph, dmat: DistanceMatrix, src: int, blocked_mask: int) -> int:
     """Bitmask of vertices visible from ``src`` past the blocked vertices.
 
-    Runs a breadth-first search in which blocked vertices are reached but
-    never expanded, so they can terminate a path yet not sit inside one.
-    A vertex counts as visible exactly when the search reaches it at its
-    true distance from ``src``.  ``src`` itself is always visible and is
-    expanded even if the caller left it in ``blocked_mask``.
+    A layered reach over the BFS layers of ``src``: the visible vertices at
+    distance d are the neighbours of the unblocked visible vertices at
+    distance d - 1 that lie in ``dmat.layers[src][d]``.  A vertex is
+    visible exactly when some geodesic from ``src`` reaches it with no
+    blocked interior vertex, and every prefix of such a geodesic is one
+    too, so blocked vertices end paths but never relay them.  Vertices
+    reached off a geodesic are never expanded: anything reached through
+    one is already past its own distance, so it cannot be visible.
+    ``src`` itself is always visible and is expanded even if the caller
+    left it in ``blocked_mask``.
     """
     g.check_vertex(src)
     masks = g.adj_masks
-    row = dmat[src]
-    src_bit = 1 << src
-    blocked_mask &= ~src_bit
-    visited = src_bit
-    frontier = src_bit
-    vis = src_bit
-    d = 0
+    layers = dmat.layers[src]
+    open_mask = ~blocked_mask
+    vis = frontier = 1 << src
+    d = 1
     while frontier:
-        expand = frontier & ~blocked_mask
         nxt = 0
-        m = expand
-        while m:
-            low = m & -m
+        while frontier:
+            low = frontier & -frontier
             nxt |= masks[low.bit_length() - 1]
-            m ^= low
-        nxt &= ~visited
-        if not nxt:
-            break
+            frontier ^= low
+        nxt &= layers[d]
+        vis |= nxt
+        frontier = nxt & open_mask
         d += 1
-        m = nxt
-        while m:
-            low = m & -m
-            if row[low.bit_length() - 1] == d:
-                vis |= low
-            m ^= low
-        visited |= nxt
-        frontier = nxt
     return vis
 
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import bowtie, connected_graphs, relabelled
+from vislab import graph_core, solvers, visibility
 from vislab.families import (
     complete,
     complete_bipartite,
@@ -382,6 +383,31 @@ class TestGreedyProfile:
         a = greedy_profile(grid((3, 3)), "mv", runs=10, seed=3)
         b = greedy_profile(grid((3, 3)), "mv", runs=10, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_runs_share_one_metric(self, kind, monkeypatch):
+        g = grid((3, 4))
+        singles = [greedy_maximal(g, kind, s) for s in range(7, 12)]
+        metrics, sets = [], []
+
+        def counted(graph):
+            metrics.append(graph)
+            return distance_matrix(graph)
+
+        def recorded(*args):
+            x = greedy_maximal(*args)
+            sets.append(x)
+            return x
+
+        for module in (solvers, visibility, graph_core):
+            monkeypatch.setattr(module, "distance_matrix", counted)
+        monkeypatch.setattr(solvers, "greedy_maximal", recorded)
+        p = greedy_profile(g, kind, runs=5, seed=7)
+        assert len(metrics) == 1
+        assert sets == singles
+        sizes = [len(x) for x in singles]
+        best = min(singles, key=lambda x: (len(x), x.members()))
+        assert (p.min_size, p.max_size, p.best_min_witness) == (min(sizes), max(sizes), best)
 
 
 class TestIndependentDomination:

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from atlas import load_atlas
 from conftest import bowtie, connected_graphs, graphs
 from vislab.families import complete, complete_bipartite, cycle, grid, path, star
 from vislab.graph_core import Graph, VertexSet, distance_matrix
@@ -89,6 +90,40 @@ class TestVisibleMask:
         mask = visible_mask(g, dmat, 0, 1 << 1)
         assert mask & (1 << 1)
         assert not mask & (1 << 2)
+
+    @staticmethod
+    def mismatches(g):
+        """(source, blocked mask, visible_mask, oracle) wherever they differ,
+        over every source and every blocked mask, the source's bit included."""
+        dmat = distance_matrix(g)
+        bad = []
+        for blocked in range(1 << g.n):
+            ids = VertexSet(g.n, blocked).members()
+            for src in range(g.n):
+                got = visible_mask(g, dmat, src, blocked)
+                want = sum(
+                    1 << b for b in range(g.n) if oracles.visible_oracle(g, ids, src, b)
+                )
+                if got != want:
+                    bad.append((src, blocked, got, want))
+        return bad
+
+    def test_exhaustive_against_oracle_on_atlas(self):
+        graphs = load_atlas(range(1, 6))
+        assert len(graphs) == 31
+        for index, g in graphs:
+            bad = self.mismatches(g)
+            assert not bad, (index, list(g.edges()), bad[:5])
+
+    def test_exhaustive_two_components(self):
+        # P3 on 0..2 and C4 on 3..6: the other component is never visible
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
+        assert not self.mismatches(g)
+        dmat = distance_matrix(g)
+        for blocked in range(1 << g.n):
+            for src in range(g.n):
+                other = 0b1111000 if src < 3 else 0b0000111
+                assert not visible_mask(g, dmat, src, blocked) & other
 
 
 class TestValidity:
