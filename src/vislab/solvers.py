@@ -4,8 +4,10 @@ Computes the maximum size of a valid set ("max") and the minimum size of a
 maximal valid set ("lower") for the three set kinds, by explicit search
 over vertex subsets.  Instances are desk scale: unless forced, searches
 refuse to start above ``DEFAULT_CAP`` (24) candidate vertices, those whose
-singleton is valid: every vertex for mv and gp, fewer for tmv.  An engine
-refuses as soon as it knows its candidates, before it builds any table.
+singleton is valid: every vertex for mv and gp, fewer for tmv.  So for mv
+and gp the solvers refuse before they build the metric (``solve_lower``
+after the mv cut-edge shortcut, which needs no search), and the tmv engine
+as soon as it knows its candidates, before it builds any table.
 
 All three kinds are hereditary (every subset of a valid set is valid),
 which both searches rely on:
@@ -14,17 +16,24 @@ which both searches rely on:
   in maximum cardinality search order (``graph_core.mcs_order``), which
   the graph sets and not its labelling; the best count found in each
   suffix of that order bounds every branch whose candidates start there.
-  A second pass in ascending ids, cut by the same bounds, returns the
-  canonical witness;
+  The canonical witness is then completed member by member in ascending
+  ids: each id is asked whether an optimum holds it with the members
+  chosen so far, answered by an automorphism onto a known optimum or by
+  the same bounded search over the candidates above it;
 * lower: one depth-first pass over the valid sets; a vertex refused by
   a set stays refused by its supersets, so maximality is tested only
   against the vertices no ancestor refused, and for mv the incumbent
-  starts at the Neighborhood Lemma bound deg(x) + 1.  A child that an
-  automorphism fixing the set maps onto an earlier, costly child is
-  skipped (``graph_core.find_automorphism``): each of its maximal sets
-  has an image that is maximal, of the same size and lexicographically
-  smaller.  ``independent_domination`` runs the same pass over
-  independence, whose maximal sets are the independent dominating sets.
+  starts at the Neighborhood Lemma bound deg(x) + 1.
+  ``independent_domination`` runs the same pass over independence, whose
+  maximal sets are the independent dominating sets.
+
+Both searches skip a child that an automorphism maps onto an earlier,
+costly child (``graph_core.find_automorphism``, cached by ``_Mirrors``).
+The automorphism fixes the set and, in max, the vertices outside the
+search's range; so whatever the child's subtree holds has an image below
+the earlier child that is of the same size and lexicographically
+smaller: a maximal set of the lower search, or a set the max search has
+already refuted.
 
 Each kind gets a small engine that answers "can vertex v join the current
 set" incrementally.  An engine has the vertices the searches branch on
@@ -63,10 +72,11 @@ visibility module before being returned; a disagreement raises rather
 than passing silently.
 
 Witnesses are canonical: among all optima the lexicographically smallest
-(as an ascending member tuple) is returned.  The lower pass and the
-witness pass of the max search extend sets by ascending vertex ids, so
-they meet sets of one size in exactly that order: the lower pass only
-improves strictly, and the witness pass stops at the first optimum.
+(as an ascending member tuple) is returned.  The lower pass extends sets
+by ascending vertex ids, so it meets sets of one size in exactly that
+order and only improves strictly; the max search fixes the members of
+its witness one by one, each the smallest id some optimum holds with
+the members before it.
 """
 
 from __future__ import annotations
@@ -100,8 +110,8 @@ class SolveResult:
 
     ``value`` always equals ``len(witness)``.  ``fast_path`` names the
     shortcut taken, if any; ``nodes`` counts the search's ``can_add``
-    tests (for max, those of the doll pass and of the witness pass; zero
-    when a shortcut answered).  ``skipped`` counts the children the lower
+    tests (for max, those of the doll pass and of the witness completion;
+    zero when a shortcut answered).  ``skipped`` counts the children either
     search resolved by symmetry, with no test and no search below them;
     ``nodes`` does not count them.  ``independent_domination`` runs the
     lower search, so both count the same way there.  ``elapsed`` is
@@ -135,10 +145,10 @@ class GreedyProfile:
     best_min_witness: VertexSet
 
 
-def _check_cap(engine, force: bool) -> None:
-    """Refuse an engine over ``DEFAULT_CAP`` candidates unless forced; engines
-    call it once ``universe`` and ``seed_mask`` are set, before any table."""
-    size = len(engine.universe) + engine.seed_mask.bit_count()
+def _check_cap(size: int, force: bool) -> None:
+    """Refuse a search over ``size`` > ``DEFAULT_CAP`` candidates unless forced;
+    engines call it once ``universe`` and ``seed_mask`` are set, before any
+    table, and the solvers before the metric when every vertex is one."""
     if size > DEFAULT_CAP and not force:
         raise InstanceTooLargeError(
             f"instance too large: {size} candidate vertices exceed the search cap "
@@ -168,7 +178,7 @@ class _MvEngine:
     interior is left, and is walked layer by layer otherwise.
     """
 
-    # solve_lower mirrors children onto a child only once that child's
+    # The searches mirror children onto a child only once that child's
     # search cost n² * gate tests, so that the tests a skip saves outweigh
     # the automorphism search.  Measured over the small-sweep corpus
     # (n = 6..10, CPython 3.11.7, 2-vCPU Xeon): a can_add test took 2.1 µs
@@ -184,7 +194,7 @@ class _MvEngine:
         self.universe = list(range(n))
         self.seed_state = (0, ())
         self.seed_mask = 0
-        _check_cap(self, force)
+        _check_cap(n, force)
         self.dist = dmat.rows
         self.layers = dmat.layers
         self.between = dmat.between
@@ -320,7 +330,7 @@ class _TmvEngine:
         self.universe = [
             v for v in range(g.n) if (cand_mask >> v) & 1 and not (self.seed_mask >> v) & 1
         ]
-        _check_cap(self, force)
+        _check_cap(len(self.universe) + self.seed_mask.bit_count(), force)
         self.by_bit: dict[int, list[int]] = {v: [] for v in self.universe}
         for b in kept:
             m = b & ~self.seed_mask
@@ -348,7 +358,7 @@ class _GpEngine:
         # state: (member mask, union of member-pair path interiors)
         self.seed_state = (0, 0)
         self.seed_mask = 0
-        _check_cap(self, force)
+        _check_cap(g.n, force)
         self.between = dmat.between
 
     def add(self, state, v: int):
@@ -386,13 +396,50 @@ class _IndepEngine:
         self.universe = list(range(g.n))
         self.seed_state = (0,)
         self.seed_mask = 0
-        _check_cap(self, False)
+        _check_cap(g.n, False)
 
     def add(self, state, v: int):
         return (state[0] | (1 << v),)
 
     def can_add(self, state, v: int) -> bool:
         return not self.adj[v] & state[0]
+
+
+class _Mirrors:
+    """The automorphisms a search has found, for its symmetry rules.
+
+    ``costly`` is the gate of those rules: a child is mirrored onto only
+    once its own search cost that many tests, n² times the engine's
+    ``gate``, so that graphs without symmetry pay little for the lookups.
+    """
+
+    def __init__(self, dmat: DistanceMatrix, gate: int):
+        self.dmat = dmat
+        self.costly = dmat.n * dmat.n * gate
+        self.found: list[tuple[tuple[int, ...], int]] = []  # (images, mask of moved vertices)
+
+    def find(self, fixed: int, y: int, onto: int) -> Optional[tuple[int, ...]]:
+        """An automorphism fixing the mask ``fixed`` pointwise and mapping y
+        into the mask ``onto``, as an image tuple, or None: the ones found
+        so far are tried first, then a search that gives up after 2n failed
+        images."""
+        for perm, moved in self.found:
+            if not fixed & moved and (onto >> perm[y]) & 1:
+                return perm
+        dmat = self.dmat
+        onto &= dmat.alike[y]
+        while onto:
+            low = onto & -onto
+            onto ^= low
+            perm = find_automorphism(dmat, fixed, y, low.bit_length() - 1, 2 * dmat.n)
+            if perm is not None:
+                moved = 0
+                for v, w in enumerate(perm):
+                    if v != w:
+                        moved |= 1 << v
+                self.found.append((perm, moved))
+                return perm
+        return None
 
 
 _ENGINES = {"mv": _MvEngine, "tmv": _TmvEngine, "gp": _GpEngine}
@@ -422,15 +469,33 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     witnessing ``doll[i+1]``; only if that fails does it search for
     ``doll[i+1] + 1`` vertices that include it.
 
-    A second pass, in ascending ids, returns the first set of ``doll[0]``
-    vertices.  Both passes cut a branch once none of its candidates is in
-    ``live[need]``, the vertices whose position i in the order has
-    ``doll[i] >= need``: the candidates all lie in the suffix of the order
-    that starts at the earliest of them, and at most the doll value there
-    of them can join together.  A branch is also cut once its candidates
-    are fewer than the vertices it still needs.
+    Every search (``grow``) runs over the order's candidate bits and cuts a
+    branch once none of its candidates is in ``live[need]``, the vertices
+    whose position i in the order has ``doll[i] >= need``: the candidates
+    all lie in the suffix of the order that starts at the earliest of them,
+    and at most the doll value there of them can join together.  A branch
+    is also cut once its candidates are fewer than the vertices it still
+    needs.  After a failed dive, a child that an automorphism fixing the
+    set and the ids outside the search's range maps onto an earlier failed
+    child is skipped (``_Mirrors``, with ``solve_lower``'s gate): a solution
+    below it would have an image below that child, earlier in the order.
+
+    The witness is then completed in ascending ids.  ``cert`` is a set of
+    ``doll[0]`` vertices holding the members chosen so far, first the
+    doll's witness.  Each id u below its next member is asked whether some
+    set of that size holds the chosen members and u; every lexicographically
+    smaller such set is already excluded, so a yes makes u the next
+    canonical member, and a no means no such set holds u at all.  So an
+    automorphism fixing the chosen members answers with no search: no when
+    it maps u onto an id refuted since the last member by a search that
+    cost the gate's tests, yes when it maps u into ``cert`` (tried once the
+    doll cost the gate's tests).  Otherwise ``grow`` searches the
+    candidates above u.  ``skipped`` counts these answers with the skipped
+    children.
     """
     start = time.perf_counter()
+    if visibility.check_kind(kind) != "tmv":
+        _check_cap(g.n, force)  # every vertex is a candidate: refuse before the metric
     dmat = _connected_metric(g)
     engine = _make_engine(g, kind, dmat, force)
 
@@ -440,8 +505,11 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     doll = [0] * (k + 1)
     # live[t]: the candidate bits whose doll value is at least t
     live = [0] * (k + 1)
-    verts = order  # the vertex of each candidate bit, in the pass under way
-    nodes = 0
+    nodes = skipped = 0
+    mirrors = _Mirrors(dmat, engine.gate)
+    costly = mirrors.costly
+    everyone = (1 << g.n) - 1
+    free = 0  # the ids the search under way ranges over; automorphisms fix the rest
 
     accepted = 0  # candidates the last failed grow call found able to join
 
@@ -453,8 +521,11 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
         rest only after that dive fails.  By heredity no vertex outside the
         filtered set can join any child, and every vertex that can join
         the dive child can join the node, so those are not tested again.
+        ``dear`` holds the failed children that cost at least ``costly``
+        tests, since the last failed child that cost less, as in
+        ``_lower_search``.
         """
-        nonlocal nodes, accepted
+        nonlocal nodes, skipped, accepted
         if not need:
             return state
         bound = live[need]
@@ -467,14 +538,16 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
             cands ^= low
             count -= 1
             nodes += 1
-            if can_add(state, verts[low.bit_length() - 1]):
+            if can_add(state, order[low.bit_length() - 1]):
                 break
-        nxt = add(state, verts[low.bit_length() - 1])
+        nxt = add(state, order[low.bit_length() - 1])
         if need == 1:
             return nxt
+        before = nodes
         got = grow(nxt, cands, need - 1)
         if got is not None:
             return got
+        dear = low if nodes - before >= costly else 0
         ok = accepted
         rest = cands & ~ok
         while rest and (ok | rest).bit_count() >= need:
@@ -483,15 +556,31 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
             bit = rest & -rest
             rest ^= bit
             nodes += 1
-            if can_add(state, verts[bit.bit_length() - 1]):
+            if can_add(state, order[bit.bit_length() - 1]):
                 ok |= bit
         joined = low | ok
         while ok.bit_count() >= need and ok & bound:
             low = ok & -ok
             ok ^= low
-            got = grow(add(state, verts[low.bit_length() - 1]), ok, need - 1)
+            v = order[low.bit_length() - 1]
+            if dear:
+                onto = 0
+                m = dear
+                while m:
+                    bit = m & -m
+                    onto |= 1 << order[bit.bit_length() - 1]
+                    m ^= bit
+                if mirrors.find((state[0] | ~free) & everyone, v, onto) is not None:
+                    skipped += 1
+                    continue
+            before = nodes
+            got = grow(add(state, v), ok, need - 1)
             if got is not None:
                 return got
+            if nodes - before >= costly:
+                dear |= low
+            else:
+                dear = 0
         accepted = joined
         return None
 
@@ -499,11 +588,13 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     wit = seed
     full = (1 << k) - 1
     for i in range(k - 1, -1, -1):
+        v = order[i]
+        free |= 1 << v
         nodes += 1
-        if can_add(wit, order[i]):
-            wit = add(wit, order[i])
+        if can_add(wit, v):
+            wit = add(wit, v)
         else:
-            got = grow(add(seed, order[i]), full >> (i + 1) << (i + 1), doll[i + 1])
+            got = grow(add(seed, v), full >> (i + 1) << (i + 1), doll[i + 1])
             if got is None:
                 doll[i] = doll[i + 1]
                 continue
@@ -512,19 +603,58 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
         # bits 0..i: those below i are searched only after their doll is set
         live[doll[i]] = (2 << i) - 1
 
-    # the first set of doll[0] vertices, over vertex-id bits
-    best = doll[0]
-    reach = 0
-    for i, v in enumerate(order):
-        reach |= 1 << v
-        if doll[i + 1] < doll[i]:
-            live[doll[i]] = reach
-    verts = range(g.n)
-    wit = grow(seed, reach, best)
-    witness = VertexSet(g.n, wit[0])
+    cert = wit[0]
+    state = seed
+    left = doll[0]  # members still to choose
+    symmetric = nodes >= costly  # whether a yes is first looked for by automorphism
+    refuted = 0  # the ids since the last member whose refutation cost ``costly`` tests
+    pos = None  # pos[v]: the candidate bit of v, built for the first search
+    above = 0  # the candidate bits of the ids above u
+    for u in engine.universe:  # ascending ids
+        if not left:
+            break
+        if pos is not None:
+            above ^= 1 << pos[u]
+        if not (cert >> u) & 1:
+            nodes += 1
+            if not can_add(state, u):
+                continue
+            if left == 1:
+                cert = state[0] | 1 << u
+            elif refuted and mirrors.find(state[0], u, refuted) is not None:
+                skipped += 1
+                continue
+            elif symmetric and (perm := mirrors.find(state[0], u, cert & ~state[0])) is not None:
+                skipped += 1
+                image, cert = cert, 0  # the preimage of the certificate holds u
+                for v, w in enumerate(perm):
+                    if (image >> w) & 1:
+                        cert |= 1 << v
+            else:
+                if pos is None:
+                    pos = [0] * g.n
+                    for i, v in enumerate(order):
+                        pos[v] = i
+                        if v > u:
+                            above |= 1 << i
+                free = -1 << (u + 1)
+                before = nodes
+                got = grow(add(state, u), above, left - 1)
+                if got is None:
+                    if nodes - before >= costly:
+                        refuted |= 1 << u
+                    continue
+                cert = got[0]
+        state = add(state, u)
+        left -= 1
+        refuted = 0
+    del grow  # break the closure's reference cycle, so that the tables go with this frame
+    witness = VertexSet(g.n, cert)
     if not visibility.is_valid_set(g, witness, kind, dmat):
         raise RuntimeError("solver produced an invalid witness; engine and predicate disagree")
-    return SolveResult(kind, "max", len(witness), witness, nodes, time.perf_counter() - start)
+    return SolveResult(
+        kind, "max", len(witness), witness, nodes, time.perf_counter() - start, skipped=skipped
+    )
 
 
 def _geodesic_counts(g: Graph, layers) -> list[int]:
@@ -598,10 +728,10 @@ def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
     searched: each maximal set W there has the image σ(W), maximal, of
     the same size and lexicographically smaller (σ(W) holds r, while W
     differs from it only at y and later).  So neither the value nor the
-    canonical witness changes.  σ is looked for
-    (``graph_core.find_automorphism``) only onto a child whose own search
-    cost at least n² times the engine's ``gate`` tests, and only until a
-    later child costs less, so graphs without symmetry pay little for it.
+    canonical witness changes.  σ is looked for (``_Mirrors``) only onto
+    a child whose own search cost at least n² times the engine's ``gate``
+    tests, and only until a later child costs less, so graphs without
+    symmetry pay little for it.
     """
     can_add, add = engine.can_add, engine.add
     uni_mask = 0
@@ -612,29 +742,8 @@ def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
     best_size = bound + 1
     best_mask = None
     nodes = skipped = 0
-    costly = g.n * g.n * engine.gate  # tests before children are mirrored onto a child
-    found: list[tuple[tuple[int, ...], int]] = []  # (images, mask of moved vertices)
-
-    def mirrored(mask: int, y: int, onto: int) -> bool:
-        """Whether an automorphism fixing ``mask`` pointwise maps y into
-        ``onto``: the ones found so far are tried first, then a search
-        that gives up after 2n failed images."""
-        for perm, moved in found:
-            if not mask & moved and (onto >> perm[y]) & 1:
-                return True
-        onto &= dmat.alike[y]
-        while onto:
-            low = onto & -onto
-            onto ^= low
-            perm = find_automorphism(dmat, mask, y, low.bit_length() - 1, 2 * g.n)
-            if perm is not None:
-                moved = 0
-                for v, w in enumerate(perm):
-                    if v != w:
-                        moved |= 1 << v
-                found.append((perm, moved))
-                return True
-        return False
+    mirrors = _Mirrors(dmat, engine.gate)
+    costly = mirrors.costly
 
     def visit(state, size: int, ahead: int, refused: int) -> None:
         """Extend ``state`` by the vertices of ``ahead`` (all of them above
@@ -662,7 +771,7 @@ def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
                 low = ahead & -ahead
                 ahead ^= low
                 v = low.bit_length() - 1
-                if dear and mirrored(state[0], v, dear):
+                if dear and mirrors.find(state[0], v, dear) is not None:
                     skipped += 1
                     continue
                 nodes += 1
@@ -692,6 +801,7 @@ def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
         best_mask = mask
 
     visit(engine.seed_state, engine.seed_mask.bit_count(), uni_mask, 0)
+    del visit  # break the closure's reference cycle, as in solve_max
     if best_mask is None:
         raise RuntimeError(
             "no maximal set within the starting bound; lemma and engine disagree"
@@ -720,17 +830,19 @@ def solve_lower(
     changes neither the value nor the canonical witness.
     """
     start = time.perf_counter()
+    visibility.check_kind(kind)
+    cut = fast_path and kind == "mv" and g.n >= 2 and bridges(g)
+    if not cut and kind != "tmv":
+        _check_cap(g.n, force)  # every vertex is a candidate: refuse before the metric
     dmat = _connected_metric(g)
 
-    if fast_path and kind == "mv" and g.n >= 2:
-        cut = bridges(g)
-        if cut:
-            witness = VertexSet.from_ids(g.n, _first_maximal_pair(g, dmat, cut[0]))
-            if not visibility.is_maximal_set(g, witness, "mv", dmat):
-                raise RuntimeError("cut-edge witness failed revalidation")
-            return SolveResult(
-                "mv", "lower", 2, witness, 0, time.perf_counter() - start, FAST_PATH_CUT_EDGE
-            )
+    if cut:
+        witness = VertexSet.from_ids(g.n, _first_maximal_pair(g, dmat, cut[0]))
+        if not visibility.is_maximal_set(g, witness, "mv", dmat):
+            raise RuntimeError("cut-edge witness failed revalidation")
+        return SolveResult(
+            "mv", "lower", 2, witness, 0, time.perf_counter() - start, FAST_PATH_CUT_EDGE
+        )
 
     engine = _make_engine(g, kind, dmat, force)
     bound = visibility.neighborhood_bound(g) if kind == "mv" else None

@@ -631,6 +631,15 @@ def run_characterization_suite() -> list[CheckReport]:
     ))
 
     start = time.perf_counter()
+    bad = [v["label"] for v in values if v["mv_max"] < v["tmv_max"]]
+    reports.append(aggregate(
+        "char-tmv-below-mv",
+        "every total mutual-visibility set is a mutual-visibility set, so the "
+        "total mutual-visibility number is at most the mutual-visibility number",
+        bad, start,
+    ))
+
+    start = time.perf_counter()
     bad = []
     for v in values:
         g = v["g"]

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from atlas import load_atlas
 from conftest import bowtie, connected_graphs, relabelled
 from vislab import graph_core, solvers, visibility
 from vislab.families import (
@@ -209,6 +210,49 @@ class TestSymmetry:
                 assert (got.value, got.witness.members()) == oracles.solve_max_oracle(h, kind)
 
     @pytest.mark.parametrize(
+        "g, prunes",
+        [
+            (cartesian_product(complete(2), complete(6)), True),
+            (hypercube(3), False),  # no child costs the n² tests that start a mirror search
+            (cartesian_product(complete(3), complete(4)), False),
+        ],
+    )
+    def test_max_mirrors_match_oracle(self, g, prunes):
+        # solve_max skips children mirrored onto a costly failed child and
+        # answers witness members by automorphism once its doll was costly
+        skipped = 0
+        for seed in (0, 1, 3, 4):
+            h = relabelled(g, seed) if seed else g
+            for kind in KINDS:
+                got = solve_max(h, kind)
+                assert (got.value, got.witness.members()) == oracles.solve_max_oracle(h, kind)
+                skipped += got.skipped
+        assert skipped > 0 or not prunes
+
+    def test_max_mirrors_without_gate_match_oracle(self, monkeypatch):
+        # with no gate every failed child and refuted id is mirrored onto,
+        # and every witness member is first looked for by automorphism
+        for engine in (solvers._MvEngine, solvers._TmvEngine, solvers._GpEngine):
+            monkeypatch.setattr(engine, "gate", 0)
+        skipped = 0
+        for _, g in load_atlas(range(5, 7)):
+            for seed in (0, 1, 2):
+                h = relabelled(g, seed) if seed else g
+                for kind in KINDS:
+                    got = solve_max(h, kind)
+                    assert (got.value, got.witness.members()) == oracles.solve_max_oracle(h, kind)
+                    skipped += got.skipped
+        assert skipped > 0
+
+    def test_max_witness_pinned_past_oracle(self):
+        # the witness the ascending-id witness pass returned before the
+        # completion in the doll's order replaced it
+        h = relabelled(cartesian_product(complete(3), complete(8)), 1)
+        got = solve_max(h, "mv")
+        assert (got.value, got.witness.members()) == (11, (0, 1, 2, 3, 4, 5, 6, 8, 9, 11, 13))
+        assert got.skipped > 0
+
+    @pytest.mark.parametrize(
         "g",
         [
             circulant(11, (2, 5)),
@@ -303,13 +347,16 @@ class TestCap:
             (solve_max, path(DEFAULT_CAP + 1), "mv"),
             (solve_max, path(DEFAULT_CAP + 1), "gp"),
             (solve_lower, cycle(DEFAULT_CAP + 1), "gp"),
+            (solve_lower, cycle(DEFAULT_CAP + 1), "mv"),
         ],
     )
     def test_refused_before_tables(self, solve, g, kind, monkeypatch):
-        def refuse(self):
-            raise AssertionError("geodesic interiors built despite the cap")
+        # every vertex is a candidate, so the cap is known before the metric
+        def refuse(*args):
+            raise AssertionError("metric built despite the cap")
 
         monkeypatch.setattr(DistanceMatrix, "between", property(refuse))
+        monkeypatch.setattr(solvers, "distance_matrix", refuse)
         with pytest.raises(InstanceTooLargeError):
             solve(g, kind)
 
