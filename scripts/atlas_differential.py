@@ -6,9 +6,11 @@ Usage: python scripts/atlas_differential.py
 The test suite covers the 143 connected atlas graphs with at most 6
 vertices (``tests/test_atlas_differential.py``); this script runs the
 same comparison on the 853 with 7 vertices, and checks the
-NP-completeness reduction's formula on each of them as a base graph,
-which takes about 25 s.  It prints each mismatch and exits 1 if there
-is any.
+NP-completeness reduction's formula on each of them as a base graph.
+It also solves each lower query again with every engine's ``gate`` at 0,
+so that the lower search checks every child for symmetry, as
+``tests/test_solvers.py`` does for 5 and 6 vertices.  It takes about
+25 s, prints each mismatch and exits 1 if there is any.
 """
 
 import os
@@ -18,7 +20,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from atlas import load_atlas, oracle_mismatches, reduction_holds  # noqa: E402
+from atlas import gate_off, load_atlas, lower_mismatches, oracle_mismatches, reduction_holds  # noqa: E402
 
 
 def main() -> int:
@@ -29,6 +31,8 @@ def main() -> int:
         bad = oracle_mismatches(g)
         if not reduction_holds(g):
             bad.append(("gadget", "reduction formula"))
+        with gate_off():
+            bad += [(kind, "no gate", *rest) for kind, *rest in lower_mismatches(g)[0]]
         if bad:
             failed += 1
             print(f"atlas {index}: {list(g.edges())} {bad}")

@@ -6,9 +6,14 @@ Benchmarks the vislab source tree next to this script and writes
 ``BENCH_<LABEL>.json`` at the repository root.  Each ladder row is run
 three times, and a row whose fastest run is under 0.1 s eight times more,
 since such rows drift by 20-40% between two ladders over three runs.  An
-exact row records the value, the node count (deterministic) and the
-witness; a greedy row records the size range and
-the best witness of ``greedy_profile`` over 20 seeds.  Every row records
+exact row records the value, the node count and the children skipped by
+symmetry (both deterministic) and the witness; a greedy row records the
+size range and the best witness of ``greedy_profile`` over 20 seeds; the
+``independent_domination`` row records the summed values, nodes and
+skipped children over its corpus: the 996 connected atlas graphs with at
+most 7 vertices (``tests/data/atlas_connected.txt``), 204 connected
+G(n, p) draws (n = 8..24, p = 0.2, 0.35, 0.5 and 0.65, three draws
+each) and six named graphs.  Every row records
 the median wall time (``time.perf_counter``) and the median rescaled time:
 the whole ladder runs inside ``perfbench.hostspeed.HostSpeed``, which
 times a fixed reference kernel every 20 ms, and each run's wall time, less
@@ -29,13 +34,21 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, ROOT)
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+from atlas import load_atlas  # noqa: E402
 from perfbench.hostspeed import HostSpeed  # noqa: E402
 
-from vislab.families import complete, grid, hypercube  # noqa: E402
+from vislab.families import complete, cycle, grid, hypercube, path, star  # noqa: E402
 from vislab.graph_core import Graph, cartesian_product  # noqa: E402
-from vislab.rng import permutation  # noqa: E402
-from vislab.solvers import greedy_profile, solve_lower, solve_max  # noqa: E402
+from vislab.rng import SplitMix64, permutation  # noqa: E402
+from vislab.solvers import (  # noqa: E402
+    greedy_profile,
+    independent_domination,
+    solve_lower,
+    solve_max,
+)
+from vislab.theorems import _draw_connected  # noqa: E402
 
 RUNS = 3
 FAST_S = 0.1
@@ -43,24 +56,33 @@ FAST_RUNS = 11
 RELABEL_SEED = 22
 GREEDY_RUNS = 20
 
-# (instance, variant, relabelled); every row is an mv query run with force
+# (instance, kind, variant, relabelled); every row is run with force.
+# ``G<n>-<p>-<s>`` is theorems._draw_connected(SplitMix64(1000 n + s), n, p),
+# as in the dense lower queries of ROADMAP.md.
 LADDER = (
-    ("K4xK5", "lower", False),
-    ("K4xK6", "lower", False),
-    ("K4xK6", "max", False),
-    ("P5xP5", "max", False),
-    ("P6xP6", "max", False),
-    ("K5xK5", "lower", False),
-    ("Q5", "lower", False),
-    ("Q5", "max", False),
-    ("K5xK5", "max", False),
-    ("K5xK6", "max", False),
-    ("Q5", "lower", True),
-    ("P5xP5", "max", True),
-    ("P6xP6", "lower", True),
-    ("P6xP6", "max", True),
-    ("K5xK5", "max", True),
-    ("Q5", "max", True),
+    ("K4xK5", "mv", "lower", False),
+    ("K4xK6", "mv", "lower", False),
+    ("K4xK6", "mv", "max", False),
+    ("P5xP5", "mv", "max", False),
+    ("P6xP6", "mv", "max", False),
+    ("K5xK5", "mv", "lower", False),
+    ("Q5", "mv", "lower", False),
+    ("Q5", "mv", "max", False),
+    ("K5xK5", "mv", "max", False),
+    ("K5xK6", "mv", "max", False),
+    ("Q5", "mv", "lower", True),
+    ("P5xP5", "mv", "max", True),
+    ("P6xP6", "mv", "lower", True),
+    ("P6xP6", "mv", "max", True),
+    ("K5xK5", "mv", "max", True),
+    ("Q5", "mv", "max", True),
+    ("K3xK5", "mv", "lower", False),
+    ("K4xK4", "mv", "lower", False),
+    ("Q4", "mv", "lower", False),
+    ("G22-0.6-1", "mv", "lower", False),
+    ("G22-0.6-1", "tmv", "lower", False),
+    ("G24-0.5-1", "mv", "lower", False),
+    ("G24-0.5-1", "tmv", "lower", False),
 )
 
 # (instance, kind); every row is greedy_profile(g, kind, GREEDY_RUNS, seed 0)
@@ -74,6 +96,9 @@ GREEDY_LADDER = (
 def build(spec: str) -> Graph:
     if spec[0] == "Q":
         return hypercube(int(spec[1:]))
+    if spec[0] == "G":
+        n, p, s = spec[1:].split("-")
+        return _draw_connected(SplitMix64(1000 * int(n) + int(s)), int(n), float(p))
     a, b = (int(part[1:]) for part in spec.split("x"))
     if spec[0] == "P":
         return grid((a, b))
@@ -101,25 +126,59 @@ def timed(call, name: str) -> tuple:
     return results[0], spans
 
 
-def run_row(spec: str, variant: str, relabelled: bool) -> tuple:
+def run_row(spec: str, kind: str, variant: str, relabelled: bool) -> tuple:
     g = build(spec)
     if relabelled:
         g = relabel(g)
     solve = solve_max if variant == "max" else solve_lower
 
     def call():
-        res = solve(g, "mv", force=True)
-        return res.value, res.nodes, res.witness.members()
+        res = solve(g, kind, force=True)
+        return res.value, res.nodes, res.skipped, res.witness.members()
 
-    (value, nodes, witness), spans = timed(call, f"{spec} mv {variant}")
+    (value, nodes, skipped, witness), spans = timed(call, f"{spec} {kind} {variant}")
     row = {
         "instance": spec,
         "n": g.n,
-        "query": f"mv {variant}",
+        "query": f"{kind} {variant}",
         "relabel_seed": RELABEL_SEED if relabelled else None,
         "value": value,
         "nodes": nodes,
+        "skipped": skipped,
         "witness": list(witness),
+    }
+    return row, spans
+
+
+def domination_corpus() -> list[Graph]:
+    """The ``independent_domination`` row's 1,206 connected graphs."""
+    graphs = [g for _, g in load_atlas(range(1, 8))]
+    for n in range(8, 25):
+        for p in (0.2, 0.35, 0.5, 0.65):
+            for s in range(3):
+                graphs.append(_draw_connected(SplitMix64(1000 * n + s), n, p))
+    graphs += [path(24), cycle(24), star(23), grid((4, 6)), hypercube(4), build("K4xK6")]
+    return graphs
+
+
+def run_domination_row() -> tuple:
+    graphs = domination_corpus()
+
+    def call():
+        total = nodes = skipped = 0
+        for g in graphs:
+            res = independent_domination(g)
+            total, nodes, skipped = total + res.value, nodes + res.nodes, skipped + res.skipped
+        return total, nodes, skipped
+
+    (total, nodes, skipped), spans = timed(call, "independent_domination corpus")
+    row = {
+        "instance": f"atlas+{len(graphs) - 996}",
+        "n": len(graphs),
+        "query": "independent_domination, summed over the corpus",
+        "value": total,
+        "nodes": nodes,
+        "skipped": skipped,
     }
     return row, spans
 
@@ -160,12 +219,14 @@ def main(argv: list[str]) -> int:
     label = argv[0]
     timed_rows = []
     with HostSpeed() as speed:
-        for spec, variant, relabelled in LADDER:
-            timed_rows.append(run_row(spec, variant, relabelled))
-            print(f"{spec} mv {variant} done", file=sys.stderr, flush=True)
+        for spec, kind, variant, relabelled in LADDER:
+            timed_rows.append(run_row(spec, kind, variant, relabelled))
+            print(f"{spec} {kind} {variant} done", file=sys.stderr, flush=True)
         for spec, kind in GREEDY_LADDER:
             timed_rows.append(run_greedy_row(spec, kind))
             print(f"{spec} {kind} greedy done", file=sys.stderr, flush=True)
+        timed_rows.append(run_domination_row())
+        print("independent_domination done", file=sys.stderr, flush=True)
     # rescale after the last kernel, so every run has kernels on both sides
     rows = [with_times(row, spans, speed) for row, spans in timed_rows]
     for row in rows:

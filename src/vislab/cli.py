@@ -15,7 +15,8 @@ usage errors (bad flags, malformed input, a graph above the size limit,
 solver cap without ``--force``).
 
 Stdout for a given invocation is byte-stable: timings and node counts
-go to stderr under ``--stats``, never to stdout.
+go to stderr under ``--stats``, never to stdout (for ``verify``: the pass
+and fail counts and the slowest rows by ``CheckReport.runtime``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import contextlib
 import functools
 import re
 import sys
+import time
 
 from . import families
 from .graph_core import VertexSet, export_dot, format_edge_list, parse_graph
@@ -36,6 +38,9 @@ _DIMS_RE = re.compile(r"^#\s*dims((?:\s+\d+)+)\s*$")
 
 # the plain families, then the names with their own ``gen`` branch
 _GEN_FAMILIES = families.FAMILIES + ("skn", "gstar", "gadget")
+
+# verify --stats lists this many of the slowest rows
+VERIFY_SLOWEST = 5
 
 
 class _UsageError(Exception):
@@ -95,6 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--machine", action="store_true",
                    help="tab-separated rows instead of the table")
+    p.add_argument("--stats", action="store_true",
+                   help=f"print the pass and fail counts, the elapsed time and the "
+                        f"{VERIFY_SLOWEST} slowest rows to stderr")
     return parser
 
 
@@ -236,13 +244,21 @@ def _cmd_check(ns, stdin, stdout) -> int:
     return 0
 
 
-def _cmd_verify(ns, stdout) -> int:
+def _cmd_verify(ns, stdout, stderr) -> int:
+    start = time.perf_counter()
     reports = run_suite(ns.suite)
+    elapsed = time.perf_counter() - start
     if ns.machine:
         stdout.write(format_reports_machine(reports))
     else:
         stdout.write(format_reports(reports))
-    return 1 if any(r.status == "fail" for r in reports) else 0
+    failed = sum(r.status == "fail" for r in reports)
+    if ns.stats:
+        stderr.write(f"rows {len(reports)} pass {len(reports) - failed} fail {failed} "
+                     f"elapsed {elapsed:.3f}s\n")
+        for r in sorted(reports, key=lambda r: r.runtime, reverse=True)[:VERIFY_SLOWEST]:
+            stderr.write(f"slow {r.name} {r.instance} {r.runtime:.3f}s\n")
+    return 1 if failed else 0
 
 
 def _cmd_export(ns, stdin, stdout) -> int:
@@ -277,7 +293,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         if ns.command == "check":
             return _cmd_check(ns, stdin, stdout)
         if ns.command == "verify":
-            return _cmd_verify(ns, stdout)
+            return _cmd_verify(ns, stdout, stderr)
         if ns.command == "export":
             return _cmd_export(ns, stdin, stdout)
         raise _UsageError(f"unknown command {ns.command!r}")

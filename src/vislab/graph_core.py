@@ -205,23 +205,9 @@ class DistanceMatrix:
 
     @cached_property
     def alike(self) -> tuple[int, ...]:
-        """``alike[v]``: mask of the vertices w that look like v by layer
-        sizes: at each distance k, the vertices k away from w have, as a
-        multiset, the same layer sizes as those k away from v.  An
-        automorphism maps v into ``alike[v]``.
-        """
-        def classes(keys) -> dict:
-            out: dict = {}
-            for v, key in enumerate(keys):
-                out[key] = out.get(key, 0) | (1 << v)
-            return out
-
-        sizes = [tuple(m.bit_count() for m in lay) for lay in self.layers]
-        by_size = classes(sizes)
-        ids = [by_size[key] for key in sizes]
-        keys = [tuple(sorted(zip(row, ids))) for row in self.rows]
-        by_key = classes(keys)
-        return tuple(by_key[key] for key in keys)
+        """``alike[v]``: the cell of v in ``refine(self)``, with nothing
+        fixed.  An automorphism maps v into ``alike[v]``."""
+        return cell_of(refine(self), self.n)
 
 
 def parse_graph(text: str) -> Graph:
@@ -322,24 +308,93 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(g.n, tuple(rows), tuple(layers))
 
 
+def refine(dmat: DistanceMatrix, fixed: int = 0) -> tuple[int, ...]:
+    """Colour refinement of the metric with the mask ``fixed`` individualised
+    as one colour: the stable cells, as bitmasks in order.
+
+    The first cells are ``fixed`` and the rest.  Each round splits every
+    cell by its vertices' counts, at each distance, of the vertices of
+    each cell the last round made (the first round counts against both
+    first cells), until no cell splits; the pieces keep their cell's place
+    and go in the order of their counts.  Nothing in a round reads a
+    vertex id, so an automorphism that maps ``fixed`` onto itself maps
+    every cell onto itself: a cell never splits an orbit of the set's
+    stabilizer.  The converse fails on some regular graphs, so a cell is
+    only a superset of an orbit.  For connected graphs.
+    """
+    n = dmat.n
+    # the counts at a vertex's eccentricity follow from the others and the
+    # key's length, which grows with it
+    inner = [lay[1:-2] for lay in dmat.layers]
+    cells = [c for c in (fixed, ((1 << n) - 1) & ~fixed) if c]
+    split = cells  # counts against an older cell are even within every cell
+    while split and len(cells) < n:
+        out = []
+        fresh = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)  # a singleton cannot split
+                continue
+            pieces: dict = {}
+            m = cell
+            while m:
+                low = m & -m
+                m ^= low
+                key = tuple([(x & c).bit_count() for x in inner[low.bit_length() - 1] for c in split])
+                pieces[key] = pieces.get(key, 0) | low
+            if len(pieces) == 1:
+                out.append(cell)
+            else:
+                made = [pieces[key] for key in sorted(pieces)]
+                out += made
+                fresh += made
+        cells, split = out, fresh
+    return tuple(cells)
+
+
+def cell_of(cells: Sequence[int], n: int) -> tuple[int, ...]:
+    """The cell of each of the ``n`` vertices, as a mask, from a partition."""
+    out = [0] * n
+    for c in cells:
+        m = c
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] = c
+            m ^= low
+    return tuple(out)
+
+
 def find_automorphism(
-    dmat: DistanceMatrix, fixed: int, src: int, dst: int, tries: int
+    dmat: DistanceMatrix,
+    fixed: int,
+    src: int,
+    dst: int,
+    tries: int,
+    cells: Optional[Sequence[int]] = None,
 ) -> Optional[tuple[int, ...]]:
-    """An automorphism fixing every vertex of the mask ``fixed`` and mapping
-    ``src`` to ``dst``, as an image tuple, or None.
+    """An automorphism fixing every vertex of the mask ``fixed``, mapping
+    ``src`` to ``dst`` and every vertex into its cell of ``cells``, as an
+    image tuple, or None.
+
+    ``cells[v]`` is the mask of the cell holding v, by default ``alike``.
+    Cells from ``cell_of(refine(dmat, x), n)`` add the setwise constraint
+    that the mask x goes onto itself and the rest onto the rest, and lose
+    no automorphism that keeps it.
 
     For connected graphs.  A bijection that preserves the distance between
     every two vertices preserves adjacency, so the search extends the
     partial map one vertex at a time and keeps, for each unmapped vertex
     w, only the images at the right distance from every image so far
-    (``layers[image][d]`` masks), starting from ``alike[w]``.  It branches
+    (``layers[image][d]`` masks), starting from ``cells[w]``.  It branches
     on the vertex with the fewest images left and gives up after ``tries``
     images that leave some vertex without one: None means no automorphism
     was found, not that none exists.
     """
     n = dmat.n
     rows, layers = dmat.rows, dmat.layers
-    if not (dmat.alike[src] >> dst) & 1:
+    if cells is None:
+        cells = dmat.alike
+    if not (cells[src] >> dst) & 1:
         return None
     # dst must keep src's distances to the fixed vertices; check before narrowing
     m = fixed
@@ -350,13 +405,15 @@ def find_automorphism(
             return None
         m ^= low
 
-    def narrow(cand: list[int], todo: int, u: int, c: int) -> Optional[list[int]]:
-        """``cand`` after mapping u to c, or None when the unmapped vertices
-        cannot all get distinct images: some vertex has none, or more
-        vertices than images share one candidate set."""
+    def narrow(cand: list[int], todo: int, u: int, c: int):
+        """``cand`` after mapping u to c, and the unmapped vertex with the
+        fewest images left, or None when the unmapped vertices cannot all
+        get distinct images: some vertex has none, or more vertices than
+        images share one candidate set."""
         cand = cand[:]
         row, lay, free = rows[u], layers[c], ~(1 << c)
         sharing: dict[int, int] = {}
+        pick, fewest = -1, n + 1
         while todo:
             low = todo & -todo
             w = low.bit_length() - 1
@@ -364,22 +421,27 @@ def find_automorphism(
             if not m:
                 return None
             cand[w] = m
-            sharing[m] = sharing.get(m, 0) + 1
-            todo ^= low
-        for m, count in sharing.items():
-            if count > m.bit_count():
+            count = sharing[m] = sharing.get(m, 0) + 1
+            size = m.bit_count()
+            if count > size:
                 return None
-        return cand
+            if size < fewest:
+                pick, fewest = w, size
+            todo ^= low
+        return cand, pick
 
     image = list(range(n))
-    cand: Optional[list[int]] = list(dmat.alike)
+    cand = list(cells)
     todo = ((1 << n) - 1) & ~fixed
     m = fixed
-    while m and cand is not None:
+    while m:
         low = m & -m
         m ^= low
-        cand = narrow(cand, todo, low.bit_length() - 1, low.bit_length() - 1)
-    if cand is None or not (cand[src] >> dst) & 1:
+        got = narrow(cand, todo, low.bit_length() - 1, low.bit_length() - 1)
+        if got is None:
+            return None
+        cand = got[0]
+    if not (cand[src] >> dst) & 1:
         return None
     # branch points: (vertex, images not yet tried, candidates, unmapped)
     stack: list[tuple[int, int, list[int], int]] = []
@@ -394,8 +456,8 @@ def find_automorphism(
         choices ^= low
         c = low.bit_length() - 1
         todo_u = todo & ~(1 << u)
-        nxt = narrow(cand, todo_u, u, c)
-        if nxt is None:
+        got = narrow(cand, todo_u, u, c)
+        if got is None:
             tries -= 1
             if tries <= 0:
                 return None
@@ -403,17 +465,10 @@ def find_automorphism(
         if choices:
             stack.append((u, choices, cand, todo))
         image[u] = c
-        cand, todo = nxt, todo_u
-        if not todo:
+        if not todo_u:
             return tuple(image)
-        m, u, fewest = todo, -1, n + 1
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            count = cand[w].bit_count()
-            if count < fewest:
-                u, fewest = w, count
-            m ^= low
+        cand, u = got
+        todo = todo_u
         choices = cand[u]
 
 

@@ -27,21 +27,26 @@ which both searches rely on:
   ``independent_domination`` runs the same pass over independence, whose
   maximal sets are the independent dominating sets.
 
-Both searches skip a child that an automorphism maps onto an earlier,
-costly child (``graph_core.find_automorphism``, cached by ``_Mirrors``).
-The automorphism fixes the set and, in max, the vertices outside the
-search's range; so whatever the child's subtree holds has an image below
-the earlier child that is of the same size and lexicographically
-smaller: a maximal set of the lower search, or a set the max search has
-already refuted.
+Both searches skip children by symmetry (``graph_core.find_automorphism``,
+cached by ``_Mirrors``), so that whatever a skipped child's subtree holds
+has an image elsewhere of the same size and lexicographically smaller:
+
+* max: an automorphism fixing the set and the vertices outside the
+  search's range maps the child onto an earlier failed, costly child,
+  whose subtree the search has already refuted;
+* lower: an automorphism maps the set X onto itself, as a set, and the
+  child y onto a smaller vertex outside X (orbital branching, Ostrowski
+  et al. 2011, in the orderly form of McKay 1998).  The candidate images
+  come from ``graph_core.refine`` with X individualised, whose cells no
+  such automorphism splits.
 
 Each kind gets a small engine that answers "can vertex v join the current
 set" incrementally.  An engine has the vertices the searches branch on
 (``universe``), the state holding the vertices in every maximal set
 (``seed_state``, their bitmask ``seed_mask``), ``add`` and ``can_add``;
 ``state[0]`` is the member bitmask of every state.  Its ``gate`` sets how
-costly a child's search must be before ``solve_lower`` looks for
-automorphisms onto it.  The engines:
+costly a search must be before the searches look for automorphisms.  The
+engines:
 
 * mv: v must see every member.  Most members are settled by one mask
   test on their geodesic interior ``dmat.between[v][a]``: a member is
@@ -92,9 +97,11 @@ from .graph_core import (
     InstanceTooLargeError,
     VertexSet,
     bridges,
+    cell_of,
     distance_matrix,
     find_automorphism,
     mcs_order,
+    refine,
 )
 from . import visibility
 from .rng import permutation
@@ -178,14 +185,16 @@ class _MvEngine:
     interior is left, and is walked layer by layer otherwise.
     """
 
-    # The searches mirror children onto a child only once that child's
-    # search cost n² * gate tests, so that the tests a skip saves outweigh
-    # the automorphism search.  Measured over the small-sweep corpus
-    # (n = 6..10, CPython 3.11.7, 2-vCPU Xeon): a can_add test took 2.1 µs
-    # for mv, 0.49 µs for tmv and 0.34 µs for gp, DistanceMatrix.alike
-    # 33 µs and a find_automorphism call 24 µs.  A tmv or gp test costs a
-    # quarter of an mv test or less, so those engines, and independence,
-    # whose test is cheaper still, wait for four times the tests.
+    # The searches look for automorphisms only once a search cost n² * gate
+    # tests (in solve_max the failed child's own, in solve_lower some child
+    # of the same size), so that the tests a skip saves outweigh the
+    # lookups.  Measured over the small-sweep corpus (n = 6..10, CPython
+    # 3.11.7, 2-vCPU Xeon): a can_add test took 2.1 µs for mv, 0.49 µs for
+    # tmv and 0.34 µs for gp; on its 10-vertex graphs DistanceMatrix.alike
+    # took 23-41 µs, a refine with a set about 30 µs and a find_automorphism
+    # call about 50 µs.  A tmv or gp test costs a quarter of an mv test or
+    # less, so those engines, and independence, whose test is cheaper
+    # still, wait for four times the tests.
     gate = 1
 
     def __init__(self, g: Graph, dmat: DistanceMatrix, force: bool):
@@ -408,9 +417,11 @@ class _IndepEngine:
 class _Mirrors:
     """The automorphisms a search has found, for its symmetry rules.
 
-    ``costly`` is the gate of those rules: a child is mirrored onto only
-    once its own search cost that many tests, n² times the engine's
-    ``gate``, so that graphs without symmetry pay little for the lookups.
+    ``costly`` is the gate of those rules, n² times the engine's ``gate``
+    tests: ``solve_max`` mirrors onto a failed child that cost that many,
+    and ``_lower_search`` checks the children at a depth once a subtree
+    there cost that many, so that graphs without symmetry pay little for
+    the lookups.
     """
 
     def __init__(self, dmat: DistanceMatrix, gate: int):
@@ -433,13 +444,103 @@ class _Mirrors:
             onto ^= low
             perm = find_automorphism(dmat, fixed, y, low.bit_length() - 1, 2 * dmat.n)
             if perm is not None:
-                moved = 0
-                for v, w in enumerate(perm):
-                    if v != w:
-                        moved |= 1 << v
-                self.found.append((perm, moved))
+                self.keep(perm)
                 return perm
         return None
+
+    def keep(self, perm: tuple[int, ...]) -> None:
+        moved = 0
+        for v, w in enumerate(perm):
+            if v != w:
+                moved |= 1 << v
+        self.found.append((perm, moved))
+
+
+class _Stabilizer:
+    """What the lower search knows at one set X of the automorphisms that
+    map X onto itself, built on X's first question and shared by its
+    children: the orbits of the cached ones that do, as a union-find
+    rooted at each orbit's least vertex, and the cells of
+    ``refine(dmat, X)``, which no such automorphism splits."""
+
+    __slots__ = ("mirrors", "mask", "members", "root", "cells")
+
+    def __init__(self, mirrors: _Mirrors, mask: int):
+        self.mirrors = mirrors
+        self.mask = mask
+        self.members: Optional[tuple[int, ...]] = None
+        self.root: Optional[list[int]] = None
+        self.cells: Optional[tuple[int, ...]] = None
+
+    def _join(self, perm: tuple[int, ...]) -> None:
+        root = self.root
+        for v, w in enumerate(perm):
+            if v == w:
+                continue
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            while root[w] != w:
+                root[w] = w = root[root[w]]
+            if v < w:
+                root[w] = v
+            elif w < v:
+                root[v] = w
+
+    def drops(self, y: int, below: int) -> bool:
+        """Whether an automorphism maps X onto itself and y onto a smaller
+        vertex outside X.  ``below`` holds the candidate images: the
+        vertices under y and outside X in y's cell of ``alike``.
+
+        The candidates must keep y's distance profile to X; then the
+        cached automorphisms are asked, then X's cells, and an image r
+        left in y's cell is looked for by ``find_automorphism`` from those
+        cells, which keep X onto itself.  Yes only with an automorphism in
+        hand; no when every candidate is ruled out or not found."""
+        mirrors = self.mirrors
+        dmat = mirrors.dmat
+        mask = self.mask
+        rows = dmat.rows
+        members = self.members
+        if members is None:
+            members = self.members = VertexSet(dmat.n, mask).members()
+        want = sorted(map(rows[y].__getitem__, members))
+        cand = 0
+        while below:
+            low = below & -below
+            below ^= low
+            if sorted(map(rows[low.bit_length() - 1].__getitem__, members)) == want:
+                cand |= low
+        if not cand:
+            return False
+        root = self.root
+        if root is None:
+            root = self.root = list(range(dmat.n))
+            for perm, moved in mirrors.found:
+                m = mask & moved
+                image = 0
+                while m:
+                    low = m & -m
+                    image |= 1 << perm[low.bit_length() - 1]
+                    m ^= low
+                if image == mask & moved:
+                    self._join(perm)
+        v = y
+        while root[v] != v:
+            v = root[v]
+        if v < y:
+            return True
+        if self.cells is None:
+            self.cells = cell_of(refine(dmat, mask), dmat.n)
+        cand &= self.cells[y]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            perm = find_automorphism(dmat, 0, y, low.bit_length() - 1, 2 * dmat.n, self.cells)
+            if perm is not None:
+                mirrors.keep(perm)
+                self._join(perm)
+                return True
+        return False
 
 
 _ENGINES = {"mv": _MvEngine, "tmv": _TmvEngine, "gp": _GpEngine}
@@ -710,6 +811,21 @@ def _first_maximal_pair(g: Graph, dmat: DistanceMatrix, stop: tuple[int, int]):
     return stop
 
 
+def _sets_reach(a: int, k: int, need: int) -> bool:
+    """Whether a set of a vertices has at least ``need`` subsets of at most
+    k vertices: the sum of C(a, j) over j <= k, summed only as far as
+    ``need``."""
+    total, term = 0, 1
+    for j in range(k + 1):
+        total += term
+        if total >= need:
+            return True
+        term = term * (a - j) // (j + 1)
+        if not term:
+            break
+    return False
+
+
 def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
     """Smallest maximal set of ``engine`` with at most ``bound`` vertices
     (any size when None), as (member mask, tests, children skipped).
@@ -721,17 +837,31 @@ def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
     smaller than the incumbent, so the first smallest one is kept.  Sets
     at or above the incumbent's size are not extended.
 
-    Symmetric children are skipped.  Let an automorphism σ fix the set X
-    pointwise and map a child y onto an earlier child r that joined.
-    Validity of every engine, and the tmv seed set, are defined by the
-    metric, which σ preserves, so y joins too.  Its subtree is not
-    searched: each maximal set W there has the image σ(W), maximal, of
-    the same size and lexicographically smaller (σ(W) holds r, while W
-    differs from it only at y and later).  So neither the value nor the
-    canonical witness changes.  σ is looked for (``_Mirrors``) only onto
-    a child whose own search cost at least n² times the engine's ``gate``
-    tests, and only until a later child costs less, so graphs without
-    symmetry pay little for it.
+    Symmetric children are skipped, setwise.  Child y of the set X is
+    skipped when an automorphism σ maps X onto itself, as a set, and y
+    onto a vertex r < y outside X.  Validity of every engine, and the tmv
+    seed set, are defined by the metric, which σ preserves, so σ maps
+    each maximal set W in y's subtree (W holds y, and of the vertices
+    below y exactly X) onto a maximal set σ(W) of the same size that
+    holds X and r.  The least vertex where the two differ lies below y,
+    in σ(W), so σ(W) is lexicographically smaller.  The canonical witness is the
+    lexicographically first smallest maximal set, so neither it nor any
+    of its prefixes is ever skipped (orderly generation: a set that is
+    first in its orbit stays first when its largest member is removed),
+    and the value and the witness do not change.
+
+    ``_Stabilizer.drops`` answers the question, in the order of cost:
+    r must share y's cell of ``alike`` and its distance profile to X;
+    the cached automorphisms that keep X are asked; then r must share
+    y's cell of ``refine(dmat, X)``, and an empty candidate set answers
+    no with no search; last ``find_automorphism`` looks for σ from those
+    cells.  When ``alike`` is discrete the graph has no symmetry and
+    nothing is looked up.  A child is checked only when its subtree may
+    cost ``_Mirrors.costly`` tests, n² times the engine's ``gate``: once
+    a searched child of its size did, and only while the child's subtree
+    can hold n times ``gate`` sets, of at most n tests each.  On small
+    graphs, and late in a set's children, the subtrees cost less than
+    the check.
     """
     can_add, add = engine.can_add, engine.add
     uni_mask = 0
@@ -744,6 +874,9 @@ def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
     nodes = skipped = 0
     mirrors = _Mirrors(dmat, engine.gate)
     costly = mirrors.costly
+    alike: Optional[tuple[int, ...]] = None  # dmat.alike once a depth is ripe, () if discrete
+    opened = [False] * (dmat.n + 2)  # opened[s]: a searched child of size s cost ``costly`` tests
+    sets = dmat.n * engine.gate  # sets of at most n tests each that make a costly subtree
 
     def visit(state, size: int, ahead: int, refused: int) -> None:
         """Extend ``state`` by the vertices of ``ahead`` (all of them above
@@ -755,36 +888,46 @@ def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
         extend tests its non-members in ascending order, the earlier ones
         first: in measurements those tests are the cheaper ones.
 
-        ``dear`` holds the children that joined and cost at least ``costly``
-        tests to search, since the last searched child that cost less; a later
-        vertex mirrored onto one of them is skipped.  A cheap child shows
-        that the incumbent now cuts these subtrees short, so a search for
-        the automorphism would cost more than it saves.  A refused child is
-        not mirrored onto: its refusal cost one test, less than that search.
+        ``ripe`` says whether the children are checked for symmetry: once
+        a child of their size cost ``costly`` tests to search, every later
+        one is whose subtree, the sets of at most ``best_size - up - 1``
+        more of the candidates after it, can hold ``sets`` sets.  A
+        skipped child is neither tested nor refused.
         """
-        nonlocal best_size, best_mask, nodes, skipped
-        if size + 1 < best_size:
+        nonlocal best_size, best_mask, nodes, skipped, alike
+        up = size + 1
+        if up < best_size:
             joined = False
-            dear = 0
+            stab = None
+            ripe = opened[up]
             ahead &= ~refused
             while ahead:
                 low = ahead & -ahead
                 ahead ^= low
                 v = low.bit_length() - 1
-                if dear and mirrors.find(state[0], v, dear) is not None:
-                    skipped += 1
-                    continue
+                if ripe:
+                    if alike == () or not _sets_reach(ahead.bit_count(), best_size - up - 1, sets):
+                        ripe = False  # no symmetry, or the later subtrees are smaller still
+                    else:
+                        if alike is None:
+                            alike = dmat.alike
+                            if all(not c & (c - 1) for c in alike):
+                                alike = ()  # a discrete partition: no symmetry to look up
+                        if alike and (below := alike[v] & (low - 1) & ~state[0]):
+                            if stab is None:
+                                stab = _Stabilizer(mirrors, state[0])
+                            if stab.drops(v, below):
+                                skipped += 1
+                                continue
                 nodes += 1
                 if can_add(state, v):
                     joined = True
                     before = nodes
-                    visit(add(state, v), size + 1, ahead, refused)
-                    if size + 1 >= best_size:
+                    visit(add(state, v), up, ahead, refused)
+                    if up >= best_size:
                         return
-                    if nodes - before >= costly:
-                        dear |= low
-                    else:
-                        dear = 0
+                    if not ripe and nodes - before >= costly:
+                        ripe = opened[up] = True
                 else:
                     refused |= low
             if joined:
@@ -826,8 +969,10 @@ def solve_lower(
     pair in lexicographic order, which is the witness the search would
     find.
 
-    ``skipped`` counts the children the search resolved by symmetry, which
-    changes neither the value nor the canonical witness.
+    ``skipped`` counts the children the search resolved by symmetry: those
+    an automorphism mapping their parent set onto itself maps onto a
+    smaller vertex outside it.  That changes neither the value nor the
+    canonical witness (``_lower_search`` has the proof).
     """
     start = time.perf_counter()
     visibility.check_kind(kind)

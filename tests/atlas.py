@@ -5,8 +5,11 @@ vertices up to isomorphism (written by ``scripts/freeze_atlas.py``).
 """
 
 import os
+from contextlib import contextmanager
+from functools import lru_cache
 
 import oracles
+from vislab import solvers
 from vislab.families import gen_gadget
 from vislab.graph_core import Graph
 from vislab.solvers import independent_domination, solve_lower, solve_max
@@ -37,21 +40,30 @@ def oracle_mismatches(g):
     the lower search over independence, is compared too.
     """
     bad = []
+    lower, indep = lower_oracles(g)
     for kind in KINDS:
         want = oracles.solve_max_oracle(g, kind)
         res = solve_max(g, kind)
         if (res.value, res.witness.members()) != want:
             bad.append((kind, "max", (res.value, res.witness.members()), want))
-        want = oracles.solve_lower_oracle(g, kind)
+        want = lower[kind]
         for fast in (True, False):
             res = solve_lower(g, kind, fast_path=fast)
             if (res.value, res.witness.members()) != want:
                 bad.append((kind, f"lower fast={fast}", (res.value, res.witness.members()), want))
-    want = oracles.independent_domination_oracle(g)
     res = independent_domination(g)
-    if (res.value, res.witness.members()) != want:
-        bad.append(("independence", "lower", (res.value, res.witness.members()), want))
+    if (res.value, res.witness.members()) != indep:
+        bad.append(("independence", "lower", (res.value, res.witness.members()), indep))
     return bad
+
+
+@lru_cache(maxsize=16)
+def lower_oracles(g):
+    """The oracles' lower answers by kind and their independent domination
+    answer, kept for the last graphs asked about, since both
+    ``oracle_mismatches`` and ``lower_mismatches`` compare against them."""
+    lower = {kind: oracles.solve_lower_oracle(g, kind) for kind in KINDS}
+    return lower, oracles.independent_domination_oracle(g)
 
 
 def reduction_holds(base, t=3):
@@ -61,3 +73,39 @@ def reduction_holds(base, t=3):
     gadget, _ = gen_gadget(base, t)
     want = t * (base.edge_count() + 1) + independent_domination(base).value
     return solve_lower(gadget, "tmv", force=True).value == want
+
+
+@contextmanager
+def gate_off():
+    """Every engine's ``gate`` at 0 for the duration: the searches look for
+    an automorphism at every child they may skip, not only past a costly
+    search, so the symmetry rules meet every case a small graph has."""
+    engines = (solvers._MvEngine, solvers._TmvEngine, solvers._GpEngine, solvers._IndepEngine)
+    saved = [engine.gate for engine in engines]
+    for engine in engines:
+        engine.gate = 0
+    try:
+        yield
+    finally:
+        for engine, gate in zip(engines, saved):
+            engine.gate = gate
+
+
+def lower_mismatches(g):
+    """``solve_lower`` (no cut-edge shortcut, so the search runs) and
+    ``independent_domination`` against the oracles, as (mismatches, the
+    children the searches skipped): call it under ``gate_off``."""
+    bad = []
+    skipped = 0
+    lower, indep = lower_oracles(g)
+    for kind in KINDS:
+        want = lower[kind]
+        res = solve_lower(g, kind, fast_path=False)
+        skipped += res.skipped
+        if (res.value, res.witness.members()) != want:
+            bad.append((kind, "lower", (res.value, res.witness.members()), want))
+    res = independent_domination(g)
+    skipped += res.skipped
+    if (res.value, res.witness.members()) != indep:
+        bad.append(("independence", "lower", (res.value, res.witness.members()), indep))
+    return bad, skipped

@@ -338,6 +338,18 @@ class TestVerify:
         assert (rc, err) == (0, "")
         assert out.encode("utf-8") == want
 
+    def test_stats_to_stderr_only(self):
+        plain = cli("verify", "--suite", "matrix")
+        rc, out, err = cli("verify", "--suite", "matrix", "--stats")
+        assert (rc, out) == plain[:2]
+        lines = err.splitlines()
+        rows = len(out.splitlines()) - 2  # the table's header and rule
+        assert re.fullmatch(rf"rows {rows} pass {rows} fail 0 elapsed \d+\.\d{{3}}s", lines[0])
+        assert len(lines) == 1 + min(rows, 5)
+        assert all(re.fullmatch(r"slow \S+ .+ \d+\.\d{3}s", line) for line in lines[1:])
+        times = [float(line.rsplit(" ", 1)[1][:-1]) for line in lines[1:]]
+        assert times == sorted(times, reverse=True)
+
     def test_bad_suite(self):
         rc, _, err = cli("verify", "--suite", "nope")
         assert rc == 2 and "invalid choice" in err

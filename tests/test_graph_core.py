@@ -17,6 +17,7 @@ from vislab.graph_core import (
     VertexSet,
     bridges,
     cartesian_product,
+    cell_of,
     distance_matrix,
     export_dot,
     find_automorphism,
@@ -26,6 +27,7 @@ from vislab.graph_core import (
     maximal_cliques,
     neighborhood,
     parse_graph,
+    refine,
     simplicial_vertices,
 )
 
@@ -184,6 +186,11 @@ def automorphisms(g):
     ]
 
 
+def keeps(p, mask):
+    """Whether the permutation p maps the vertex mask onto itself."""
+    return all((mask >> p[v]) & 1 for v in range(len(p)) if (mask >> v) & 1)
+
+
 class TestAutomorphism:
     def test_atlas_up_to_six_vertices(self):
         # with no budget the finder is exact: it returns an automorphism
@@ -200,6 +207,41 @@ class TestAutomorphism:
                         assert (got is not None) == ((src, dst) in moves), (index, fixed, src, dst)
                         if got is not None:
                             assert got in auts and got[src] == dst, (index, fixed, src, dst)
+
+    def test_setwise_atlas_up_to_six_vertices(self):
+        # from the cells of refine(dmat, x), with no budget, the finder
+        # returns an automorphism mapping x onto itself and src to dst
+        # exactly when one exists
+        for index, g in load_atlas(range(1, 7)):
+            dmat = distance_matrix(g)
+            auts = automorphisms(g)
+            for x in range(1 << g.n):
+                cells = cell_of(refine(dmat, x), g.n)
+                moves = {(s, p[s]) for p in auts if keeps(p, x) for s in range(g.n)}
+                for src in range(g.n):
+                    for dst in range(g.n):
+                        got = find_automorphism(dmat, 0, src, dst, 1 << 30, cells)
+                        assert (got is not None) == ((src, dst) in moves), (index, x, src, dst)
+                        if got is not None:
+                            assert got in auts and got[src] == dst and keeps(got, x)
+
+    def test_refine_never_splits_an_orbit(self):
+        # an automorphism that maps the individualised set onto itself maps
+        # every cell, in its place in the order, onto itself
+        for index, g in load_atlas(range(1, 7)):
+            dmat = distance_matrix(g)
+            auts = automorphisms(g)
+            assert dmat.alike == cell_of(refine(dmat), g.n)
+            for x in range(1 << g.n):
+                cells = refine(dmat, x)
+                union = 0
+                for cell in cells:  # a partition of the vertices
+                    assert cell and not cell & union
+                    union |= cell
+                assert union == (1 << g.n) - 1
+                for p in auts:
+                    if keeps(p, x):
+                        assert all(keeps(p, cell) for cell in cells), (index, x, p)
 
     @pytest.mark.parametrize(
         "g",

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from atlas import load_atlas
+from atlas import gate_off, load_atlas, lower_mismatches
 from conftest import bowtie, connected_graphs, relabelled
 from vislab import graph_core, solvers, visibility
 from vislab.families import (
@@ -243,6 +243,33 @@ class TestSymmetry:
                     assert (got.value, got.witness.members()) == oracles.solve_max_oracle(h, kind)
                     skipped += got.skipped
         assert skipped > 0
+
+    def test_lower_setwise_without_gate_match_oracle(self):
+        # with no gate every child of every set is checked for an
+        # automorphism keeping the set and mapping the child lower down
+        skipped = 0
+        with gate_off():
+            for index, g in load_atlas(range(5, 7)):
+                for seed in (0, 1, 2):
+                    h = relabelled(g, seed) if seed else g
+                    bad, count = lower_mismatches(h)
+                    assert not bad, (index, seed, bad)
+                    skipped += count
+        assert skipped > 0
+
+    def test_setwise_beyond_pointwise(self):
+        # K2□K4, set {0, 1}: the swap of columns 0 and 1 keeps the set and
+        # maps 5 onto 4, but it moves both members, and no automorphism
+        # fixing 0 and 1 maps 5 below itself
+        g = cartesian_product(complete(2), complete(4))
+        dmat = distance_matrix(g)
+        mirrors = solvers._Mirrors(dmat, 0)
+        below = 0b11100  # the vertices under 5 outside the set
+        assert mirrors.find(0b11, 5, below) is None
+        assert solvers._Stabilizer(mirrors, 0b11).drops(5, below)
+        # 4 is the least of its orbit {4, 5}: row 0 holds the set, so the
+        # rows cannot swap
+        assert not solvers._Stabilizer(mirrors, 0b11).drops(4, 0b1100)
 
     def test_max_witness_pinned_past_oracle(self):
         # the witness the ascending-id witness pass returned before the
