@@ -8,7 +8,9 @@ Graphs travel as edge lists on stdin or a file argument.  ``gen`` builds
 the plain families through ``families.generate`` and has its own branches
 only for the three constructions with a role map (``skn``, ``gstar``,
 ``gadget``); it stamps grids and hypercubes with a ``# dims ...`` comment
-so later stages can annotate witness vertices with product coordinates.
+so later stages can annotate witness vertices with product coordinates
+(``solve`` refuses a comment whose sizes do not multiply to the vertex
+count).
 
 Exit codes: 0 on success, 1 when a verify suite has a failing row, 2 on
 usage errors (bad flags, malformed input, a graph above the size limit,
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import re
 import sys
 import time
@@ -113,11 +116,20 @@ def _read_graph_text(path, stdin) -> str:
         return handle.read()
 
 
-def _scan_dims(text: str):
+def _scan_dims(text: str, n: int):
+    """The sizes of the graph's ``# dims`` comment, or None without one.
+    The comment is accepted only when every size is at least 1 and their
+    product is the vertex count ``n``."""
     for line in text.splitlines():
         m = _DIMS_RE.match(line)
         if m:
-            return tuple(int(tok) for tok in m.group(1).split())
+            dims = tuple(int(tok) for tok in m.group(1).split())
+            if min(dims) < 1 or math.prod(dims) != n:
+                raise _UsageError(
+                    f"comment {line.strip()!r} does not fit a graph on {n} vertices: "
+                    "every size must be at least 1 and their product must be n"
+                )
+            return dims
     return None
 
 
@@ -197,7 +209,7 @@ def _cmd_gen(ns, stdin, stdout) -> int:
 def _cmd_solve(ns, stdin, stdout, stderr) -> int:
     text = _read_graph_text(ns.graph, stdin)
     g = parse_graph(text)
-    dims = _scan_dims(text)
+    dims = _scan_dims(text, g.n)
     if ns.variant == "max":
         res = solve_max(g, ns.kind, force=ns.force)
     else:

@@ -43,10 +43,9 @@ has an image elsewhere of the same size and lexicographically smaller:
 Each kind gets a small engine that answers "can vertex v join the current
 set" incrementally.  An engine has the vertices the searches branch on
 (``universe``), the state holding the vertices in every maximal set
-(``seed_state``, their bitmask ``seed_mask``), ``add`` and ``can_add``;
-``state[0]`` is the member bitmask of every state.  Its ``gate`` sets how
-costly a search must be before the searches look for automorphisms.  The
-engines:
+(``seed_state``), ``add`` and ``can_add``; ``state[0]`` is the member
+bitmask of every state.  Its ``gate`` sets how costly a search must be
+before the searches look for automorphisms.  The engines:
 
 * mv: v must see every member.  Most members are settled by one mask
   test on their geodesic interior ``dmat.between[v][a]``: a member is
@@ -154,7 +153,7 @@ class GreedyProfile:
 
 def _check_cap(size: int, force: bool) -> None:
     """Refuse a search over ``size`` > ``DEFAULT_CAP`` candidates unless forced;
-    engines call it once ``universe`` and ``seed_mask`` are set, before any
+    engines call it once ``universe`` and ``seed_state`` are set, before any
     table, and the solvers before the metric when every vertex is one."""
     if size > DEFAULT_CAP and not force:
         raise InstanceTooLargeError(
@@ -202,7 +201,6 @@ class _MvEngine:
         self.adj = g.adj_masks
         self.universe = list(range(n))
         self.seed_state = (0, ())
-        self.seed_mask = 0
         _check_cap(n, force)
         self.dist = dmat.rows
         self.layers = dmat.layers
@@ -334,15 +332,13 @@ class _TmvEngine:
         union = 0
         for b in kept:
             union |= b
-        self.seed_mask = cand_mask & ~union
-        self.seed_state = (self.seed_mask,)
-        self.universe = [
-            v for v in range(g.n) if (cand_mask >> v) & 1 and not (self.seed_mask >> v) & 1
-        ]
-        _check_cap(len(self.universe) + self.seed_mask.bit_count(), force)
+        seed = cand_mask & ~union
+        self.seed_state = (seed,)
+        self.universe = [v for v in range(g.n) if (cand_mask >> v) & 1 and not (seed >> v) & 1]
+        _check_cap(len(self.universe) + seed.bit_count(), force)
         self.by_bit: dict[int, list[int]] = {v: [] for v in self.universe}
         for b in kept:
-            m = b & ~self.seed_mask
+            m = b & ~seed
             while m:
                 low = m & -m
                 self.by_bit[low.bit_length() - 1].append(b)
@@ -366,7 +362,6 @@ class _GpEngine:
         self.universe = list(range(g.n))
         # state: (member mask, union of member-pair path interiors)
         self.seed_state = (0, 0)
-        self.seed_mask = 0
         _check_cap(g.n, force)
         self.between = dmat.between
 
@@ -404,7 +399,6 @@ class _IndepEngine:
         self.adj = g.adj_masks
         self.universe = list(range(g.n))
         self.seed_state = (0,)
-        self.seed_mask = 0
         _check_cap(g.n, False)
 
     def add(self, state, v: int):
@@ -826,7 +820,7 @@ def _sets_reach(a: int, k: int, need: int) -> bool:
     return False
 
 
-def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
+def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
     """Smallest maximal set of ``engine`` with at most ``bound`` vertices
     (any size when None), as (member mask, tests, children skipped).
 
@@ -868,7 +862,7 @@ def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
     for v in engine.universe:
         uni_mask |= 1 << v
     if bound is None:
-        bound = (engine.seed_mask | uni_mask).bit_count()
+        bound = (engine.seed_state[0] | uni_mask).bit_count()
     best_size = bound + 1
     best_mask = None
     nodes = skipped = 0
@@ -943,7 +937,7 @@ def _lower_search(g: Graph, dmat: DistanceMatrix, engine, bound: Optional[int]):
         best_size = size
         best_mask = mask
 
-    visit(engine.seed_state, engine.seed_mask.bit_count(), uni_mask, 0)
+    visit(engine.seed_state, engine.seed_state[0].bit_count(), uni_mask, 0)
     del visit  # break the closure's reference cycle, as in solve_max
     if best_mask is None:
         raise RuntimeError(
@@ -991,7 +985,7 @@ def solve_lower(
 
     engine = _make_engine(g, kind, dmat, force)
     bound = visibility.neighborhood_bound(g) if kind == "mv" else None
-    mask, nodes, skipped = _lower_search(g, dmat, engine, bound)
+    mask, nodes, skipped = _lower_search(dmat, engine, bound)
     witness = VertexSet(g.n, mask)
     if not visibility.is_maximal_set(g, witness, kind, dmat):
         raise RuntimeError("solver produced a non-maximal witness; engine and predicate disagree")
@@ -1055,7 +1049,7 @@ def independent_domination(g: Graph) -> SolveResult:
     start = time.perf_counter()
     dmat = _connected_metric(g)
     engine = _IndepEngine(g)
-    mask, nodes, skipped = _lower_search(g, dmat, engine, None)
+    mask, nodes, skipped = _lower_search(dmat, engine, None)
     adj = g.adj_masks
     cover = 0
     m = mask

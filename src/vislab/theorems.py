@@ -15,6 +15,13 @@ Three suites, aggregated by ``run_suite``:
 
 Every CheckReport carries ``claim``: a self-contained statement of the
 fact under test, so a failing row is auditable on its own.
+
+Both row kinds are tables, so a new result is one entry: a closed form
+in the table of ``run_closed_form_suite``, as ``(name, claim, kind,
+variant, [(instance, graph, expected)])``, and a characterization claim
+in ``CLAIMS``, as ``(name, claim, mismatch)``, where ``mismatch`` decides
+one graph of ``solve_corpus``.  ``check_claims`` runs the claims over any
+solved corpus; the verify rows use the 80-graph one.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .families import (
     complete,
@@ -346,145 +354,100 @@ def _solved(g: Graph, kind: str, variant: str, fast_path=True):
 
 
 def run_closed_form_suite() -> list[CheckReport]:
+    """One row per instance of each closed form, then the separator rows
+    and the characterization rows."""
+    products = {(m, n): cartesian_product(complete(m), complete(n))
+                for m, n in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (4, 6))}
+    skn = [(n, gen_subdivided_complete(n)[0]) for n in (3, 4)]
+    blocks = block_corpus() + [("bowtie", _BOWTIE)]
+    # (name, claim, kind, variant, [(instance, graph, expected value)])
+    table = [
+        ("grid-mv-lower",
+         "every grid P_m x P_n with m,n >= 2 has lower mutual-visibility number 3",
+         "mv", "lower",
+         [(f"P{m}xP{n}", grid((m, n)), 3) for m, n in ((2, 2), (3, 4), (4, 5))]),
+        ("clique-mv-lower",
+         "the lower mutual-visibility number of K_m x K_n equals m+n-1",
+         "mv", "lower",
+         [(f"K{m}xK{n}", g, m + n - 1) for (m, n), g in products.items()]),
+        ("clique-tmv-lower",
+         "the lower total mutual-visibility number of K_m x K_n with m,n >= 3 "
+         "equals min(m,n)",
+         "tmv", "lower",
+         [(f"K{m}xK{n}", products[m, n], min(m, n)) for m, n in ((3, 3), (3, 4))]),
+        ("clique-tmv-max",
+         "the total mutual-visibility number of K_m x K_n equals max(m,n)",
+         "tmv", "max",
+         [("K3xK4", products[3, 4], 4)]),
+        ("grid-tmv-lower",
+         "a product of k >= 2 paths, each of length at least 2, has lower total "
+         "mutual-visibility number 2^k (the corner vertices form the unique "
+         "candidate pool)",
+         "tmv", "lower",
+         [("x".join(f"P{d}" for d in dims), grid(dims), 2 ** len(dims))
+          for dims in ((3, 3), (3, 3, 3))]),
+        ("bipartite-mv-lower",
+         "the lower mutual-visibility number of K_{r,s} with r >= s >= 1 is s+1",
+         "mv", "lower",
+         [(f"K{{{r},{s}}}", complete_bipartite(r, s), s + 1)
+          for r, s in ((1, 1), (3, 2), (3, 3), (4, 2))]),
+        ("bipartite-gp-lower",
+         "the lower general-position number of K_{r,s} with r >= s >= 2 is 2",
+         "gp", "lower",
+         [(f"K{{{r},{s}}}", complete_bipartite(r, s), 2) for r, s in ((3, 2), (3, 3))]),
+        # K_{2,2} is the 4-cycle; the two lower numbers genuinely differ
+        # there, so both are pinned by exhaustive search.
+        ("bipartite-square-mv-lower",
+         "the smallest maximal mutual-visibility set of the 4-cycle has size 3",
+         "mv", "lower",
+         [("C4", cycle(4), 3)]),
+        ("bipartite-square-gp-lower",
+         "the smallest maximal general-position set of the 4-cycle has size 2 "
+         "(one diagonal pair)",
+         "gp", "lower",
+         [("C4", cycle(4), 2)]),
+        ("skn-mv-lower",
+         "subdividing every edge of K_n once (n >= 3) gives lower "
+         "mutual-visibility number n",
+         "mv", "lower",
+         [(f"S(K{n})", g, n) for n, g in skn]),
+        ("skn-tmv-lower",
+         "subdividing every edge of K_n once (n >= 3) gives lower total "
+         "mutual-visibility number 0: girth 6 and minimum degree 2 make the "
+         "empty set maximal",
+         "tmv", "lower",
+         [(f"S(K{n})", g, 0) for n, g in skn]),
+        ("block-tmv-lower",
+         "in a block graph with at least 2 vertices the simplicial vertices "
+         "form the unique maximal total mutual-visibility set",
+         "tmv", "lower",
+         [(label, g, len(simplicial_vertices(g))) for label, g in blocks]),
+        ("block-mv-lower",
+         "in a block graph with at least 2 vertices the lower mutual-visibility "
+         "number is the smallest cardinality of a block",
+         "mv", "lower",
+         [(label, g, min(len(c) for c in maximal_cliques(g))) for label, g in blocks]),
+        ("tree-tmv-lower",
+         "in a tree with at least 2 vertices the lower total mutual-visibility "
+         "number equals the number of leaves",
+         "tmv", "lower",
+         [(label, g, sum(1 for v in range(g.n) if g.degree(v) == 1))
+          for label, g in tree_corpus()]),
+        ("gadget-tmv-formula",
+         "for the reduction graph built over a connected base graph g with "
+         "n vertices and m edges and clique size t, the lower total "
+         "mutual-visibility number is t*(m+1) plus the minimum size of an "
+         "independent dominating set of g",
+         "tmv", "lower",
+         [(label, gen_gadget(base, t)[0],
+           t * (base.edge_count() + 1) + independent_domination(base).value)
+          for label, base, t in gadget_instances()]),
+    ]
     reports: list[CheckReport] = []
-
-    claim = "every grid P_m x P_n with m,n >= 2 has lower mutual-visibility number 3"
-    for dims in ((2, 2), (3, 4), (4, 5)):
-        start = time.perf_counter()
-        got = _solved(grid(dims), "mv", "lower")
-        reports.append(_row("grid-mv-lower", f"P{dims[0]}xP{dims[1]}", claim, 3, got, start))
-
-    claim = "the lower mutual-visibility number of K_m x K_n equals m+n-1"
-    for m, n in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (4, 6)):
-        start = time.perf_counter()
-        got = _solved(cartesian_product(complete(m), complete(n)), "mv", "lower")
-        reports.append(_row("clique-mv-lower", f"K{m}xK{n}", claim, m + n - 1, got, start))
-
-    claim = (
-        "the lower total mutual-visibility number of K_m x K_n with m,n >= 3 "
-        "equals min(m,n)"
-    )
-    for m, n in ((3, 3), (3, 4)):
-        start = time.perf_counter()
-        got = _solved(cartesian_product(complete(m), complete(n)), "tmv", "lower")
-        reports.append(_row("clique-tmv-lower", f"K{m}xK{n}", claim, min(m, n), got, start))
-
-    start = time.perf_counter()
-    got = _solved(cartesian_product(complete(3), complete(4)), "tmv", "max")
-    reports.append(_row(
-        "clique-tmv-max", "K3xK4",
-        "the total mutual-visibility number of K_m x K_n equals max(m,n)",
-        4, got, start,
-    ))
-
-    claim = (
-        "a product of k >= 2 paths, each of length at least 2, has lower total "
-        "mutual-visibility number 2^k (the corner vertices form the unique "
-        "candidate pool)"
-    )
-    for dims in ((3, 3), (3, 3, 3)):
-        start = time.perf_counter()
-        got = _solved(grid(dims), "tmv", "lower")
-        label = "x".join(f"P{d}" for d in dims)
-        reports.append(_row("grid-tmv-lower", label, claim, 2 ** len(dims), got, start))
-
-    claim = "the lower mutual-visibility number of K_{r,s} with r >= s >= 1 is s+1"
-    for r, s in ((1, 1), (3, 2), (3, 3), (4, 2)):
-        start = time.perf_counter()
-        got = _solved(complete_bipartite(r, s), "mv", "lower")
-        reports.append(_row("bipartite-mv-lower", f"K{{{r},{s}}}", claim, s + 1, got, start))
-
-    claim = "the lower general-position number of K_{r,s} with r >= s >= 2 is 2"
-    for r, s in ((3, 2), (3, 3)):
-        start = time.perf_counter()
-        got = _solved(complete_bipartite(r, s), "gp", "lower")
-        reports.append(_row("bipartite-gp-lower", f"K{{{r},{s}}}", claim, 2, got, start))
-
-    # K_{2,2} is the 4-cycle; the two lower numbers genuinely differ
-    # there, so both are pinned by exhaustive search.
-    start = time.perf_counter()
-    got = _solved(cycle(4), "mv", "lower")
-    reports.append(_row(
-        "bipartite-square-mv-lower", "C4",
-        "the smallest maximal mutual-visibility set of the 4-cycle has size 3",
-        3, got, start,
-    ))
-    start = time.perf_counter()
-    got = _solved(cycle(4), "gp", "lower")
-    reports.append(_row(
-        "bipartite-square-gp-lower", "C4",
-        "the smallest maximal general-position set of the 4-cycle has size 2 "
-        "(one diagonal pair)",
-        2, got, start,
-    ))
-
-    claim = (
-        "subdividing every edge of K_n once (n >= 3) gives lower "
-        "mutual-visibility number n"
-    )
-    for n in (3, 4):
-        start = time.perf_counter()
-        got = _solved(gen_subdivided_complete(n)[0], "mv", "lower")
-        reports.append(_row("skn-mv-lower", f"S(K{n})", claim, n, got, start))
-
-    claim = (
-        "subdividing every edge of K_n once (n >= 3) gives lower total "
-        "mutual-visibility number 0: girth 6 and minimum degree 2 make the "
-        "empty set maximal"
-    )
-    for n in (3, 4):
-        start = time.perf_counter()
-        got = _solved(gen_subdivided_complete(n)[0], "tmv", "lower")
-        reports.append(_row("skn-tmv-lower", f"S(K{n})", claim, 0, got, start))
-
-    tmv_claim = (
-        "in a block graph with at least 2 vertices the simplicial vertices "
-        "form the unique maximal total mutual-visibility set"
-    )
-    mv_claim = (
-        "in a block graph with at least 2 vertices the lower mutual-visibility "
-        "number is the smallest cardinality of a block"
-    )
-    for label, g in block_corpus():
-        start = time.perf_counter()
-        got = _solved(g, "tmv", "lower")
-        reports.append(_row("block-tmv-lower", label, tmv_claim,
-                            len(simplicial_vertices(g)), got, start))
-        start = time.perf_counter()
-        got = _solved(g, "mv", "lower")
-        want = min(len(c) for c in maximal_cliques(g))
-        reports.append(_row("block-mv-lower", label, mv_claim, want, got, start))
-
-    start = time.perf_counter()
-    reports.append(_row("block-tmv-lower", "bowtie", tmv_claim, 4,
-                        _solved(_BOWTIE, "tmv", "lower"), start))
-    start = time.perf_counter()
-    reports.append(_row("block-mv-lower", "bowtie", mv_claim, 3,
-                        _solved(_BOWTIE, "mv", "lower"), start))
-
-    claim = (
-        "in a tree with at least 2 vertices the lower total mutual-visibility "
-        "number equals the number of leaves"
-    )
-    for label, g in tree_corpus():
-        start = time.perf_counter()
-        leaves = sum(1 for v in range(g.n) if g.degree(v) == 1)
-        got = _solved(g, "tmv", "lower")
-        reports.append(_row("tree-tmv-lower", label, claim, leaves, got, start))
-
-    claim = (
-        "for the reduction graph built over a connected base graph g with "
-        "n vertices and m edges and clique size t, the lower total "
-        "mutual-visibility number is t*(m+1) plus the minimum size of an "
-        "independent dominating set of g"
-    )
-    for label, base, t in gadget_instances():
-        start = time.perf_counter()
-        gadget, _ = gen_gadget(base, t)
-        i_val = independent_domination(base).value
-        want = t * (base.edge_count() + 1) + i_val
-        got = _solved(gadget, "tmv", "lower")
-        reports.append(_row("gadget-tmv-formula", label, claim, want, got, start))
+    for name, claim, kind, variant, instances in table:
+        for instance, g, expected in instances:
+            start = time.perf_counter()
+            reports.append(_row(name, instance, claim, expected, _solved(g, kind, variant), start))
 
     start = time.perf_counter()
     gstar, _ = gen_gstar(4, 4, 4, 4)
@@ -513,165 +476,108 @@ def run_closed_form_suite() -> list[CheckReport]:
 
 # --- characterization suite -----------------------------------------------
 
-def run_characterization_suite() -> list[CheckReport]:
-    corpus = random_corpus() + named_corpus()
-    values = []
-    for label, g in corpus:
-        values.append({
-            "label": label,
-            "g": g,
-            "mv_lower": _solved(g, "mv", "lower", fast_path=False),
-            "tmv_lower": _solved(g, "tmv", "lower"),
-            "mv_max": _solved(g, "mv", "max"),
-            "tmv_max": _solved(g, "tmv", "max"),
-            "gp_max": _solved(g, "gp", "max"),
-        })
+class Solved(NamedTuple):
+    """One corpus graph with the exact values the claims read."""
 
-    def aggregate(name, claim, bad, start):
-        ok = not bad
-        shown = f"{len(bad)} mismatches over {len(corpus)} graphs"
+    label: str
+    g: Graph
+    mv_lower: int  # with the cut-edge shortcut off, so the search decides it
+    tmv_lower: int
+    mv_max: int
+    tmv_max: int
+    gp_max: int
+
+
+def solve_corpus(corpus: list[tuple[str, Graph]]) -> list[Solved]:
+    """The values the claims read, for each ``(label, graph)`` of ``corpus``."""
+    return [
+        Solved(label, g, _solved(g, "mv", "lower", fast_path=False), _solved(g, "tmv", "lower"),
+               _solved(g, "mv", "max"), _solved(g, "tmv", "max"), _solved(g, "gp", "max"))
+        for label, g in corpus
+    ]
+
+
+def _ball_mismatch(s: Solved):
+    g = s.g
+    dmat = distance_matrix(g)
+    for vertex, flag in neighborhood_lemma_scan(g):
+        ball = neighborhood(g, vertex, closed=True)
+        direct = is_valid_set(g, ball, "mv", dmat) and is_maximal_set(g, ball, "mv", dmat)
+        if flag != direct or (flag and s.mv_lower > g.degree(vertex) + 1):
+            return str(vertex)
+    return False
+
+
+# (name, claim, mismatch): ``mismatch`` takes one Solved graph and returns
+# False when the claim holds there, else True or a note for the row, which
+# prints it after the graph's label.
+CLAIMS = (
+    ("char-bridge-mv2",
+     "a connected graph has lower mutual-visibility number 2 iff it has a "
+     "cut-edge (checked with the cut-edge shortcut disabled)",
+     lambda s: (s.mv_lower == 2) != bool(bridges(s.g))),
+    ("char-k1-mv1",
+     "lower mutual-visibility number 1 happens only on the one-vertex graph",
+     lambda s: (s.mv_lower == 1) != (s.g.n == 1)),
+    ("char-centers-tmv0",
+     "the empty set is a maximal total mutual-visibility set iff every "
+     "vertex is the center of a convex path on three vertices",
+     lambda s: (s.tmv_lower == 0) != (len(convex_p3_centers(s.g)) == s.g.n)),
+    ("char-tmv-zero-pair",
+     "the total mutual-visibility number vanishes iff its lower variant does",
+     lambda s: (s.tmv_max == 0) != (s.tmv_lower == 0)),
+    ("char-tmv-candidates",
+     "a single vertex is a total mutual-visibility set iff it is not the "
+     "center of a convex path on three vertices",
+     lambda s: set(tmv_candidates(s.g)) != set(range(s.g.n)) - set(convex_p3_centers(s.g))),
+    ("char-chordal-bound",
+     "in a chordal graph the lower mutual-visibility number is at most the "
+     "clique number",
+     lambda s: is_chordal(s.g) and s.mv_lower > max(len(c) for c in maximal_cliques(s.g))),
+    ("char-cograph-bound",
+     "in a non-trivial cograph the lower mutual-visibility number is at "
+     "most the maximum degree plus one",
+     lambda s: (s.g.n >= 2 and _is_cograph(s.g)
+                and s.mv_lower > max(s.g.degree(u) for u in range(s.g.n)) + 1)),
+    ("char-gp-below-mv",
+     "every general-position set is a mutual-visibility set, so the maximum "
+     "sizes are ordered",
+     lambda s: s.mv_max < s.gp_max),
+    ("char-tmv-below-mv",
+     "every total mutual-visibility set is a mutual-visibility set, so the "
+     "total mutual-visibility number is at most the mutual-visibility number",
+     lambda s: s.mv_max < s.tmv_max),
+    ("char-neighborhood-ball",
+     "the closed neighborhood of x is a maximal mutual-visibility set iff "
+     "every two neighbors of x are adjacent or share a neighbor outside "
+     "the ball; when it is, it bounds the lower number by deg(x)+1",
+     _ball_mismatch),
+    ("char-fast-path",
+     "on every bridged graph the cut-edge shortcut and the exhaustive "
+     "search agree on the lower mutual-visibility number",
+     lambda s: bool(bridges(s.g)) and solve_lower(s.g, "mv").value != s.mv_lower),
+)
+
+
+def check_claims(values: list[Solved]) -> list[CheckReport]:
+    """One row per claim of ``CLAIMS``, counting the graphs it fails on."""
+    reports = []
+    for name, claim, mismatch in CLAIMS:
+        start = time.perf_counter()
+        bad = []
+        for s in values:
+            note = mismatch(s)
+            if note:
+                bad.append(f"{s.label}:{note}" if isinstance(note, str) else s.label)
+        shown = f"{len(bad)} mismatches over {len(values)} graphs"
         if bad:
             shown += f"; first: {', '.join(bad[:3])}"
-        return _row(name, "corpus", claim, "0 mismatches", shown, start, ok=ok)
-
-    reports = []
-
-    start = time.perf_counter()
-    bad = [v["label"] for v in values
-           if (v["mv_lower"] == 2) != bool(bridges(v["g"]))]
-    reports.append(aggregate(
-        "char-bridge-mv2",
-        "a connected graph has lower mutual-visibility number 2 iff it has a "
-        "cut-edge (checked with the cut-edge shortcut disabled)",
-        bad, start,
-    ))
-
-    start = time.perf_counter()
-    bad = [v["label"] for v in values if (v["mv_lower"] == 1) != (v["g"].n == 1)]
-    reports.append(aggregate(
-        "char-k1-mv1",
-        "lower mutual-visibility number 1 happens only on the one-vertex graph",
-        bad, start,
-    ))
-
-    start = time.perf_counter()
-    bad = []
-    for v in values:
-        centers = convex_p3_centers(v["g"])
-        if (v["tmv_lower"] == 0) != (len(centers) == v["g"].n):
-            bad.append(v["label"])
-    reports.append(aggregate(
-        "char-centers-tmv0",
-        "the empty set is a maximal total mutual-visibility set iff every "
-        "vertex is the center of a convex path on three vertices",
-        bad, start,
-    ))
-
-    start = time.perf_counter()
-    bad = [v["label"] for v in values
-           if (v["tmv_max"] == 0) != (v["tmv_lower"] == 0)]
-    reports.append(aggregate(
-        "char-tmv-zero-pair",
-        "the total mutual-visibility number vanishes iff its lower variant does",
-        bad, start,
-    ))
-
-    start = time.perf_counter()
-    bad = []
-    for v in values:
-        g = v["g"]
-        centers = set(convex_p3_centers(g))
-        cand = set(tmv_candidates(g))
-        if cand != set(range(g.n)) - centers:
-            bad.append(v["label"])
-    reports.append(aggregate(
-        "char-tmv-candidates",
-        "a single vertex is a total mutual-visibility set iff it is not the "
-        "center of a convex path on three vertices",
-        bad, start,
-    ))
-
-    start = time.perf_counter()
-    bad = []
-    for v in values:
-        g = v["g"]
-        if is_chordal(g):
-            omega = max(len(c) for c in maximal_cliques(g))
-            if v["mv_lower"] > omega:
-                bad.append(v["label"])
-    reports.append(aggregate(
-        "char-chordal-bound",
-        "in a chordal graph the lower mutual-visibility number is at most the "
-        "clique number",
-        bad, start,
-    ))
-
-    start = time.perf_counter()
-    bad = []
-    for v in values:
-        g = v["g"]
-        if g.n >= 2 and _is_cograph(g):
-            delta = max(g.degree(u) for u in range(g.n))
-            if v["mv_lower"] > delta + 1:
-                bad.append(v["label"])
-    reports.append(aggregate(
-        "char-cograph-bound",
-        "in a non-trivial cograph the lower mutual-visibility number is at "
-        "most the maximum degree plus one",
-        bad, start,
-    ))
-
-    start = time.perf_counter()
-    bad = [v["label"] for v in values if v["mv_max"] < v["gp_max"]]
-    reports.append(aggregate(
-        "char-gp-below-mv",
-        "every general-position set is a mutual-visibility set, so the maximum "
-        "sizes are ordered",
-        bad, start,
-    ))
-
-    start = time.perf_counter()
-    bad = [v["label"] for v in values if v["mv_max"] < v["tmv_max"]]
-    reports.append(aggregate(
-        "char-tmv-below-mv",
-        "every total mutual-visibility set is a mutual-visibility set, so the "
-        "total mutual-visibility number is at most the mutual-visibility number",
-        bad, start,
-    ))
-
-    start = time.perf_counter()
-    bad = []
-    for v in values:
-        g = v["g"]
-        dmat = distance_matrix(g)
-        for vertex, flag in neighborhood_lemma_scan(g):
-            ball = neighborhood(g, vertex, closed=True)
-            direct = is_valid_set(g, ball, "mv", dmat) and is_maximal_set(g, ball, "mv", dmat)
-            if flag != direct or (flag and v["mv_lower"] > g.degree(vertex) + 1):
-                bad.append(f"{v['label']}:{vertex}")
-                break
-    reports.append(aggregate(
-        "char-neighborhood-ball",
-        "the closed neighborhood of x is a maximal mutual-visibility set iff "
-        "every two neighbors of x are adjacent or share a neighbor outside "
-        "the ball; when it is, it bounds the lower number by deg(x)+1",
-        bad, start,
-    ))
-
-    start = time.perf_counter()
-    bad = []
-    for v in values:
-        if bridges(v["g"]):
-            with_fp = solve_lower(v["g"], "mv").value
-            if with_fp != v["mv_lower"]:
-                bad.append(v["label"])
-    reports.append(aggregate(
-        "char-fast-path",
-        "on every bridged graph the cut-edge shortcut and the exhaustive "
-        "search agree on the lower mutual-visibility number",
-        bad, start,
-    ))
+        reports.append(_row(name, "corpus", claim, "0 mismatches", shown, start, ok=not bad))
     return reports
+
+
+def run_characterization_suite() -> list[CheckReport]:
+    return check_claims(solve_corpus(random_corpus() + named_corpus()))
 
 
 # --- matrix suite ---------------------------------------------------------

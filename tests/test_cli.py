@@ -166,6 +166,25 @@ class TestSolve:
         assert rc == 0
         assert "coords" not in out
 
+    def test_dims_with_zero_size_rejected(self):
+        rc, out, err = cli(
+            "solve", "--kind", "mv", "--variant", "max",
+            stdin_text="# dims 0 3\n" + P4_TEXT,
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("error: comment '# dims 0 3'")
+
+    def test_dims_not_matching_vertex_count_rejected(self):
+        # 2 x 2 names four vertices; the star has six, so ids 4 and 5
+        # would be printed with the coordinates of 0 and 1
+        _, star_text, _ = cli("gen", "star", "5")
+        rc, out, err = cli(
+            "solve", "--kind", "mv", "--variant", "max",
+            stdin_text="# dims 2 2\n" + star_text,
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("error: comment '# dims 2 2'") and "6 vertices" in err
+
     def test_fast_path_line(self):
         rc, out, _ = cli(
             "solve", "--kind", "mv", "--variant", "lower", stdin_text=P4_TEXT

@@ -48,7 +48,7 @@ def connected_labelled_graphs(max_n):
 def state_of(engine, x_mask):
     """Engine state holding the members of ``x_mask`` (and any seed)."""
     state = engine.seed_state
-    m = x_mask & ~engine.seed_mask
+    m = x_mask & ~engine.seed_state[0]
     while m:
         low = m & -m
         state = engine.add(state, low.bit_length() - 1)
@@ -73,7 +73,7 @@ def mismatches(g, kind, valid, x_masks):
             if v in universe:
                 got = engine.can_add(state, v)
             else:
-                got = bool((engine.seed_mask >> v) & 1)
+                got = bool((engine.seed_state[0] >> v) & 1)
             if got != valid(x | (1 << v)):
                 bad.append((x, v))
     return bad

@@ -1,12 +1,16 @@
 import pytest
 
+from atlas import load_atlas
+from vislab import theorems
 from vislab.graph_core import VertexSet
 from vislab.solvers import DEFAULT_CAP
 from vislab.theorems import (
     SUITES,
+    CLAIMS,
     BinaryMatrix,
     CheckReport,
     block_corpus,
+    check_claims,
     cross_matrix,
     format_reports,
     format_reports_machine,
@@ -20,6 +24,7 @@ from vislab.theorems import (
     random_corpus,
     run_suite,
     set_of_matrix,
+    solve_corpus,
     tree_corpus,
 )
 
@@ -154,6 +159,36 @@ class TestSuites:
         for r in run_suite("all"):
             assert r.claim.strip()
             assert r.expected.strip()
+
+
+class TestClaims:
+    def test_claims_hold_on_the_atlas(self):
+        # every connected graph with at most 7 vertices, solved as the
+        # verify rows solve their 80-graph corpus
+        graphs = load_atlas(range(1, 8))
+        assert len(graphs) == 996
+        reports = check_claims(solve_corpus([(f"atlas-{i}", g) for i, g in graphs]))
+        assert [r.name for r in reports] == [name for name, _, _ in CLAIMS]
+        bad = [r for r in reports if r.status == "fail"]
+        assert bad == [], format_reports(bad)
+        assert {r.computed for r in reports} == {"0 mismatches over 996 graphs"}
+
+    def test_false_claim_reports_count_and_first_labels(self, monkeypatch):
+        monkeypatch.setattr(theorems, "CLAIMS", CLAIMS + (
+            ("false-tree", "every graph is a tree",
+             lambda s: s.g.edge_count() != s.g.n - 1),
+            ("false-small", "no graph has more than 4 vertices",
+             lambda s: s.g.n > 4 and str(s.g.n)),
+        ))
+        reports = check_claims(solve_corpus(named_corpus()))
+        assert [r.status for r in reports[:-2]] == ["pass"] * len(CLAIMS)
+        tree, small = reports[-2:]
+        assert (tree.name, tree.instance, tree.status) == ("false-tree", "corpus", "fail")
+        assert tree.expected == "0 mismatches"
+        assert tree.computed == "14 mismatches over 20 graphs; first: K3, K5, C3"
+        # a note from the predicate follows the graph's label
+        assert small.status == "fail"
+        assert small.computed == "13 mismatches over 20 graphs; first: K5:5, P6:6, C5:5"
 
 
 class TestFormatting:
