@@ -181,9 +181,6 @@ class DistanceMatrix:
     rows: tuple[tuple[Optional[int], ...], ...]
     layers: tuple[tuple[int, ...], ...]
 
-    def __getitem__(self, u: int) -> tuple[Optional[int], ...]:
-        return self.rows[u]
-
     @cached_property
     def between(self) -> tuple[tuple[int, ...], ...]:
         layers = self.layers

@@ -319,7 +319,7 @@ class _TmvEngine:
         masks = g.adj_masks
         blockers = set()
         for u in range(g.n):
-            row = dmat[u]
+            row = dmat.rows[u]
             for w in range(u + 1, g.n):
                 if row[w] == 2:
                     blockers.add(masks[u] & masks[w])
@@ -431,23 +431,30 @@ class _Mirrors:
         for perm, moved in self.found:
             if not fixed & moved and (onto >> perm[y]) & 1:
                 return perm
+        return self.search(fixed, y, onto)
+
+    def search(
+        self, fixed: int, y: int, onto: int, cells: Optional[tuple[int, ...]] = None
+    ) -> Optional[tuple[int, ...]]:
+        """The first automorphism ``find_automorphism`` finds, trying the
+        images of y in ``onto`` and y's cell of ``cells`` (by default
+        ``alike``) in ascending order, each with a budget of 2n failed
+        images, that fixes the mask ``fixed`` pointwise and keeps
+        ``cells``; kept and returned, or None."""
         dmat = self.dmat
-        onto &= dmat.alike[y]
+        onto &= (dmat.alike if cells is None else cells)[y]
         while onto:
             low = onto & -onto
             onto ^= low
-            perm = find_automorphism(dmat, fixed, y, low.bit_length() - 1, 2 * dmat.n)
+            perm = find_automorphism(dmat, fixed, y, low.bit_length() - 1, 2 * dmat.n, cells)
             if perm is not None:
-                self.keep(perm)
+                moved = 0
+                for v, w in enumerate(perm):
+                    if v != w:
+                        moved |= 1 << v
+                self.found.append((perm, moved))
                 return perm
         return None
-
-    def keep(self, perm: tuple[int, ...]) -> None:
-        moved = 0
-        for v, w in enumerate(perm):
-            if v != w:
-                moved |= 1 << v
-        self.found.append((perm, moved))
 
 
 class _Stabilizer:
@@ -487,7 +494,7 @@ class _Stabilizer:
 
         The candidates must keep y's distance profile to X; then the
         cached automorphisms are asked, then X's cells, and an image r
-        left in y's cell is looked for by ``find_automorphism`` from those
+        left in y's cell is looked for by ``_Mirrors.search`` from those
         cells, which keep X onto itself.  Yes only with an automorphism in
         hand; no when every candidate is ruled out or not found."""
         mirrors = self.mirrors
@@ -525,16 +532,11 @@ class _Stabilizer:
             return True
         if self.cells is None:
             self.cells = cell_of(refine(dmat, mask), dmat.n)
-        cand &= self.cells[y]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            perm = find_automorphism(dmat, 0, y, low.bit_length() - 1, 2 * dmat.n, self.cells)
-            if perm is not None:
-                mirrors.keep(perm)
-                self._join(perm)
-                return True
-        return False
+        perm = mirrors.search(0, y, cand, self.cells)
+        if perm is None:
+            return False
+        self._join(perm)
+        return True
 
 
 _ENGINES = {"mv": _MvEngine, "tmv": _TmvEngine, "gp": _GpEngine}
@@ -752,52 +754,35 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     )
 
 
-def _geodesic_counts(g: Graph, layers) -> list[int]:
-    """Number of shortest paths from the source of ``layers`` to each vertex."""
-    count = [0] * g.n
-    count[layers[0].bit_length() - 1] = 1
-    for prev, layer in zip(layers, layers[1:]):
-        while layer:
-            low = layer & -layer
-            v = low.bit_length() - 1
-            count[v] = sum(count[u] for u in g.adj[v] if (prev >> u) & 1)
-            layer ^= low
-    return count
-
-
-def _first_maximal_pair(g: Graph, dmat: DistanceMatrix, stop: tuple[int, int]):
+def _first_maximal_pair(dmat: DistanceMatrix, stop: tuple[int, int]):
     """Lexicographically first vertex pair that is a maximal mv set.
 
     On a connected graph every pair is mv-valid, so only maximality is
     checked: w extends {a, b} unless one of the three vertices lies on
-    every geodesic between the other two, which geodesic counts decide
-    (y is on every x,z-geodesic iff d(x,y) + d(y,z) = d(x,z) and
-    sigma(x,y) * sigma(y,z) = sigma(x,z)).  ``stop`` must be a pair known
-    to be maximal (the endpoints of a cut edge are), so the scan ends there.
+    every geodesic between the other two.  Every x,z-geodesic has exactly
+    one vertex at distance k from x, and the vertices some geodesic has
+    there are the slice ``layers[x][k] & layers[z][d(x,z) - k]``; so y is
+    on every x,z-geodesic iff d(x,y) + d(y,z) = d(x,z) and the slice at
+    k = d(x,y) is y alone.  ``stop`` must be a pair known to be maximal
+    (the endpoints of a cut edge are), so the scan ends there.
     """
-    rows = dmat.rows
-    sigma: list[Optional[list[int]]] = [None] * g.n
-
-    def counts(v: int) -> list[int]:
-        if sigma[v] is None:
-            sigma[v] = _geodesic_counts(g, dmat.layers[v])
-        return sigma[v]
-
-    for a in range(g.n):
-        da, sa = rows[a], counts(a)
-        for b in range(a + 1, g.n):
+    rows, layers = dmat.rows, dmat.layers
+    for a in range(dmat.n):
+        da, la = rows[a], layers[a]
+        for b in range(a + 1, dmat.n):
             if (a, b) == stop:
                 return stop
-            db, sb = rows[b], counts(b)
-            dab, sab = da[b], sa[b]
-            for w in range(g.n):
+            db, lb = rows[b], layers[b]
+            dab = da[b]
+            for w in range(dmat.n):
                 if w == a or w == b:
                     continue
-                if da[w] == dab + db[w] and sa[w] == sab * sb[w]:
+                daw, dbw, lw = da[w], db[w], layers[w]
+                if daw == dab + dbw and la[dab] & lw[dbw] == 1 << b:
                     continue  # b blocks a from w
-                if db[w] == dab + da[w] and sb[w] == sab * sa[w]:
+                if dbw == dab + daw and lb[dab] & lw[daw] == 1 << a:
                     continue  # a blocks b from w
-                if dab == da[w] + db[w] and sab == sa[w] * sb[w]:
+                if dab == daw + dbw and la[daw] & lb[dbw] == 1 << w:
                     continue  # w blocks a from b
                 break
             else:
@@ -976,7 +961,7 @@ def solve_lower(
     dmat = _connected_metric(g)
 
     if cut:
-        witness = VertexSet.from_ids(g.n, _first_maximal_pair(g, dmat, cut[0]))
+        witness = VertexSet.from_ids(g.n, _first_maximal_pair(dmat, cut[0]))
         if not visibility.is_maximal_set(g, witness, "mv", dmat):
             raise RuntimeError("cut-edge witness failed revalidation")
         return SolveResult(

@@ -8,8 +8,8 @@ Three suites, aggregated by ``run_suite``:
   trees, the reduction gadget, the separator construction), followed by
   the characterization rows;
 * matrix: the bijection between vertex subsets of K_m x K_n and 0/1
-  matrices, with the C4-free / saturation equivalences checked
-  exhaustively at small sizes;
+  matrices, held as row masks like every other vertex set, with the
+  C4-free / saturation equivalences checked exhaustively at small sizes;
 * characterizations: iff-style structure results checked over a seeded
   random corpus plus named families, reported as mismatch counts.
 
@@ -91,93 +91,45 @@ def _row(name, instance, claim, expected, computed, start, ok=None):
 
 
 # --- binary matrix bridge -------------------------------------------------
+# An m x n 0/1 matrix is a list of m row masks, entry (i, j) being bit j of
+# row i; it mirrors the subset of K_m x K_n holding vertex i*n + j exactly
+# when that entry is 1.
 
-@dataclass(frozen=True)
-class BinaryMatrix:
-    """0/1 matrix mirroring a vertex subset of K_m x K_n: entry (i,j) is 1
-    exactly when vertex i*n+j is selected."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.rows or not self.rows[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(self.rows[0])
-        for r in self.rows:
-            if len(r) != width:
-                raise ValueError("ragged rows")
-            for e in r:
-                if e not in (0, 1):
-                    raise ValueError(f"entries must be 0 or 1, got {e!r}")
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
-
-    def ones(self) -> int:
-        return sum(sum(r) for r in self.rows)
-
-    @staticmethod
-    def from_lists(rows) -> "BinaryMatrix":
-        return BinaryMatrix(tuple(tuple(r) for r in rows))
-
-
-def matrix_of_set(m: int, n: int, x: VertexSet) -> BinaryMatrix:
+def rows_of_set(m: int, n: int, x: VertexSet) -> list[int]:
     if x.n != m * n:
         raise ValueError(f"set lives on {x.n} vertices, matrix wants {m * n}")
-    rows = tuple(
-        tuple(1 if (i * n + j) in x else 0 for j in range(n)) for i in range(m)
-    )
-    return BinaryMatrix(rows)
+    return [(x.mask >> (i * n)) & ((1 << n) - 1) for i in range(m)]
 
 
-def set_of_matrix(mat: BinaryMatrix) -> VertexSet:
-    ids = [
-        i * mat.n + j
-        for i in range(mat.m)
-        for j in range(mat.n)
-        if mat.rows[i][j]
-    ]
-    return VertexSet.from_ids(mat.m * mat.n, ids)
+def set_of_rows(n: int, rows: list[int]) -> VertexSet:
+    mask = 0
+    for i, row in enumerate(rows):
+        mask |= row << (i * n)
+    return VertexSet(len(rows) * n, mask)
 
 
-def _row_bits(mat: BinaryMatrix) -> list[int]:
-    return [sum(1 << j for j, e in enumerate(r) if e) for r in mat.rows]
-
-
-def has_constant_2x2(mat: BinaryMatrix) -> bool:
+def has_constant_2x2(rows: list[int]) -> bool:
     """True iff some 2x2 submatrix is all ones (two rows sharing ones in
     two columns)."""
-    bits = _row_bits(mat)
-    for i in range(len(bits)):
-        for j in range(i + 1, len(bits)):
-            if (bits[i] & bits[j]).bit_count() >= 2:
-                return True
-    return False
+    return any((a & b).bit_count() >= 2 for a, b in combinations(rows, 2))
 
 
-def is_22_saturated(mat: BinaryMatrix) -> bool:
-    """True iff flipping any single 0 to 1 creates an all-ones 2x2 block.
+def is_22_saturated(rows: list[int], n: int) -> bool:
+    """True iff flipping any single 0 of the n-column matrix to 1 creates
+    an all-ones 2x2 block: every 0 of a row lies in a column where some
+    other row sharing a 1 with it has a 1.
 
     Only defined on matrices without such a block already.
     """
-    if has_constant_2x2(mat):
+    if has_constant_2x2(rows):
         raise ValueError("matrix already contains an all-ones 2x2 block")
-    bits = _row_bits(mat)
-    for i in range(mat.m):
-        for j in range(mat.n):
-            if mat.rows[i][j]:
-                continue
-            created = any(
-                k != i and (bits[k] >> j) & 1 and bits[k] & bits[i]
-                for k in range(mat.m)
-            )
-            if not created:
-                return False
+    for i, row in enumerate(rows):
+        covered = row
+        for k, other in enumerate(rows):
+            if k != i and other & row:
+                covered |= other
+        if covered != (1 << n) - 1:
+            return False
     return True
 
 
@@ -199,12 +151,12 @@ def mv_matrix_equivalence(m: int, n: int) -> CheckReport:
     mismatches = 0
     for mask in range(1 << cells):
         x = VertexSet(cells, mask)
-        mat = matrix_of_set(m, n, x)
+        rows = rows_of_set(m, n, x)
         valid = is_valid_set(g, x, "mv", dmat)
-        if valid != (not has_constant_2x2(mat)):
+        if valid != (not has_constant_2x2(rows)):
             mismatches += 1
             continue
-        if valid and is_maximal_set(g, x, "mv", dmat) != is_22_saturated(mat):
+        if valid and is_maximal_set(g, x, "mv", dmat) != is_22_saturated(rows, n):
             mismatches += 1
     return _row(
         "matrix-equivalence", f"{m}x{n}", claim,
@@ -221,27 +173,15 @@ def min_saturated_ones(m: int, n: int) -> int:
         raise ValueError(f"exhaustive sweep capped at 16 cells, got {cells}")
     best = None
     for mask in range(1 << cells):
-        rows = tuple(
-            tuple((mask >> (i * n + j)) & 1 for j in range(n)) for i in range(m)
-        )
-        mat = BinaryMatrix(rows)
-        if has_constant_2x2(mat):
+        rows = rows_of_set(m, n, VertexSet(cells, mask))
+        if has_constant_2x2(rows):
             continue
-        count = mat.ones()
-        if (best is None or count < best) and is_22_saturated(mat):
+        count = mask.bit_count()
+        if (best is None or count < best) and is_22_saturated(rows, n):
             best = count
     if best is None:
         raise RuntimeError("no saturated matrix found; the all-ones row is one")
     return best
-
-
-def cross_matrix(m: int, n: int) -> BinaryMatrix:
-    """Ones exactly on the first row and first column: m+n-1 ones, no
-    all-ones 2x2, and saturated."""
-    rows = tuple(
-        tuple(1 if i == 0 or j == 0 else 0 for j in range(n)) for i in range(m)
-    )
-    return BinaryMatrix(rows)
 
 
 # --- corpora --------------------------------------------------------------
@@ -589,11 +529,11 @@ def run_matrix_suite() -> list[CheckReport]:
     bad = 0
     for mask in range(1 << 9):
         x = VertexSet(9, mask)
-        if set_of_matrix(matrix_of_set(3, 3, x)) != x:
+        if set_of_rows(3, rows_of_set(3, 3, x)) != x:
             bad += 1
     reports.append(_row(
         "matrix-bijection", "3x3",
-        "matrix-of-set and set-of-matrix are mutually inverse",
+        "a set's row masks and the set of those row masks are mutually inverse",
         "0 mismatches", f"{bad} mismatches over 512 subsets", start, ok=bad == 0,
     ))
 
@@ -608,11 +548,11 @@ def run_matrix_suite() -> list[CheckReport]:
 
     for m, n in ((3, 4), (4, 5)):
         start = time.perf_counter()
-        mat = cross_matrix(m, n)
+        cross = [(1 << n) - 1] + [1] * (m - 1)  # ones on the first row and column
         ok = (
-            not has_constant_2x2(mat)
-            and is_22_saturated(mat)
-            and mat.ones() == m + n - 1
+            not has_constant_2x2(cross)
+            and is_22_saturated(cross, n)
+            and sum(row.bit_count() for row in cross) == m + n - 1
         )
         reports.append(_row(
             "matrix-cross", f"{m}x{n}", claim,
@@ -623,7 +563,7 @@ def run_matrix_suite() -> list[CheckReport]:
 
     start = time.perf_counter()
     g = cartesian_product(complete(3), complete(4))
-    x = set_of_matrix(cross_matrix(3, 4))
+    x = set_of_rows(4, [0b1111, 1, 1])  # the 3x4 cross
     ok = is_valid_set(g, x, "mv") and is_maximal_set(g, x, "mv")
     reports.append(_row(
         "matrix-cross-maximal", "K3xK4",

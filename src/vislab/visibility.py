@@ -87,7 +87,7 @@ def pair_visible(
         return True
     if dmat is None:
         dmat = distance_matrix(g)
-    if dmat[a][b] is UNREACHABLE:
+    if dmat.rows[a][b] is UNREACHABLE:
         return False
     vis = visible_mask(g, dmat, a, x.mask & ~(1 << a))
     return bool((vis >> b) & 1)
@@ -139,12 +139,12 @@ def is_gp_set(g: Graph, x: VertexSet, dmat: Optional[DistanceMatrix] = None) -> 
         dmat = distance_matrix(g)
     members = x.members()
     for i, u in enumerate(members):
-        row_u = dmat[u]
+        row_u = dmat.rows[u]
         for v in members[i + 1 :]:
             duv = row_u[v]
             if duv is UNREACHABLE or duv <= 1:
                 continue
-            row_v = dmat[v]
+            row_v = dmat.rows[v]
             inner = x.mask & ~(1 << u) & ~(1 << v)
             m = inner
             while m:
@@ -195,7 +195,7 @@ def convex_p3_centers(g: Graph, dmat: Optional[DistanceMatrix] = None) -> Vertex
     masks = g.adj_masks
     out = 0
     for u in range(g.n):
-        row = dmat[u]
+        row = dmat.rows[u]
         for w in range(u + 1, g.n):
             if row[w] == 2:
                 cn = masks[u] & masks[w]

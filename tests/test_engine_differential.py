@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from atlas import load_atlas
 from conftest import connected_graphs, relabelled
-from vislab.families import complete, cycle, grid, hypercube, path
+from vislab.families import complete, cycle, grid, hypercube, path, random_block_graph, random_tree
 from vislab.graph_core import (
     Graph,
     VertexSet,
@@ -33,7 +33,7 @@ from vislab.graph_core import (
 )
 from vislab.rng import SplitMix64
 from vislab.solvers import _make_engine, solve_lower
-from vislab.visibility import KINDS, is_valid_set
+from vislab.visibility import KINDS, is_maximal_set, is_valid_set
 
 
 def connected_labelled_graphs(max_n):
@@ -125,6 +125,35 @@ def test_shortcut_witness_exhaustive_up_to_five_vertices():
         slow = solve_lower(g, "mv", fast_path=False)
         assert fast.fast_path is not None
         assert fast.witness == slow.witness, list(g.edges())
+
+
+def first_maximal_pair(g):
+    """The lexicographically first pair that ``is_maximal_set`` accepts."""
+    dmat = distance_matrix(g)
+    for pair in combinations(range(g.n), 2):
+        if is_maximal_set(g, VertexSet.from_ids(g.n, pair), "mv", dmat):
+            return pair
+    return None
+
+
+def test_shortcut_witness_on_long_geodesics():
+    # bridged graphs far past five vertices, with long geodesics and many
+    # of them between two vertices: K30 with a 10-vertex tail, the 6x6 grid
+    # (252 geodesics corner to corner) with a 4-vertex tail, random trees
+    # and block graphs on 20 to 40 vertices, each in three labellings
+    graphs = [
+        Graph.from_edges(40, list(complete(30).edges()) + [(v, v + 1) for v in range(29, 39)]),
+        Graph.from_edges(40, list(grid((6, 6)).edges()) + [(v, v + 1) for v in range(35, 39)]),
+    ]
+    for n in range(20, 41, 5):
+        graphs += [random_tree(n, n), random_block_graph(n, 5, n)]
+    for g in graphs:
+        assert bridges(g)
+        for seed in (0, 1, 2):
+            h = relabelled(g, seed) if seed else g
+            fast = solve_lower(h, "mv")
+            assert fast.fast_path is not None
+            assert fast.witness.members() == first_maximal_pair(h), (list(g.edges()), seed)
 
 
 def random_connected(n, p, rng):

@@ -145,7 +145,7 @@ class TestMetric:
         dmat = distance_matrix(g)
         for u in range(g.n):
             for v in range(g.n):
-                assert dmat[u][v] == dmat[v][u]
+                assert dmat.rows[u][v] == dmat.rows[v][u]
 
     @given(graphs(max_n=6))
     def test_distances_match_oracle(self, g):
@@ -153,7 +153,7 @@ class TestMetric:
         rows = oracles.bfs_rows(g)
         for u in range(g.n):
             for v in range(g.n):
-                assert dmat[u][v] == rows[u][v]
+                assert dmat.rows[u][v] == rows[u][v]
 
     def test_between_c4(self):
         dmat = distance_matrix(cycle(4))

@@ -7,78 +7,62 @@ from vislab.solvers import DEFAULT_CAP
 from vislab.theorems import (
     SUITES,
     CLAIMS,
-    BinaryMatrix,
     CheckReport,
     block_corpus,
     check_claims,
-    cross_matrix,
     format_reports,
     format_reports_machine,
     gadget_instances,
     has_constant_2x2,
     is_22_saturated,
-    matrix_of_set,
     min_saturated_ones,
     mv_matrix_equivalence,
     named_corpus,
     random_corpus,
+    rows_of_set,
     run_suite,
-    set_of_matrix,
+    set_of_rows,
     solve_corpus,
     tree_corpus,
 )
 
 
 class TestBinaryMatrix:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least one row"):
-            BinaryMatrix(())
-        with pytest.raises(ValueError, match="ragged"):
-            BinaryMatrix(((0, 1), (0,)))
-        with pytest.raises(ValueError, match="0 or 1"):
-            BinaryMatrix(((0, 2),))
-
-    def test_shape_and_ones(self):
-        mat = BinaryMatrix.from_lists([[1, 0, 1], [0, 0, 1]])
-        assert (mat.m, mat.n, mat.ones()) == (2, 3, 3)
-
     def test_bijection_exhaustive(self):
         m, n = 2, 3
         for mask in range(1 << (m * n)):
             x = VertexSet(m * n, mask)
-            assert set_of_matrix(matrix_of_set(m, n, x)) == x
+            assert set_of_rows(n, rows_of_set(m, n, x)) == x
 
     def test_layout_row_major(self):
         x = VertexSet.from_ids(6, [0, 4])
-        mat = matrix_of_set(2, 3, x)
-        assert mat.rows == ((1, 0, 0), (0, 1, 0))
+        assert rows_of_set(2, 3, x) == [0b001, 0b010]
 
 
 class TestMatrixPredicates:
     def test_identity_has_no_block(self):
-        eye = BinaryMatrix.from_lists([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert not has_constant_2x2(eye)
+        assert not has_constant_2x2([0b001, 0b010, 0b100])
 
     def test_all_ones_2x2(self):
-        assert has_constant_2x2(BinaryMatrix.from_lists([[1, 1], [1, 1]]))
+        assert has_constant_2x2([0b11, 0b11])
 
     def test_cross_is_clean_and_saturated(self):
         for m, n in ((3, 4), (4, 5), (2, 2)):
-            mat = cross_matrix(m, n)
-            assert mat.ones() == m + n - 1
-            assert not has_constant_2x2(mat)
-            assert is_22_saturated(mat)
+            cross = [(1 << n) - 1] + [1] * (m - 1)
+            assert sum(row.bit_count() for row in cross) == m + n - 1
+            assert not has_constant_2x2(cross)
+            assert is_22_saturated(cross, n)
 
     def test_zero_matrix_not_saturated(self):
-        assert not is_22_saturated(BinaryMatrix.from_lists([[0, 0], [0, 0]]))
+        assert not is_22_saturated([0, 0], 2)
 
     def test_saturation_precondition(self):
         with pytest.raises(ValueError, match="already contains"):
-            is_22_saturated(BinaryMatrix.from_lists([[1, 1], [1, 1]]))
+            is_22_saturated([0b11, 0b11], 2)
 
     def test_single_row_saturated_means_full(self):
-        assert is_22_saturated(BinaryMatrix.from_lists([[1, 1, 1]]))
-        assert not is_22_saturated(BinaryMatrix.from_lists([[1, 0, 1]]))
+        assert is_22_saturated([0b111], 3)
+        assert not is_22_saturated([0b101], 3)
 
     def test_min_saturated_ones(self):
         assert min_saturated_ones(3, 3) == 5
