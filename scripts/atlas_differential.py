@@ -9,8 +9,11 @@ same comparison on the 853 with 7 vertices, and checks the
 NP-completeness reduction's formula on each of them as a base graph.
 It also solves each lower query again with every engine's ``gate`` at 0,
 so that the lower search checks every child for symmetry, as
-``tests/test_solvers.py`` does for 5 and 6 vertices.  It takes about
-25 s, prints each mismatch and exits 1 if there is any.
+``tests/test_solvers.py`` does for 5 and 6 vertices, and checks
+``visibility._joins`` against the whole-set predicate on every valid set
+and outside vertex, as ``tests/test_visibility.py`` does up to 6
+vertices (628,294 checks).  It takes about 30 s, prints each mismatch
+and exits 1 if there is any.
 """
 
 import os
@@ -20,23 +23,36 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from atlas import gate_off, load_atlas, lower_mismatches, oracle_mismatches, reduction_holds  # noqa: E402
+from atlas import (  # noqa: E402
+    gate_off,
+    joins_mismatches,
+    load_atlas,
+    lower_mismatches,
+    oracle_mismatches,
+    reduction_holds,
+)
 
 
 def main() -> int:
     start = time.perf_counter()
     graphs = load_atlas({7})
-    failed = 0
+    failed = checks = 0
     for index, g in graphs:
         bad = oracle_mismatches(g)
         if not reduction_holds(g):
             bad.append(("gadget", "reduction formula"))
         with gate_off():
             bad += [(kind, "no gate", *rest) for kind, *rest in lower_mismatches(g)[0]]
+        joins_bad, count = joins_mismatches(g)
+        bad += [(kind, "joins", *rest) for kind, *rest in joins_bad]
+        checks += count
         if bad:
             failed += 1
             print(f"atlas {index}: {list(g.edges())} {bad}")
-    print(f"{len(graphs)} graphs, {failed} with mismatches, {time.perf_counter() - start:.0f}s")
+    print(
+        f"{len(graphs)} graphs, {failed} with mismatches, {checks} join checks, "
+        f"{time.perf_counter() - start:.0f}s"
+    )
     return 1 if failed else 0
 
 

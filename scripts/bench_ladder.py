@@ -3,7 +3,9 @@
 Usage: python scripts/bench_ladder.py LABEL
 
 Benchmarks the vislab source tree next to this script and writes
-``BENCH_<LABEL>.json`` at the repository root.  Each ladder row is run
+``BENCH_<LABEL>.json`` at the repository root.  LABEL is letters, digits,
+``_``, ``.`` and ``-``, not starting with ``-``; ``-h`` or ``--help``
+prints the usage line.  Each ladder row is run
 three times, and a row whose fastest run is under 0.1 s eight times more,
 since such rows drift by 20-40% between two ladders over three runs.  An
 exact row records the value, the node count and the children skipped by
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
 import statistics
 import sys
 import time
@@ -213,8 +216,12 @@ def with_times(row: dict, spans: list, speed: HostSpeed) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+    usage = __doc__.strip().splitlines()[2]
+    if argv in (["-h"], ["--help"]):
+        print(usage)
+        return 0
+    if len(argv) != 1 or not re.fullmatch(r"[A-Za-z0-9_.][A-Za-z0-9_.-]*", argv[0]):
+        print(usage, file=sys.stderr)
         return 2
     label = argv[0]
     timed_rows = []

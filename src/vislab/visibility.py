@@ -20,6 +20,18 @@ this module is definitional: checks follow the geodesics out of a source
 layer by layer, stopping at blocked vertices (``visible_mask``), or
 inspect shortest-path intervals directly, with no structural shortcuts.
 Solvers revalidate their answers against these predicates.
+
+Adding one vertex v to a valid set X (``_joins``, behind
+``greedy_maximal`` and ``is_maximal_set``) retests only the pairs v can
+break.  The lemma: a pair with no geodesic through v keeps its
+X-avoiding geodesic, so it stays visible past X + v.  From a source a,
+v is interior to some geodesic exactly when a neighbour of v lies one
+layer further from a, ``adj[v] & layers[a][d(a, v) + 1]``; a source that
+fails this layer test sees past X + v what it saw past X.  So mv runs one
+reach from v and one from each member that passes the layer test, tmv
+one from each source a != v that passes it, neighbours of v first (a
+refused v always breaks a distance-2 pair of its own neighbours, so a
+failure shows there early), and gp checks only the triples that hold v.
 """
 
 from __future__ import annotations
@@ -166,6 +178,53 @@ def is_valid_set(
     return _CHECKS[check_kind(kind)](g, x, dmat)
 
 
+def _joins(g: Graph, dmat: DistanceMatrix, mask: int, v: int, kind: str) -> bool:
+    """Whether the valid set ``mask`` stays valid of ``kind`` with v added.
+
+    Equal to ``is_valid_set(g, x.add(v), kind, dmat)`` for a valid x with
+    v outside it, by the lemma of the module docstring: only a pair with
+    a geodesic through v can lose visibility, so ``visible_mask`` runs
+    only from v (mv) and from the sources that pass the layer test.
+    """
+    rows = dmat.rows
+    if kind == "gp":
+        # a member in another component shares no geodesic with v, as in
+        # is_gp_set; a triple is collinear when one distance is the sum of
+        # the other two
+        row_v = rows[v]
+        near = [(a, row_v[a]) for a in VertexSet(g.n, mask).members()
+                if row_v[a] is not UNREACHABLE]
+        for i, (a, p) in enumerate(near):
+            row_a = rows[a]
+            for b, q in near[i + 1 :]:
+                r = row_a[b]
+                if p + q + r == 2 * max(p, q, r):
+                    return False
+        return True
+    layers = dmat.layers
+    adj = g.adj_masks[v]
+    new = mask | (1 << v)
+    if kind == "mv":
+        if mask & ~visible_mask(g, dmat, v, mask):
+            return False
+        need, groups = new, (mask,)
+    else:
+        need = (1 << g.n) - 1
+        groups = (adj, need & ~adj & ~(1 << v))
+    # every source is in v's component: mv members are seen from v, and a
+    # tmv-valid set exists only on a connected graph
+    for group in groups:
+        while group:
+            low = group & -group
+            a = low.bit_length() - 1
+            group ^= low
+            if adj & layers[a][rows[a][v] + 1] and need & ~visible_mask(
+                g, dmat, a, new & ~low
+            ):
+                return False
+    return True
+
+
 def is_maximal_set(
     g: Graph, x: VertexSet, kind: str, dmat: Optional[DistanceMatrix] = None
 ) -> bool:
@@ -174,18 +233,21 @@ def is_maximal_set(
     Single-vertex extension testing is equivalent to the superset
     definition of maximality because all three properties are downward
     closed.  ``x`` itself must be valid; anything else is a caller error.
+    The set is checked whole with ``is_valid_set``; each non-member v
+    then with ``_joins``, which retests only the pairs v can break: a
+    pair with no geodesic through v keeps its x-avoiding geodesic.  So mv
+    reaches from v, then from each member with a geodesic through v; tmv
+    from each source with a geodesic through v, v's neighbours first; gp
+    checks the triples that hold v (see the module docstring).
     """
     check_kind(kind)
     if dmat is None:
         dmat = distance_matrix(g)
     if not is_valid_set(g, x, kind, dmat):
         raise ValueError("input set not valid")
-    for v in range(g.n):
-        if v in x:
-            continue
-        if is_valid_set(g, x.add(v), kind, dmat):
-            return False
-    return True
+    return not any(
+        _joins(g, dmat, x.mask, v, kind) for v in range(g.n) if v not in x
+    )
 
 
 def convex_p3_centers(g: Graph, dmat: Optional[DistanceMatrix] = None) -> VertexSet:
@@ -264,23 +326,30 @@ def greedy_maximal(
 
     ``order`` must be a permutation of the vertices.  Downward closure
     makes the result maximal: a vertex rejected at scan time is rejected
-    against a subset of the final set, so it stays invalid later.
+    against a subset of the final set, so it stays invalid later.  Each
+    vertex v is tested with ``_joins`` against the set kept so far, which
+    retests only the pairs v can break: a pair with no geodesic through v
+    keeps its geodesic that avoids the set.  So mv reaches from v, then
+    from each member with a geodesic through v; tmv from each source with
+    a geodesic through v, v's neighbours first; gp checks the triples
+    that hold v (see the module docstring).
 
     Raises ``ValueError`` when even the empty set is invalid, which
-    happens only for "tmv" on a disconnected graph.
+    happens only for "tmv" on a disconnected graph: every pair is visible
+    past the empty set exactly when the graph is connected, which the
+    first row of the metric shows.
     """
     check_kind(kind)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertex ids")
     if dmat is None:
         dmat = distance_matrix(g)
-    x = VertexSet(g.n, 0)
-    if not is_valid_set(g, x, kind, dmat):
+    if kind == "tmv" and g.n and UNREACHABLE in dmat.rows[0]:
         raise ValueError(
             "no valid sets exist: total visibility needs a connected graph"
         )
+    mask = 0
     for v in order:
-        cand = x.add(v)
-        if is_valid_set(g, cand, kind, dmat):
-            x = cand
-    return x
+        if _joins(g, dmat, mask, v, kind):
+            mask |= 1 << v
+    return VertexSet(g.n, mask)

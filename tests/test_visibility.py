@@ -1,9 +1,11 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from atlas import load_atlas
+from atlas import joins_mismatches, load_atlas
 from conftest import bowtie, connected_graphs, graphs
 from vislab.families import complete, complete_bipartite, cycle, grid, path, star
 from vislab.graph_core import Graph, VertexSet, distance_matrix
@@ -182,15 +184,41 @@ class TestMaximality:
         assert is_maximal_set(g, vset(g, 0, 2), "gp")
 
     @pytest.mark.parametrize("kind", KINDS)
-    @given(g=connected_graphs(min_n=1, max_n=5), data=st.data())
+    @given(data=st.data())
     @settings(max_examples=40)
-    def test_matches_superset_oracle(self, kind, g, data):
+    def test_matches_superset_oracle(self, kind, data):
+        # no set is tmv-valid on a disconnected graph
+        g = data.draw(connected_graphs(1, 5) if kind == "tmv" else graphs(1, 5))
         mask = data.draw(st.integers(0, (1 << g.n) - 1))
         x = VertexSet(g.n, mask)
         if not is_valid_set(g, x, kind):
             return
         assert is_maximal_set(g, x, kind) == \
             oracles.maximal_oracle(g, x.members(), kind)
+
+
+class TestJoins:
+    """``_joins`` retests only the pairs a new vertex can break; it must
+    agree with the whole-set predicate on every valid set and vertex."""
+
+    def test_exhaustive_on_atlas(self):
+        corpus = load_atlas(range(1, 7))
+        assert len(corpus) == 143
+        checks = 0
+        for index, g in corpus:
+            bad, count = joins_mismatches(g)
+            assert not bad, (index, list(g.edges()), bad[:5])
+            checks += count
+        assert checks == 46354
+
+    def test_exhaustive_on_labelled_graphs(self):
+        # every labelled graph with n <= 4, the disconnected ones included
+        for n in range(1, 5):
+            pairs = list(combinations(range(n), 2))
+            for m in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (m >> i) & 1])
+                bad, _ = joins_mismatches(g)
+                assert not bad, (list(g.edges()), bad[:5])
 
 
 class TestCenters:
@@ -272,9 +300,11 @@ class TestGreedyScan:
             greedy_maximal(Graph.from_edges(2, []), "tmv", [0, 1])
 
     @pytest.mark.parametrize("kind", KINDS)
-    @given(g=connected_graphs(min_n=1, max_n=6), data=st.data())
+    @given(data=st.data())
     @settings(max_examples=40)
-    def test_result_valid_and_maximal(self, kind, g, data):
+    def test_result_valid_and_maximal(self, kind, data):
+        # tmv raises on a disconnected graph (test_tmv_disconnected_raises)
+        g = data.draw(connected_graphs(1, 6) if kind == "tmv" else graphs(1, 6))
         order = data.draw(st.permutations(range(g.n)))
         got = greedy_maximal(g, kind, order)
         assert is_valid_set(g, got, kind)
