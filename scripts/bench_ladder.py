@@ -86,6 +86,10 @@ LADDER = (
     ("G22-0.6-1", "tmv", "lower", False),
     ("G24-0.5-1", "mv", "lower", False),
     ("G24-0.5-1", "tmv", "lower", False),
+    ("G22-0.6-0", "mv", "lower", False),
+    ("G22-0.6-0", "tmv", "lower", False),
+    ("G24-0.5-0", "mv", "lower", False),
+    ("G24-0.5-0", "tmv", "lower", False),
 )
 
 # (instance, kind); every row is greedy_profile(g, kind, GREEDY_RUNS, seed 0)

@@ -87,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="run past the search-size cap")
             p.add_argument("--stats", action="store_true",
                            help="print the can_add test count, the children skipped "
-                                "by symmetry and the elapsed time to stderr")
+                                "by symmetry, the sets cut by the lower search's "
+                                "lookahead and the elapsed time to stderr")
         if name == "greedy":
             p.add_argument("--runs", type=int, default=1)
             p.add_argument("--seed", type=int, default=0)
@@ -223,7 +224,10 @@ def _cmd_solve(ns, stdin, stdout, stderr) -> int:
     if res.fast_path:
         stdout.write(f"fast-path {res.fast_path}\n")
     if ns.stats:
-        stderr.write(f"nodes {res.nodes} skipped {res.skipped} elapsed {res.elapsed:.3f}s\n")
+        stderr.write(
+            f"nodes {res.nodes} skipped {res.skipped} pruned {res.pruned} "
+            f"elapsed {res.elapsed:.3f}s\n"
+        )
     return 0
 
 

@@ -23,7 +23,11 @@ which both searches rely on:
 * lower: one depth-first pass over the valid sets; a vertex refused by
   a set stays refused by its supersets, so maximality is tested only
   against the vertices no ancestor refused, and for mv the incumbent
-  starts at the Neighborhood Lemma bound deg(x) + 1.
+  starts at the Neighborhood Lemma bound deg(x) + 1.  Where validity is
+  a forbidden-set family (tmv, independence, and mv on graphs of
+  diameter at most 2), a refusal lookahead returns from a set once a
+  vertex that every set below it must leave out can no longer be
+  refused there, or only by sets that reach the incumbent's size.
   ``independent_domination`` runs the same pass over independence, whose
   maximal sets are the independent dominating sets.
 
@@ -45,7 +49,8 @@ set" incrementally.  An engine has the vertices the searches branch on
 (``universe``), the state holding the vertices in every maximal set
 (``seed_state``), ``add`` and ``can_add``; ``state[0]`` is the member
 bitmask of every state.  Its ``gate`` sets how costly a search must be
-before the searches look for automorphisms.  The engines:
+before the searches look for automorphisms, and ``forbidden`` gives the
+lower search its forbidden sets per vertex, or None.  The engines:
 
 * mv: v must see every member.  Most members are settled by one mask
   test on their geodesic interior ``dmat.between[v][a]``: a member is
@@ -119,8 +124,10 @@ class SolveResult:
     tests (for max, those of the doll pass and of the witness completion;
     zero when a shortcut answered).  ``skipped`` counts the children either
     search resolved by symmetry, with no test and no search below them;
-    ``nodes`` does not count them.  ``independent_domination`` runs the
-    lower search, so both count the same way there.  ``elapsed`` is
+    ``nodes`` does not count them.  ``pruned`` counts the sets at which the
+    lower search's refusal lookahead returned, with no further test there
+    (always zero for max).  ``independent_domination`` runs the lower
+    search, so all three count the same way there.  ``elapsed`` is
     wall-clock seconds and is the only field that is not reproducible bit
     for bit.
     """
@@ -133,6 +140,7 @@ class SolveResult:
     elapsed: float
     fast_path: Optional[str] = None
     skipped: int = 0
+    pruned: int = 0
 
 
 @dataclass(frozen=True)
@@ -160,6 +168,18 @@ def _check_cap(size: int, force: bool) -> None:
             f"instance too large: {size} candidate vertices exceed the search cap "
             f"{DEFAULT_CAP} (use force to override)"
         )
+
+
+def _per_vertex(sets, n: int) -> list[list[int]]:
+    """Per vertex u, F - u for each mask F of ``sets`` that holds u."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for f in sets:
+        m = f
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1].append(f ^ low)
+            m ^= low
+    return out
 
 
 class _MvEngine:
@@ -216,6 +236,26 @@ class _MvEngine:
                     t[b] |= 1 << a
                     m ^= low
         self.thru = thru
+
+    def forbidden(self) -> Optional[list[list[int]]]:
+        """Per vertex u, the masks F - u of the forbidden sets F that hold u,
+        on a graph of diameter at most 2, else None.  There a member pair
+        sees each other unless it is a distance-2 pair a, b whose common
+        neighbours C(a, b) are all members, so X is valid exactly when it
+        holds no set {a, b} + C(a, b)."""
+        layers = self.layers
+        if any(len(lay) > 4 for lay in layers):  # an eccentricity above 2
+            return None
+        adj = self.adj
+        sets = set()
+        for a, lay in enumerate(layers):
+            if len(lay) > 3:
+                m = lay[2] & (-1 << (a + 1))
+                while m:
+                    low = m & -m
+                    sets.add(adj[a] & adj[low.bit_length() - 1] | 1 << a | low)
+                    m ^= low
+        return _per_vertex(sets, len(adj))
 
     def add(self, state, v: int):
         mask, members = state
@@ -336,21 +376,20 @@ class _TmvEngine:
         self.seed_state = (seed,)
         self.universe = [v for v in range(g.n) if (cand_mask >> v) & 1 and not (seed >> v) & 1]
         _check_cap(len(self.universe) + seed.bit_count(), force)
-        self.by_bit: dict[int, list[int]] = {v: [] for v in self.universe}
-        for b in kept:
-            m = b & ~seed
-            while m:
-                low = m & -m
-                self.by_bit[low.bit_length() - 1].append(b)
-                m ^= low
+        # by_bit[v]: b - v for each kept blocker b that holds v
+        self.by_bit = _per_vertex(kept, g.n)
+
+    def forbidden(self) -> list[list[int]]:
+        """Per vertex v, b - v for the kept blockers b that hold v."""
+        return self.by_bit
 
     def add(self, state, v: int):
         return (state[0] | (1 << v),)
 
     def can_add(self, state, v: int) -> bool:
-        new_mask = state[0] | (1 << v)
+        out = ~state[0]
         for b in self.by_bit[v]:
-            if not b & ~new_mask:
+            if not b & out:
                 return False
         return True
 
@@ -364,6 +403,11 @@ class _GpEngine:
         self.seed_state = (0, 0)
         _check_cap(g.n, force)
         self.between = dmat.between
+
+    def forbidden(self) -> None:
+        """None: general position has no forbidden-set family here, so the
+        lower search runs without its lookahead."""
+        return None
 
     def add(self, state, v: int):
         mask, forbid = state
@@ -406,6 +450,12 @@ class _IndepEngine:
 
     def can_add(self, state, v: int) -> bool:
         return not self.adj[v] & state[0]
+
+    def forbidden(self) -> list[list[int]]:
+        """Per vertex u, {w} for each neighbour w: the edges are the
+        forbidden sets of independence."""
+        n = len(self.adj)
+        return [[1 << w for w in range(n) if (m >> w) & 1] for m in self.adj]
 
 
 class _Mirrors:
@@ -807,7 +857,8 @@ def _sets_reach(a: int, k: int, need: int) -> bool:
 
 def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
     """Smallest maximal set of ``engine`` with at most ``bound`` vertices
-    (any size when None), as (member mask, tests, children skipped).
+    (any size when None), as (member mask, tests, children skipped, sets
+    cut by the lookahead).
 
     One depth-first pass visits the valid sets in lexicographic order.  A
     set some later vertex can join is not maximal (the child proves it);
@@ -815,6 +866,33 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
     are tested, and a maximal set is recorded only when it is strictly
     smaller than the incumbent, so the first smallest one is kept.  Sets
     at or above the incumbent's size are not extended.
+
+    Refusal lookahead, for an engine whose validity is a forbidden-set
+    family (``forbidden``: X is valid iff it holds no set F of the
+    family).  At a set X with candidates A, call u *pending* when it is in
+    none of X, A and the refused vertices: an earlier child that joined,
+    here or at an ancestor, or a child skipped by symmetry.  Every set W
+    below X lies inside X + A and leaves u out, so W is maximal only if
+    it refuses u, that is only if W holds F - u for some F that holds u.
+    Below the child X + w, W lies inside S(w) = X + {w} + (A above w), and
+    S(w) shrinks as w grows.  So W is recorded only if, for every pending
+    u, some F - u lies inside S(w), and then |W| >= |X| + |F - u - X|,
+    which must stay below the incumbent.  When some pending u fails either
+    test at w, no set below X + w or a later child is recorded, and X is
+    not either (X lies inside S(w)), so the search returns from X.  That
+    cuts only sets the pass would never record, so the value and the
+    witness do not change.  The cost |X| + min |F - u - X| never falls
+    along a path, since F - u - X loses at most the vertices X gains.
+
+    The test stays cheap by a kept bit per pending u: the lowest vertex of
+    F - u - X, highest over the F that fit (``never`` when X holds some
+    F - u).  F - u fits inside S(w) exactly when that vertex is at least
+    w, so u is retested only at a child above its kept bit, and ``limit``
+    is the least kept bit.  A retest computes u's bit and cost exactly,
+    so a cut never rests on a stale value; going down a path a bit only
+    rises.  An earlier child that joined, or one skipped, starts with bit
+    0 and so is tested at the next child.  The kept bits a set changes are
+    put back when it returns.
 
     Symmetric children are skipped, setwise.  Child y of the set X is
     skipped when an automorphism σ maps X onto itself, as a set, and y
@@ -838,9 +916,10 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
     nothing is looked up.  A child is checked only when its subtree may
     cost ``_Mirrors.costly`` tests, n² times the engine's ``gate``: once
     a searched child of its size did, and only while the child's subtree
-    can hold n times ``gate`` sets, of at most n tests each.  On small
-    graphs, and late in a set's children, the subtrees cost less than
-    the check.
+    can hold n times ``gate`` sets, of at most n tests each.  A vertex the
+    lookahead retests counts as one test there, since it is search work
+    too.  On small graphs, and late in a set's children, the subtrees
+    cost less than the check.
     """
     can_add, add = engine.can_add, engine.add
     uni_mask = 0
@@ -850,14 +929,59 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
         bound = (engine.seed_state[0] | uni_mask).bit_count()
     best_size = bound + 1
     best_mask = None
-    nodes = skipped = 0
+    nodes = skipped = pruned = 0
     mirrors = _Mirrors(dmat, engine.gate)
     costly = mirrors.costly
     alike: Optional[tuple[int, ...]] = None  # dmat.alike once a depth is ripe, () if discrete
     opened = [False] * (dmat.n + 2)  # opened[s]: a searched child of size s cost ``costly`` tests
     sets = dmat.n * engine.gate  # sets of at most n tests each that make a costly subtree
+    forbid = engine.forbidden()  # forbid[u]: F - u for the forbidden sets F that hold u
+    never = 1 << dmat.n  # above every vertex bit
+    unknown = never if forbid is None else 0  # the kept bit of a vertex just made pending
+    kept = [0] * dmat.n  # kept[u]: the kept bit of the pending vertex u
+    retests = 0  # pending vertices the lookahead retested
 
-    def visit(state, size: int, ahead: int, refused: int) -> None:
+    def retest(mask: int, reach: int, low: int, pend: int, size: int, saved: list):
+        """(limit, worst) at the child ``low`` of the set ``mask``, whose
+        sets lie inside ``reach``, after retesting the pending vertices of
+        ``pend`` whose kept bit is below ``low``: the least kept bit of
+        ``pend``, and the largest size plus cost of a retested vertex; (0,
+        0) to cut.  Each old kept bit goes on ``saved`` as (vertex, bit)."""
+        nonlocal retests
+        out = ~reach
+        keep = ~mask
+        limit = never
+        worst = 0
+        while pend:
+            bit = pend & -pend
+            pend ^= bit
+            u = bit.bit_length() - 1
+            top = kept[u]
+            if top < low:
+                retests += 1
+                top = 0
+                fewest = never
+                for f in forbid[u]:
+                    if not f & out:
+                        rest = f & keep
+                        if not rest:
+                            top, fewest = never, 0
+                            break
+                        if rest & -rest > top:
+                            top = rest & -rest
+                        if rest.bit_count() < fewest:
+                            fewest = rest.bit_count()
+                if not top or size + fewest >= best_size:
+                    return 0, 0
+                saved.append((u, kept[u]))
+                kept[u] = top
+                if size + fewest > worst:
+                    worst = size + fewest
+            if top < limit:
+                limit = top
+        return limit, worst
+
+    def visit(state, size: int, ahead: int, refused: int, limit: int, worst: int) -> None:
         """Extend ``state`` by the vertices of ``ahead`` (all of them above
         its last member) while the result can still beat the incumbent,
         then record ``state`` if it is maximal.
@@ -867,23 +991,41 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
         extend tests its non-members in ascending order, the earlier ones
         first: in measurements those tests are the cheaper ones.
 
+        ``limit`` is at most the least kept bit of the pending vertices,
+        so a child at or below it needs no retest, and every set recorded
+        below ``state`` has at least ``worst`` vertices (the lookahead).
+        A child takes both from its parent: what held at a set holds below
+        it.
+
         ``ripe`` says whether the children are checked for symmetry: once
         a child of their size cost ``costly`` tests to search, every later
         one is whose subtree, the sets of at most ``best_size - up - 1``
         more of the candidates after it, can hold ``sets`` sets.  A
         skipped child is neither tested nor refused.
         """
-        nonlocal best_size, best_mask, nodes, skipped, alike
+        nonlocal best_size, best_mask, nodes, skipped, pruned, alike
         up = size + 1
         if up < best_size:
-            joined = False
+            done = False  # state is known not to be recorded
             stab = None
             ripe = opened[up]
+            mask = state[0]
+            saved: list[tuple[int, int]] = []
             ahead &= ~refused
             while ahead:
                 low = ahead & -ahead
                 ahead ^= low
                 v = low.bit_length() - 1
+                if low > limit:
+                    reach = mask | low | ahead
+                    got, cost = retest(mask, reach, low, uni_mask & ~reach & ~refused, size, saved)
+                    if not got:
+                        pruned += 1
+                        done = True
+                        break
+                    limit = got
+                    if cost > worst:
+                        worst = cost
                 if ripe:
                     if alike == () or not _sets_reach(ahead.bit_count(), best_size - up - 1, sets):
                         ripe = False  # no symmetry, or the later subtrees are smaller still
@@ -892,24 +1034,31 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
                             alike = dmat.alike
                             if all(not c & (c - 1) for c in alike):
                                 alike = ()  # a discrete partition: no symmetry to look up
-                        if alike and (below := alike[v] & (low - 1) & ~state[0]):
+                        if alike and (below := alike[v] & (low - 1) & ~mask):
                             if stab is None:
-                                stab = _Stabilizer(mirrors, state[0])
+                                stab = _Stabilizer(mirrors, mask)
                             if stab.drops(v, below):
                                 skipped += 1
+                                kept[v] = limit = unknown
                                 continue
                 nodes += 1
                 if can_add(state, v):
-                    joined = True
-                    before = nodes
-                    visit(add(state, v), up, ahead, refused)
+                    done = True
+                    before = nodes + retests
+                    visit(add(state, v), up, ahead, refused, limit, worst)
                     if up >= best_size:
-                        return
-                    if not ripe and nodes - before >= costly:
+                        break
+                    if worst >= best_size:
+                        pruned += 1
+                        break
+                    kept[v] = limit = unknown
+                    if not ripe and nodes + retests - before >= costly:
                         ripe = opened[up] = True
                 else:
                     refused |= low
-            if joined:
+            for u, top in saved:
+                kept[u] = top
+            if done:
                 return
         mask = state[0]
         rest = uni_mask & ~mask & ~refused
@@ -922,13 +1071,13 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
         best_size = size
         best_mask = mask
 
-    visit(engine.seed_state, engine.seed_state[0].bit_count(), uni_mask, 0)
-    del visit  # break the closure's reference cycle, as in solve_max
+    visit(engine.seed_state, engine.seed_state[0].bit_count(), uni_mask, 0, never, 0)
+    del visit, retest  # break the closures' reference cycles, as in solve_max
     if best_mask is None:
         raise RuntimeError(
             "no maximal set within the starting bound; lemma and engine disagree"
         )
-    return best_mask, nodes, skipped
+    return best_mask, nodes, skipped, pruned
 
 
 def solve_lower(
@@ -970,12 +1119,13 @@ def solve_lower(
 
     engine = _make_engine(g, kind, dmat, force)
     bound = visibility.neighborhood_bound(g) if kind == "mv" else None
-    mask, nodes, skipped = _lower_search(dmat, engine, bound)
+    mask, nodes, skipped, pruned = _lower_search(dmat, engine, bound)
     witness = VertexSet(g.n, mask)
     if not visibility.is_maximal_set(g, witness, kind, dmat):
         raise RuntimeError("solver produced a non-maximal witness; engine and predicate disagree")
     return SolveResult(
-        kind, "lower", len(witness), witness, nodes, time.perf_counter() - start, skipped=skipped
+        kind, "lower", len(witness), witness, nodes, time.perf_counter() - start,
+        skipped=skipped, pruned=pruned,
     )
 
 
@@ -1034,7 +1184,7 @@ def independent_domination(g: Graph) -> SolveResult:
     start = time.perf_counter()
     dmat = _connected_metric(g)
     engine = _IndepEngine(g)
-    mask, nodes, skipped = _lower_search(dmat, engine, None)
+    mask, nodes, skipped, pruned = _lower_search(dmat, engine, None)
     adj = g.adj_masks
     cover = 0
     m = mask
@@ -1050,5 +1200,5 @@ def independent_domination(g: Graph) -> SolveResult:
     witness = VertexSet(g.n, mask)
     return SolveResult(
         "independent-domination", "lower", len(witness), witness, nodes,
-        time.perf_counter() - start, skipped=skipped,
+        time.perf_counter() - start, skipped=skipped, pruned=pruned,
     )

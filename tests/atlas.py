@@ -1,7 +1,9 @@
-"""The frozen graph-atlas corpus and the solver-versus-oracle comparison.
+"""The frozen graph-atlas corpus and the solver-versus-oracle comparisons.
 
 ``data/atlas_connected.txt`` holds every connected graph with at most 7
 vertices up to isomorphism (written by ``scripts/freeze_atlas.py``).
+``form_mismatches`` compares the solvers with the forbidden-set oracle,
+which reaches graphs far past the atlas.
 """
 
 import os
@@ -131,3 +133,23 @@ def joins_mismatches(g):
                 if got != is_valid_set(g, x.add(v), kind, dmat):
                     bad.append((kind, x.members(), v, got))
     return bad, checks
+
+
+def form_mismatches(g, kinds=KINDS):
+    """``solve_max`` and ``solve_lower`` (forced) against
+    ``oracles.form_search_oracle`` for each kind of ``kinds`` whose
+    forbidden-set form applies to ``g``, as (mismatches (kind, variant,
+    solver answer, oracle answer), kinds compared)."""
+    bad = []
+    compared = []
+    for kind in kinds:
+        sets = oracles.forbidden_sets_oracle(g, kind)
+        if sets is None:
+            continue
+        compared.append(kind)
+        want_max, want_lower = oracles.form_search_oracle(g, sets)
+        for variant, solve, want in (("max", solve_max, want_max), ("lower", solve_lower, want_lower)):
+            res = solve(g, kind, force=True)
+            if (res.value, res.witness.members()) != want:
+                bad.append((kind, variant, (res.value, res.witness.members()), want))
+    return bad, compared

@@ -260,3 +260,71 @@ def block_graph_oracle(g):
         if edges == 5:
             return False
     return True
+
+
+def forbidden_sets_oracle(g, kind):
+    """The forbidden vertex sets of ``kind`` on the connected graph ``g``, as
+    frozensets, or None where no such form is known (mv at diameter 3 or
+    more).  A set is valid iff it holds none of them:
+
+    * tmv: the common neighbours C(a, b) of each pair at distance 2 (a
+      geodesic that meets the set can be rerouted around it one interior
+      vertex at a time, as long as each distance-2 pair keeps a common
+      neighbour outside it);
+    * mv at diameter at most 2: {a, b} + C(a, b) for each pair at
+      distance 2, since members at distance 1 always see each other;
+    * gp: each collinear triple {a, b, c}, d(a, c) = d(a, b) + d(b, c).
+    """
+    rows = bfs_rows(g)
+    pairs = [(a, b) for a, b in combinations(range(g.n), 2) if rows[a][b] == 2]
+    if kind == "tmv":
+        return {frozenset(set(g.adj[a]) & set(g.adj[b])) for a, b in pairs}
+    if kind == "mv":
+        if any(d > 2 for row in rows for d in row):
+            return None
+        return {frozenset(set(g.adj[a]) & set(g.adj[b]) | {a, b}) for a, b in pairs}
+    if kind == "gp":
+        return {
+            frozenset((a, b, c))
+            for a, c in combinations(range(g.n), 2)
+            for b in range(g.n)
+            if b not in (a, c) and rows[a][c] == rows[a][b] + rows[b][c]
+        }
+    raise ValueError(kind)
+
+
+def form_valid(sets, x_ids):
+    """Whether the set holds none of the forbidden ``sets``."""
+    x = set(x_ids)
+    return not any(f <= x for f in sets)
+
+
+def form_search_oracle(g, sets):
+    """(max answer, lower answer) of the forbidden-set family ``sets``, each
+    a (value, member tuple) pair: the largest valid set and the smallest
+    maximal one, ties to the lexicographically first member tuple.
+
+    A plain depth-first walk over every valid set, each grown by larger
+    vertices only, with no bound, order, symmetry or lookahead.  Valid
+    sets are hereditary, so the walk reaches all of them.
+    """
+    by_vertex = [[f for f in sets if v in f] for v in range(g.n)]
+    best_max = best_lower = None
+
+    def joins(x, v):
+        return not any(f <= x | {v} for f in by_vertex[v])
+
+    def walk(x, start):
+        nonlocal best_max, best_lower
+        members = tuple(sorted(x))
+        if best_max is None or (-len(members), members) < (-best_max[0], best_max[1]):
+            best_max = (len(members), members)
+        can = [v for v in range(g.n) if v not in x and joins(x, v)]
+        if not can and (best_lower is None or (len(members), members) < best_lower):
+            best_lower = (len(members), members)
+        for v in can:
+            if v >= start:
+                walk(x | {v}, v + 1)
+
+    walk(frozenset(), 0)
+    return best_max, best_lower

@@ -210,14 +210,16 @@ class TestSolve:
         )
         assert plain[1] == stats[1]
         assert plain[2] == ""
-        assert re.fullmatch(r"nodes \d+ skipped 0 elapsed \d+\.\d{3}s\n", stats[2])
+        assert re.fullmatch(r"nodes \d+ skipped 0 pruned 0 elapsed \d+\.\d{3}s\n", stats[2])
         # Q4 is vertex-transitive: the lower search skips symmetric children
         _, q4_text, _ = cli("gen", "hypercube", "4")
         argv = ("solve", "--kind", "mv", "--variant", "lower")
         plain = cli(*argv, stdin_text=q4_text)
         stats = cli(*argv, "--stats", stdin_text=q4_text)
         assert plain[:2] == stats[:2] and plain[2] == ""
-        found = re.fullmatch(r"nodes (\d+) skipped (\d+) elapsed \d+\.\d{3}s\n", stats[2])
+        found = re.fullmatch(
+            r"nodes (\d+) skipped (\d+) pruned (\d+) elapsed \d+\.\d{3}s\n", stats[2]
+        )
         assert found and int(found.group(1)) > 0 and int(found.group(2)) > 0
 
     def test_empty_witness_dash(self):

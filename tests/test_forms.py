@@ -1,0 +1,74 @@
+"""The forbidden-set forms of the three kinds, as an oracle past the atlas.
+
+On a connected graph, tmv, gp, and mv on graphs of diameter at most 2,
+each have a fixed family of forbidden vertex sets: a set is valid iff it
+holds none of them (``oracles.forbidden_sets_oracle``).  Each form is
+pinned here against the definitional ``oracles.valid_oracle`` on every
+vertex subset of the atlas graphs with at most 6 vertices.  A plain walk
+over the valid sets of a form (``oracles.form_search_oracle``) then
+checks ``solve_max`` and ``solve_lower`` on 15- to 18-vertex graphs in
+three labellings, where the search rules fire and the brute-force
+oracles cannot reach.  The heavier rows run as
+``scripts/form_differential.py``.
+"""
+
+import pytest
+
+import oracles
+from atlas import form_mismatches, load_atlas
+from conftest import relabelled
+from vislab.families import complete, grid, path
+from vislab.graph_core import cartesian_product
+from vislab.rng import SplitMix64
+from vislab.theorems import _draw_connected
+from vislab.visibility import KINDS
+
+
+def test_forms_match_definitions_on_atlas():
+    graphs = load_atlas(range(1, 7))
+    forms = 0
+    for index, g in graphs:
+        for kind in KINDS:
+            sets = oracles.forbidden_sets_oracle(g, kind)
+            if sets is None:
+                continue
+            forms += 1
+            for mask in range(1 << g.n):
+                x = [v for v in range(g.n) if mask >> v & 1]
+                assert oracles.form_valid(sets, x) == oracles.valid_oracle(g, x, kind), (
+                    index, kind, x,
+                )
+    # every tmv and gp form, and the mv form on the graphs of diameter <= 2
+    assert 2 * len(graphs) < forms < 3 * len(graphs)
+
+
+def test_mv_form_needs_diameter_two():
+    # on P4 the set {0, 1, 3} holds no {a, b} + C(a, b), yet 1 blocks 0 from 3
+    assert oracles.forbidden_sets_oracle(path(4), "mv") is None
+    assert not oracles.valid_oracle(path(4), [0, 1, 3], "mv")
+
+
+def _draw(n, p, s):
+    return _draw_connected(SplitMix64(1000 * n + s), n, p)
+
+
+SLICE = {
+    "K3xK5": lambda: cartesian_product(complete(3), complete(5)),
+    "K4xK4": lambda: cartesian_product(complete(4), complete(4)),
+    "P4xP4": lambda: grid((4, 4)),
+    "G16-0.5-0": lambda: _draw(16, 0.5, 0),
+    "G16-0.5-1": lambda: _draw(16, 0.5, 1),
+    "G18-0.4-0": lambda: _draw(18, 0.4, 0),
+    "G18-0.4-1": lambda: _draw(18, 0.4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICE))
+def test_solvers_match_form_oracle(name):
+    g = SLICE[name]()
+    for seed in (None, 1, 2):
+        h = g if seed is None else relabelled(g, seed)
+        bad, compared = form_mismatches(h)
+        assert not bad, (name, seed, bad)
+        # mv only on the clique products, the slice's graphs of diameter 2
+        assert compared == (["mv", "tmv", "gp"] if name[0] == "K" else ["tmv", "gp"])

@@ -26,7 +26,7 @@ from vislab.graph_core import (
     is_connected,
     mcs_order,
 )
-from vislab.rng import permutation
+from vislab.rng import SplitMix64, permutation
 from vislab.solvers import (
     DEFAULT_CAP,
     _make_engine,
@@ -36,6 +36,7 @@ from vislab.solvers import (
     solve_lower,
     solve_max,
 )
+from vislab.theorems import _draw_connected
 from vislab.visibility import KINDS, is_maximal_set, is_valid_set
 
 
@@ -482,6 +483,45 @@ class TestGreedyProfile:
         sizes = [len(x) for x in singles]
         best = min(singles, key=lambda x: (len(x), x.members()))
         assert (p.min_size, p.max_size, p.best_min_witness) == (min(sizes), max(sizes), best)
+
+
+class TestLookahead:
+    """The refusal lookahead of the lower search, on the dense draws of
+    ``scripts/bench_ladder.py`` (all of diameter 2).  Values and canonical
+    witnesses are those of the search without it; ``tests`` is what the
+    lookahead leaves, a bound with no slack, so that a weaker cut (one
+    that also counts refused vertices as able to complete a forbidden
+    set, say) fails here.  Without the lookahead the six rows take
+    3,258,910 / 2,584,793 / 1,544,331 / 911,145 / 65,910 / 373,380 tests."""
+
+    ROWS = [
+        # (n, p, s, kind, value, witness, tests)
+        (22, 0.6, 0, "tmv", 10, (2, 5, 6, 8, 10, 11, 14, 15, 16, 18), 15509),
+        (22, 0.6, 0, "mv", 10, (2, 4, 5, 6, 7, 13, 16, 17, 18, 19), 2410),
+        (22, 0.6, 1, "tmv", 11, (0, 1, 3, 4, 6, 10, 11, 12, 17, 20, 21), 7651),
+        (22, 0.6, 1, "mv", 8, (3, 7, 9, 13, 15, 17, 19, 20), 1586),
+        (24, 0.5, 1, "tmv", 11, (1, 3, 4, 6, 8, 9, 11, 13, 14, 17, 21), 1199),
+        (24, 0.5, 1, "mv", 7, (0, 2, 3, 7, 8, 13, 15), 7901),
+    ]
+
+    @pytest.mark.parametrize("n, p, s, kind, value, witness, tests", ROWS)
+    def test_dense_rows(self, n, p, s, kind, value, witness, tests):
+        g = _draw_connected(SplitMix64(1000 * n + s), n, p)
+        res = solve_lower(g, kind, force=True)
+        assert (res.value, res.witness.members()) == (value, witness)
+        assert res.pruned > 0
+        assert res.nodes <= tests
+
+    def test_only_forbidden_set_families(self):
+        # gp has no family and Q4 (diameter 4) no mv one: those searches,
+        # and every max search, cut nothing
+        assert solve_lower(hypercube(4), "gp").pruned == 0
+        assert solve_lower(hypercube(4), "mv").pruned == 0
+        assert solve_lower(hypercube(4), "tmv").pruned > 0
+        k44 = cartesian_product(complete(4), complete(4))
+        assert solve_lower(k44, "mv").pruned > 0
+        assert solve_max(k44, "mv").pruned == 0
+        assert independent_domination(cycle(24)).pruned > 0
 
 
 class TestIndependentDomination:
