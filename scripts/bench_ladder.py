@@ -15,9 +15,11 @@ size range and the best witness of ``greedy_profile`` over 20 seeds; the
 skipped children over its corpus: the 996 connected atlas graphs with at
 most 7 vertices (``tests/data/atlas_connected.txt``), 204 connected
 G(n, p) draws (n = 8..24, p = 0.2, 0.35, 0.5 and 0.65, three draws
-each) and six named graphs.  Every row records
-the median wall time (``time.perf_counter``) and the median rescaled time:
-the whole ladder runs inside ``perfbench.hostspeed.HostSpeed``, which
+each) and six named graphs.  Every run solves a new copy of each graph,
+so it builds the metric as one ``vislab solve`` does (``Graph.metric``
+is kept per graph object).  Every row records the median wall time
+(``time.perf_counter``) and the median rescaled time: the whole ladder
+runs inside ``perfbench.hostspeed.HostSpeed``, which
 times a fixed reference kernel every 20 ms, and each run's wall time, less
 those kernels, is rescaled to the kernel's reference speed.  So two ladders
 compare by ``rescaled_s`` even when the shared host's speed moved between
@@ -117,6 +119,11 @@ def relabel(g: Graph) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def fresh(g: Graph) -> Graph:
+    """A new object of the graph ``g``, with no metric built yet."""
+    return Graph(g.n, g.adj)
+
+
 def timed(call, name: str) -> tuple:
     """Results of ``call``, which must agree, and their time spans: ``RUNS``
     of them, or ``FAST_RUNS`` when the fastest of those is under ``FAST_S``."""
@@ -140,7 +147,7 @@ def run_row(spec: str, kind: str, variant: str, relabelled: bool) -> tuple:
     solve = solve_max if variant == "max" else solve_lower
 
     def call():
-        res = solve(g, kind, force=True)
+        res = solve(fresh(g), kind, force=True)
         return res.value, res.nodes, res.skipped, res.witness.members()
 
     (value, nodes, skipped, witness), spans = timed(call, f"{spec} {kind} {variant}")
@@ -174,7 +181,7 @@ def run_domination_row() -> tuple:
     def call():
         total = nodes = skipped = 0
         for g in graphs:
-            res = independent_domination(g)
+            res = independent_domination(fresh(g))
             total, nodes, skipped = total + res.value, nodes + res.nodes, skipped + res.skipped
         return total, nodes, skipped
 
@@ -194,7 +201,7 @@ def run_greedy_row(spec: str, kind: str) -> tuple:
     g = build(spec)
 
     def call():
-        prof = greedy_profile(g, kind, runs=GREEDY_RUNS, seed=0)
+        prof = greedy_profile(fresh(g), kind, runs=GREEDY_RUNS, seed=0)
         return prof.min_size, prof.max_size, prof.best_min_witness.members()
 
     (lo, hi, witness), spans = timed(call, f"{spec} {kind} greedy")

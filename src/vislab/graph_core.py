@@ -13,10 +13,12 @@ claiming more than ``PRODUCT_VERTEX_LIMIT`` vertices before allocating
 anything per vertex.
 
 ``DistanceMatrix`` is the one metric: distance rows, per-source BFS
-layer masks and the geodesic interiors of every pair.  Distance rows use
-the sentinel ``UNREACHABLE`` (an alias of ``None``) for vertex pairs with
-no connecting path; it can never leak into arithmetic because adding it
-raises.  It appears in ``rows`` only: layers and interiors are masks.
+layer masks and the geodesic interiors of every pair.  ``Graph.metric``
+builds it once per graph object, and every query reads that one.
+Distance rows use the sentinel ``UNREACHABLE`` (an alias of ``None``) for
+vertex pairs with no connecting path; it can never leak into arithmetic
+because adding it raises.  It appears in ``rows`` only: layers and
+interiors are masks.
 """
 
 from __future__ import annotations
@@ -91,6 +93,12 @@ class Graph:
                 m |= 1 << v
             masks.append(m)
         return tuple(masks)
+
+    @cached_property
+    def metric(self) -> DistanceMatrix:
+        """The graph's ``DistanceMatrix``, built on first use and kept as long
+        as the graph: every query on one graph object reads the same one."""
+        return distance_matrix(self)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -585,7 +593,7 @@ def simplicial_vertices(g: Graph) -> VertexSet:
     return VertexSet(g.n, out)
 
 
-def mcs_order(g: Graph, dmat: DistanceMatrix, universe: Iterable[int]) -> list[int]:
+def mcs_order(g: Graph, universe: Iterable[int]) -> list[int]:
     """``universe`` in maximum cardinality search order (Tarjan & Yannakakis
     1984), an order set by the graph rather than by its labelling.
 
@@ -593,7 +601,7 @@ def mcs_order(g: Graph, dmat: DistanceMatrix, universe: Iterable[int]) -> list[i
     eccentricity; each later one has the most neighbours already placed.
     Remaining ties go to the lowest id.
     """
-    adj, layers = g.adj_masks, dmat.layers
+    adj, layers = g.adj_masks, g.metric.layers
     left = 0
     first = low_deg = high_ecc = -1
     for v in universe:
@@ -630,7 +638,7 @@ def is_chordal(g: Graph) -> bool:
     elimination order: each vertex's later neighbours are all adjacent to
     the earliest of them.  That holds exactly for chordal graphs, whatever
     the tie-break of the search (Tarjan & Yannakakis 1984)."""
-    elim = mcs_order(g, distance_matrix(g), range(g.n))[::-1]
+    elim = mcs_order(g, range(g.n))[::-1]
     pos = [0] * g.n
     for i, v in enumerate(elim):
         pos[v] = i

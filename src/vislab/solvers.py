@@ -53,24 +53,24 @@ before the searches look for automorphisms, and ``forbidden`` gives the
 lower search its forbidden sets per vertex, or None.  The engines:
 
 * mv: v must see every member.  Most members are settled by one mask
-  test on their geodesic interior ``dmat.between[v][a]``: a member is
-  seen when no member lies inside it (an adjacent one has none), and one
-  at distance 2 is seen exactly when a common neighbour is left outside
-  the set.  Only the others go through a breadth-first search from v that
-  keeps only the true-distance layer ``dmat.layers[v][k]`` at each step,
-  inside the union of their interiors: every geodesic from v to a vertex
-  of the interval I(v, a) lies in I(v, a), so the restriction loses no
-  path.  Adding v can also break visibility between members, so each
-  member pair a, b with v in ``dmat.between[a][b]`` is rechecked: it is
-  lost when no interior vertex is left outside the set and v, kept at
-  distance 2 when one is, and otherwise walked layer by layer inside the
-  interior, avoiding the set and v;
+  test on their geodesic interior ``g.metric.between[v][a]``: a member
+  is seen when no member lies inside it (an adjacent one has none), and
+  one at distance 2 is seen exactly when a common neighbour is left
+  outside the set.  Only the others go through a breadth-first search
+  from v that keeps only the true-distance layer ``g.metric.layers[v][k]``
+  at each step, inside the union of their interiors: every geodesic from
+  v to a vertex of the interval I(v, a) lies in I(v, a), so the
+  restriction loses no path.  Adding v can also break visibility between
+  members, so each member pair a, b with v in ``g.metric.between[a][b]``
+  is rechecked: it is lost when no interior vertex is left outside the
+  set and v, kept at distance 2 when one is, and otherwise walked layer
+  by layer inside the interior, avoiding the set and v;
 * tmv: on a connected graph a set is total-mutual-visibility valid exactly
   when no distance-2 pair has all of its common neighbors inside the set,
   so validity reduces to a fixed family of "forbidden full subsets";
   vertices appearing in no such family member belong to every maximal set
   and are forced up front;
-* gp: a union of the ``dmat.between`` interiors of current pairs is
+* gp: a union of the ``g.metric.between`` interiors of current pairs is
   carried along; v must avoid it and contribute no member-covering
   interior;
 * independence (private, for ``independent_domination``): v must have
@@ -102,7 +102,6 @@ from .graph_core import (
     VertexSet,
     bridges,
     cell_of,
-    distance_matrix,
     find_automorphism,
     mcs_order,
     refine,
@@ -216,12 +215,13 @@ class _MvEngine:
     # still, wait for four times the tests.
     gate = 1
 
-    def __init__(self, g: Graph, dmat: DistanceMatrix, force: bool):
+    def __init__(self, g: Graph, force: bool):
         n = g.n
         self.adj = g.adj_masks
         self.universe = list(range(n))
         self.seed_state = (0, ())
         _check_cap(n, force)
+        dmat = g.metric
         self.dist = dmat.rows
         self.layers = dmat.layers
         self.between = dmat.between
@@ -355,11 +355,11 @@ class _TmvEngine:
 
     gate = 4  # see _MvEngine.gate
 
-    def __init__(self, g: Graph, dmat: DistanceMatrix, force: bool):
+    def __init__(self, g: Graph, force: bool):
         masks = g.adj_masks
         blockers = set()
         for u in range(g.n):
-            row = dmat.rows[u]
+            row = g.metric.rows[u]
             for w in range(u + 1, g.n):
                 if row[w] == 2:
                     blockers.add(masks[u] & masks[w])
@@ -397,12 +397,12 @@ class _TmvEngine:
 class _GpEngine:
     gate = 4  # see _MvEngine.gate
 
-    def __init__(self, g: Graph, dmat: DistanceMatrix, force: bool):
+    def __init__(self, g: Graph, force: bool):
         self.universe = list(range(g.n))
         # state: (member mask, union of member-pair path interiors)
         self.seed_state = (0, 0)
         _check_cap(g.n, force)
-        self.between = dmat.between
+        self.between = g.metric.between
 
     def forbidden(self) -> None:
         """None: general position has no forbidden-set family here, so the
@@ -592,16 +592,15 @@ class _Stabilizer:
 _ENGINES = {"mv": _MvEngine, "tmv": _TmvEngine, "gp": _GpEngine}
 
 
-def _make_engine(g: Graph, kind: str, dmat: DistanceMatrix, force: bool):
-    return _ENGINES[visibility.check_kind(kind)](g, dmat, force)
+def _make_engine(g: Graph, kind: str, force: bool):
+    return _ENGINES[visibility.check_kind(kind)](g, force)
 
 
 def _connected_metric(g: Graph) -> DistanceMatrix:
-    """The metric of ``g``; its first row shows whether ``g`` is connected."""
-    dmat = distance_matrix(g)
-    if g.n and UNREACHABLE in dmat.rows[0]:
+    """``g.metric``, once its first row shows that ``g`` is connected."""
+    if g.n and UNREACHABLE in g.metric.rows[0]:
         raise ValueError("graph is disconnected; solvers require a connected graph")
-    return dmat
+    return g.metric
 
 
 def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
@@ -644,9 +643,9 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     if visibility.check_kind(kind) != "tmv":
         _check_cap(g.n, force)  # every vertex is a candidate: refuse before the metric
     dmat = _connected_metric(g)
-    engine = _make_engine(g, kind, dmat, force)
+    engine = _make_engine(g, kind, force)
 
-    order = mcs_order(g, dmat, engine.universe)
+    order = mcs_order(g, engine.universe)
     k = len(order)
     can_add, add = engine.can_add, engine.add
     doll = [0] * (k + 1)
@@ -795,9 +794,11 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
         state = add(state, u)
         left -= 1
         refuted = 0
-    del grow  # break the closure's reference cycle, so that the tables go with this frame
+    # break the closure's reference cycle, so that the engine's tables go
+    # with this frame; the metric stays with the graph
+    del grow
     witness = VertexSet(g.n, cert)
-    if not visibility.is_valid_set(g, witness, kind, dmat):
+    if not visibility.is_valid_set(g, witness, kind):
         raise RuntimeError("solver produced an invalid witness; engine and predicate disagree")
     return SolveResult(
         kind, "max", len(witness), witness, nodes, time.perf_counter() - start, skipped=skipped
@@ -1111,17 +1112,17 @@ def solve_lower(
 
     if cut:
         witness = VertexSet.from_ids(g.n, _first_maximal_pair(dmat, cut[0]))
-        if not visibility.is_maximal_set(g, witness, "mv", dmat):
+        if not visibility.is_maximal_set(g, witness, "mv"):
             raise RuntimeError("cut-edge witness failed revalidation")
         return SolveResult(
             "mv", "lower", 2, witness, 0, time.perf_counter() - start, FAST_PATH_CUT_EDGE
         )
 
-    engine = _make_engine(g, kind, dmat, force)
+    engine = _make_engine(g, kind, force)
     bound = visibility.neighborhood_bound(g) if kind == "mv" else None
     mask, nodes, skipped, pruned = _lower_search(dmat, engine, bound)
     witness = VertexSet(g.n, mask)
-    if not visibility.is_maximal_set(g, witness, kind, dmat):
+    if not visibility.is_maximal_set(g, witness, kind):
         raise RuntimeError("solver produced a non-maximal witness; engine and predicate disagree")
     return SolveResult(
         kind, "lower", len(witness), witness, nodes, time.perf_counter() - start,
@@ -1129,35 +1130,29 @@ def solve_lower(
     )
 
 
-def greedy_maximal(
-    g: Graph, kind: str, seed: int, dmat: Optional[DistanceMatrix] = None
-) -> VertexSet:
-    """One greedy pass over a seed-derived vertex permutation.
+def greedy_maximal(g: Graph, kind: str, seed: int) -> VertexSet:
+    """One greedy pass over a seed-derived vertex permutation of the
+    connected graph ``g``.
 
     Deterministic given the seed; the resulting set is maximal (checked).
-    ``dmat``, when given, must be the metric of ``g``, which must be
-    connected.
     """
-    if dmat is None:
-        dmat = _connected_metric(g)
+    _connected_metric(g)
     order = permutation(g.n, seed)
-    result = visibility.greedy_maximal(g, kind, order, dmat)
-    if not visibility.is_maximal_set(g, result, kind, dmat):
+    result = visibility.greedy_maximal(g, kind, order)
+    if not visibility.is_maximal_set(g, result, kind):
         raise RuntimeError("greedy result failed the maximality recheck")
     return result
 
 
 def greedy_profile(g: Graph, kind: str, runs: int, seed: int) -> GreedyProfile:
-    """Run greedy_maximal over ``runs`` consecutive seeds and aggregate;
-    the metric is built once for all of them."""
+    """Run greedy_maximal over ``runs`` consecutive seeds and aggregate."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
     visibility.check_kind(kind)
-    dmat = _connected_metric(g)
     best: Optional[VertexSet] = None
     lo = hi = -1
     for s in range(seed, seed + runs):
-        x = greedy_maximal(g, kind, s, dmat)
+        x = greedy_maximal(g, kind, s)
         size = len(x)
         if lo < 0:
             lo = hi = size

@@ -50,7 +50,6 @@ from .graph_core import (
     VertexSet,
     bridges,
     cartesian_product,
-    distance_matrix,
     is_chordal,
     is_connected,
     maximal_cliques,
@@ -147,16 +146,15 @@ def mv_matrix_equivalence(m: int, n: int) -> CheckReport:
     if cells > 16:
         raise ValueError(f"exhaustive sweep capped at 16 cells, got {cells}")
     g = cartesian_product(complete(m), complete(n))
-    dmat = distance_matrix(g)
     mismatches = 0
     for mask in range(1 << cells):
         x = VertexSet(cells, mask)
         rows = rows_of_set(m, n, x)
-        valid = is_valid_set(g, x, "mv", dmat)
+        valid = is_valid_set(g, x, "mv")
         if valid != (not has_constant_2x2(rows)):
             mismatches += 1
             continue
-        if valid and is_maximal_set(g, x, "mv", dmat) != is_22_saturated(rows, n):
+        if valid and is_maximal_set(g, x, "mv") != is_22_saturated(rows, n):
             mismatches += 1
     return _row(
         "matrix-equivalence", f"{m}x{n}", claim,
@@ -439,10 +437,9 @@ def solve_corpus(corpus: list[tuple[str, Graph]]) -> list[Solved]:
 
 def _ball_mismatch(s: Solved):
     g = s.g
-    dmat = distance_matrix(g)
     for vertex, flag in neighborhood_lemma_scan(g):
         ball = neighborhood(g, vertex, closed=True)
-        direct = is_valid_set(g, ball, "mv", dmat) and is_maximal_set(g, ball, "mv", dmat)
+        direct = is_valid_set(g, ball, "mv") and is_maximal_set(g, ball, "mv")
         if flag != direct or (flag and s.mv_lower > g.degree(vertex) + 1):
             return str(vertex)
     return False

@@ -38,14 +38,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graph_core import (
-    UNREACHABLE,
-    DistanceMatrix,
-    Graph,
-    VertexSet,
-    distance_matrix,
-    is_connected,
-)
+from .graph_core import UNREACHABLE, Graph, VertexSet, is_connected
 
 KINDS = ("mv", "tmv", "gp")
 
@@ -56,12 +49,17 @@ def check_kind(kind: str) -> str:
     return kind
 
 
-def visible_mask(g: Graph, dmat: DistanceMatrix, src: int, blocked_mask: int) -> int:
+def _check_universe(g: Graph, x: VertexSet) -> None:
+    if x.n != g.n:
+        raise ValueError("vertex set universe does not match graph")
+
+
+def visible_mask(g: Graph, src: int, blocked_mask: int) -> int:
     """Bitmask of vertices visible from ``src`` past the blocked vertices.
 
     A layered reach over the BFS layers of ``src``: the visible vertices at
     distance d are the neighbours of the unblocked visible vertices at
-    distance d - 1 that lie in ``dmat.layers[src][d]``.  A vertex is
+    distance d - 1 that lie in ``g.metric.layers[src][d]``.  A vertex is
     visible exactly when some geodesic from ``src`` reaches it with no
     blocked interior vertex, and every prefix of such a geodesic is one
     too, so blocked vertices end paths but never relay them.  Vertices
@@ -72,7 +70,7 @@ def visible_mask(g: Graph, dmat: DistanceMatrix, src: int, blocked_mask: int) ->
     """
     g.check_vertex(src)
     masks = g.adj_masks
-    layers = dmat.layers[src]
+    layers = g.metric.layers[src]
     open_mask = ~blocked_mask
     vis = frontier = 1 << src
     d = 1
@@ -89,74 +87,62 @@ def visible_mask(g: Graph, dmat: DistanceMatrix, src: int, blocked_mask: int) ->
     return vis
 
 
-def pair_visible(
-    g: Graph, x: VertexSet, a: int, b: int, dmat: Optional[DistanceMatrix] = None
-) -> bool:
+def pair_visible(g: Graph, x: VertexSet, a: int, b: int) -> bool:
     """Whether the single pair (a, b) is visible with respect to ``x``."""
+    _check_universe(g, x)
     g.check_vertex(a)
     g.check_vertex(b)
     if a == b or g.has_edge(a, b):
         return True
-    if dmat is None:
-        dmat = distance_matrix(g)
-    if dmat.rows[a][b] is UNREACHABLE:
+    if g.metric.rows[a][b] is UNREACHABLE:
         return False
-    vis = visible_mask(g, dmat, a, x.mask & ~(1 << a))
+    vis = visible_mask(g, a, x.mask & ~(1 << a))
     return bool((vis >> b) & 1)
 
 
-def is_mv_set(g: Graph, x: VertexSet, dmat: Optional[DistanceMatrix] = None) -> bool:
+def is_mv_set(g: Graph, x: VertexSet) -> bool:
     """Every pair of vertices of ``x`` is visible past the rest of ``x``."""
-    if x.n != g.n:
-        raise ValueError("vertex set universe does not match graph")
+    _check_universe(g, x)
     if len(x) <= 1:
         return True
-    if dmat is None:
-        dmat = distance_matrix(g)
-    members = x.members()
-    for a in members:
-        vis = visible_mask(g, dmat, a, x.mask & ~(1 << a))
+    for a in x.members():
+        vis = visible_mask(g, a, x.mask & ~(1 << a))
         if x.mask & ~vis:
             return False
     return True
 
 
-def is_tmv_set(g: Graph, x: VertexSet, dmat: Optional[DistanceMatrix] = None) -> bool:
+def is_tmv_set(g: Graph, x: VertexSet) -> bool:
     """Every pair of vertices of the graph is visible past ``x``.
 
     On a disconnected graph with at least two vertices no set qualifies,
     the empty set included, because cross-component pairs are not visible.
     """
-    if x.n != g.n:
-        raise ValueError("vertex set universe does not match graph")
-    if dmat is None:
-        dmat = distance_matrix(g)
+    _check_universe(g, x)
     full = (1 << g.n) - 1
     for a in range(g.n):
-        vis = visible_mask(g, dmat, a, x.mask & ~(1 << a))
+        vis = visible_mask(g, a, x.mask & ~(1 << a))
         if full & ~vis:
             return False
     return True
 
 
-def is_gp_set(g: Graph, x: VertexSet, dmat: Optional[DistanceMatrix] = None) -> bool:
+def is_gp_set(g: Graph, x: VertexSet) -> bool:
     """No third vertex of ``x`` lies on a shortest path between two of ``x``.
 
     Pairs in different components impose no constraint: they have no
     shortest path for anything to sit on.
     """
-    if x.n != g.n:
-        raise ValueError("vertex set universe does not match graph")
-    if dmat is None:
-        dmat = distance_matrix(g)
+    _check_universe(g, x)
+    rows = g.metric.rows
     members = x.members()
     for i, u in enumerate(members):
-        row_u = dmat.rows[u]
+        row_u = rows[u]
         for v in members[i + 1 :]:
             duv = row_u[v]
             if duv is UNREACHABLE or duv <= 1:
                 continue
-            row_v = dmat.rows[v]
+            row_v = rows[v]
             inner = x.mask & ~(1 << u) & ~(1 << v)
             m = inner
             while m:
@@ -172,21 +158,19 @@ def is_gp_set(g: Graph, x: VertexSet, dmat: Optional[DistanceMatrix] = None) -> 
 _CHECKS = {"mv": is_mv_set, "tmv": is_tmv_set, "gp": is_gp_set}
 
 
-def is_valid_set(
-    g: Graph, x: VertexSet, kind: str, dmat: Optional[DistanceMatrix] = None
-) -> bool:
-    return _CHECKS[check_kind(kind)](g, x, dmat)
+def is_valid_set(g: Graph, x: VertexSet, kind: str) -> bool:
+    return _CHECKS[check_kind(kind)](g, x)
 
 
-def _joins(g: Graph, dmat: DistanceMatrix, mask: int, v: int, kind: str) -> bool:
+def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
     """Whether the valid set ``mask`` stays valid of ``kind`` with v added.
 
-    Equal to ``is_valid_set(g, x.add(v), kind, dmat)`` for a valid x with
+    Equal to ``is_valid_set(g, x.add(v), kind)`` for a valid x with
     v outside it, by the lemma of the module docstring: only a pair with
     a geodesic through v can lose visibility, so ``visible_mask`` runs
     only from v (mv) and from the sources that pass the layer test.
     """
-    rows = dmat.rows
+    rows, layers = g.metric.rows, g.metric.layers
     if kind == "gp":
         # a member in another component shares no geodesic with v, as in
         # is_gp_set; a triple is collinear when one distance is the sum of
@@ -201,11 +185,10 @@ def _joins(g: Graph, dmat: DistanceMatrix, mask: int, v: int, kind: str) -> bool
                 if p + q + r == 2 * max(p, q, r):
                     return False
         return True
-    layers = dmat.layers
     adj = g.adj_masks[v]
     new = mask | (1 << v)
     if kind == "mv":
-        if mask & ~visible_mask(g, dmat, v, mask):
+        if mask & ~visible_mask(g, v, mask):
             return False
         need, groups = new, (mask,)
     else:
@@ -218,16 +201,12 @@ def _joins(g: Graph, dmat: DistanceMatrix, mask: int, v: int, kind: str) -> bool
             low = group & -group
             a = low.bit_length() - 1
             group ^= low
-            if adj & layers[a][rows[a][v] + 1] and need & ~visible_mask(
-                g, dmat, a, new & ~low
-            ):
+            if adj & layers[a][rows[a][v] + 1] and need & ~visible_mask(g, a, new & ~low):
                 return False
     return True
 
 
-def is_maximal_set(
-    g: Graph, x: VertexSet, kind: str, dmat: Optional[DistanceMatrix] = None
-) -> bool:
+def is_maximal_set(g: Graph, x: VertexSet, kind: str) -> bool:
     """True when no single vertex can be added to the valid set ``x``.
 
     Single-vertex extension testing is equivalent to the superset
@@ -240,24 +219,17 @@ def is_maximal_set(
     from each source with a geodesic through v, v's neighbours first; gp
     checks the triples that hold v (see the module docstring).
     """
-    check_kind(kind)
-    if dmat is None:
-        dmat = distance_matrix(g)
-    if not is_valid_set(g, x, kind, dmat):
+    if not is_valid_set(g, x, kind):
         raise ValueError("input set not valid")
-    return not any(
-        _joins(g, dmat, x.mask, v, kind) for v in range(g.n) if v not in x
-    )
+    return not any(_joins(g, x.mask, v, kind) for v in range(g.n) if v not in x)
 
 
-def convex_p3_centers(g: Graph, dmat: Optional[DistanceMatrix] = None) -> VertexSet:
+def convex_p3_centers(g: Graph) -> VertexSet:
     """Vertices that are the unique common neighbor of some distance-2 pair."""
-    if dmat is None:
-        dmat = distance_matrix(g)
     masks = g.adj_masks
     out = 0
     for u in range(g.n):
-        row = dmat.rows[u]
+        row = g.metric.rows[u]
         for w in range(u + 1, g.n):
             if row[w] == 2:
                 cn = masks[u] & masks[w]
@@ -266,17 +238,15 @@ def convex_p3_centers(g: Graph, dmat: Optional[DistanceMatrix] = None) -> Vertex
     return VertexSet(g.n, out)
 
 
-def tmv_candidates(g: Graph, dmat: Optional[DistanceMatrix] = None) -> VertexSet:
+def tmv_candidates(g: Graph) -> VertexSet:
     """Vertices whose singleton keeps every pair of the graph visible.
 
     Only these vertices can appear in any nonempty total mutual-visibility
     set.  Computed definitionally, one singleton check per vertex.
     """
-    if dmat is None:
-        dmat = distance_matrix(g)
     out = 0
     for v in range(g.n):
-        if is_tmv_set(g, VertexSet(g.n, 1 << v), dmat):
+        if is_tmv_set(g, VertexSet(g.n, 1 << v)):
             out |= 1 << v
     return VertexSet(g.n, out)
 
@@ -319,9 +289,7 @@ def neighborhood_bound(g: Graph) -> Optional[int]:
     return min(g.degree(x) + 1 for x in flagged)
 
 
-def greedy_maximal(
-    g: Graph, kind: str, order: Sequence[int], dmat: Optional[DistanceMatrix] = None
-) -> VertexSet:
+def greedy_maximal(g: Graph, kind: str, order: Sequence[int]) -> VertexSet:
     """Scan ``order`` once, keeping each vertex that preserves validity.
 
     ``order`` must be a permutation of the vertices.  Downward closure
@@ -342,14 +310,12 @@ def greedy_maximal(
     check_kind(kind)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertex ids")
-    if dmat is None:
-        dmat = distance_matrix(g)
-    if kind == "tmv" and g.n and UNREACHABLE in dmat.rows[0]:
+    if kind == "tmv" and g.n and UNREACHABLE in g.metric.rows[0]:
         raise ValueError(
             "no valid sets exist: total visibility needs a connected graph"
         )
     mask = 0
     for v in order:
-        if _joins(g, dmat, mask, v, kind):
+        if _joins(g, mask, v, kind):
             mask |= 1 << v
     return VertexSet(g.n, mask)

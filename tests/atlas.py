@@ -13,7 +13,7 @@ from functools import lru_cache
 import oracles
 from vislab import solvers
 from vislab.families import gen_gadget
-from vislab.graph_core import Graph, VertexSet, distance_matrix
+from vislab.graph_core import Graph, VertexSet
 from vislab.solvers import independent_domination, solve_lower, solve_max
 from vislab.visibility import KINDS, _joins, is_valid_set
 
@@ -117,20 +117,19 @@ def joins_mismatches(g):
     """``visibility._joins`` against the whole-set ``is_valid_set`` for every
     kind, every valid set x and every vertex v outside it, as (mismatches
     (kind, x, v, joins answer), number of checks)."""
-    dmat = distance_matrix(g)
     bad = []
     checks = 0
     for kind in KINDS:
         for mask in range(1 << g.n):
             x = VertexSet(g.n, mask)
-            if not is_valid_set(g, x, kind, dmat):
+            if not is_valid_set(g, x, kind):
                 continue
             for v in range(g.n):
                 if v in x:
                     continue
-                got = _joins(g, dmat, mask, v, kind)
+                got = _joins(g, mask, v, kind)
                 checks += 1
-                if got != is_valid_set(g, x.add(v), kind, dmat):
+                if got != is_valid_set(g, x.add(v), kind):
                     bad.append((kind, x.members(), v, got))
     return bad, checks
 

@@ -28,7 +28,6 @@ from vislab.graph_core import (
     VertexSet,
     bridges,
     cartesian_product,
-    distance_matrix,
     is_connected,
 )
 from vislab.rng import SplitMix64
@@ -62,7 +61,7 @@ def mismatches(g, kind, valid, x_masks):
     Vertices outside the engine's universe are either seeded (always
     addable) or impossible (never addable); both claims are checked too.
     """
-    engine = _make_engine(g, kind, distance_matrix(g), force=True)
+    engine = _make_engine(g, kind, force=True)
     universe = set(engine.universe)
     bad = []
     for x in x_masks:
@@ -129,9 +128,8 @@ def test_shortcut_witness_exhaustive_up_to_five_vertices():
 
 def first_maximal_pair(g):
     """The lexicographically first pair that ``is_maximal_set`` accepts."""
-    dmat = distance_matrix(g)
     for pair in combinations(range(g.n), 2):
-        if is_maximal_set(g, VertexSet.from_ids(g.n, pair), "mv", dmat):
+        if is_maximal_set(g, VertexSet.from_ids(g.n, pair), "mv"):
             return pair
     return None
 
@@ -169,7 +167,7 @@ def mv_walk_mismatches(g, walks, rng):
     """Grow ``walks`` random valid mv sets one vertex at a time, comparing
     ``can_add`` with ``is_valid_set`` for every non-member at every step.
     Returns the (members, v) pairs that disagree and the number of checks."""
-    engine = _make_engine(g, "mv", distance_matrix(g), force=True)
+    engine = _make_engine(g, "mv", force=True)
     bad, checks = [], 0
     for _ in range(walks):
         state, x = engine.seed_state, 0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import oracles
 from atlas import gate_off, load_atlas, lower_mismatches
 from conftest import bowtie, connected_graphs, relabelled
-from vislab import graph_core, solvers, visibility
+from vislab import graph_core, solvers
 from vislab.families import (
     complete,
     complete_bipartite,
@@ -263,8 +263,7 @@ class TestSymmetry:
         # maps 5 onto 4, but it moves both members, and no automorphism
         # fixing 0 and 1 maps 5 below itself
         g = cartesian_product(complete(2), complete(4))
-        dmat = distance_matrix(g)
-        mirrors = solvers._Mirrors(dmat, 0)
+        mirrors = solvers._Mirrors(g.metric, 0)
         below = 0b11100  # the vertices under 5 outside the set
         assert mirrors.find(0b11, 5, below) is None
         assert solvers._Stabilizer(mirrors, 0b11).drops(5, below)
@@ -319,11 +318,10 @@ class TestMcsOrder:
     @pytest.mark.parametrize("g", GRAPHS)
     @pytest.mark.parametrize("kind", KINDS)
     def test_order(self, g, kind):
-        dmat = distance_matrix(g)
-        universe = _make_engine(g, kind, dmat, force=True).universe
-        order = mcs_order(g, dmat, universe)
+        universe = _make_engine(g, kind, force=True).universe
+        order = mcs_order(g, universe)
         assert sorted(order) == universe
-        assert mcs_order(g, dmat, universe) == order
+        assert mcs_order(g, universe) == order
         if not order:
             return
         rows = oracles.bfs_rows(g)
@@ -337,18 +335,15 @@ class TestMcsOrder:
             assert order[i] == want
 
     def test_spider_starts_at_far_leaf(self):
-        g = spider()
-        dmat = distance_matrix(g)
-        assert mcs_order(g, dmat, list(range(7)))[0] == 3
+        assert mcs_order(spider(), list(range(7)))[0] == 3
 
 
 class TestMaxEdgeCases:
     def test_empty_tmv_universe(self):
         # no pair at distance 2: every vertex is seeded and nothing is searched
         g = complete(5)
-        dmat = distance_matrix(g)
-        assert _make_engine(g, "tmv", dmat, force=True).universe == []
-        assert mcs_order(g, dmat, []) == []
+        assert _make_engine(g, "tmv", force=True).universe == []
+        assert mcs_order(g, []) == []
         got = solve_max(g, "tmv")
         assert (got.value, got.witness.members()) == (5, (0, 1, 2, 3, 4))
 
@@ -384,7 +379,7 @@ class TestCap:
             raise AssertionError("metric built despite the cap")
 
         monkeypatch.setattr(DistanceMatrix, "between", property(refuse))
-        monkeypatch.setattr(solvers, "distance_matrix", refuse)
+        monkeypatch.setattr(graph_core, "distance_matrix", refuse)
         with pytest.raises(InstanceTooLargeError):
             solve(g, kind)
 
@@ -461,12 +456,14 @@ class TestGreedyProfile:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_runs_share_one_metric(self, kind, monkeypatch):
+        # one graph object builds one metric: the six solves, the greedy
+        # runs and the maximality check all read g.metric
+        singles = [greedy_maximal(grid((3, 4)), kind, s) for s in range(7, 12)]
         g = grid((3, 4))
-        singles = [greedy_maximal(g, kind, s) for s in range(7, 12)]
-        metrics, sets = [], []
+        builds, sets = [], []
 
         def counted(graph):
-            metrics.append(graph)
+            builds.append(graph)
             return distance_matrix(graph)
 
         def recorded(*args):
@@ -474,11 +471,14 @@ class TestGreedyProfile:
             sets.append(x)
             return x
 
-        for module in (solvers, visibility, graph_core):
-            monkeypatch.setattr(module, "distance_matrix", counted)
+        monkeypatch.setattr(graph_core, "distance_matrix", counted)
         monkeypatch.setattr(solvers, "greedy_maximal", recorded)
+        for solve_kind in KINDS:
+            solve_max(g, solve_kind)
+            solve_lower(g, solve_kind)
         p = greedy_profile(g, kind, runs=5, seed=7)
-        assert len(metrics) == 1
+        assert is_maximal_set(g, p.best_min_witness, kind)
+        assert len(builds) == 1 and builds[0] is g
         assert sets == singles
         sizes = [len(x) for x in singles]
         best = min(singles, key=lambda x: (len(x), x.members()))

@@ -8,7 +8,7 @@ import oracles
 from atlas import joins_mismatches, load_atlas
 from conftest import bowtie, connected_graphs, graphs
 from vislab.families import complete, complete_bipartite, cycle, grid, path, star
-from vislab.graph_core import Graph, VertexSet, distance_matrix
+from vislab.graph_core import Graph, VertexSet
 from vislab.visibility import (
     KINDS,
     check_kind,
@@ -48,6 +48,15 @@ class TestPairVisible:
         assert not pair_visible(g, vset(g), 0, 1)
         assert pair_visible(g, vset(g), 0, 0)
 
+    def test_foreign_universe(self):
+        # a set over another vertex count is an error, as in is_mv_set
+        g = path(3)
+        x = VertexSet(5, 0b11010)
+        with pytest.raises(ValueError, match="universe"):
+            pair_visible(g, x, 0, 2)
+        with pytest.raises(ValueError, match="universe"):
+            is_valid_set(g, x, "mv")
+
     @given(connected_graphs(min_n=2, max_n=6), st.data())
     @settings(max_examples=80)
     def test_matches_oracle(self, g, data):
@@ -81,15 +90,13 @@ class TestPairVisible:
 class TestVisibleMask:
     def test_source_row(self):
         g = cycle(5)
-        dmat = distance_matrix(g)
-        mask = visible_mask(g, dmat, 0, 0)
+        mask = visible_mask(g, 0, 0)
         assert mask == (1 << 5) - 1
 
     def test_blocked_vertex_still_reached(self):
         # a blocked vertex is visible itself but does not relay
         g = path(3)
-        dmat = distance_matrix(g)
-        mask = visible_mask(g, dmat, 0, 1 << 1)
+        mask = visible_mask(g, 0, 1 << 1)
         assert mask & (1 << 1)
         assert not mask & (1 << 2)
 
@@ -97,12 +104,11 @@ class TestVisibleMask:
     def mismatches(g):
         """(source, blocked mask, visible_mask, oracle) wherever they differ,
         over every source and every blocked mask, the source's bit included."""
-        dmat = distance_matrix(g)
         bad = []
         for blocked in range(1 << g.n):
             ids = VertexSet(g.n, blocked).members()
             for src in range(g.n):
-                got = visible_mask(g, dmat, src, blocked)
+                got = visible_mask(g, src, blocked)
                 want = sum(
                     1 << b for b in range(g.n) if oracles.visible_oracle(g, ids, src, b)
                 )
@@ -121,11 +127,10 @@ class TestVisibleMask:
         # P3 on 0..2 and C4 on 3..6: the other component is never visible
         g = Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
         assert not self.mismatches(g)
-        dmat = distance_matrix(g)
         for blocked in range(1 << g.n):
             for src in range(g.n):
                 other = 0b1111000 if src < 3 else 0b0000111
-                assert not visible_mask(g, dmat, src, blocked) & other
+                assert not visible_mask(g, src, blocked) & other
 
 
 class TestValidity:
@@ -270,13 +275,11 @@ class TestNeighborhoodScan:
     @given(connected_graphs(min_n=1, max_n=6))
     @settings(max_examples=60)
     def test_flag_means_ball_is_maximal(self, g):
-        dmat = distance_matrix(g)
         from vislab.graph_core import neighborhood
 
         for x, flag in neighborhood_lemma_scan(g):
             ball = neighborhood(g, x, closed=True)
-            direct = is_valid_set(g, ball, "mv", dmat) and \
-                is_maximal_set(g, ball, "mv", dmat)
+            direct = is_valid_set(g, ball, "mv") and is_maximal_set(g, ball, "mv")
             assert flag == direct
 
     def test_bound(self):
