@@ -194,7 +194,9 @@ class _MvEngine:
     step reaches exactly the vertices visible past the blocked set; for
     the hard members it also keeps only their interiors and themselves.
     That loses nothing: if w lies on a v,a-geodesic, every v,w-geodesic
-    followed by a w,a-geodesic is one, so it stays in the interval.
+    followed by a w,a-geodesic is one, so it stays in the interval.  The
+    reach fails at the first layer that passes without one of the hard
+    members it holds, since a hard member lies in one layer of v only.
 
     ``thru[v][a]`` holds the vertices b such that v is interior to some
     a,b-geodesic: adding v can only break those member pairs, since a
@@ -281,17 +283,18 @@ class _MvEngine:
         if hard:
             # the rest by one layered reach inside their intervals, whose
             # first layer is v's neighbourhood: members end paths but are
-            # never expanded
+            # never expanded, and a hard member missing from its own layer
+            # is never seen
             region |= hard
             lay = self.layers[v]
             nxt = adj[v] & region
             k = 1
             while True:
-                if not nxt:
-                    return False
                 hard &= ~nxt
                 if not hard:
                     break
+                if not nxt or hard & lay[k]:
+                    return False
                 k += 1
                 m = nxt & ~mask
                 nxt = 0

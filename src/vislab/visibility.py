@@ -19,7 +19,11 @@ set is maximal exactly when no single vertex can be added.  Everything in
 this module is definitional: checks follow the geodesics out of a source
 layer by layer, stopping at blocked vertices (``visible_mask``), or
 inspect shortest-path intervals directly, with no structural shortcuts.
-Solvers revalidate their answers against these predicates.
+Solvers revalidate their answers against these predicates.  Each reach
+is told the vertices its caller asks about and stops at the layer that
+decides them: once all are seen, or once the layer of one passes without
+it.  Visibility is symmetric, so a whole-set check asks each source only
+for the members (mv) or vertices (tmv) above it.
 
 Adding one vertex v to a valid set X (``_joins``, behind
 ``greedy_maximal`` and ``is_maximal_set``) retests only the pairs v can
@@ -54,7 +58,9 @@ def _check_universe(g: Graph, x: VertexSet) -> None:
         raise ValueError("vertex set universe does not match graph")
 
 
-def visible_mask(g: Graph, src: int, blocked_mask: int) -> int:
+def visible_mask(
+    g: Graph, src: int, blocked_mask: int, need: Optional[int] = None
+) -> int:
     """Bitmask of vertices visible from ``src`` past the blocked vertices.
 
     A layered reach over the BFS layers of ``src``: the visible vertices at
@@ -67,21 +73,34 @@ def visible_mask(g: Graph, src: int, blocked_mask: int) -> int:
     one is already past its own distance, so it cannot be visible.
     ``src`` itself is always visible and is expanded even if the caller
     left it in ``blocked_mask``.
+
+    Without ``need`` the result is exact.  With a mask ``need`` the reach
+    answers only whether all of ``need`` is visible: it stops once all of
+    ``need`` is seen, or at the first layer that passes with a vertex of
+    ``need`` unseen, since a vertex lies in one layer only.  So ``need`` is
+    a subset of the result exactly when it is a subset of the exact
+    result, and the result is always a subset of the exact one.
     """
     g.check_vertex(src)
     masks = g.adj_masks
     layers = g.metric.layers[src]
     open_mask = ~blocked_mask
     vis = frontier = 1 << src
+    # with no need, left never empties and no layer stops the reach
+    left = -1 if need is None else need & ~vis
     d = 1
-    while frontier:
+    while frontier and left:
         nxt = 0
         while frontier:
             low = frontier & -frontier
             nxt |= masks[low.bit_length() - 1]
             frontier ^= low
-        nxt &= layers[d]
+        layer = layers[d]
+        nxt &= layer
         vis |= nxt
+        if need is not None and left & layer & ~nxt:
+            break
+        left &= ~nxt
         frontier = nxt & open_mask
         d += 1
     return vis
@@ -96,7 +115,7 @@ def pair_visible(g: Graph, x: VertexSet, a: int, b: int) -> bool:
         return True
     if g.metric.rows[a][b] is UNREACHABLE:
         return False
-    vis = visible_mask(g, a, x.mask & ~(1 << a))
+    vis = visible_mask(g, a, x.mask & ~(1 << a), 1 << b)
     return bool((vis >> b) & 1)
 
 
@@ -105,9 +124,10 @@ def is_mv_set(g: Graph, x: VertexSet) -> bool:
     _check_universe(g, x)
     if len(x) <= 1:
         return True
+    # visibility is symmetric, so each source needs only the members above it
     for a in x.members():
-        vis = visible_mask(g, a, x.mask & ~(1 << a))
-        if x.mask & ~vis:
+        need = x.mask & (-2 << a)
+        if need & ~visible_mask(g, a, x.mask & ~(1 << a), need):
             return False
     return True
 
@@ -120,9 +140,10 @@ def is_tmv_set(g: Graph, x: VertexSet) -> bool:
     """
     _check_universe(g, x)
     full = (1 << g.n) - 1
+    # visibility is symmetric, so each source needs only the vertices above it
     for a in range(g.n):
-        vis = visible_mask(g, a, x.mask & ~(1 << a))
-        if full & ~vis:
+        need = full & (-2 << a)
+        if need & ~visible_mask(g, a, x.mask & ~(1 << a), need):
             return False
     return True
 
@@ -168,7 +189,8 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
     Equal to ``is_valid_set(g, x.add(v), kind)`` for a valid x with
     v outside it, by the lemma of the module docstring: only a pair with
     a geodesic through v can lose visibility, so ``visible_mask`` runs
-    only from v (mv) and from the sources that pass the layer test.
+    only from v (mv) and from the sources that pass the layer test, each
+    reach asking for the members with v (mv) or every vertex (tmv).
     """
     rows, layers = g.metric.rows, g.metric.layers
     if kind == "gp":
@@ -188,7 +210,7 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
     adj = g.adj_masks[v]
     new = mask | (1 << v)
     if kind == "mv":
-        if mask & ~visible_mask(g, v, mask):
+        if mask & ~visible_mask(g, v, mask, mask):
             return False
         need, groups = new, (mask,)
     else:
@@ -201,7 +223,7 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
             low = group & -group
             a = low.bit_length() - 1
             group ^= low
-            if adj & layers[a][rows[a][v] + 1] and need & ~visible_mask(g, a, new & ~low):
+            if adj & layers[a][rows[a][v] + 1] and need & ~visible_mask(g, a, new & ~low, need):
                 return False
     return True
 
@@ -212,12 +234,14 @@ def is_maximal_set(g: Graph, x: VertexSet, kind: str) -> bool:
     Single-vertex extension testing is equivalent to the superset
     definition of maximality because all three properties are downward
     closed.  ``x`` itself must be valid; anything else is a caller error.
-    The set is checked whole with ``is_valid_set``; each non-member v
-    then with ``_joins``, which retests only the pairs v can break: a
-    pair with no geodesic through v keeps its x-avoiding geodesic.  So mv
-    reaches from v, then from each member with a geodesic through v; tmv
-    from each source with a geodesic through v, v's neighbours first; gp
-    checks the triples that hold v (see the module docstring).
+    The set is checked whole with ``is_valid_set``, whose reach from each
+    source asks only for the members (mv) or vertices (tmv) above it,
+    since visibility is symmetric.  Each non-member v is then checked with
+    ``_joins``, which retests only the pairs v can break: a pair with no
+    geodesic through v keeps its x-avoiding geodesic.  So mv reaches from
+    v, then from each member with a geodesic through v; tmv from each
+    source with a geodesic through v, v's neighbours first; gp checks the
+    triples that hold v (see the module docstring).
     """
     if not is_valid_set(g, x, kind):
         raise ValueError("input set not valid")

@@ -117,8 +117,10 @@ class TestVisibleMask:
         return bad
 
     def test_exhaustive_against_oracle_on_atlas(self):
-        graphs = load_atlas(range(1, 6))
-        assert len(graphs) == 31
+        # from six vertices on, a layer can hold an unseen vertex ahead of a
+        # seen one, so a reach that stops at the first unseen vertex fails
+        graphs = load_atlas(range(1, 7))
+        assert len(graphs) == 143
         for index, g in graphs:
             bad = self.mismatches(g)
             assert not bad, (index, list(g.edges()), bad[:5])
@@ -131,6 +133,40 @@ class TestVisibleMask:
             for src in range(g.n):
                 other = 0b1111000 if src < 3 else 0b0000111
                 assert not visible_mask(g, src, blocked) & other
+        assert not self.need_mismatches(g, self.some_needs)
+
+    @staticmethod
+    def every_need(g, src, blocked):
+        return range(1 << g.n)
+
+    @staticmethod
+    def some_needs(g, src, blocked):
+        """Each single vertex, the blocked vertices above ``src`` (what the
+        set predicates ask) and every vertex."""
+        return [1 << t for t in range(g.n)] + [blocked & (-2 << src), (1 << g.n) - 1]
+
+    @staticmethod
+    def need_mismatches(g, needs):
+        """(source, blocked mask, need) wherever ``visible_mask`` with ``need``
+        breaks its contract: need is seen exactly when the exact reach sees
+        it, and nothing outside the exact reach is returned."""
+        bad = []
+        for blocked in range(1 << g.n):
+            for src in range(g.n):
+                exact = visible_mask(g, src, blocked)
+                for need in needs(g, src, blocked):
+                    got = visible_mask(g, src, blocked, need)
+                    if got & ~exact or (need & ~got == 0) != (need & ~exact == 0):
+                        bad.append((src, blocked, need))
+        return bad
+
+    def test_need_contract_on_atlas(self):
+        for index, g in load_atlas(range(1, 6)):
+            bad = self.need_mismatches(g, self.every_need)
+            assert not bad, (index, list(g.edges()), bad[:5])
+        for index, g in load_atlas([6]):
+            bad = self.need_mismatches(g, self.some_needs)
+            assert not bad, (index, list(g.edges()), bad[:5])
 
 
 class TestValidity:
