@@ -313,6 +313,30 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(g.n, tuple(rows), tuple(layers))
 
 
+def distance_two_pairs(g: Graph) -> list[tuple[int, int, int]]:
+    """(a, b, common) for each pair a < b at distance 2, in lexicographic
+    order, with ``common`` the mask of their common neighbours.
+
+    Read from the adjacency masks alone, so it needs no metric and is
+    exact on any graph: b is at distance 2 from a exactly when it is not
+    a or adjacent to a and some neighbour of a is adjacent to it.
+    """
+    masks = g.adj_masks
+    out = []
+    for a, nb in enumerate(g.adj):
+        near = 0
+        for c in nb:
+            near |= masks[c]
+        ma = masks[a]
+        m = near & ~ma & (-2 << a)
+        while m:
+            low = m & -m
+            b = low.bit_length() - 1
+            out.append((a, b, ma & masks[b]))
+            m ^= low
+    return out
+
+
 def refine(dmat: DistanceMatrix, fixed: int = 0) -> tuple[int, ...]:
     """Colour refinement of the metric with the mask ``fixed`` individualised
     as one colour: the stable cells, as bitmasks in order.

@@ -4,10 +4,12 @@ Computes the maximum size of a valid set ("max") and the minimum size of a
 maximal valid set ("lower") for the three set kinds, by explicit search
 over vertex subsets.  Instances are desk scale: unless forced, searches
 refuse to start above ``DEFAULT_CAP`` (24) candidate vertices, those whose
-singleton is valid: every vertex for mv and gp, fewer for tmv.  So for mv
-and gp the solvers refuse before they build the metric (``solve_lower``
-after the mv cut-edge shortcut, which needs no search), and the tmv engine
-as soon as it knows its candidates, before it builds any table.
+singleton is valid: every vertex for mv and gp, fewer for tmv, whose
+candidates come from the distance-2 pairs of the adjacency
+(``graph_core.distance_two_pairs``).  Every engine refuses as soon as it
+knows its candidates, and every solver builds its engine before it reads
+the metric (``solve_lower`` after the mv cut-edge shortcut, which needs no
+search), so an oversized input is refused before the distance matrix.
 
 All three kinds are hereditary (every subset of a valid set is valid),
 which both searches rely on:
@@ -102,6 +104,7 @@ from .graph_core import (
     VertexSet,
     bridges,
     cell_of,
+    distance_two_pairs,
     find_automorphism,
     mcs_order,
     refine,
@@ -159,9 +162,12 @@ class GreedyProfile:
 
 
 def _check_cap(size: int, force: bool) -> None:
-    """Refuse a search over ``size`` > ``DEFAULT_CAP`` candidates unless forced;
-    engines call it once ``universe`` and ``seed_state`` are set, before any
-    table, and the solvers before the metric when every vertex is one."""
+    """Refuse a search over ``size`` > ``DEFAULT_CAP`` candidates unless forced.
+
+    Only the engine constructors call it, once ``universe`` and
+    ``seed_state`` are set and before they read the metric; every solver
+    builds its engine before it reads the metric, so an oversized input
+    never builds one."""
     if size > DEFAULT_CAP and not force:
         raise InstanceTooLargeError(
             f"instance too large: {size} candidate vertices exceed the search cap "
@@ -219,6 +225,7 @@ class _MvEngine:
 
     def __init__(self, g: Graph, force: bool):
         n = g.n
+        self.g = g
         self.adj = g.adj_masks
         self.universe = list(range(n))
         self.seed_state = (0, ())
@@ -245,19 +252,10 @@ class _MvEngine:
         sees each other unless it is a distance-2 pair a, b whose common
         neighbours C(a, b) are all members, so X is valid exactly when it
         holds no set {a, b} + C(a, b)."""
-        layers = self.layers
-        if any(len(lay) > 4 for lay in layers):  # an eccentricity above 2
+        if any(len(lay) > 4 for lay in self.layers):  # an eccentricity above 2
             return None
-        adj = self.adj
-        sets = set()
-        for a, lay in enumerate(layers):
-            if len(lay) > 3:
-                m = lay[2] & (-1 << (a + 1))
-                while m:
-                    low = m & -m
-                    sets.add(adj[a] & adj[low.bit_length() - 1] | 1 << a | low)
-                    m ^= low
-        return _per_vertex(sets, len(adj))
+        sets = {common | 1 << a | 1 << b for a, b, common in distance_two_pairs(self.g)}
+        return _per_vertex(sets, self.g.n)
 
     def add(self, state, v: int):
         mask, members = state
@@ -349,7 +347,9 @@ class _TmvEngine:
     induction repairs a fully X-avoiding shortest path.
 
     A "blocker" below is the common-neighbor set of one distance-2 pair
-    as a bitmask; X is valid iff it contains no blocker entirely.
+    as a bitmask (``distance_two_pairs``, from the adjacency, so the cap is
+    checked before any metric); X is valid iff it contains no blocker
+    entirely.
     Blockers touching impossible vertices (those forming a blocker of
     size one, which no valid set may contain) can never fill up and are
     dropped.  Vertices in no surviving blocker can always be added, so
@@ -359,13 +359,7 @@ class _TmvEngine:
     gate = 4  # see _MvEngine.gate
 
     def __init__(self, g: Graph, force: bool):
-        masks = g.adj_masks
-        blockers = set()
-        for u in range(g.n):
-            row = g.metric.rows[u]
-            for w in range(u + 1, g.n):
-                if row[w] == 2:
-                    blockers.add(masks[u] & masks[w])
+        blockers = {common for _, _, common in distance_two_pairs(g)}
         singles = 0
         for b in blockers:
             if b.bit_count() == 1:
@@ -643,10 +637,8 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     children.
     """
     start = time.perf_counter()
-    if visibility.check_kind(kind) != "tmv":
-        _check_cap(g.n, force)  # every vertex is a candidate: refuse before the metric
-    dmat = _connected_metric(g)
     engine = _make_engine(g, kind, force)
+    dmat = _connected_metric(g)
 
     order = mcs_order(g, engine.universe)
     k = len(order)
@@ -1107,14 +1099,8 @@ def solve_lower(
     canonical witness (``_lower_search`` has the proof).
     """
     start = time.perf_counter()
-    visibility.check_kind(kind)
-    cut = fast_path and kind == "mv" and g.n >= 2 and bridges(g)
-    if not cut and kind != "tmv":
-        _check_cap(g.n, force)  # every vertex is a candidate: refuse before the metric
-    dmat = _connected_metric(g)
-
-    if cut:
-        witness = VertexSet.from_ids(g.n, _first_maximal_pair(dmat, cut[0]))
+    if fast_path and kind == "mv" and g.n >= 2 and (cut := bridges(g)):
+        witness = VertexSet.from_ids(g.n, _first_maximal_pair(_connected_metric(g), cut[0]))
         if not visibility.is_maximal_set(g, witness, "mv"):
             raise RuntimeError("cut-edge witness failed revalidation")
         return SolveResult(
@@ -1122,6 +1108,7 @@ def solve_lower(
         )
 
     engine = _make_engine(g, kind, force)
+    dmat = _connected_metric(g)
     bound = visibility.neighborhood_bound(g) if kind == "mv" else None
     mask, nodes, skipped, pruned = _lower_search(dmat, engine, bound)
     witness = VertexSet(g.n, mask)
@@ -1152,22 +1139,10 @@ def greedy_profile(g: Graph, kind: str, runs: int, seed: int) -> GreedyProfile:
     if runs < 1:
         raise ValueError("runs must be at least 1")
     visibility.check_kind(kind)
-    best: Optional[VertexSet] = None
-    lo = hi = -1
-    for s in range(seed, seed + runs):
-        x = greedy_maximal(g, kind, s)
-        size = len(x)
-        if lo < 0:
-            lo = hi = size
-            best = x
-        else:
-            lo = min(lo, size)
-            hi = max(hi, size)
-            assert best is not None
-            if size < len(best) or (size == len(best) and x.members() < best.members()):
-                best = x
-    assert best is not None
-    return GreedyProfile(kind, runs, seed, lo, hi, best)
+    found = [greedy_maximal(g, kind, s) for s in range(seed, seed + runs)]
+    sizes = [len(x) for x in found]
+    best = min(found, key=lambda x: (len(x), x.members()))
+    return GreedyProfile(kind, runs, seed, min(sizes), max(sizes), best)
 
 
 def independent_domination(g: Graph) -> SolveResult:
@@ -1180,9 +1155,8 @@ def independent_domination(g: Graph) -> SolveResult:
     metric.
     """
     start = time.perf_counter()
-    dmat = _connected_metric(g)
     engine = _IndepEngine(g)
-    mask, nodes, skipped, pruned = _lower_search(dmat, engine, None)
+    mask, nodes, skipped, pruned = _lower_search(_connected_metric(g), engine, None)
     adj = g.adj_masks
     cover = 0
     m = mask

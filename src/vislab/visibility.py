@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graph_core import UNREACHABLE, Graph, VertexSet, is_connected
+from .graph_core import UNREACHABLE, Graph, VertexSet, distance_two_pairs, is_connected
 
 KINDS = ("mv", "tmv", "gp")
 
@@ -249,16 +249,16 @@ def is_maximal_set(g: Graph, x: VertexSet, kind: str) -> bool:
 
 
 def convex_p3_centers(g: Graph) -> VertexSet:
-    """Vertices that are the unique common neighbor of some distance-2 pair."""
-    masks = g.adj_masks
+    """Vertices that are the unique common neighbor of some distance-2 pair.
+
+    The pairs come from ``graph_core.distance_two_pairs``, which reads the
+    adjacency alone.  On a connected graph these are exactly the vertices
+    that ``tmv_candidates``, the definitional singleton check, leaves out.
+    """
     out = 0
-    for u in range(g.n):
-        row = g.metric.rows[u]
-        for w in range(u + 1, g.n):
-            if row[w] == 2:
-                cn = masks[u] & masks[w]
-                if cn.bit_count() == 1:
-                    out |= cn
+    for _, _, common in distance_two_pairs(g):
+        if common.bit_count() == 1:
+            out |= common
     return VertexSet(g.n, out)
 
 

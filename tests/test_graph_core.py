@@ -19,6 +19,7 @@ from vislab.graph_core import (
     cartesian_product,
     cell_of,
     distance_matrix,
+    distance_two_pairs,
     export_dot,
     find_automorphism,
     format_edge_list,
@@ -164,6 +165,16 @@ class TestMetric:
     @given(connected_graphs(max_n=6))
     def test_metric_matches_oracle(self, g):
         assert not metric_mismatches(g)
+
+    @given(graphs(max_n=7))
+    def test_distance_two_pairs_match_oracle(self, g):
+        # read from the adjacency alone, so exact on disconnected graphs too
+        rows = oracles.bfs_rows(g)
+        want = [
+            (a, b, sum(1 << c for c in g.adj[a] if c in g.adj[b]))
+            for a in range(g.n) for b in range(a + 1, g.n) if rows[a][b] == 2
+        ]
+        assert distance_two_pairs(g) == want
 
     def test_metric_atlas_up_to_six_vertices(self):
         graphs = load_atlas(range(1, 7))

@@ -371,17 +371,23 @@ class TestCap:
             (solve_max, path(DEFAULT_CAP + 1), "gp"),
             (solve_lower, cycle(DEFAULT_CAP + 1), "gp"),
             (solve_lower, cycle(DEFAULT_CAP + 1), "mv"),
+            # tmv's candidates come from the adjacency: 25 in K5□K5, and
+            # in K25 none to branch on but 25 forced into every set
+            (solve_max, cartesian_product(complete(5), complete(5)), "tmv"),
+            (solve_lower, complete(DEFAULT_CAP + 1), "tmv"),
+            (independent_domination, path(30), None),
         ],
     )
     def test_refused_before_tables(self, solve, g, kind, monkeypatch):
-        # every vertex is a candidate, so the cap is known before the metric
+        # every engine knows its candidates before the metric, and every
+        # solver builds its engine first
         def refuse(*args):
             raise AssertionError("metric built despite the cap")
 
         monkeypatch.setattr(DistanceMatrix, "between", property(refuse))
         monkeypatch.setattr(graph_core, "distance_matrix", refuse)
         with pytest.raises(InstanceTooLargeError):
-            solve(g, kind)
+            solve(g) if kind is None else solve(g, kind)
 
     def test_fast_path_dodges_cap(self):
         # the shortcut answers without any search, so size is no obstacle
