@@ -7,13 +7,16 @@ The test suite covers the 143 connected atlas graphs with at most 6
 vertices (``tests/test_atlas_differential.py``); this script runs the
 same comparison on the 853 with 7 vertices, and checks the
 NP-completeness reduction's formula on each of them as a base graph.
-It also solves each lower query again with every engine's ``gate`` at 0,
-so that the lower search checks every child for symmetry, as
-``tests/test_solvers.py`` does for 5 and 6 vertices, and checks
-``visibility._joins`` against the whole-set predicate on every valid set
-and outside vertex, as ``tests/test_visibility.py`` does up to 6
-vertices (628,294 checks).  It takes about 30 s, prints each mismatch
-and exits 1 if there is any.
+It also solves each lower and max query again with every engine's
+``gate`` at 0, as ``tests/test_solvers.py`` does up to 6 vertices: the
+lower search then checks every child for symmetry, and the max search
+builds its convex paths before its first search, so that their bound
+acts from the doll's first phase on.  It checks ``visibility._joins``
+against the whole-set predicate on every valid set and outside vertex,
+as ``tests/test_visibility.py`` does up to 6 vertices (628,294 checks).
+It prints the counts of join checks and of branches the convex-path
+bound cut, takes about 30 s, prints each mismatch and exits 1 if there
+is any.
 """
 
 import os
@@ -28,6 +31,7 @@ from atlas import (  # noqa: E402
     joins_mismatches,
     load_atlas,
     lower_mismatches,
+    max_mismatches,
     oracle_mismatches,
     reduction_holds,
 )
@@ -36,13 +40,16 @@ from atlas import (  # noqa: E402
 def main() -> int:
     start = time.perf_counter()
     graphs = load_atlas({7})
-    failed = checks = 0
+    failed = checks = cuts = 0
     for index, g in graphs:
         bad = oracle_mismatches(g)
         if not reduction_holds(g):
             bad.append(("gadget", "reduction formula"))
         with gate_off():
             bad += [(kind, "no gate", *rest) for kind, *rest in lower_mismatches(g)[0]]
+            max_bad, pruned = max_mismatches(g)
+            bad += [(kind, "no gate", *rest) for kind, *rest in max_bad]
+        cuts += pruned
         joins_bad, count = joins_mismatches(g)
         bad += [(kind, "joins", *rest) for kind, *rest in joins_bad]
         checks += count
@@ -51,7 +58,7 @@ def main() -> int:
             print(f"atlas {index}: {list(g.edges())} {bad}")
     print(
         f"{len(graphs)} graphs, {failed} with mismatches, {checks} join checks, "
-        f"{time.perf_counter() - start:.0f}s"
+        f"{cuts} convex-path cuts, {time.perf_counter() - start:.0f}s"
     )
     return 1 if failed else 0
 

@@ -70,6 +70,8 @@ LADDER = (
     ("K4xK6", "mv", "max", False),
     ("P5xP5", "mv", "max", False),
     ("P6xP6", "mv", "max", False),
+    ("P4xP6", "mv", "max", False),
+    ("P4xP6", "mv", "max", True),
     ("K5xK5", "mv", "lower", False),
     ("Q5", "mv", "lower", False),
     ("Q5", "mv", "max", False),

@@ -337,6 +337,43 @@ def distance_two_pairs(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
+def convex_paths(dmat: DistanceMatrix) -> list[tuple[int, ...]]:
+    """Pairwise disjoint convex paths of 3 or more vertices, each as its
+    vertices from a to b, with a < b: longest first, ties broken by (a, b),
+    and each one taken when it shares no vertex with those before it.
+
+    A path P from a to b is convex when it is the only a,b-geodesic, which
+    holds exactly when ``between[a][b]`` has d(a, b) - 1 vertices: every
+    a,b-geodesic has one vertex in each layer of a between them, so then
+    each of those layers holds one vertex of the interval.  Every pair
+    x, z of P then has the subpath P[x..z] as its only geodesic: with
+    another one, Q, P[a..x] Q P[z..b] would be a second a,b-geodesic.  So
+    a mutual-visibility set X holds at most two vertices of P: of three,
+    x, y, z in path order, the only x,z-geodesic runs through y, a member.
+    Total mutual-visibility and general-position sets are
+    mutual-visibility sets, so the bound holds for all three kinds.  For
+    connected graphs.
+    """
+    rows, layers, between = dmat.rows, dmat.layers, dmat.between
+    pairs = []
+    for a, row in enumerate(rows):
+        inner = between[a]
+        for b in range(a + 1, dmat.n):
+            d = row[b]
+            if d is not UNREACHABLE and d >= 2 and inner[b].bit_count() == d - 1:
+                pairs.append((-d, a, b))
+    pairs.sort()
+    used = 0
+    out = []
+    for neg, a, b in pairs:
+        mask = between[a][b] | 1 << a | 1 << b
+        if not mask & used:
+            used |= mask
+            lay = layers[a]
+            out.append(tuple((lay[k] & mask).bit_length() - 1 for k in range(1 - neg)))
+    return out
+
+
 def refine(dmat: DistanceMatrix, fixed: int = 0) -> tuple[int, ...]:
     """Colour refinement of the metric with the mask ``fixed`` individualised
     as one colour: the stable cells, as bitmasks in order.

@@ -17,11 +17,15 @@ which both searches rely on:
 * max: a Russian-doll search (Östergård 2002) over the engine's vertices
   in maximum cardinality search order (``graph_core.mcs_order``), which
   the graph sets and not its labelling; the best count found in each
-  suffix of that order bounds every branch whose candidates start there.
-  The canonical witness is then completed member by member in ascending
-  ids: each id is asked whether an optimum holds it with the members
-  chosen so far, answered by an automorphism onto a known optimum or by
-  the same bounded search over the candidates above it;
+  suffix of that order bounds every branch whose candidates start there,
+  and once the search cost the symmetry gate's tests, so does the count
+  of its candidates that can join, at most two on each convex path
+  (``graph_core.convex_paths``, the only geodesic between its ends) less
+  the members already on it.  The canonical witness is then completed
+  member by member in ascending ids: each id is asked whether an optimum
+  holds it with the members chosen so far, answered by an automorphism
+  onto a known optimum or by the same bounded search over the candidates
+  above it;
 * lower: one depth-first pass over the valid sets; a vertex refused by
   a set stays refused by its supersets, so maximality is tested only
   against the vertices no ancestor refused, and for mv the incumbent
@@ -104,6 +108,7 @@ from .graph_core import (
     VertexSet,
     bridges,
     cell_of,
+    convex_paths,
     distance_two_pairs,
     find_automorphism,
     mcs_order,
@@ -127,11 +132,11 @@ class SolveResult:
     zero when a shortcut answered).  ``skipped`` counts the children either
     search resolved by symmetry, with no test and no search below them;
     ``nodes`` does not count them.  ``pruned`` counts the sets at which the
-    lower search's refusal lookahead returned, with no further test there
-    (always zero for max).  ``independent_domination`` runs the lower
-    search, so all three count the same way there.  ``elapsed`` is
-    wall-clock seconds and is the only field that is not reproducible bit
-    for bit.
+    lower search's refusal lookahead returned, with no further test there,
+    and for max the branches the convex-path bound cut.
+    ``independent_domination`` runs the lower search, so all three count
+    the same way there.  ``elapsed`` is wall-clock seconds and is the only
+    field that is not reproducible bit for bit.
     """
 
     kind: str
@@ -618,7 +623,14 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     all lie in the suffix of the order that starts at the earliest of them,
     and at most the doll value there of them can join together.  A branch
     is also cut once its candidates are fewer than the vertices it still
-    needs.  After a failed dive, a child that an automorphism fixing the
+    needs, or than its *room*: over the convex paths of ``convex_paths``,
+    the candidates on the path, but at most two less the members on it,
+    plus the candidates on no path.  A mutual-visibility set holds at most
+    two vertices of a convex path, and tmv and gp sets are mv sets, so a
+    branch with less room holds no solution; ``pruned`` counts these cuts.
+    The paths are built once the search cost ``costly`` tests, the gate of
+    the symmetry rules below, so small searches do not pay for them.
+    After a failed dive, a child that an automorphism fixing the
     set and the ids outside the search's range maps onto an earlier failed
     child is skipped (``_Mirrors``, with ``solve_lower``'s gate): a solution
     below it would have an image below that child, earlier in the order.
@@ -650,9 +662,32 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     mirrors = _Mirrors(dmat, engine.gate)
     costly = mirrors.costly
     everyone = (1 << g.n) - 1
+    full = (1 << k) - 1  # every candidate bit
     free = 0  # the ids the search under way ranges over; automorphisms fix the rest
+    # (member mask, candidate bits) per convex path, built once the search
+    # cost ``costly`` tests, and the candidate bits on no path
+    paths = None
+    off = 0
+    pruned = 0
 
     accepted = 0  # candidates the last failed grow call found able to join
+
+    def convex():
+        """The convex paths of ``convex_paths`` as (vertex mask, candidate
+        bits), keeping those with a candidate, and the candidate bits on
+        none of them."""
+        bit = {v: 1 << i for i, v in enumerate(order)}
+        out = []
+        rest = full
+        for path in convex_paths(dmat):
+            mask = bits = 0
+            for v in path:
+                mask |= 1 << v
+                bits |= bit.get(v, 0)
+            if bits:
+                out.append((mask, bits))
+                rest &= ~bits
+        return out, rest
 
     def grow(state, cands: int, need: int):
         """State of the first extension of ``state`` by ``need`` vertices of
@@ -666,11 +701,29 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
         tests, since the last failed child that cost less, as in
         ``_lower_search``.
         """
-        nonlocal nodes, skipped, accepted
+        nonlocal nodes, skipped, pruned, accepted, paths, off
         if not need:
             return state
+        if paths is None and nodes >= costly:
+            paths, off = convex()
         bound = live[need]
         count = cands.bit_count()
+        if paths and count >= need and cands & bound:
+            # room: the most candidates that can join, at most two a path
+            room = (cands & off).bit_count()
+            if room < need:
+                members = state[0]
+                for mask, bits in paths:
+                    here = (cands & bits).bit_count()
+                    if here:
+                        most = 2 - (members & mask).bit_count()
+                        room += here if here < most else most
+                        if room >= need:
+                            break
+                else:
+                    pruned += 1
+                    accepted = 0
+                    return None
         while True:
             if count < need or not cands & bound:
                 accepted = 0
@@ -727,7 +780,6 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
 
     seed = engine.seed_state
     wit = seed
-    full = (1 << k) - 1
     for i in range(k - 1, -1, -1):
         v = order[i]
         free |= 1 << v
@@ -796,7 +848,14 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     if not visibility.is_valid_set(g, witness, kind):
         raise RuntimeError("solver produced an invalid witness; engine and predicate disagree")
     return SolveResult(
-        kind, "max", len(witness), witness, nodes, time.perf_counter() - start, skipped=skipped
+        kind,
+        "max",
+        len(witness),
+        witness,
+        nodes,
+        time.perf_counter() - start,
+        skipped=skipped,
+        pruned=pruned,
     )
 
 

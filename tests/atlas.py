@@ -44,7 +44,7 @@ def oracle_mismatches(g):
     bad = []
     lower, indep = lower_oracles(g)
     for kind in KINDS:
-        want = oracles.solve_max_oracle(g, kind)
+        want = max_oracles(g)[kind]
         res = solve_max(g, kind)
         if (res.value, res.witness.members()) != want:
             bad.append((kind, "max", (res.value, res.witness.members()), want))
@@ -66,6 +66,30 @@ def lower_oracles(g):
     ``oracle_mismatches`` and ``lower_mismatches`` compare against them."""
     lower = {kind: oracles.solve_lower_oracle(g, kind) for kind in KINDS}
     return lower, oracles.independent_domination_oracle(g)
+
+
+@lru_cache(maxsize=16)
+def max_oracles(g):
+    """The oracle's max answers by kind, kept for the last graphs asked
+    about, since both ``oracle_mismatches`` and ``max_mismatches`` compare
+    against them."""
+    return {kind: oracles.solve_max_oracle(g, kind) for kind in KINDS}
+
+
+def max_mismatches(g):
+    """``solve_max`` against the oracle, as (mismatches, the branches the
+    convex-path bound cut).  Call it under ``gate_off``: the paths are
+    then built before the doll's first search, so the bound acts in every
+    phase and in the witness completion."""
+    bad = []
+    pruned = 0
+    for kind in KINDS:
+        want = max_oracles(g)[kind]
+        res = solve_max(g, kind)
+        pruned += res.pruned
+        if (res.value, res.witness.members()) != want:
+            bad.append((kind, "max", (res.value, res.witness.members()), want))
+    return bad, pruned
 
 
 def reduction_holds(base, t=3):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from atlas import load_atlas
 from conftest import bowtie, connected_graphs, graphs
-from vislab.families import complete, cycle, grid, hypercube, path, star
+from vislab.families import complete, cycle, grid, hypercube, path, random_tree, star
 from vislab.graph_core import (
     CLIQUE_VERTEX_LIMIT,
     UNREACHABLE,
@@ -18,6 +18,7 @@ from vislab.graph_core import (
     bridges,
     cartesian_product,
     cell_of,
+    convex_paths,
     distance_matrix,
     distance_two_pairs,
     export_dot,
@@ -186,6 +187,58 @@ class TestMetric:
         g = star(3)
         assert neighborhood(g, 0).members() == (1, 2, 3)
         assert neighborhood(g, 0, closed=True).members() == (0, 1, 2, 3)
+
+
+def convex_paths_oracle(g):
+    """The greedy partition of ``convex_paths`` from the geodesics
+    themselves: every pair a < b with exactly one geodesic, of 3 or more
+    vertices, longest first and then by (a, b), each taken when it shares
+    no vertex with those taken before."""
+    unique = []
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            found = oracles.all_geodesics(g, a, b)
+            if len(found) == 1 and len(found[0]) >= 3:
+                unique.append((-len(found[0]), a, b, found[0]))
+    out = []
+    used = set()
+    for _, _, _, geodesic in sorted(unique):
+        if used.isdisjoint(geodesic):
+            used.update(geodesic)
+            out.append(geodesic)
+    return out
+
+
+class TestConvexPaths:
+    GRAPHS = (
+        [g for _, g in load_atlas(range(1, 7))]
+        + [grid((3, 5)), cycle(9)]
+        + [random_tree(n, seed) for n in (5, 8, 12, 16) for seed in range(3)]
+    )
+
+    def test_match_oracle(self):
+        for g in self.GRAPHS:
+            got = convex_paths(g.metric)
+            assert got == convex_paths_oracle(g), list(g.edges())
+            seen = set()
+            for p in got:
+                assert len(p) >= 3 and seen.isdisjoint(p)
+                seen.update(p)
+                # every pair on the path has the subpath as its one geodesic
+                for i in range(len(p)):
+                    for j in range(i + 1, len(p)):
+                        assert oracles.all_geodesics(g, p[i], p[j]) == (p[i : j + 1],)
+
+    def test_examples(self):
+        # the rows of a grid; the odd cycle's two halves; none where every
+        # distance-2 pair has two common neighbours
+        assert convex_paths(grid((3, 5)).metric) == [
+            (0, 1, 2, 3, 4), (5, 6, 7, 8, 9), (10, 11, 12, 13, 14)
+        ]
+        assert convex_paths(cycle(9).metric) == [(0, 1, 2, 3, 4), (5, 6, 7, 8)]
+        assert convex_paths(hypercube(4).metric) == []
+        assert convex_paths(cartesian_product(complete(3), complete(4)).metric) == []
+        assert convex_paths(path(2).metric) == []
 
 
 def automorphisms(g):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from atlas import gate_off, load_atlas, lower_mismatches
+from atlas import form_mismatches, gate_off, load_atlas, lower_mismatches, max_mismatches
 from conftest import bowtie, connected_graphs, relabelled
 from vislab import graph_core, solvers
 from vislab.families import (
@@ -298,6 +298,51 @@ class TestSymmetry:
                 assert solve_lower(h, kind).value == want[kind], (seed, kind)
 
 
+class TestConvexBound:
+    """The convex-path cut of ``solve_max``: a branch goes once its
+    candidates, at most two on each convex path less the members already
+    there, are fewer than it needs.  Under ``gate_off`` the paths are built
+    before the first search, so the cut meets every small case."""
+
+    GRAPHS = [grid((3, 4)), grid((2, 6)), cycle(8)] + [
+        random_tree(n, seed) for n in (7, 9, 12) for seed in range(3)
+    ]
+
+    def test_without_gate_matches_oracle(self):
+        pruned = 0
+        with gate_off():
+            for g in [g for _, g in load_atlas(range(1, 7))] + self.GRAPHS:
+                bad, cuts = max_mismatches(g)
+                assert not bad, (list(g.edges()), bad)
+                pruned += cuts
+        assert pruned > 0
+
+    def test_grid_forms_without_gate(self):
+        # P4□P5 is past the subset oracle; its tmv and gp sets are a
+        # forbidden-set family
+        g = grid((4, 5))
+        with gate_off():
+            assert solve_max(g, "gp", force=True).pruned > 0
+            bad, compared = form_mismatches(g, ("tmv", "gp"))
+        assert compared == ["tmv", "gp"] and not bad
+
+    @pytest.mark.parametrize(
+        "seed, witness, tests",
+        [
+            (1, (0, 1, 3, 4, 6, 12, 15, 21), 1273),
+            (3, (0, 1, 2, 3, 4, 5, 7, 17), 1164),
+        ],
+    )
+    def test_grid_rows(self, seed, witness, tests):
+        # the four rows of P4□P6 hold at most 8 members, which the search
+        # otherwise proves in 16,448 and 13,430 tests; ``tests`` is what the
+        # cut leaves, with no slack
+        got = solve_max(relabelled(grid((4, 6)), seed), "mv")
+        assert (got.value, got.witness.members()) == (8, witness)
+        assert got.pruned > 0
+        assert got.nodes <= tests
+
+
 def spider() -> Graph:
     # legs of 1, 2 and 3 edges from the centre 0; the leaves 3 and 6 have
     # the least degree and the largest eccentricity (5)
@@ -519,8 +564,9 @@ class TestLookahead:
         assert res.nodes <= tests
 
     def test_only_forbidden_set_families(self):
-        # gp has no family and Q4 (diameter 4) no mv one: those searches,
-        # and every max search, cut nothing
+        # gp has no family and Q4 (diameter 4) no mv one: those searches
+        # cut nothing, nor does the max search on K4□K4, which has no
+        # convex path of 3 vertices
         assert solve_lower(hypercube(4), "gp").pruned == 0
         assert solve_lower(hypercube(4), "mv").pruned == 0
         assert solve_lower(hypercube(4), "tmv").pruned > 0
