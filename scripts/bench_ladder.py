@@ -8,11 +8,12 @@ Benchmarks the vislab source tree next to this script and writes
 prints the usage line.  Each ladder row is run
 three times, and a row whose fastest run is under 0.1 s eight times more,
 since such rows drift by 20-40% between two ladders over three runs.  An
-exact row records the value, the node count and the children skipped by
-symmetry (both deterministic) and the witness; a greedy row records the
-size range and the best witness of ``greedy_profile`` over 20 seeds; the
-``independent_domination`` row records the summed values, nodes and
-skipped children over its corpus: the 996 connected atlas graphs with at
+exact row records the value, the node count, the children skipped by
+symmetry and the branches pruned (all deterministic) and the witness; a
+greedy row records the size range and the best witness of
+``greedy_profile`` over 20 seeds; the ``independent_domination`` row
+records the summed values, nodes, skipped children and pruned sets over
+its corpus: the 996 connected atlas graphs with at
 most 7 vertices (``tests/data/atlas_connected.txt``), 204 connected
 G(n, p) draws (n = 8..24, p = 0.2, 0.35, 0.5 and 0.65, three draws
 each) and six named graphs.  Every run solves a new copy of each graph,
@@ -150,9 +151,9 @@ def run_row(spec: str, kind: str, variant: str, relabelled: bool) -> tuple:
 
     def call():
         res = solve(fresh(g), kind, force=True)
-        return res.value, res.nodes, res.skipped, res.witness.members()
+        return res.value, res.nodes, res.skipped, res.pruned, res.witness.members()
 
-    (value, nodes, skipped, witness), spans = timed(call, f"{spec} {kind} {variant}")
+    (value, nodes, skipped, pruned, witness), spans = timed(call, f"{spec} {kind} {variant}")
     row = {
         "instance": spec,
         "n": g.n,
@@ -161,6 +162,7 @@ def run_row(spec: str, kind: str, variant: str, relabelled: bool) -> tuple:
         "value": value,
         "nodes": nodes,
         "skipped": skipped,
+        "pruned": pruned,
         "witness": list(witness),
     }
     return row, spans
@@ -181,13 +183,14 @@ def run_domination_row() -> tuple:
     graphs = domination_corpus()
 
     def call():
-        total = nodes = skipped = 0
+        total = nodes = skipped = pruned = 0
         for g in graphs:
             res = independent_domination(fresh(g))
-            total, nodes, skipped = total + res.value, nodes + res.nodes, skipped + res.skipped
-        return total, nodes, skipped
+            total, nodes = total + res.value, nodes + res.nodes
+            skipped, pruned = skipped + res.skipped, pruned + res.pruned
+        return total, nodes, skipped, pruned
 
-    (total, nodes, skipped), spans = timed(call, "independent_domination corpus")
+    (total, nodes, skipped, pruned), spans = timed(call, "independent_domination corpus")
     row = {
         "instance": f"atlas+{len(graphs) - 996}",
         "n": len(graphs),
@@ -195,6 +198,7 @@ def run_domination_row() -> tuple:
         "value": total,
         "nodes": nodes,
         "skipped": skipped,
+        "pruned": pruned,
     }
     return row, spans
 

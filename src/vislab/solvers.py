@@ -55,32 +55,37 @@ set" incrementally.  An engine has the vertices the searches branch on
 (``universe``), the state holding the vertices in every maximal set
 (``seed_state``), ``add`` and ``can_add``; ``state[0]`` is the member
 bitmask of every state.  Its ``gate`` sets how costly a search must be
-before the searches look for automorphisms, and ``forbidden`` gives the
-lower search its forbidden sets per vertex, or None.  The engines:
+before the searches look for automorphisms.  The three engines:
 
-* mv: v must see every member.  Most members are settled by one mask
-  test on their geodesic interior ``g.metric.between[v][a]``: a member
-  is seen when no member lies inside it (an adjacent one has none), and
-  one at distance 2 is seen exactly when a common neighbour is left
-  outside the set.  Only the others go through a breadth-first search
-  from v that keeps only the true-distance layer ``g.metric.layers[v][k]``
-  at each step, inside the union of their interiors: every geodesic from
-  v to a vertex of the interval I(v, a) lies in I(v, a), so the
-  restriction loses no path.  Adding v can also break visibility between
-  members, so each member pair a, b with v in ``g.metric.between[a][b]``
-  is rechecked: it is lost when no interior vertex is left outside the
-  set and v, kept at distance 2 when one is, and otherwise walked layer
-  by layer inside the interior, avoiding the set and v;
-* tmv: on a connected graph a set is total-mutual-visibility valid exactly
-  when no distance-2 pair has all of its common neighbors inside the set,
-  so validity reduces to a fixed family of "forbidden full subsets";
-  vertices appearing in no such family member belong to every maximal set
-  and are forced up front;
+* family (``_FamilyEngine``): X is valid exactly when it holds no set F
+  of a fixed family, so v can join X exactly when no F - v lies inside
+  X; ``forbidden`` gives the lower search those sets per vertex.  tmv
+  runs on it: on a connected graph a set is total-mutual-visibility
+  valid exactly when no distance-2 pair has all of its common neighbors
+  inside the set, so the family is those "forbidden full subsets", and
+  vertices in no such set belong to every maximal set and are forced up
+  front.  So does independence (private, for ``independent_domination``),
+  whose family is the edges, and mv on graphs of diameter at most 2,
+  where a member pair sees each other unless it is a distance-2 pair
+  a, b whose common neighbours C(a, b) are all members, so the family is
+  the sets {a, b} + C(a, b);
+* mv on graphs of diameter 3 or more (``_MvEngine``): v must see every
+  member.  Most members are settled by one mask test on their geodesic
+  interior ``g.metric.between[v][a]``: a member is seen when no member
+  lies inside it (an adjacent one has none), and one at distance 2 is
+  seen exactly when a common neighbour is left outside the set.  Only
+  the others go through a breadth-first search from v that keeps only
+  the true-distance layer ``g.metric.layers[v][k]`` at each step, inside
+  the union of their interiors: every geodesic from v to a vertex of the
+  interval I(v, a) lies in I(v, a), so the restriction loses no path.
+  Adding v can also break visibility between members, so each member
+  pair a, b with v in ``g.metric.between[a][b]`` is rechecked: it is lost
+  when no interior vertex is left outside the set and v, kept at
+  distance 2 when one is, and otherwise walked layer by layer inside the
+  interior, avoiding the set and v;
 * gp: a union of the ``g.metric.between`` interiors of current pairs is
   carried along; v must avoid it and contribute no member-covering
-  interior;
-* independence (private, for ``independent_domination``): v must have
-  no neighbour in the set.
+  interior.
 
 Answers are revalidated through the definitional predicates in the
 visibility module before being returned; a disagreement raises rather
@@ -169,10 +174,9 @@ class GreedyProfile:
 def _check_cap(size: int, force: bool) -> None:
     """Refuse a search over ``size`` > ``DEFAULT_CAP`` candidates unless forced.
 
-    Only the engine constructors call it, once ``universe`` and
-    ``seed_state`` are set and before they read the metric; every solver
-    builds its engine before it reads the metric, so an oversized input
-    never builds one."""
+    Only the engine builders call it, once they know the candidates and
+    before they read the metric; every solver builds its engine before it
+    reads the metric, so an oversized input never builds one."""
     if size > DEFAULT_CAP and not force:
         raise InstanceTooLargeError(
             f"instance too large: {size} candidate vertices exceed the search cap "
@@ -180,21 +184,9 @@ def _check_cap(size: int, force: bool) -> None:
         )
 
 
-def _per_vertex(sets, n: int) -> list[list[int]]:
-    """Per vertex u, F - u for each mask F of ``sets`` that holds u."""
-    out: list[list[int]] = [[] for _ in range(n)]
-    for f in sets:
-        m = f
-        while m:
-            low = m & -m
-            out[low.bit_length() - 1].append(f ^ low)
-            m ^= low
-    return out
-
-
 class _MvEngine:
-    """Mutual visibility, interval first, by layered reach over the metric's
-    layer masks.
+    """Mutual visibility on graphs of diameter 3 or more, interval first, by
+    layered reach over the metric's layer masks.
 
     ``can_add(state, v)`` decides each member a from the mask
     ``between[v][a]`` of interior vertices of the v,a-geodesics when it
@@ -224,17 +216,15 @@ class _MvEngine:
     # tmv and 0.34 µs for gp; on its 10-vertex graphs DistanceMatrix.alike
     # took 23-41 µs, a refine with a set about 30 µs and a find_automorphism
     # call about 50 µs.  A tmv or gp test costs a quarter of an mv test or
-    # less, so those engines, and independence, whose test is cheaper
-    # still, wait for four times the tests.
+    # less, so the gp and family engines wait for four times the tests;
+    # mv keeps this gate on the family engine too (``_make_engine``).
     gate = 1
 
-    def __init__(self, g: Graph, force: bool):
+    def __init__(self, g: Graph):
         n = g.n
-        self.g = g
         self.adj = g.adj_masks
         self.universe = list(range(n))
         self.seed_state = (0, ())
-        _check_cap(n, force)
         dmat = g.metric
         self.dist = dmat.rows
         self.layers = dmat.layers
@@ -250,17 +240,6 @@ class _MvEngine:
                     t[b] |= 1 << a
                     m ^= low
         self.thru = thru
-
-    def forbidden(self) -> Optional[list[list[int]]]:
-        """Per vertex u, the masks F - u of the forbidden sets F that hold u,
-        on a graph of diameter at most 2, else None.  There a member pair
-        sees each other unless it is a distance-2 pair a, b whose common
-        neighbours C(a, b) are all members, so X is valid exactly when it
-        holds no set {a, b} + C(a, b)."""
-        if any(len(lay) > 4 for lay in self.layers):  # an eccentricity above 2
-            return None
-        sets = {common | 1 << a | 1 << b for a, b, common in distance_two_pairs(self.g)}
-        return _per_vertex(sets, self.g.n)
 
     def add(self, state, v: int):
         mask, members = state
@@ -341,7 +320,54 @@ class _MvEngine:
         return True
 
 
-class _TmvEngine:
+class _FamilyEngine:
+    """Validity as a forbidden-set family (see the module docstring).  Per
+    vertex u, ``near[u]`` is the union of the one-vertex F - u and
+    ``far[u]`` lists the larger F - u, so ``can_add`` is one mask test and
+    a scan of that list.  Every F of ``family`` has two or more vertices,
+    all in the ascending ``universe``; ``seed`` is the mask of the
+    vertices in every maximal set."""
+
+    gate = 4  # see _MvEngine.gate
+
+    def __init__(self, universe: list[int], seed: int, family):
+        self.universe = universe
+        self.seed_state = (seed,)
+        size = universe[-1] + 1 if universe else 0
+        near = [0] * size
+        far: list[list[int]] = [[] for _ in range(size)]
+        for f in family:
+            m = f
+            while m:
+                low = m & -m
+                m ^= low
+                rest = f ^ low
+                if rest & (rest - 1):
+                    far[low.bit_length() - 1].append(rest)
+                else:
+                    near[low.bit_length() - 1] |= rest
+        self.near = near
+        self.far = far
+
+    def forbidden(self) -> tuple[list[int], list[list[int]]]:
+        """(``near``, ``far``), for the lower search's lookahead."""
+        return self.near, self.far
+
+    def add(self, state, v: int):
+        return (state[0] | (1 << v),)
+
+    def can_add(self, state, v: int) -> bool:
+        mask = state[0]
+        if self.near[v] & mask:
+            return False
+        out = ~mask
+        for f in self.far[v]:
+            if not f & out:
+                return False
+        return True
+
+
+def _tmv_engine(g: Graph, force: bool) -> _FamilyEngine:
     """Total mutual visibility via the distance-2 criterion.
 
     On a connected graph, X keeps all pairs visible exactly when every
@@ -358,58 +384,32 @@ class _TmvEngine:
     Blockers touching impossible vertices (those forming a blocker of
     size one, which no valid set may contain) can never fill up and are
     dropped.  Vertices in no surviving blocker can always be added, so
-    they lie in every maximal set and are seeded as mandatory.
+    they lie in every maximal set and are seeded as mandatory.  The kept
+    blockers are the family, and the vertices they hold the universe.
     """
-
-    gate = 4  # see _MvEngine.gate
-
-    def __init__(self, g: Graph, force: bool):
-        blockers = {common for _, _, common in distance_two_pairs(g)}
-        singles = 0
-        for b in blockers:
-            if b.bit_count() == 1:
-                singles |= b
-        cand_mask = ((1 << g.n) - 1) & ~singles
-        kept = [b for b in blockers if not b & ~cand_mask]
-        union = 0
-        for b in kept:
-            union |= b
-        seed = cand_mask & ~union
-        self.seed_state = (seed,)
-        self.universe = [v for v in range(g.n) if (cand_mask >> v) & 1 and not (seed >> v) & 1]
-        _check_cap(len(self.universe) + seed.bit_count(), force)
-        # by_bit[v]: b - v for each kept blocker b that holds v
-        self.by_bit = _per_vertex(kept, g.n)
-
-    def forbidden(self) -> list[list[int]]:
-        """Per vertex v, b - v for the kept blockers b that hold v."""
-        return self.by_bit
-
-    def add(self, state, v: int):
-        return (state[0] | (1 << v),)
-
-    def can_add(self, state, v: int) -> bool:
-        out = ~state[0]
-        for b in self.by_bit[v]:
-            if not b & out:
-                return False
-        return True
+    blockers = {common for _, _, common in distance_two_pairs(g)}
+    singles = 0
+    for b in blockers:
+        if b.bit_count() == 1:
+            singles |= b
+    kept = [b for b in blockers if not b & singles]
+    union = 0
+    for b in kept:
+        union |= b
+    seed = ((1 << g.n) - 1) & ~singles & ~union
+    universe = [v for v in range(g.n) if (union >> v) & 1]
+    _check_cap(len(universe) + seed.bit_count(), force)
+    return _FamilyEngine(universe, seed, kept)
 
 
 class _GpEngine:
     gate = 4  # see _MvEngine.gate
 
-    def __init__(self, g: Graph, force: bool):
+    def __init__(self, g: Graph):
         self.universe = list(range(g.n))
         # state: (member mask, union of member-pair path interiors)
         self.seed_state = (0, 0)
-        _check_cap(g.n, force)
         self.between = g.metric.between
-
-    def forbidden(self) -> None:
-        """None: general position has no forbidden-set family here, so the
-        lower search runs without its lookahead."""
-        return None
 
     def add(self, state, v: int):
         mask, forbid = state
@@ -433,31 +433,6 @@ class _GpEngine:
                 return False
             m ^= low
         return True
-
-
-class _IndepEngine:
-    """Independence: v can join when it has no neighbour in the set.  An
-    independent set is maximal exactly when it dominates the graph."""
-
-    gate = 4  # see _MvEngine.gate
-
-    def __init__(self, g: Graph):
-        self.adj = g.adj_masks
-        self.universe = list(range(g.n))
-        self.seed_state = (0,)
-        _check_cap(g.n, False)
-
-    def add(self, state, v: int):
-        return (state[0] | (1 << v),)
-
-    def can_add(self, state, v: int) -> bool:
-        return not self.adj[v] & state[0]
-
-    def forbidden(self) -> list[list[int]]:
-        """Per vertex u, {w} for each neighbour w: the edges are the
-        forbidden sets of independence."""
-        n = len(self.adj)
-        return [[1 << w for w in range(n) if (m >> w) & 1] for m in self.adj]
 
 
 class _Mirrors:
@@ -591,11 +566,23 @@ class _Stabilizer:
         return True
 
 
-_ENGINES = {"mv": _MvEngine, "tmv": _TmvEngine, "gp": _GpEngine}
-
-
 def _make_engine(g: Graph, kind: str, force: bool):
-    return _ENGINES[visibility.check_kind(kind)](g, force)
+    """The search engine of ``kind`` on ``g``, with the cap checked before
+    the metric is read.  mv runs on the family engine exactly when every
+    non-adjacent pair is at distance 2 (diameter at most 2, which no
+    disconnected graph has), a test of the adjacency alone."""
+    kind = visibility.check_kind(kind)
+    if kind == "tmv":
+        return _tmv_engine(g, force)
+    _check_cap(g.n, force)
+    if kind == "gp":
+        return _GpEngine(g)
+    pairs = distance_two_pairs(g)
+    if len(pairs) != g.n * (g.n - 1) // 2 - g.edge_count():
+        return _MvEngine(g)
+    engine = _FamilyEngine(list(range(g.n)), 0, {c | 1 << a | 1 << b for a, b, c in pairs})
+    engine.gate = _MvEngine.gate  # so the mv counts do not depend on the engine
+    return engine
 
 
 def _connected_metric(g: Graph) -> DistanceMatrix:
@@ -922,10 +909,10 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
     smaller than the incumbent, so the first smallest one is kept.  Sets
     at or above the incumbent's size are not extended.
 
-    Refusal lookahead, for an engine whose validity is a forbidden-set
-    family (``forbidden``: X is valid iff it holds no set F of the
-    family).  At a set X with candidates A, call u *pending* when it is in
-    none of X, A and the refused vertices: an earlier child that joined,
+    Refusal lookahead, on the family engine (``_FamilyEngine.forbidden``:
+    X is valid iff it holds no set F of the family).  At a set X with
+    candidates A, call u *pending* when it is in none of X, A and the
+    refused vertices: an earlier child that joined,
     here or at an ancestor, or a child skipped by symmetry.  Every set W
     below X lies inside X + A and leaves u out, so W is maximal only if
     it refuses u, that is only if W holds F - u for some F that holds u.
@@ -945,9 +932,10 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
     w, so u is retested only at a child above its kept bit, and ``limit``
     is the least kept bit.  A retest computes u's bit and cost exactly,
     so a cut never rests on a stale value; going down a path a bit only
-    rises.  An earlier child that joined, or one skipped, starts with bit
-    0 and so is tested at the next child.  The kept bits a set changes are
-    put back when it returns.
+    rises.  The one-vertex F - u are retested together, by one test of
+    their union against S(w) and X.  An earlier child that joined, or one
+    skipped, starts with bit 0 and so is tested at the next child.  The
+    kept bits a set changes are put back when it returns.
 
     Symmetric children are skipped, setwise.  Child y of the set X is
     skipped when an automorphism σ maps X onto itself, as a set, and y
@@ -990,9 +978,11 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
     alike: Optional[tuple[int, ...]] = None  # dmat.alike once a depth is ripe, () if discrete
     opened = [False] * (dmat.n + 2)  # opened[s]: a searched child of size s cost ``costly`` tests
     sets = dmat.n * engine.gate  # sets of at most n tests each that make a costly subtree
-    forbid = engine.forbidden()  # forbid[u]: F - u for the forbidden sets F that hold u
+    family = isinstance(engine, _FamilyEngine)  # the lookahead needs a forbidden-set family
+    # near[u], far[u]: the one-vertex F - u as one mask, and the larger F - u
+    near, far = engine.forbidden() if family else ((), ())
     never = 1 << dmat.n  # above every vertex bit
-    unknown = never if forbid is None else 0  # the kept bit of a vertex just made pending
+    unknown = 0 if family else never  # the kept bit of a vertex just made pending
     kept = [0] * dmat.n  # kept[u]: the kept bit of the pending vertex u
     retests = 0  # pending vertices the lookahead retested
 
@@ -1014,18 +1004,22 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
             top = kept[u]
             if top < low:
                 retests += 1
-                top = 0
-                fewest = never
-                for f in forbid[u]:
-                    if not f & out:
-                        rest = f & keep
-                        if not rest:
-                            top, fewest = never, 0
-                            break
-                        if rest & -rest > top:
-                            top = rest & -rest
-                        if rest.bit_count() < fewest:
-                            fewest = rest.bit_count()
+                one = near[u] & reach  # the one-vertex F - u that fit
+                if one & mask:
+                    top, fewest = never, 0
+                else:
+                    top = 1 << one.bit_length() >> 1  # the highest of them, or 0
+                    fewest = 1 if one else never
+                    for f in far[u]:
+                        if not f & out:
+                            rest = f & keep
+                            if not rest:
+                                top, fewest = never, 0
+                                break
+                            if rest & -rest > top:
+                                top = rest & -rest
+                            if rest.bit_count() < fewest:
+                                fewest = rest.bit_count()
                 if not top or size + fewest >= best_size:
                     return 0, 0
                 saved.append((u, kept[u]))
@@ -1214,7 +1208,9 @@ def independent_domination(g: Graph) -> SolveResult:
     metric.
     """
     start = time.perf_counter()
-    engine = _IndepEngine(g)
+    _check_cap(g.n, False)
+    # independence: the edges are the forbidden sets
+    engine = _FamilyEngine(list(range(g.n)), 0, [1 << u | 1 << v for u, v in g.edges()])
     mask, nodes, skipped, pruned = _lower_search(_connected_metric(g), engine, None)
     adj = g.adj_masks
     cover = 0

@@ -105,8 +105,9 @@ def reduction_holds(base, t=3):
 def gate_off():
     """Every engine's ``gate`` at 0 for the duration: the searches look for
     an automorphism at every child they may skip, not only past a costly
-    search, so the symmetry rules meet every case a small graph has."""
-    engines = (solvers._MvEngine, solvers._TmvEngine, solvers._GpEngine, solvers._IndepEngine)
+    search, so the symmetry rules meet every case a small graph has.  A
+    family engine built for mv takes ``_MvEngine.gate``, so it gets 0 too."""
+    engines = (solvers._MvEngine, solvers._FamilyEngine, solvers._GpEngine)
     saved = [engine.gate for engine in engines]
     for engine in engines:
         engine.gate = 0

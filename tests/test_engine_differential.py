@@ -166,7 +166,8 @@ def random_connected(n, p, rng):
 def mv_walk_mismatches(g, walks, rng):
     """Grow ``walks`` random valid mv sets one vertex at a time, comparing
     ``can_add`` with ``is_valid_set`` for every non-member at every step.
-    Returns the (members, v) pairs that disagree and the number of checks."""
+    Returns the (member mask, v) pairs that disagree and the number of
+    checks."""
     engine = _make_engine(g, "mv", force=True)
     bad, checks = [], 0
     for _ in range(walks):
@@ -179,7 +180,7 @@ def mv_walk_mismatches(g, walks, rng):
                 want = is_valid_set(g, VertexSet(g.n, x | (1 << v)), "mv")
                 checks += 1
                 if engine.can_add(state, v) != want:
-                    bad.append((state[1], v))
+                    bad.append((state[0], v))
                 if want:
                     joinable.append(v)
             if not joinable:

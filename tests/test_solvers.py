@@ -233,9 +233,9 @@ class TestSymmetry:
     def test_max_mirrors_without_gate_match_oracle(self, monkeypatch):
         # with no gate every failed child and refuted id is mirrored onto,
         # and every witness member is first looked for by automorphism
-        for engine in (solvers._MvEngine, solvers._TmvEngine, solvers._GpEngine):
+        for engine in (solvers._MvEngine, solvers._FamilyEngine, solvers._GpEngine):
             monkeypatch.setattr(engine, "gate", 0)
-        skipped = 0
+        skipped = family_mv = 0
         for _, g in load_atlas(range(5, 7)):
             for seed in (0, 1, 2):
                 h = relabelled(g, seed) if seed else g
@@ -243,12 +243,16 @@ class TestSymmetry:
                     got = solve_max(h, kind)
                     assert (got.value, got.witness.members()) == oracles.solve_max_oracle(h, kind)
                     skipped += got.skipped
+                    if kind == "mv" and isinstance(_make_engine(h, kind, False), solvers._FamilyEngine):
+                        family_mv += got.skipped
         assert skipped > 0
+        # diameter-2 mv runs on the family engine, whose gate is zeroed too
+        assert family_mv > 0
 
     def test_lower_setwise_without_gate_match_oracle(self):
         # with no gate every child of every set is checked for an
         # automorphism keeping the set and mapping the child lower down
-        skipped = 0
+        skipped = family_mv = 0
         with gate_off():
             for index, g in load_atlas(range(5, 7)):
                 for seed in (0, 1, 2):
@@ -256,7 +260,10 @@ class TestSymmetry:
                     bad, count = lower_mismatches(h)
                     assert not bad, (index, seed, bad)
                     skipped += count
+                    if isinstance(_make_engine(h, "mv", False), solvers._FamilyEngine):
+                        family_mv += solve_lower(h, "mv", fast_path=False).skipped
         assert skipped > 0
+        assert family_mv > 0
 
     def test_setwise_beyond_pointwise(self):
         # K2□K4, set {0, 1}: the swap of columns 0 and 1 keeps the set and
@@ -381,6 +388,48 @@ class TestMcsOrder:
 
     def test_spider_starts_at_far_leaf(self):
         assert mcs_order(spider(), list(range(7)))[0] == 3
+
+
+class TestEngineChoice:
+    """mv runs on the family engine exactly on graphs of diameter at most 2,
+    a choice ``_make_engine`` makes from the adjacency, after the cap and
+    before the metric."""
+
+    GRAPHS = [
+        cartesian_product(complete(3), complete(4)),
+        cartesian_product(complete(4), complete(5)),
+        grid((3, 3)),
+        cycle(5),
+        cycle(6),
+        hypercube(4),
+    ]
+
+    def test_family_exactly_at_diameter_two(self):
+        chosen = []
+        for g in [g for _, g in load_atlas(range(1, 7))] + self.GRAPHS:
+            family = isinstance(_make_engine(g, "mv", force=True), solvers._FamilyEngine)
+            assert family == all(max(row) <= 2 for row in g.metric.rows), list(g.edges())
+            chosen.append(family)
+        assert any(chosen) and not all(chosen)
+
+    def test_diameter_two_over_cap_refused_before_metric(self):
+        g = cartesian_product(complete(5), complete(5))
+        for solve in (solve_max, solve_lower):
+            with pytest.raises(InstanceTooLargeError):
+                solve(g, "mv")
+        with pytest.raises(InstanceTooLargeError):
+            _make_engine(g, "mv", False)
+        assert "metric" not in vars(g)
+        assert isinstance(_make_engine(g, "mv", True), solvers._FamilyEngine)
+
+    def test_disconnected_within_cap_rejected(self):
+        # two triangles: every component has diameter 1, yet the graph has
+        # pairs at no distance at all
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert isinstance(_make_engine(g, "mv", False), solvers._MvEngine)
+        for solve in (solve_max, solve_lower):
+            with pytest.raises(ValueError, match="disconnected"):
+                solve(g, "mv")
 
 
 class TestMaxEdgeCases:
