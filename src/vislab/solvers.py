@@ -59,8 +59,8 @@ before the searches look for automorphisms.  The three engines:
 
 * family (``_FamilyEngine``): X is valid exactly when it holds no set F
   of a fixed family, so v can join X exactly when no F - v lies inside
-  X; ``forbidden`` gives the lower search those sets per vertex.  tmv
-  runs on it: on a connected graph a set is total-mutual-visibility
+  X; the lower search reads those sets per vertex (``near``, ``far``).
+  tmv runs on it: on a connected graph a set is total-mutual-visibility
   valid exactly when no distance-2 pair has all of its common neighbors
   inside the set, so the family is those "forbidden full subsets", and
   vertices in no such set belong to every maximal set and are forced up
@@ -174,9 +174,9 @@ class GreedyProfile:
 def _check_cap(size: int, force: bool) -> None:
     """Refuse a search over ``size`` > ``DEFAULT_CAP`` candidates unless forced.
 
-    Only the engine builders call it, once they know the candidates and
-    before they read the metric; every solver builds its engine before it
-    reads the metric, so an oversized input never builds one."""
+    The engine builders call it once they know the candidates, and
+    ``independent_domination`` before it builds its engine, all before
+    the metric is read, so an oversized input never builds one."""
     if size > DEFAULT_CAP and not force:
         raise InstanceTooLargeError(
             f"instance too large: {size} candidate vertices exceed the search cap "
@@ -349,10 +349,6 @@ class _FamilyEngine:
         self.near = near
         self.far = far
 
-    def forbidden(self) -> tuple[list[int], list[list[int]]]:
-        """(``near``, ``far``), for the lower search's lookahead."""
-        return self.near, self.far
-
     def add(self, state, v: int):
         return (state[0] | (1 << v),)
 
@@ -360,9 +356,8 @@ class _FamilyEngine:
         mask = state[0]
         if self.near[v] & mask:
             return False
-        out = ~mask
         for f in self.far[v]:
-            if not f & out:
+            if f & mask == f:
                 return False
         return True
 
@@ -491,12 +486,11 @@ class _Stabilizer:
     rooted at each orbit's least vertex, and the cells of
     ``refine(dmat, X)``, which no such automorphism splits."""
 
-    __slots__ = ("mirrors", "mask", "members", "root", "cells")
+    __slots__ = ("mirrors", "mask", "root", "cells")
 
     def __init__(self, mirrors: _Mirrors, mask: int):
         self.mirrors = mirrors
         self.mask = mask
-        self.members: Optional[tuple[int, ...]] = None
         self.root: Optional[list[int]] = None
         self.cells: Optional[tuple[int, ...]] = None
 
@@ -519,27 +513,14 @@ class _Stabilizer:
         vertex outside X.  ``below`` holds the candidate images: the
         vertices under y and outside X in y's cell of ``alike``.
 
-        The candidates must keep y's distance profile to X; then the
-        cached automorphisms are asked, then X's cells, and an image r
-        left in y's cell is looked for by ``_Mirrors.search`` from those
-        cells, which keep X onto itself.  Yes only with an automorphism in
-        hand; no when every candidate is ruled out or not found."""
+        The cached automorphisms are asked first, then X's cells, and an
+        image r left in y's cell is looked for by ``_Mirrors.search`` from
+        those cells, which keep X onto itself.  Yes only with an
+        automorphism in hand; no when every candidate is ruled out or not
+        found."""
         mirrors = self.mirrors
         dmat = mirrors.dmat
         mask = self.mask
-        rows = dmat.rows
-        members = self.members
-        if members is None:
-            members = self.members = VertexSet(dmat.n, mask).members()
-        want = sorted(map(rows[y].__getitem__, members))
-        cand = 0
-        while below:
-            low = below & -below
-            below ^= low
-            if sorted(map(rows[low.bit_length() - 1].__getitem__, members)) == want:
-                cand |= low
-        if not cand:
-            return False
         root = self.root
         if root is None:
             root = self.root = list(range(dmat.n))
@@ -559,7 +540,7 @@ class _Stabilizer:
             return True
         if self.cells is None:
             self.cells = cell_of(refine(dmat, mask), dmat.n)
-        perm = mirrors.search(0, y, cand, self.cells)
+        perm = mirrors.search(0, y, below, self.cells)
         if perm is None:
             return False
         self._join(perm)
@@ -650,6 +631,9 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     costly = mirrors.costly
     everyone = (1 << g.n) - 1
     full = (1 << k) - 1  # every candidate bit
+    bit = [0] * g.n  # bit[v]: the candidate bit of v, 0 off the universe
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
     free = 0  # the ids the search under way ranges over; automorphisms fix the rest
     # (member mask, candidate bits) per convex path, built once the search
     # cost ``costly`` tests, and the candidate bits on no path
@@ -663,14 +647,13 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
         """The convex paths of ``convex_paths`` as (vertex mask, candidate
         bits), keeping those with a candidate, and the candidate bits on
         none of them."""
-        bit = {v: 1 << i for i, v in enumerate(order)}
         out = []
         rest = full
         for path in convex_paths(dmat):
             mask = bits = 0
             for v in path:
                 mask |= 1 << v
-                bits |= bit.get(v, 0)
+                bits |= bit[v]
             if bits:
                 out.append((mask, bits))
                 rest &= ~bits
@@ -684,9 +667,9 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
         rest only after that dive fails.  By heredity no vertex outside the
         filtered set can join any child, and every vertex that can join
         the dive child can join the node, so those are not tested again.
-        ``dear`` holds the failed children that cost at least ``costly``
-        tests, since the last failed child that cost less, as in
-        ``_lower_search``.
+        ``dear`` holds the ids of the failed children that cost at least
+        ``costly`` tests since the last failed child that cost less: the
+        images ``mirrors.find`` may map a later child onto.
         """
         nonlocal nodes, skipped, pruned, accepted, paths, off
         if not need:
@@ -719,47 +702,41 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
             cands ^= low
             count -= 1
             nodes += 1
-            if can_add(state, order[low.bit_length() - 1]):
+            v = order[low.bit_length() - 1]
+            if can_add(state, v):
                 break
-        nxt = add(state, order[low.bit_length() - 1])
+        nxt = add(state, v)
         if need == 1:
             return nxt
         before = nodes
         got = grow(nxt, cands, need - 1)
         if got is not None:
             return got
-        dear = low if nodes - before >= costly else 0
+        dear = 1 << v if nodes - before >= costly else 0
         ok = accepted
         rest = cands & ~ok
         while rest and (ok | rest).bit_count() >= need:
             if not ok and not rest & bound:
                 break
-            bit = rest & -rest
-            rest ^= bit
+            one = rest & -rest
+            rest ^= one
             nodes += 1
-            if can_add(state, order[bit.bit_length() - 1]):
-                ok |= bit
+            if can_add(state, order[one.bit_length() - 1]):
+                ok |= one
         joined = low | ok
         while ok.bit_count() >= need and ok & bound:
             low = ok & -ok
             ok ^= low
             v = order[low.bit_length() - 1]
-            if dear:
-                onto = 0
-                m = dear
-                while m:
-                    bit = m & -m
-                    onto |= 1 << order[bit.bit_length() - 1]
-                    m ^= bit
-                if mirrors.find((state[0] | ~free) & everyone, v, onto) is not None:
-                    skipped += 1
-                    continue
+            if dear and mirrors.find((state[0] | ~free) & everyone, v, dear) is not None:
+                skipped += 1
+                continue
             before = nodes
             got = grow(add(state, v), ok, need - 1)
             if got is not None:
                 return got
             if nodes - before >= costly:
-                dear |= low
+                dear |= 1 << v
             else:
                 dear = 0
         accepted = joined
@@ -788,13 +765,11 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     left = doll[0]  # members still to choose
     symmetric = nodes >= costly  # whether a yes is first looked for by automorphism
     refuted = 0  # the ids since the last member whose refutation cost ``costly`` tests
-    pos = None  # pos[v]: the candidate bit of v, built for the first search
-    above = 0  # the candidate bits of the ids above u
+    above = full  # the candidate bits of the ids above u
     for u in engine.universe:  # ascending ids
         if not left:
             break
-        if pos is not None:
-            above ^= 1 << pos[u]
+        above ^= bit[u]
         if not (cert >> u) & 1:
             nodes += 1
             if not can_add(state, u):
@@ -811,12 +786,6 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
                     if (image >> w) & 1:
                         cert |= 1 << v
             else:
-                if pos is None:
-                    pos = [0] * g.n
-                    for i, v in enumerate(order):
-                        pos[v] = i
-                        if v > u:
-                            above |= 1 << i
                 free = -1 << (u + 1)
                 before = nodes
                 got = grow(add(state, u), above, left - 1)
@@ -909,11 +878,11 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
     smaller than the incumbent, so the first smallest one is kept.  Sets
     at or above the incumbent's size are not extended.
 
-    Refusal lookahead, on the family engine (``_FamilyEngine.forbidden``:
-    X is valid iff it holds no set F of the family).  At a set X with
-    candidates A, call u *pending* when it is in none of X, A and the
-    refused vertices: an earlier child that joined,
-    here or at an ancestor, or a child skipped by symmetry.  Every set W
+    Refusal lookahead, on the family engine (``_FamilyEngine``'s ``near``
+    and ``far``: X is valid iff it holds no set F of the family).  At a
+    set X with candidates A, call u *pending* when it is in none of X, A
+    and the refused vertices: an earlier child that joined, here or at an
+    ancestor, or a child skipped by symmetry.  Every set W
     below X lies inside X + A and leaves u out, so W is maximal only if
     it refuses u, that is only if W holds F - u for some F that holds u.
     Below the child X + w, W lies inside S(w) = X + {w} + (A above w), and
@@ -951,12 +920,13 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
     and the value and the witness do not change.
 
     ``_Stabilizer.drops`` answers the question, in the order of cost:
-    r must share y's cell of ``alike`` and its distance profile to X;
-    the cached automorphisms that keep X are asked; then r must share
-    y's cell of ``refine(dmat, X)``, and an empty candidate set answers
-    no with no search; last ``find_automorphism`` looks for σ from those
-    cells.  When ``alike`` is discrete the graph has no symmetry and
-    nothing is looked up.  A child is checked only when its subtree may
+    r must share y's cell of ``alike``; the cached automorphisms that
+    keep X are asked; then r must share y's cell of ``refine(dmat, X)``
+    (whose first round already splits the vertices outside X by their
+    distances to X), and an empty candidate set answers no with no
+    search; last ``find_automorphism`` looks for σ from those cells.
+    When ``alike`` is discrete the graph has no symmetry and nothing is
+    looked up.  A child is checked only when its subtree may
     cost ``_Mirrors.costly`` tests, n² times the engine's ``gate``: once
     a searched child of its size did, and only while the child's subtree
     can hold n times ``gate`` sets, of at most n tests each.  A vertex the
@@ -980,7 +950,7 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
     sets = dmat.n * engine.gate  # sets of at most n tests each that make a costly subtree
     family = isinstance(engine, _FamilyEngine)  # the lookahead needs a forbidden-set family
     # near[u], far[u]: the one-vertex F - u as one mask, and the larger F - u
-    near, far = engine.forbidden() if family else ((), ())
+    near, far = (engine.near, engine.far) if family else ((), ())
     never = 1 << dmat.n  # above every vertex bit
     unknown = 0 if family else never  # the kept bit of a vertex just made pending
     kept = [0] * dmat.n  # kept[u]: the kept bit of the pending vertex u
@@ -1152,24 +1122,22 @@ def solve_lower(
     canonical witness (``_lower_search`` has the proof).
     """
     start = time.perf_counter()
+    shortcut = None
     if fast_path and kind == "mv" and g.n >= 2 and (cut := bridges(g)):
-        witness = VertexSet.from_ids(g.n, _first_maximal_pair(_connected_metric(g), cut[0]))
-        if not visibility.is_maximal_set(g, witness, "mv"):
-            raise RuntimeError("cut-edge witness failed revalidation")
-        return SolveResult(
-            "mv", "lower", 2, witness, 0, time.perf_counter() - start, FAST_PATH_CUT_EDGE
-        )
-
-    engine = _make_engine(g, kind, force)
-    dmat = _connected_metric(g)
-    bound = visibility.neighborhood_bound(g) if kind == "mv" else None
-    mask, nodes, skipped, pruned = _lower_search(dmat, engine, bound)
+        shortcut = FAST_PATH_CUT_EDGE
+        a, b = _first_maximal_pair(_connected_metric(g), cut[0])
+        mask, nodes, skipped, pruned = 1 << a | 1 << b, 0, 0, 0
+    else:
+        engine = _make_engine(g, kind, force)
+        dmat = _connected_metric(g)
+        bound = visibility.neighborhood_bound(g) if kind == "mv" else None
+        mask, nodes, skipped, pruned = _lower_search(dmat, engine, bound)
     witness = VertexSet(g.n, mask)
     if not visibility.is_maximal_set(g, witness, kind):
-        raise RuntimeError("solver produced a non-maximal witness; engine and predicate disagree")
+        raise RuntimeError("solver produced a non-maximal witness; search and predicate disagree")
     return SolveResult(
-        kind, "lower", len(witness), witness, nodes, time.perf_counter() - start,
-        skipped=skipped, pruned=pruned,
+        kind, "lower", len(witness), witness, nodes, time.perf_counter() - start, shortcut,
+        skipped, pruned,
     )
 
 

@@ -307,6 +307,25 @@ class TestAutomorphism:
                     if keeps(p, x):
                         assert all(keeps(p, cell) for cell in cells), (index, x, p)
 
+    def test_refine_cells_keep_distances_to_the_set(self):
+        # the first round splits the vertices outside the individualised set
+        # by how many of its members lie at each distance, so two of them in
+        # one cell have the same sorted distances to the set (the lower
+        # search's setwise skip takes its candidate images from these cells)
+        for index, g in load_atlas(range(1, 7)):
+            dmat = distance_matrix(g)
+            for x in range(1 << g.n):
+                members = [a for a in range(g.n) if (x >> a) & 1]
+                for cell in refine(dmat, x):
+                    if cell & x:
+                        continue
+                    profiles = {
+                        tuple(sorted(dmat.rows[v][a] for a in members))
+                        for v in range(g.n)
+                        if (cell >> v) & 1
+                    }
+                    assert len(profiles) == 1, (index, x, cell)
+
     @pytest.mark.parametrize(
         "g",
         [cycle(n) for n in range(3, 10)]
