@@ -30,10 +30,9 @@ from atlas import (  # noqa: E402
     gate_off,
     joins_mismatches,
     load_atlas,
-    lower_mismatches,
-    max_mismatches,
-    oracle_mismatches,
+    oracle_answers,
     reduction_holds,
+    solver_mismatches,
 )
 
 
@@ -42,13 +41,13 @@ def main() -> int:
     graphs = load_atlas({7})
     failed = checks = cuts = 0
     for index, g in graphs:
-        bad = oracle_mismatches(g)
+        want = oracle_answers(g)
+        bad, _, _ = solver_mismatches(g, want, fast_paths=(True, False))
         if not reduction_holds(g):
             bad.append(("gadget", "reduction formula"))
         with gate_off():
-            bad += [(kind, "no gate", *rest) for kind, *rest in lower_mismatches(g)[0]]
-            max_bad, pruned = max_mismatches(g)
-            bad += [(kind, "no gate", *rest) for kind, *rest in max_bad]
+            gate_bad, _, pruned = solver_mismatches(g, want, fast_paths=(False,))
+        bad += [(kind, "no gate", *rest) for kind, *rest in gate_bad]
         cuts += pruned
         joins_bad, count = joins_mismatches(g)
         bad += [(kind, "joins", *rest) for kind, *rest in joins_bad]

@@ -29,11 +29,13 @@ which both searches rely on:
 * lower: one depth-first pass over the valid sets; a vertex refused by
   a set stays refused by its supersets, so maximality is tested only
   against the vertices no ancestor refused, and for mv the incumbent
-  starts at the Neighborhood Lemma bound deg(x) + 1.  Where validity is
-  a forbidden-set family (tmv, independence, and mv on graphs of
+  starts at the Neighborhood Lemma bound deg(x) + 1.  Where the search
+  runs on the family engine (tmv, independence, and mv on graphs of
   diameter at most 2), a refusal lookahead returns from a set once a
   vertex that every set below it must leave out can no longer be
-  refused there, or only by sets that reach the incumbent's size.
+  refused there, or only by sets that reach the incumbent's size.  gp
+  is a forbidden-set family too, its collinear triples, but it stays on
+  its own engine for speed, so its lower search has no lookahead.
   ``independent_domination`` runs the same pass over independence, whose
   maximal sets are the independent dominating sets.
 
@@ -83,9 +85,13 @@ before the searches look for automorphisms.  The three engines:
   when no interior vertex is left outside the set and v, kept at
   distance 2 when one is, and otherwise walked layer by layer inside the
   interior, avoiding the set and v;
-* gp: a union of the ``g.metric.between`` interiors of current pairs is
-  carried along; v must avoid it and contribute no member-covering
-  interior.
+* gp (``_GpEngine``): a union of the ``g.metric.between`` interiors of
+  current pairs is carried along; v must avoid it and contribute no
+  member-covering interior, one bit test plus one mask test per member.
+  The collinear triples a, b, c (b on a geodesic from a to c) are a
+  forbidden-set family, but on the family engine ``can_add`` would scan
+  every collinear pair through v, hundreds per vertex on a hypercube,
+  which made gp max many times slower.
 
 Answers are revalidated through the definitional predicates in the
 visibility module before being returned; a disagreement raises rather

@@ -1,9 +1,14 @@
-"""The frozen graph-atlas corpus and the solver-versus-oracle comparisons.
+"""The frozen graph-atlas corpus and the solver-versus-oracle comparison.
 
 ``data/atlas_connected.txt`` holds every connected graph with at most 7
 vertices up to isomorphism (written by ``scripts/freeze_atlas.py``).
-``form_mismatches`` compares the solvers with the forbidden-set oracle,
-which reaches graphs far past the atlas.
+An answer table maps (kind, variant) to the (value, witness tuple) the
+solvers must return: ``oracle_answers`` fills it by brute force over
+every subset, ``form_answers`` by a walk over the valid sets of each
+forbidden-set form, which reaches graphs far past the atlas, and
+``oracle_rows`` picks the brute-force rows a check is about.
+``solver_mismatches`` is the one comparison of the solvers with such a
+table.
 """
 
 import os
@@ -34,62 +39,65 @@ def load_atlas(sizes):
     return out
 
 
-def oracle_mismatches(g):
-    """(kind, query, solver answer, oracle answer) wherever they differ.
-
-    Answers are (value, witness tuple); the lower variant is solved with
-    the mv cut-edge shortcut both on and off.  ``independent_domination``,
-    the lower search over independence, is compared too.
-    """
-    bad = []
-    lower, indep = lower_oracles(g)
-    for kind in KINDS:
-        want = max_oracles(g)[kind]
-        res = solve_max(g, kind)
-        if (res.value, res.witness.members()) != want:
-            bad.append((kind, "max", (res.value, res.witness.members()), want))
-        want = lower[kind]
-        for fast in (True, False):
-            res = solve_lower(g, kind, fast_path=fast)
-            if (res.value, res.witness.members()) != want:
-                bad.append((kind, f"lower fast={fast}", (res.value, res.witness.members()), want))
-    res = independent_domination(g)
-    if (res.value, res.witness.members()) != indep:
-        bad.append(("independence", "lower", (res.value, res.witness.members()), indep))
-    return bad
-
-
 @lru_cache(maxsize=16)
-def lower_oracles(g):
-    """The oracles' lower answers by kind and their independent domination
-    answer, kept for the last graphs asked about, since both
-    ``oracle_mismatches`` and ``lower_mismatches`` compare against them."""
-    lower = {kind: oracles.solve_lower_oracle(g, kind) for kind in KINDS}
-    return lower, oracles.independent_domination_oracle(g)
-
-
-@lru_cache(maxsize=16)
-def max_oracles(g):
-    """The oracle's max answers by kind, kept for the last graphs asked
-    about, since both ``oracle_mismatches`` and ``max_mismatches`` compare
-    against them."""
-    return {kind: oracles.solve_max_oracle(g, kind) for kind in KINDS}
-
-
-def max_mismatches(g):
-    """``solve_max`` against the oracle, as (mismatches, the branches the
-    convex-path bound cut).  Call it under ``gate_off``: the paths are
-    then built before the doll's first search, so the bound acts in every
-    phase and in the witness completion."""
-    bad = []
-    pruned = 0
+def oracle_answers(g):
+    """The answer table of ``g`` by brute force: (kind, variant) for every
+    kind and variant from ``oracles.subset_oracle``, and ("independence",
+    "lower") from ``oracles.independent_domination_oracle``.  Kept for
+    the last graphs asked about, since the max, lower and gate-off checks
+    of one graph each read it."""
+    table = {}
     for kind in KINDS:
-        want = max_oracles(g)[kind]
-        res = solve_max(g, kind)
-        pruned += res.pruned
-        if (res.value, res.witness.members()) != want:
-            bad.append((kind, "max", (res.value, res.witness.members()), want))
-    return bad, pruned
+        table[kind, "max"], table[kind, "lower"] = oracles.subset_oracle(g, kind)
+    table["independence", "lower"] = oracles.independent_domination_oracle(g)
+    return table
+
+
+def form_answers(g, kinds=KINDS):
+    """The answer table of ``g`` from ``oracles.walk_oracle`` over the
+    forbidden-set form of each kind of ``kinds`` that has one on ``g``
+    (``oracles.forbidden_sets_oracle``); a kind without one has no rows."""
+    table = {}
+    for kind in kinds:
+        sets = oracles.forbidden_sets_oracle(g, kind)
+        if sets is not None:
+            joins = oracles.form_joins(sets)
+            table[kind, "max"], table[kind, "lower"] = oracles.walk_oracle(g, joins)
+    return table
+
+
+def oracle_rows(g, variant, kinds=KINDS):
+    """The rows of ``oracle_answers(g)`` for ``variant`` and ``kinds``."""
+    table = oracle_answers(g)
+    return {(kind, variant): table[kind, variant] for kind in kinds}
+
+
+def solver_mismatches(g, want, fast_paths=(True,), force=False):
+    """The solvers against the answer table ``want``, as (mismatches
+    (kind, variant, fast_path, solver answer, table answer), children the
+    searches skipped by symmetry, branches the convex-path bound of
+    ``solve_max`` cut).  A max row goes to ``solve_max``; a lower row to
+    ``solve_lower`` once for each mv cut-edge shortcut setting in
+    ``fast_paths`` (with the shortcut off the search runs); the
+    independence row to ``independent_domination``, the lower search over
+    independence.  The sets the lower searches' lookahead cut are not
+    counted: they are no convex-path cuts."""
+    bad = []
+    skipped = pruned = 0
+    for (kind, variant), answer in want.items():
+        settings = fast_paths if variant == "lower" and kind in KINDS else (None,)
+        for fast in settings:
+            if kind == "independence":
+                res = independent_domination(g)
+            elif variant == "max":
+                res = solve_max(g, kind, force=force)
+                pruned += res.pruned
+            else:
+                res = solve_lower(g, kind, force=force, fast_path=fast)
+            skipped += res.skipped
+            if (res.value, res.witness.members()) != answer:
+                bad.append((kind, variant, fast, (res.value, res.witness.members()), answer))
+    return bad, skipped, pruned
 
 
 def reduction_holds(base, t=3):
@@ -106,7 +114,10 @@ def gate_off():
     """Every engine's ``gate`` at 0 for the duration: the searches look for
     an automorphism at every child they may skip, not only past a costly
     search, so the symmetry rules meet every case a small graph has.  A
-    family engine built for mv takes ``_MvEngine.gate``, so it gets 0 too."""
+    family engine built for mv takes ``_MvEngine.gate``, so it gets 0 too.
+    The max search then also builds its convex paths before the doll's
+    first search, so their bound acts in every phase and in the witness
+    completion."""
     engines = (solvers._MvEngine, solvers._FamilyEngine, solvers._GpEngine)
     saved = [engine.gate for engine in engines]
     for engine in engines:
@@ -116,26 +127,6 @@ def gate_off():
     finally:
         for engine, gate in zip(engines, saved):
             engine.gate = gate
-
-
-def lower_mismatches(g):
-    """``solve_lower`` (no cut-edge shortcut, so the search runs) and
-    ``independent_domination`` against the oracles, as (mismatches, the
-    children the searches skipped): call it under ``gate_off``."""
-    bad = []
-    skipped = 0
-    lower, indep = lower_oracles(g)
-    for kind in KINDS:
-        want = lower[kind]
-        res = solve_lower(g, kind, fast_path=False)
-        skipped += res.skipped
-        if (res.value, res.witness.members()) != want:
-            bad.append((kind, "lower", (res.value, res.witness.members()), want))
-    res = independent_domination(g)
-    skipped += res.skipped
-    if (res.value, res.witness.members()) != indep:
-        bad.append(("independence", "lower", (res.value, res.witness.members()), indep))
-    return bad, skipped
 
 
 def joins_mismatches(g):
@@ -157,23 +148,3 @@ def joins_mismatches(g):
                 if got != is_valid_set(g, x.add(v), kind):
                     bad.append((kind, x.members(), v, got))
     return bad, checks
-
-
-def form_mismatches(g, kinds=KINDS):
-    """``solve_max`` and ``solve_lower`` (forced) against
-    ``oracles.form_search_oracle`` for each kind of ``kinds`` whose
-    forbidden-set form applies to ``g``, as (mismatches (kind, variant,
-    solver answer, oracle answer), kinds compared)."""
-    bad = []
-    compared = []
-    for kind in kinds:
-        sets = oracles.forbidden_sets_oracle(g, kind)
-        if sets is None:
-            continue
-        compared.append(kind)
-        want_max, want_lower = oracles.form_search_oracle(g, sets)
-        for variant, solve, want in (("max", solve_max, want_max), ("lower", solve_lower, want_lower)):
-            res = solve(g, kind, force=True)
-            if (res.value, res.witness.members()) != want:
-                bad.append((kind, variant, (res.value, res.witness.members()), want))
-    return bad, compared

@@ -97,38 +97,18 @@ def maximal_oracle(g, x_ids, kind):
     return True
 
 
-def _best(cands):
-    """Smallest member tuple among equal-sized candidates."""
-    return min(cands)
-
-
-def solve_max_oracle(g, kind):
-    best = None
-    for mask in range(1 << g.n):
-        ids = tuple(v for v in range(g.n) if mask >> v & 1)
-        if valid_oracle(g, ids, kind):
-            if best is None or len(ids) > len(best[0][0]):
-                best = ([ids], len(ids))
-            elif len(ids) == len(best[0][0]):
-                best[0].append(ids)
-    if best is None:
-        return None
-    return len(best[0][0]), _best(best[0])
-
-
-def solve_lower_oracle(g, kind):
-    best = None
-    for mask in range(1 << g.n):
-        ids = tuple(v for v in range(g.n) if mask >> v & 1)
-        if not maximal_oracle(g, ids, kind):
-            continue
-        if best is None or len(ids) < len(best[0][0]):
-            best = ([ids], len(ids))
-        elif len(ids) == len(best[0][0]):
-            best[0].append(ids)
-    if best is None:
-        return None
-    return len(best[0][0]), _best(best[0])
+def subset_oracle(g, kind):
+    """(max answer, lower answer) of ``kind`` on ``g``, each a (value,
+    member tuple) pair: the largest valid set and the smallest maximal
+    one, ties to the lexicographically first member tuple.  Every subset
+    goes through ``valid_oracle``; the valid ones, by size and then member
+    tuple, go through ``maximal_oracle`` until one is maximal."""
+    subsets = (tuple(v for v in range(g.n) if mask >> v & 1) for mask in range(1 << g.n))
+    valid = sorted((len(ids), ids) for ids in subsets if valid_oracle(g, ids, kind))
+    largest = valid[-1][0]
+    best_max = next(answer for answer in valid if answer[0] == largest)
+    best_lower = next(answer for answer in valid if maximal_oracle(g, answer[1], kind))
+    return best_max, best_lower
 
 
 def connected_oracle(g):
@@ -299,20 +279,30 @@ def form_valid(sets, x_ids):
     return not any(f <= x for f in sets)
 
 
-def form_search_oracle(g, sets):
-    """(max answer, lower answer) of the forbidden-set family ``sets``, each
-    a (value, member tuple) pair: the largest valid set and the smallest
-    maximal one, ties to the lexicographically first member tuple.
+def form_joins(sets):
+    """The join test of the forbidden-set family ``sets``, for
+    ``walk_oracle``: v joins the valid set x when x + v holds none of the
+    sets through v."""
+    by_vertex = {v: [f for f in sets if v in f] for v in frozenset().union(*sets)}
+
+    def joins(x, v):
+        return not any(f <= x | {v} for f in by_vertex.get(v, ()))
+
+    return joins
+
+
+def walk_oracle(g, joins):
+    """(max answer, lower answer) of the hereditary set family whose join
+    test is ``joins(x, v)`` (whether the valid frozenset x stays valid with
+    v added), each a (value, member tuple) pair: the largest valid set and
+    the smallest maximal one, ties to the lexicographically first member
+    tuple.
 
     A plain depth-first walk over every valid set, each grown by larger
     vertices only, with no bound, order, symmetry or lookahead.  Valid
     sets are hereditary, so the walk reaches all of them.
     """
-    by_vertex = [[f for f in sets if v in f] for v in range(g.n)]
     best_max = best_lower = None
-
-    def joins(x, v):
-        return not any(f <= x | {v} for f in by_vertex[v])
 
     def walk(x, start):
         nonlocal best_max, best_lower

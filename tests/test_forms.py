@@ -5,17 +5,20 @@ each have a fixed family of forbidden vertex sets: a set is valid iff it
 holds none of them (``oracles.forbidden_sets_oracle``).  Each form is
 pinned here against the definitional ``oracles.valid_oracle`` on every
 vertex subset of the atlas graphs with at most 6 vertices.  A plain walk
-over the valid sets of a form (``oracles.form_search_oracle``) then
-checks ``solve_max`` and ``solve_lower`` on 15- to 18-vertex graphs in
-three labellings, where the search rules fire and the brute-force
-oracles cannot reach.  The heavier rows run as
-``scripts/form_differential.py``.
+over the valid sets (``oracles.walk_oracle``), joined through a form
+(``oracles.form_joins``, tabled by ``atlas.form_answers``), then checks
+``solve_max`` and ``solve_lower`` (``atlas.solver_mismatches``) on 15-
+to 18-vertex graphs in three labellings, where the search rules fire
+and the brute-force oracles cannot reach.  The heavier rows run as
+``scripts/form_differential.py``.  mv at diameter 3 or more has no form;
+there the same walk joins through ``oracles.valid_oracle`` itself, on
+P4xP4 (diameter 6) and a G(16, 0.3) draw (diameter 4).
 """
 
 import pytest
 
 import oracles
-from atlas import form_mismatches, load_atlas
+from atlas import form_answers, load_atlas, solver_mismatches
 from conftest import relabelled
 from vislab.families import complete, grid, path
 from vislab.graph_core import cartesian_product
@@ -68,7 +71,27 @@ def test_solvers_match_form_oracle(name):
     g = SLICE[name]()
     for seed in (None, 1, 2):
         h = g if seed is None else relabelled(g, seed)
-        bad, compared = form_mismatches(h)
+        want = form_answers(h)
+        bad, _, _ = solver_mismatches(h, want, force=True)
         assert not bad, (name, seed, bad)
         # mv only on the clique products, the slice's graphs of diameter 2
-        assert compared == (["mv", "tmv", "gp"] if name[0] == "K" else ["tmv", "gp"])
+        kinds = {kind for kind, _ in want}
+        assert kinds == ({"mv", "tmv", "gp"} if name[0] == "K" else {"tmv", "gp"})
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [("P4xP4", None), ("P4xP4", 1), ("P4xP4", 2), ("G16-0.3-0", None)],
+)
+def test_mv_past_diameter_two_matches_definitional_walk(name, seed):
+    # _MvEngine's interval tests, member reaches and pair walks, against a
+    # join test that lists every geodesic between the members
+    g = grid((4, 4)) if name == "P4xP4" else _draw(16, 0.3, 0)
+    h = g if seed is None else relabelled(g, seed)
+    assert oracles.forbidden_sets_oracle(h, "mv") is None
+    want_max, want_lower = oracles.walk_oracle(
+        h, lambda x, v: oracles.valid_oracle(h, x | {v}, "mv")
+    )
+    want = {("mv", "max"): want_max, ("mv", "lower"): want_lower}
+    bad, _, _ = solver_mismatches(h, want, fast_paths=(False,))
+    assert not bad, (name, seed, bad)

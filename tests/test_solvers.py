@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from atlas import form_mismatches, gate_off, load_atlas, lower_mismatches, max_mismatches
+from atlas import form_answers, gate_off, load_atlas, oracle_answers, oracle_rows, solver_mismatches
 from conftest import bowtie, connected_graphs, relabelled
 from vislab import graph_core, solvers
 from vislab.families import (
@@ -44,19 +44,15 @@ class TestSolveMaxOracle:
     @pytest.mark.parametrize("kind", KINDS)
     def test_battery(self, battery, kind):
         for label, g in battery:
-            want_value, want_witness = oracles.solve_max_oracle(g, kind)
-            got = solve_max(g, kind)
-            assert got.value == want_value, label
-            assert got.witness.members() == want_witness, label
+            bad, _, _ = solver_mismatches(g, oracle_rows(g, "max", (kind,)))
+            assert not bad, label
 
     @pytest.mark.parametrize("kind", KINDS)
     @given(g=connected_graphs(min_n=1, max_n=5))
     @settings(max_examples=40)
     def test_random(self, kind, g):
-        want_value, want_witness = oracles.solve_max_oracle(g, kind)
-        got = solve_max(g, kind)
-        assert got.value == want_value
-        assert got.witness.members() == want_witness
+        bad, _, _ = solver_mismatches(g, oracle_rows(g, "max", (kind,)))
+        assert not bad
 
     def test_k5_everything_visible(self):
         got = solve_max(complete(5), "mv")
@@ -95,19 +91,15 @@ class TestSolveLowerOracle:
     @pytest.mark.parametrize("kind", KINDS)
     def test_battery(self, battery, kind):
         for label, g in battery:
-            want = oracles.solve_lower_oracle(g, kind)
-            got = solve_lower(g, kind, fast_path=False)
-            assert got.value == want[0], label
-            assert got.witness.members() == want[1], label
+            bad, _, _ = solver_mismatches(g, oracle_rows(g, "lower", (kind,)), fast_paths=(False,))
+            assert not bad, label
 
     @pytest.mark.parametrize("kind", KINDS)
     @given(g=connected_graphs(min_n=1, max_n=5))
     @settings(max_examples=40)
     def test_random(self, kind, g):
-        want = oracles.solve_lower_oracle(g, kind)
-        got = solve_lower(g, kind, fast_path=False)
-        assert got.value == want[0]
-        assert got.witness.members() == want[1]
+        bad, _, _ = solver_mismatches(g, oracle_rows(g, "lower", (kind,)), fast_paths=(False,))
+        assert not bad
 
     def test_witness_revalidated(self, battery):
         for kind in KINDS:
@@ -186,10 +178,9 @@ class TestSymmetry:
         skipped = 0
         for seed in (1, 2, 3):
             h = relabelled(g, seed)
-            for kind in KINDS:
-                got = solve_lower(h, kind)
-                assert (got.value, got.witness.members()) == oracles.solve_lower_oracle(h, kind)
-                skipped += got.skipped
+            bad, count, _ = solver_mismatches(h, oracle_rows(h, "lower"))
+            assert not bad, (seed, bad)
+            skipped += count
         assert skipped > 0 or not prunes
 
     @pytest.mark.parametrize(
@@ -206,9 +197,8 @@ class TestSymmetry:
         # still be the lexicographically first optimum of each labelling
         for seed in (1, 2, 3):
             h = relabelled(g, seed)
-            for kind in KINDS:
-                got = solve_max(h, kind)
-                assert (got.value, got.witness.members()) == oracles.solve_max_oracle(h, kind)
+            bad, _, _ = solver_mismatches(h, oracle_rows(h, "max"))
+            assert not bad, (seed, bad)
 
     @pytest.mark.parametrize(
         "g, prunes",
@@ -224,10 +214,9 @@ class TestSymmetry:
         skipped = 0
         for seed in (0, 1, 3, 4):
             h = relabelled(g, seed) if seed else g
-            for kind in KINDS:
-                got = solve_max(h, kind)
-                assert (got.value, got.witness.members()) == oracles.solve_max_oracle(h, kind)
-                skipped += got.skipped
+            bad, count, _ = solver_mismatches(h, oracle_rows(h, "max"))
+            assert not bad, (seed, bad)
+            skipped += count
         assert skipped > 0 or not prunes
 
     def test_max_mirrors_without_gate_match_oracle(self):
@@ -239,13 +228,12 @@ class TestSymmetry:
                 for seed in (0, 1, 2):
                     h = relabelled(g, seed) if seed else g
                     for kind in KINDS:
-                        got = solve_max(h, kind)
-                        want = oracles.solve_max_oracle(h, kind)
-                        assert (got.value, got.witness.members()) == want
-                        skipped += got.skipped
+                        bad, count, _ = solver_mismatches(h, oracle_rows(h, "max", (kind,)))
+                        assert not bad, (seed, bad)
+                        skipped += count
                         engine = _make_engine(h, kind, False)
                         if kind == "mv" and isinstance(engine, solvers._FamilyEngine):
-                            family_mv += got.skipped
+                            family_mv += count
         assert skipped > 0
         # diameter-2 mv runs on the family engine, whose gate is zeroed too
         assert family_mv > 0
@@ -258,7 +246,8 @@ class TestSymmetry:
             for index, g in load_atlas(range(5, 7)):
                 for seed in (0, 1, 2):
                     h = relabelled(g, seed) if seed else g
-                    bad, count = lower_mismatches(h)
+                    want = oracle_rows(h, "lower", KINDS + ("independence",))
+                    bad, count, _ = solver_mismatches(h, want, fast_paths=(False,))
                     assert not bad, (index, seed, bad)
                     skipped += count
                     if isinstance(_make_engine(h, "mv", False), solvers._FamilyEngine):
@@ -320,7 +309,7 @@ class TestConvexBound:
         pruned = 0
         with gate_off():
             for g in [g for _, g in load_atlas(range(1, 7))] + self.GRAPHS:
-                bad, cuts = max_mismatches(g)
+                bad, _, cuts = solver_mismatches(g, oracle_rows(g, "max"))
                 assert not bad, (list(g.edges()), bad)
                 pruned += cuts
         assert pruned > 0
@@ -331,8 +320,9 @@ class TestConvexBound:
         g = grid((4, 5))
         with gate_off():
             assert solve_max(g, "gp", force=True).pruned > 0
-            bad, compared = form_mismatches(g, ("tmv", "gp"))
-        assert compared == ["tmv", "gp"] and not bad
+            want = form_answers(g, ("tmv", "gp"))
+            bad, _, _ = solver_mismatches(g, want, force=True)
+        assert len(want) == 4 and not bad
 
     @pytest.mark.parametrize(
         "seed, witness, tests",
@@ -444,9 +434,9 @@ class TestMaxEdgeCases:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_single_vertex(self, kind):
-        got = solve_max(complete(1), kind)
-        assert (got.value, got.witness.members()) == oracles.solve_max_oracle(complete(1), kind)
-        assert got.value == 1
+        g = complete(1)
+        bad, _, _ = solver_mismatches(g, oracle_rows(g, "max", (kind,)))
+        assert not bad and oracle_answers(g)[kind, "max"][0] == 1
 
 
 class TestCap:
@@ -614,9 +604,10 @@ class TestLookahead:
         assert res.nodes <= tests
 
     def test_only_forbidden_set_families(self):
-        # gp has no family and Q4 (diameter 4) no mv one: those searches
-        # cut nothing, nor does the max search on K4□K4, which has no
-        # convex path of 3 vertices
+        # gp (a family of collinear triples, but kept on its own engine
+        # for speed) and mv on Q4 (diameter 4, no family) do not run on
+        # the family engine: those searches cut nothing, nor does the max
+        # search on K4□K4, which has no convex path of 3 vertices
         assert solve_lower(hypercube(4), "gp").pruned == 0
         assert solve_lower(hypercube(4), "mv").pruned == 0
         assert solve_lower(hypercube(4), "tmv").pruned > 0
@@ -636,16 +627,16 @@ class TestIndependentDomination:
     @given(g=connected_graphs(min_n=1, max_n=7))
     @settings(max_examples=50)
     def test_matches_oracle(self, g):
-        got = independent_domination(g)
-        assert (got.value, got.witness.members()) == oracles.independent_domination_oracle(g)
+        want = {("independence", "lower"): oracles.independent_domination_oracle(g)}
+        assert solver_mismatches(g, want)[0] == []
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_symmetry_skip_keeps_witness(self, seed):
         # the lower search's symmetry skip fires on C20 in every labelling
         g = relabelled(cycle(20), seed)
-        got = independent_domination(g)
-        assert got.skipped > 0
-        assert (got.value, got.witness.members()) == oracles.independent_domination_oracle(g)
+        want = {("independence", "lower"): oracles.independent_domination_oracle(g)}
+        bad, skipped, _ = solver_mismatches(g, want)
+        assert not bad and skipped > 0
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
