@@ -13,10 +13,12 @@ lower search then checks every child for symmetry, and the max search
 builds its convex paths before its first search, so that their bound
 acts from the doll's first phase on.  It checks ``visibility._joins``
 against the whole-set predicate on every valid set and outside vertex,
-as ``tests/test_visibility.py`` does up to 6 vertices (628,294 checks).
-It prints the counts of join checks and of branches the convex-path
-bound cut, takes about 30 s, prints each mismatch and exits 1 if there
-is any.
+as ``tests/test_visibility.py`` does up to 6 vertices (628,294 checks),
+and each forbidden-set form against the definitions on every subset,
+as ``tests/test_forms.py`` does up to 6 vertices (2,080 forms, 266,240
+subsets).  It prints the counts of join checks, of forms and subsets
+and of branches the convex-path bound cut, takes about 30 s, prints
+each mismatch and exits 1 if there is any.
 """
 
 import os
@@ -27,6 +29,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from atlas import (  # noqa: E402
+    form_definition_mismatches,
     gate_off,
     joins_mismatches,
     load_atlas,
@@ -39,7 +42,7 @@ from atlas import (  # noqa: E402
 def main() -> int:
     start = time.perf_counter()
     graphs = load_atlas({7})
-    failed = checks = cuts = 0
+    failed = checks = cuts = forms = subsets = 0
     for index, g in graphs:
         want = oracle_answers(g)
         bad, _, _ = solver_mismatches(g, want, fast_paths=(True, False))
@@ -52,12 +55,17 @@ def main() -> int:
         joins_bad, count = joins_mismatches(g)
         bad += [(kind, "joins", *rest) for kind, *rest in joins_bad]
         checks += count
+        form_bad, count = form_definition_mismatches(g)
+        bad += [(kind, "form", x) for kind, x in form_bad]
+        forms += count
+        subsets += count << g.n
         if bad:
             failed += 1
             print(f"atlas {index}: {list(g.edges())} {bad}")
     print(
         f"{len(graphs)} graphs, {failed} with mismatches, {checks} join checks, "
-        f"{cuts} convex-path cuts, {time.perf_counter() - start:.0f}s"
+        f"{forms} forms over {subsets} subsets, {cuts} convex-path cuts, "
+        f"{time.perf_counter() - start:.0f}s"
     )
     return 1 if failed else 0
 

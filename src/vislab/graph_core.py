@@ -29,9 +29,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 UNREACHABLE = None
 
-# Bron-Kerbosch is the only routine with a hard width limit (bitmask pivoting).
-CLIQUE_VERTEX_LIMIT = 64
-
 # Most vertices any graph may have when built from a product or parsed from
 # text; guards against materializing astronomically large graphs.
 PRODUCT_VERTEX_LIMIT = 1 << 20
@@ -70,7 +67,7 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen = set()
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        nbrs: dict[int, set[int]] = {}  # edge endpoints only: the rest get ()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: ({u}, {v})")
@@ -80,9 +77,9 @@ class Graph:
             if key in seen:
                 raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
             seen.add(key)
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n, tuple(tuple(sorted(s)) for s in nbrs))
+            nbrs.setdefault(u, set()).add(v)
+            nbrs.setdefault(v, set()).add(u)
+        return cls(n, tuple(tuple(sorted(nbrs[v])) if v in nbrs else () for v in range(n)))
 
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:
@@ -324,6 +321,8 @@ def distance_two_pairs(g: Graph) -> list[tuple[int, int, int]]:
     masks = g.adj_masks
     out = []
     for a, nb in enumerate(g.adj):
+        if not nb:
+            continue  # no pairs, and the shift below would cost a bits
         near = 0
         for c in nb:
             near |= masks[c]
@@ -538,14 +537,6 @@ def find_automorphism(
         choices = cand[u]
 
 
-def neighborhood(g: Graph, v: int, closed: bool = False) -> VertexSet:
-    g.check_vertex(v)
-    mask = g.adj_masks[v]
-    if closed:
-        mask |= 1 << v
-    return VertexSet(g.n, mask)
-
-
 def is_connected(g: Graph) -> bool:
     """One BFS from vertex 0; K_0 and K_1 count as connected."""
     if g.n <= 1:
@@ -591,47 +582,6 @@ def bridges(g: Graph) -> EdgeList:
                     out.append((p, v) if p < v else (v, p))
     out.sort()
     return out
-
-
-def maximal_cliques(g: Graph) -> list[VertexSet]:
-    """All maximal cliques by pivoting Bron-Kerbosch (bitmask, n <= 64)."""
-    if g.n > CLIQUE_VERTEX_LIMIT:
-        raise InstanceTooLargeError(
-            f"instance too large for clique enumeration (n={g.n} > {CLIQUE_VERTEX_LIMIT})"
-        )
-    if g.n == 0:
-        return []
-    masks = g.adj_masks
-    found: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            found.append(r)
-            return
-        pool = p | x
-        pivot = -1
-        best = -1
-        m = pool
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            score = (p & masks[u]).bit_count()
-            if score > best:
-                best, pivot = score, u
-            m ^= low
-        cand = p & ~masks[pivot]
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            expand(r | low, p & masks[v], x & masks[v])
-            p ^= low
-            x |= low
-            cand ^= low
-
-    expand(0, (1 << g.n) - 1, 0)
-    cliques = [VertexSet(g.n, m) for m in found]
-    cliques.sort(key=lambda s: s.members())
-    return cliques
 
 
 def simplicial_vertices(g: Graph) -> VertexSet:
@@ -694,24 +644,38 @@ def mcs_order(g: Graph, universe: Iterable[int]) -> list[int]:
     return order
 
 
-def is_chordal(g: Graph) -> bool:
-    """Whether the reverse of ``mcs_order`` over every vertex is a perfect
-    elimination order: each vertex's later neighbours are all adjacent to
-    the earliest of them.  That holds exactly for chordal graphs, whatever
-    the tie-break of the search (Tarjan & Yannakakis 1984)."""
-    elim = mcs_order(g, range(g.n))[::-1]
+def chordal_cliques(g: Graph) -> Optional[list[VertexSet]]:
+    """The maximal cliques sorted by member tuple, or None when ``g`` is not
+    chordal.
+
+    Call a vertex with its later neighbours in the reverse of
+    ``mcs_order`` its clique.  That order is a perfect elimination order
+    exactly when ``g`` is chordal, whatever the tie-break of the search
+    (Tarjan & Yannakakis 1984): the later neighbours of each vertex v lie
+    in the clique of the earliest of them, p.  Every maximal clique is
+    then the clique of some vertex (Fulkerson & Gross 1965), and the
+    clique of p lies inside another one exactly when it equals the later
+    neighbours of such a v.
+    """
+    order = mcs_order(g, range(g.n))
+    adj = g.adj_masks
     pos = [0] * g.n
-    for i, v in enumerate(elim):
+    for i, v in enumerate(order):
         pos[v] = i
-    for v in range(g.n):
-        later = [u for u in g.adj[v] if pos[u] > pos[v]]
-        if not later:
-            continue
-        p = min(later, key=lambda u: pos[u])
-        for u in later:
-            if u != p and not g.has_edge(p, u):
-                return False
-    return True
+    clique = [0] * g.n
+    kept = {}
+    placed = 0  # the vertices after v in the elimination order
+    for v in order:
+        later = adj[v] & placed
+        if later:
+            p = max(VertexSet(g.n, later).members(), key=pos.__getitem__)
+            if later & ~clique[p]:
+                return None
+            if later == clique[p]:
+                kept.pop(p, None)
+        clique[v] = kept[v] = later | 1 << v
+        placed |= 1 << v
+    return sorted((VertexSet(g.n, c) for c in kept.values()), key=VertexSet.members)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -733,15 +697,13 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     return Graph(total, tuple(adj))
 
 
-def export_dot(g: Graph, highlight: Iterable[int] | VertexSet | None = None) -> str:
+def export_dot(g: Graph, highlight: Iterable[int] = ()) -> str:
     """Graphviz ``graph`` source; highlighted vertices get a fill attribute."""
     marked = 0
-    if highlight is not None:
-        ids = highlight.members() if isinstance(highlight, VertexSet) else tuple(highlight)
-        for v in ids:
-            if not (0 <= v < g.n):
-                raise ValueError(f"highlight vertex {v} out of range for n={g.n}")
-            marked |= 1 << v
+    for v in highlight:
+        if not (0 <= v < g.n):
+            raise ValueError(f"highlight vertex {v} out of range for n={g.n}")
+        marked |= 1 << v
     lines = ["graph {"]
     for v in range(g.n):
         if (marked >> v) & 1:

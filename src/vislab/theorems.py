@@ -50,10 +50,8 @@ from .graph_core import (
     VertexSet,
     bridges,
     cartesian_product,
-    is_chordal,
+    chordal_cliques,
     is_connected,
-    maximal_cliques,
-    neighborhood,
     simplicial_vertices,
 )
 from .rng import SplitMix64
@@ -364,7 +362,7 @@ def run_closed_form_suite() -> list[CheckReport]:
          "in a block graph with at least 2 vertices the lower mutual-visibility "
          "number is the smallest cardinality of a block",
          "mv", "lower",
-         [(label, g, min(len(c) for c in maximal_cliques(g))) for label, g in blocks]),
+         [(label, g, min(len(c) for c in chordal_cliques(g))) for label, g in blocks]),
         ("tree-tmv-lower",
          "in a tree with at least 2 vertices the lower total mutual-visibility "
          "number equals the number of leaves",
@@ -438,7 +436,7 @@ def solve_corpus(corpus: list[tuple[str, Graph]]) -> list[Solved]:
 def _ball_mismatch(s: Solved):
     g = s.g
     for vertex, flag in neighborhood_lemma_scan(g):
-        ball = neighborhood(g, vertex, closed=True)
+        ball = VertexSet(g.n, g.adj_masks[vertex] | 1 << vertex)
         direct = is_valid_set(g, ball, "mv") and is_maximal_set(g, ball, "mv")
         if flag != direct or (flag and s.mv_lower > g.degree(vertex) + 1):
             return str(vertex)
@@ -470,7 +468,8 @@ CLAIMS = (
     ("char-chordal-bound",
      "in a chordal graph the lower mutual-visibility number is at most the "
      "clique number",
-     lambda s: is_chordal(s.g) and s.mv_lower > max(len(c) for c in maximal_cliques(s.g))),
+     lambda s: ((cliques := chordal_cliques(s.g)) is not None
+                and s.mv_lower > max(len(c) for c in cliques))),
     ("char-cograph-bound",
      "in a non-trivial cograph the lower mutual-visibility number is at "
      "most the maximum degree plus one",

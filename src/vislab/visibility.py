@@ -58,10 +58,9 @@ def _check_universe(g: Graph, x: VertexSet) -> None:
         raise ValueError("vertex set universe does not match graph")
 
 
-def visible_mask(
-    g: Graph, src: int, blocked_mask: int, need: Optional[int] = None
-) -> int:
-    """Bitmask of vertices visible from ``src`` past the blocked vertices.
+def visible_mask(g: Graph, src: int, blocked_mask: int, need: int) -> int:
+    """Bitmask of vertices visible from ``src`` past the blocked vertices,
+    enough of it to tell whether all of the mask ``need`` is visible.
 
     A layered reach over the BFS layers of ``src``: the visible vertices at
     distance d are the neighbours of the unblocked visible vertices at
@@ -74,20 +73,17 @@ def visible_mask(
     ``src`` itself is always visible and is expanded even if the caller
     left it in ``blocked_mask``.
 
-    Without ``need`` the result is exact.  With a mask ``need`` the reach
-    answers only whether all of ``need`` is visible: it stops once all of
-    ``need`` is seen, or at the first layer that passes with a vertex of
-    ``need`` unseen, since a vertex lies in one layer only.  So ``need`` is
-    a subset of the result exactly when it is a subset of the exact
-    result, and the result is always a subset of the exact one.
+    The reach stops once all of ``need`` is seen, or at the first layer
+    that passes with a vertex of ``need`` unseen, since a vertex lies in
+    one layer only.  So every vertex of the result is visible, and
+    ``need`` is a subset of the result exactly when all of it is visible.
     """
     g.check_vertex(src)
     masks = g.adj_masks
     layers = g.metric.layers[src]
     open_mask = ~blocked_mask
     vis = frontier = 1 << src
-    # with no need, left never empties and no layer stops the reach
-    left = -1 if need is None else need & ~vis
+    left = need & ~vis
     d = 1
     while frontier and left:
         nxt = 0
@@ -98,7 +94,7 @@ def visible_mask(
         layer = layers[d]
         nxt &= layer
         vis |= nxt
-        if need is not None and left & layer & ~nxt:
+        if left & layer & ~nxt:
             break
         left &= ~nxt
         frontier = nxt & open_mask

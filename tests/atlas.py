@@ -8,7 +8,8 @@ every subset, ``form_answers`` by a walk over the valid sets of each
 forbidden-set form, which reaches graphs far past the atlas, and
 ``oracle_rows`` picks the brute-force rows a check is about.
 ``solver_mismatches`` is the one comparison of the solvers with such a
-table.
+table, and ``form_definition_mismatches`` checks the forms themselves
+against the definitions.
 """
 
 import os
@@ -127,6 +128,25 @@ def gate_off():
     finally:
         for engine, gate in zip(engines, saved):
             engine.gate = gate
+
+
+def form_definition_mismatches(g):
+    """Each forbidden-set form of ``g`` (``oracles.forbidden_sets_oracle``)
+    against ``oracles.valid_oracle`` on every subset, as (mismatches
+    (kind, member list), number of forms): a set must be valid exactly
+    when it holds none of its form's sets."""
+    bad = []
+    forms = 0
+    for kind in KINDS:
+        sets = oracles.forbidden_sets_oracle(g, kind)
+        if sets is None:
+            continue
+        forms += 1
+        for mask in range(1 << g.n):
+            x = [v for v in range(g.n) if mask >> v & 1]
+            if oracles.form_valid(sets, x) != oracles.valid_oracle(g, x, kind):
+                bad.append((kind, x))
+    return bad, forms
 
 
 def joins_mismatches(g):

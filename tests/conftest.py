@@ -25,6 +25,15 @@ def graphs(draw, min_n=1, max_n=6):
     return Graph.from_edges(n, edges)
 
 
+def labelled_graphs(max_n):
+    """Every labelled simple graph with 1 to ``max_n`` vertices, by vertex
+    count and then by edge-subset mask."""
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+
+
 def connected_graphs(min_n=1, max_n=6):
     return graphs(min_n=min_n, max_n=max_n).filter(is_connected)
 

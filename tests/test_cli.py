@@ -1,6 +1,7 @@
 import io
 import os
 import re
+import time
 
 import pytest
 
@@ -433,6 +434,16 @@ class TestHarness:
         rc, out, err = cli("solve", "--kind", "mv", "--variant", "max", stdin_text=text)
         assert rc == 2 and out == ""
         assert "line 1" in err and f"limit {PRODUCT_VERTEX_LIMIT}" in err
+
+    def test_isolated_vertices_refused_quickly(self):
+        # every isolated vertex is a tmv candidate; an n-bit mask per vertex
+        # while listing the distance-2 pairs took 19 s before the refusal
+        start = time.perf_counter()
+        text = f"{PRODUCT_VERTEX_LIMIT} 0\n"
+        rc, out, err = cli("solve", "--kind", "tmv", "--variant", "max", stdin_text=text)
+        assert rc == 2 and out == ""
+        assert f"{PRODUCT_VERTEX_LIMIT} candidate vertices exceed the search cap" in err
+        assert time.perf_counter() - start < 5
 
 
 class TestRoundTrips:

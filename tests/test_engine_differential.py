@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atlas import load_atlas
-from conftest import connected_graphs, relabelled
+from conftest import connected_graphs, labelled_graphs, relabelled
 from vislab.families import complete, cycle, grid, hypercube, path, random_block_graph, random_tree
 from vislab.graph_core import (
     Graph,
@@ -32,16 +32,12 @@ from vislab.graph_core import (
 )
 from vislab.rng import SplitMix64
 from vislab.solvers import _make_engine, solve_lower
+from vislab.theorems import _draw_connected
 from vislab.visibility import KINDS, is_maximal_set, is_valid_set
 
 
 def connected_labelled_graphs(max_n):
-    for n in range(1, max_n + 1):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
-            if is_connected(g):
-                yield g
+    return (g for g in labelled_graphs(max_n) if is_connected(g))
 
 
 def state_of(engine, x_mask):
@@ -154,15 +150,6 @@ def test_shortcut_witness_on_long_geodesics():
             assert fast.witness.members() == first_maximal_pair(h), (list(g.edges()), seed)
 
 
-def random_connected(n, p, rng):
-    while True:
-        g = Graph.from_edges(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.unit() < p]
-        )
-        if is_connected(g):
-            return g
-
-
 def mv_walk_mismatches(g, walks, rng):
     """Grow ``walks`` random valid mv sets one vertex at a time, comparing
     ``can_add`` with ``is_valid_set`` for every non-member at every step.
@@ -212,7 +199,7 @@ def test_mv_walks_on_random_graphs():
     total = 0
     for i in range(30):
         n = 10 + i % 7
-        g = random_connected(n, (0.2, 0.35, 0.5)[i % 3], rng)
+        g = _draw_connected(rng, n, (0.2, 0.35, 0.5)[i % 3])
         bad, checks = mv_walk_mismatches(g, 10, rng)
         assert not bad, (n, list(g.edges()), bad[:3])
         total += checks

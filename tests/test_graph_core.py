@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -6,10 +8,10 @@ from hypothesis import strategies as st
 
 import oracles
 from atlas import load_atlas
-from conftest import bowtie, connected_graphs, graphs
-from vislab.families import complete, cycle, grid, hypercube, path, random_tree, star
+from conftest import bowtie, connected_graphs, graphs, labelled_graphs
+from vislab.families import complete, cycle, grid, hypercube, path, random_tree
 from vislab.graph_core import (
-    CLIQUE_VERTEX_LIMIT,
+    PRODUCT_VERTEX_LIMIT,
     UNREACHABLE,
     Graph,
     InstanceTooLargeError,
@@ -18,16 +20,14 @@ from vislab.graph_core import (
     bridges,
     cartesian_product,
     cell_of,
+    chordal_cliques,
     convex_paths,
     distance_matrix,
     distance_two_pairs,
     export_dot,
     find_automorphism,
     format_edge_list,
-    is_chordal,
     is_connected,
-    maximal_cliques,
-    neighborhood,
     parse_graph,
     refine,
     simplicial_vertices,
@@ -129,6 +129,17 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_graph("2 2\n0 1\n1 0\n")
 
+    def test_isolated_vertices_allocate_no_neighbour_sets(self):
+        # ten bytes of input: a neighbour set per vertex peaked at 232 MiB
+        tracemalloc.start()
+        try:
+            g = parse_graph(f"{PRODUCT_VERTEX_LIMIT} 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == PRODUCT_VERTEX_LIMIT and g.adj[-1] == ()
+        assert peak < 32 << 20
+
     @given(graphs(max_n=7))
     def test_format_parse_identity(self, g):
         assert parse_graph(format_edge_list(g)).adj == g.adj
@@ -177,16 +188,19 @@ class TestMetric:
         ]
         assert distance_two_pairs(g) == want
 
+    def test_distance_two_pairs_skip_isolated_vertices(self):
+        # a mask per isolated vertex makes this quadratic in n: tens of
+        # seconds at this size
+        g = Graph.from_edges(PRODUCT_VERTEX_LIMIT, [(0, 1), (1, 2)])
+        start = time.perf_counter()
+        assert distance_two_pairs(g) == [(0, 2, 0b10)]
+        assert time.perf_counter() - start < 2
+
     def test_metric_atlas_up_to_six_vertices(self):
         graphs = load_atlas(range(1, 7))
         assert len(graphs) == 143
         for index, g in graphs:
             assert not metric_mismatches(g), (index, metric_mismatches(g))
-
-    def test_neighborhood(self):
-        g = star(3)
-        assert neighborhood(g, 0).members() == (1, 2, 3)
-        assert neighborhood(g, 0, closed=True).members() == (0, 1, 2, 3)
 
 
 def convex_paths_oracle(g):
@@ -372,29 +386,35 @@ class TestStructure:
         assert bridges(g) == oracles.bridges_oracle(g)
 
     def test_maximal_cliques_bowtie(self):
-        got = [c.members() for c in maximal_cliques(bowtie())]
+        got = [c.members() for c in chordal_cliques(bowtie())]
         assert got == [(0, 1, 2), (2, 3, 4)]
+        assert chordal_cliques(cycle(4)) is None
 
-    @given(graphs(min_n=1, max_n=6))
-    @settings(max_examples=60)
-    def test_cliques_match_oracle(self, g):
-        got = [c.members() for c in maximal_cliques(g)]
-        assert got == oracles.maximal_cliques_oracle(g)
+    @staticmethod
+    def clique_corpus():
+        """Every connected graph with n <= 7 and every labelled graph with
+        n <= 5, the disconnected ones included."""
+        return [g for _, g in load_atlas(range(1, 8))] + list(labelled_graphs(5))
 
-    def test_clique_limit(self):
-        g = Graph.from_edges(CLIQUE_VERTEX_LIMIT + 1, [])
-        with pytest.raises(InstanceTooLargeError):
-            maximal_cliques(g)
+    def test_cliques_match_oracle(self):
+        chordal = 0
+        for g in self.clique_corpus():
+            got = chordal_cliques(g)
+            if got is not None:
+                chordal += 1
+                assert [c.members() for c in got] == oracles.maximal_cliques_oracle(g), list(g.edges())
+        assert chordal == 1248
+
+    def test_chordal_matches_oracle(self):
+        corpus = self.clique_corpus()
+        assert len(corpus) == 2095
+        for g in corpus:
+            assert (chordal_cliques(g) is not None) == oracles.chordal_oracle(g), list(g.edges())
 
     def test_simplicial(self):
         assert simplicial_vertices(bowtie()).members() == (0, 1, 3, 4)
         assert simplicial_vertices(cycle(4)).members() == ()
         assert simplicial_vertices(complete(3)).members() == (0, 1, 2)
-
-    @given(graphs(max_n=6))
-    @settings(max_examples=60)
-    def test_chordal_matches_oracle(self, g):
-        assert is_chordal(g) == oracles.chordal_oracle(g)
 
 
 class TestProduct:

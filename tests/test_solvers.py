@@ -23,7 +23,6 @@ from vislab.graph_core import (
     InstanceTooLargeError,
     cartesian_product,
     distance_matrix,
-    is_connected,
     mcs_order,
 )
 from vislab.rng import SplitMix64, permutation
