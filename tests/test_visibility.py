@@ -103,10 +103,18 @@ class TestVisibleMask:
         return range(1 << g.n)
 
     @staticmethod
-    def some_needs(g, src, blocked):
-        """Each single vertex, the blocked vertices above ``src`` (what the
-        set predicates ask) and every vertex."""
-        return [1 << t for t in range(g.n)] + [blocked & (-2 << src), (1 << g.n) - 1]
+    def each_vertex(g, src, blocked):
+        return [1 << t for t in range(g.n)]
+
+    @staticmethod
+    def set_needs(g, src, blocked):
+        """The blocked vertices above ``src`` (what the set predicates ask)
+        and every vertex."""
+        return [blocked & (-2 << src), (1 << g.n) - 1]
+
+    @classmethod
+    def some_needs(cls, g, src, blocked):
+        return cls.each_vertex(g, src, blocked) + cls.set_needs(g, src, blocked)
 
     @staticmethod
     def mismatches(g, needs):
@@ -134,7 +142,16 @@ class TestVisibleMask:
         graphs = load_atlas(range(1, 7))
         assert len(graphs) == 143
         for index, g in graphs:
-            bad = self.mismatches(g, self.every_need if g.n <= 5 else self.some_needs)
+            bad = self.mismatches(g, self.each_vertex)
+            assert not bad, (index, list(g.edges()), bad[:5])
+
+    def test_need_contract_on_atlas(self):
+        # every need up to five vertices; on six, the needs the set predicates ask
+        for index, g in load_atlas(range(1, 6)):
+            bad = self.mismatches(g, self.every_need)
+            assert not bad, (index, list(g.edges()), bad[:5])
+        for index, g in load_atlas([6]):
+            bad = self.mismatches(g, self.set_needs)
             assert not bad, (index, list(g.edges()), bad[:5])
 
     def test_exhaustive_two_components(self):
