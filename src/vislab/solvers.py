@@ -1151,11 +1151,27 @@ def greedy_maximal(g: Graph, kind: str, seed: int) -> VertexSet:
     """One greedy pass over a seed-derived vertex permutation of the
     connected graph ``g``.
 
-    Deterministic given the seed; the resulting set is maximal (checked).
+    Deterministic given the seed; the resulting set is maximal, which the
+    definitional ``visibility.is_maximal_set`` rechecks.  mv and gp scan
+    with ``visibility.greedy_maximal``.  tmv scans the blocker family of
+    ``_tmv_engine``, uncapped since greedy does not search: from the
+    mandatory vertices it keeps each universe vertex, in permutation
+    order, that completes no blocker.  The vertices outside the universe
+    and the seed are convex-P3 centres, which no valid set holds, so the
+    set equals the definitional scan's over the same permutation.
     """
     _connected_metric(g)
     order = permutation(g.n, seed)
-    result = visibility.greedy_maximal(g, kind, order)
+    if kind == "tmv":
+        engine = _tmv_engine(g, force=True)
+        universe = set(engine.universe)
+        state = engine.seed_state
+        for v in order:
+            if v in universe and engine.can_add(state, v):
+                state = engine.add(state, v)
+        result = VertexSet(g.n, state[0])
+    else:
+        result = visibility.greedy_maximal(g, kind, order)
     if not visibility.is_maximal_set(g, result, kind):
         raise RuntimeError("greedy result failed the maximality recheck")
     return result

@@ -36,6 +36,11 @@ reach from v and one from each member that passes the layer test, tmv
 one from each source a != v that passes it, neighbours of v first (a
 refused v always breaks a distance-2 pair of its own neighbours, so a
 failure shows there early), and gp checks only the triples that hold v.
+
+``solvers.greedy_maximal`` scans with ``greedy_maximal`` for mv and gp.
+For tmv it scans the blocker family of its search engine, so here
+``greedy_maximal`` is that scan's definitional reference and
+``is_maximal_set`` its independent recheck.
 """
 
 from __future__ import annotations
@@ -312,15 +317,17 @@ def neighborhood_bound(g: Graph) -> Optional[int]:
 def greedy_maximal(g: Graph, kind: str, order: Sequence[int]) -> VertexSet:
     """Scan ``order`` once, keeping each vertex that preserves validity.
 
-    ``order`` must be a permutation of the vertices.  Downward closure
-    makes the result maximal: a vertex rejected at scan time is rejected
-    against a subset of the final set, so it stays invalid later.  Each
-    vertex v is tested with ``_joins`` against the set kept so far, which
-    retests only the pairs v can break: a pair with no geodesic through v
-    keeps its geodesic that avoids the set.  So mv reaches from v, then
-    from each member with a geodesic through v; tmv from each source with
-    a geodesic through v, v's neighbours first; gp checks the triples
-    that hold v (see the module docstring).
+    The mv and gp scan of ``solvers.greedy_maximal``, and the definitional
+    reference for its tmv scan over the blocker family, which keeps the
+    same set.  ``order`` must be a permutation of the vertices.
+    Downward closure makes the result maximal: a vertex rejected at scan
+    time is rejected against a subset of the final set, so it stays
+    invalid later.  Each vertex v is tested with ``_joins`` against the
+    set kept so far, which retests only the pairs v can break: a pair
+    with no geodesic through v keeps its geodesic that avoids the set.
+    So mv reaches from v, then from each member with a geodesic through
+    v; tmv from each source with a geodesic through v, v's neighbours
+    first; gp checks the triples that hold v (see the module docstring).
 
     Raises ``ValueError`` when even the empty set is invalid, which
     happens only for "tmv" on a disconnected graph: every pair is visible

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from vislab.cli import run
-from vislab.families import gen_gadget, gen_subdivided_complete, path
+from vislab.families import gen_gadget, gen_subdivided_complete, hypercube, path
 from vislab.graph_core import PRODUCT_VERTEX_LIMIT, Graph, format_edge_list, parse_graph
 
 
@@ -292,6 +292,16 @@ class TestGreedy:
     def test_runs_validated(self):
         rc, _, err = cli("greedy", "--kind", "mv", "--runs", "0", stdin_text=C4_TEXT)
         assert rc == 2 and "at least 1" in err
+
+    def test_tmv_is_uncapped(self):
+        # Q5 has 32 tmv candidates, past DEFAULT_CAP; greedy does not search
+        rc, out, err = cli("greedy", "--kind", "tmv", stdin_text=format_edge_list(hypercube(5)))
+        assert rc == 0 and err == ""
+        assert out.startswith("kind tmv\n")
+
+    def test_tmv_disconnected(self):
+        rc, out, err = cli("greedy", "--kind", "tmv", stdin_text="2 0\n")
+        assert rc == 2 and out == "" and "connected" in err
 
     def test_deterministic(self):
         a = cli("greedy", "--kind", "tmv", "--runs", "8", stdin_text=C4_TEXT)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import oracles
 from atlas import form_answers, gate_off, load_atlas, oracle_answers, oracle_rows, solver_mismatches
 from conftest import bowtie, connected_graphs, relabelled
-from vislab import graph_core, solvers
+from vislab import graph_core, solvers, visibility
 from vislab.families import (
     complete,
     complete_bipartite,
@@ -14,6 +14,7 @@ from vislab.families import (
     grid,
     hypercube,
     path,
+    random_block_graph,
     random_tree,
     star,
 )
@@ -502,6 +503,24 @@ class TestGreedy:
         a = greedy_maximal(grid((3, 3)), "gp", 7)
         b = greedy_maximal(grid((3, 3)), "gp", 7)
         assert a == b
+
+    def test_tmv_scan_matches_definitional_scan(self):
+        # the blocker-family scan keeps the set the definitional scan keeps
+        # over the same permutation; the recheck alone would pass any other
+        # maximal set, such as one scanned in ascending ids.  Trees and
+        # block graphs bring convex-P3 centres and mandatory vertices.
+        graphs = [g for _, g in load_atlas(range(1, 8))]
+        for n in range(1, 30):
+            graphs.append(random_tree(n, seed=n))
+            graphs.extend(random_block_graph(n, b, seed=n) for b in (3, 5))
+        bad = [
+            (tuple(g.edges()), s)
+            for g in graphs
+            for s in range(8)
+            if greedy_maximal(g, "tmv", s)
+            != visibility.greedy_maximal(g, "tmv", permutation(g.n, s))
+        ]
+        assert bad == []
 
     @pytest.mark.parametrize("kind", KINDS)
     @given(g=connected_graphs(min_n=1, max_n=6), seed=st.integers(0, 1000))
