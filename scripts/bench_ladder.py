@@ -102,6 +102,7 @@ GREEDY_LADDER = (
     ("P8xP8", "tmv"),
     ("P8xP8", "mv"),
     ("Q5", "tmv"),
+    ("Q5", "mv"),
 )
 
 

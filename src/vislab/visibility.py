@@ -31,11 +31,22 @@ break.  The lemma: a pair with no geodesic through v keeps its
 X-avoiding geodesic, so it stays visible past X + v.  From a source a,
 v is interior to some geodesic exactly when a neighbour of v lies one
 layer further from a, ``adj[v] & layers[a][d(a, v) + 1]``; a source that
-fails this layer test sees past X + v what it saw past X.  So mv runs one
-reach from v and one from each member that passes the layer test, tmv
-one from each source a != v that passes it, neighbours of v first (a
+fails this layer test sees past X + v what it saw past X.
+
+So mv runs one reach from v, then one from each member a that passes the
+layer test, asking it only for the members b above a that v lies
+between, d(a, v) + d(v, b) = d(a, b); both ends of such a pair pass the
+test, so the smaller end is enough, as in ``is_mv_set``.  That need is
+the shadow of v from a, the union of ``layers[a][d(a, v) + j] &
+layers[v][j]`` over j >= 1, masked to the members above a.  Its first
+slice is the layer test, and it ends at its first empty slice, since a
+geodesic from v to a later slice crosses every earlier one.  A member
+above a is open until the layer of a or of v that holds it is passed;
+the slices are walked while two are open, and the last one is placed by
+its distances.  tmv runs one reach from each source a != v that passes
+the layer test, asking for every vertex, neighbours of v first (a
 refused v always breaks a distance-2 pair of its own neighbours, so a
-failure shows there early), and gp checks only the triples that hold v.
+failure shows there early).  gp checks only the triples that hold v.
 
 ``solvers.greedy_maximal`` scans with ``greedy_maximal`` for mv and gp.
 For tmv it scans the blocker family of its search engine, so here
@@ -187,11 +198,9 @@ def is_valid_set(g: Graph, x: VertexSet, kind: str) -> bool:
 def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
     """Whether the valid set ``mask`` stays valid of ``kind`` with v added.
 
-    Equal to ``is_valid_set(g, x.add(v), kind)`` for a valid x with
-    v outside it, by the lemma of the module docstring: only a pair with
-    a geodesic through v can lose visibility, so ``visible_mask`` runs
-    only from v (mv) and from the sources that pass the layer test, each
-    reach asking for the members with v (mv) or every vertex (tmv).
+    Equal to ``is_valid_set(g, x.add(v), kind)`` for a valid x with v
+    outside it; only the pairs v can break are retested (see the module
+    docstring for the lemma and for each kind's reaches).
     """
     rows, layers = g.metric.rows, g.metric.layers
     if kind == "gp":
@@ -199,8 +208,14 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
         # is_gp_set; a triple is collinear when one distance is the sum of
         # the other two
         row_v = rows[v]
-        near = [(a, row_v[a]) for a in VertexSet(g.n, mask).members()
-                if row_v[a] is not UNREACHABLE]
+        near = []
+        m = mask
+        while m:
+            low = m & -m
+            a = low.bit_length() - 1
+            m ^= low
+            if row_v[a] is not UNREACHABLE:
+                near.append((a, row_v[a]))
         for i, (a, p) in enumerate(near):
             row_a = rows[a]
             for b, q in near[i + 1 :]:
@@ -213,13 +228,36 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
     if kind == "mv":
         if mask & ~visible_mask(g, v, mask, mask):
             return False
-        need, groups = new, (mask,)
-    else:
-        need = (1 << g.n) - 1
-        groups = (adj, need & ~adj & ~(1 << v))
-    # every source is in v's component: mv members are seen from v, and a
-    # tmv-valid set exists only on a connected graph
-    for group in groups:
+        # every member is in v's component, as v sees them all; m holds the
+        # members above a (the top member has none to ask for), rest those
+        # whose place in the shadow is still open
+        lay_v, row_v = layers[v], rows[v]
+        m = mask
+        while m & (m - 1):
+            low = m & -m
+            a = low.bit_length() - 1
+            m ^= low
+            lay_a, row_a = layers[a], rows[a]
+            k = row_a[v] + 1
+            shadow = ring = adj & lay_a[k]
+            rest, j = m & ~(lay_a[k] | adj), 1
+            while ring and rest & (rest - 1):
+                k += 1
+                j += 1
+                ring = lay_a[k] & lay_v[j]
+                shadow |= ring
+                rest &= ~(lay_a[k] | lay_v[j])
+            if ring and rest:
+                b = rest.bit_length() - 1
+                if row_a[v] + row_v[b] == row_a[b]:
+                    shadow |= rest
+            need = shadow & m
+            if need and need & ~visible_mask(g, a, new & ~low, need):
+                return False
+        return True
+    # a tmv-valid set exists only on a connected graph
+    need = (1 << g.n) - 1
+    for group in (adj, need & ~adj & ~(1 << v)):
         while group:
             low = group & -group
             a = low.bit_length() - 1
@@ -235,18 +273,19 @@ def is_maximal_set(g: Graph, x: VertexSet, kind: str) -> bool:
     Single-vertex extension testing is equivalent to the superset
     definition of maximality because all three properties are downward
     closed.  ``x`` itself must be valid; anything else is a caller error.
-    The set is checked whole with ``is_valid_set``, whose reach from each
-    source asks only for the members (mv) or vertices (tmv) above it,
-    since visibility is symmetric.  Each non-member v is then checked with
-    ``_joins``, which retests only the pairs v can break: a pair with no
-    geodesic through v keeps its x-avoiding geodesic.  So mv reaches from
-    v, then from each member with a geodesic through v; tmv from each
-    source with a geodesic through v, v's neighbours first; gp checks the
-    triples that hold v (see the module docstring).
+    The set is checked whole with ``is_valid_set``, then each non-member
+    v with ``_joins``, which retests only the pairs v can break (see the
+    module docstring).
     """
     if not is_valid_set(g, x, kind):
         raise ValueError("input set not valid")
-    return not any(_joins(g, x.mask, v, kind) for v in range(g.n) if v not in x)
+    free = ~x.mask & ((1 << g.n) - 1)
+    while free:
+        low = free & -free
+        if _joins(g, x.mask, low.bit_length() - 1, kind):
+            return False
+        free ^= low
+    return True
 
 
 def convex_p3_centers(g: Graph) -> VertexSet:
@@ -323,11 +362,8 @@ def greedy_maximal(g: Graph, kind: str, order: Sequence[int]) -> VertexSet:
     Downward closure makes the result maximal: a vertex rejected at scan
     time is rejected against a subset of the final set, so it stays
     invalid later.  Each vertex v is tested with ``_joins`` against the
-    set kept so far, which retests only the pairs v can break: a pair
-    with no geodesic through v keeps its geodesic that avoids the set.
-    So mv reaches from v, then from each member with a geodesic through
-    v; tmv from each source with a geodesic through v, v's neighbours
-    first; gp checks the triples that hold v (see the module docstring).
+    set kept so far, which retests only the pairs v can break (see the
+    module docstring).
 
     Raises ``ValueError`` when even the empty set is invalid, which
     happens only for "tmv" on a disconnected graph: every pair is visible

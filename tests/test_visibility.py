@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 import oracles
 from atlas import joins_mismatches, load_atlas
 from conftest import bowtie, connected_graphs, graphs, labelled_graphs
-from vislab.families import complete, cycle, grid, path, star
+from vislab.families import complete, cycle, grid, hypercube, path, random_tree, star
 from vislab.graph_core import Graph, VertexSet
+from vislab.rng import permutation
 from vislab.visibility import (
     KINDS,
+    _joins,
     check_kind,
     convex_p3_centers,
     greedy_maximal,
@@ -252,6 +254,27 @@ class TestJoins:
         for g in labelled_graphs(4):
             bad, _ = joins_mismatches(g)
             assert not bad, (list(g.edges()), bad[:5])
+
+    def test_long_shadows(self):
+        # geodesics longer than the atlas's diameter of at most 6, so the
+        # shadow of v runs further out (on P6xP12 a member above a lies in
+        # it 6 slices from v): every set kept along 3 greedy scans, against
+        # every vertex outside it
+        graphs = (grid((6, 6)), grid((6, 12)), hypercube(5), path(12), random_tree(24, seed=24))
+        for g in graphs:
+            for kind in KINDS:
+                for seed in range(3):
+                    kept = [0]
+                    for u in permutation(g.n, seed):
+                        if _joins(g, kept[-1], u, kind):
+                            kept.append(kept[-1] | 1 << u)
+                    for mask in kept:
+                        x = VertexSet(g.n, mask)
+                        for v in range(g.n):
+                            if not (mask >> v) & 1:
+                                got = _joins(g, mask, v, kind)
+                                assert got == is_valid_set(g, x.add(v), kind), (
+                                    g.n, kind, x.members(), v, got)
 
 
 class TestCenters:
