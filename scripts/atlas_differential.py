@@ -7,8 +7,8 @@ The test suite covers the 143 connected atlas graphs with at most 6
 vertices (``tests/test_atlas_differential.py``); this script runs the
 same comparison on the 853 with 7 vertices, and checks the
 NP-completeness reduction's formula on each of them as a base graph.
-It also solves each lower and max query again with every engine's
-``gate`` at 0, as ``tests/test_solvers.py`` does up to 6 vertices: the
+It also solves each lower and max query again with every kind's
+symmetry gate at 0, as ``tests/test_solvers.py`` does up to 6 vertices: the
 lower search then checks every child for symmetry, and the max search
 builds its convex paths before its first search, so that their bound
 acts from the doll's first phase on.  It checks ``visibility._joins``

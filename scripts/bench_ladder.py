@@ -95,6 +95,10 @@ LADDER = (
     ("G22-0.6-0", "tmv", "lower", False),
     ("G24-0.5-0", "mv", "lower", False),
     ("G24-0.5-0", "tmv", "lower", False),
+    # baselines of open ROADMAP items: mv lower at diameter 3 (item 10),
+    # mv max on a large clique product in the identity labelling (item 2)
+    ("G24-0.5-2", "mv", "lower", False),
+    ("K6xK6", "mv", "max", False),
 )
 
 # (instance, kind); every row is greedy_profile(g, kind, GREEDY_RUNS, seed 0)

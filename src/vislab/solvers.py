@@ -56,21 +56,24 @@ Each kind gets a small engine that answers "can vertex v join the current
 set" incrementally.  An engine has the vertices the searches branch on
 (``universe``), the state holding the vertices in every maximal set
 (``seed_state``), ``add`` and ``can_add``; ``state[0]`` is the member
-bitmask of every state.  Its ``gate`` sets how costly a search must be
-before the searches look for automorphisms.  The three engines:
+bitmask of every state.  How costly a search must be before the
+searches look for automorphisms is set per kind (``_GATE``).  The three
+engines:
 
 * family (``_FamilyEngine``): X is valid exactly when it holds no set F
   of a fixed family, so v can join X exactly when no F - v lies inside
   X; the lower search reads those sets per vertex (``near``, ``far``).
-  tmv runs on it: on a connected graph a set is total-mutual-visibility
-  valid exactly when no distance-2 pair has all of its common neighbors
-  inside the set, so the family is those "forbidden full subsets", and
-  vertices in no such set belong to every maximal set and are forced up
-  front.  So does independence (private, for ``independent_domination``),
-  whose family is the edges, and mv on graphs of diameter at most 2,
-  where a member pair sees each other unless it is a distance-2 pair
-  a, b whose common neighbours C(a, b) are all members, so the family is
-  the sets {a, b} + C(a, b);
+  The engine is built from the family alone: a vertex that is a set on
+  its own is in no valid set, so the sets through it are dropped, and a
+  vertex in none of the sets left belongs to every maximal set and is
+  forced up front, whatever the family.  tmv runs on it: on a
+  connected graph a set is total-mutual-visibility valid exactly when no
+  distance-2 pair has all of its common neighbors inside the set, so the
+  family is those "forbidden full subsets".  So does independence
+  (private, for ``independent_domination``), whose family is the edges,
+  and mv on graphs of diameter at most 2, where a member pair sees each
+  other unless it is a distance-2 pair a, b whose common neighbours
+  C(a, b) are all members, so the family is the sets {a, b} + C(a, b);
 * mv on graphs of diameter 3 or more (``_MvEngine``): v must see every
   member.  Most members are settled by one mask test on their geodesic
   interior ``g.metric.between[v][a]``: a member is seen when no member
@@ -180,14 +183,28 @@ class GreedyProfile:
 def _check_cap(size: int, force: bool) -> None:
     """Refuse a search over ``size`` > ``DEFAULT_CAP`` candidates unless forced.
 
-    The engine builders call it once they know the candidates, and
-    ``independent_domination`` before it builds its engine, all before
-    the metric is read, so an oversized input never builds one."""
+    ``_FamilyEngine`` calls it once it knows its candidates, and
+    ``_make_engine`` for mv and gp before anything else, all before the
+    metric is read, so an oversized input never builds one."""
     if size > DEFAULT_CAP and not force:
         raise InstanceTooLargeError(
             f"instance too large: {size} candidate vertices exceed the search cap "
             f"{DEFAULT_CAP} (use force to override)"
         )
+
+
+# The searches look for automorphisms only once a search cost n² * gate
+# tests (in solve_max the failed child's own, in solve_lower some child of
+# the same size), so that the tests a skip saves outweigh the lookups.
+# Measured over the small-sweep corpus (n = 6..10, CPython 3.11.7, 2-vCPU
+# Xeon): a can_add test took 2.1 µs for mv, 0.49 µs for tmv and 0.34 µs for
+# gp; on its 10-vertex graphs DistanceMatrix.alike took 23-41 µs, a refine
+# with a set about 30 µs and a find_automorphism call about 50 µs.  A tmv or
+# gp test costs a quarter of an mv test or less, so those kinds wait for
+# four times the tests.  mv keeps its gate on either engine, so its counts
+# do not depend on the engine; independence, on the family engine, reads
+# tmv's.
+_GATE = {"mv": 1, "tmv": 4, "gp": 4}
 
 
 class _MvEngine:
@@ -213,18 +230,6 @@ class _MvEngine:
     settled by its interior mask at distance 2 or when nothing of the
     interior is left, and is walked layer by layer otherwise.
     """
-
-    # The searches look for automorphisms only once a search cost n² * gate
-    # tests (in solve_max the failed child's own, in solve_lower some child
-    # of the same size), so that the tests a skip saves outweigh the
-    # lookups.  Measured over the small-sweep corpus (n = 6..10, CPython
-    # 3.11.7, 2-vCPU Xeon): a can_add test took 2.1 µs for mv, 0.49 µs for
-    # tmv and 0.34 µs for gp; on its 10-vertex graphs DistanceMatrix.alike
-    # took 23-41 µs, a refine with a set about 30 µs and a find_automorphism
-    # call about 50 µs.  A tmv or gp test costs a quarter of an mv test or
-    # less, so the gp and family engines wait for four times the tests;
-    # mv keeps this gate on the family engine too (``_make_engine``).
-    gate = 1
 
     def __init__(self, g: Graph):
         n = g.n
@@ -327,22 +332,35 @@ class _MvEngine:
 
 
 class _FamilyEngine:
-    """Validity as a forbidden-set family (see the module docstring).  Per
-    vertex u, ``near[u]`` is the union of the one-vertex F - u and
-    ``far[u]`` lists the larger F - u, so ``can_add`` is one mask test and
-    a scan of that list.  Every F of ``family`` has two or more vertices,
-    all in the ascending ``universe``; ``seed`` is the mask of the
-    vertices in every maximal set."""
+    """Validity as a forbidden-set family (see the module docstring): a set
+    of the ``n`` vertices is valid exactly when it holds no mask of
+    ``family``.  The rest is read off the family.  A one-vertex set makes
+    its vertex impossible: no valid set holds it, so a set through it can
+    never fill up and is dropped.  A vertex in no kept set can join every
+    valid set, so it lies in every maximal set and is the ``seed``.  The
+    searches branch on the ``universe``, the vertices the kept sets hold,
+    and the cap is checked on the universe and the seed.  Per vertex u,
+    ``near[u]`` is the union of the one-vertex F - u and ``far[u]`` lists
+    the larger F - u of the kept F, so ``can_add`` is one mask test and a
+    scan of that list."""
 
-    gate = 4  # see _MvEngine.gate
-
-    def __init__(self, universe: list[int], seed: int, family):
-        self.universe = universe
+    def __init__(self, n: int, family, force: bool):
+        impossible = 0
+        for f in family:
+            if not f & (f - 1):
+                impossible |= f
+        kept = [f for f in family if not f & impossible]
+        union = 0
+        for f in kept:
+            union |= f
+        seed = ((1 << n) - 1) & ~impossible & ~union
+        _check_cap(union.bit_count() + seed.bit_count(), force)
+        size = union.bit_length()
+        self.universe = [v for v in range(size) if (union >> v) & 1]
         self.seed_state = (seed,)
-        size = universe[-1] + 1 if universe else 0
         near = [0] * size
         far: list[list[int]] = [[] for _ in range(size)]
-        for f in family:
+        for f in kept:
             m = f
             while m:
                 low = m & -m
@@ -368,44 +386,7 @@ class _FamilyEngine:
         return True
 
 
-def _tmv_engine(g: Graph, force: bool) -> _FamilyEngine:
-    """Total mutual visibility via the distance-2 criterion.
-
-    On a connected graph, X keeps all pairs visible exactly when every
-    pair at distance 2 retains a common neighbor outside X.  Proof
-    sketch of the nontrivial direction: walk a geodesic and replace each
-    internal vertex that falls in X by a common neighbor of its two path
-    neighbors lying outside X; each swap keeps the walk a geodesic, so
-    induction repairs a fully X-avoiding shortest path.
-
-    A "blocker" below is the common-neighbor set of one distance-2 pair
-    as a bitmask (``distance_two_pairs``, from the adjacency, so the cap is
-    checked before any metric); X is valid iff it contains no blocker
-    entirely.
-    Blockers touching impossible vertices (those forming a blocker of
-    size one, which no valid set may contain) can never fill up and are
-    dropped.  Vertices in no surviving blocker can always be added, so
-    they lie in every maximal set and are seeded as mandatory.  The kept
-    blockers are the family, and the vertices they hold the universe.
-    """
-    blockers = {common for _, _, common in distance_two_pairs(g)}
-    singles = 0
-    for b in blockers:
-        if b.bit_count() == 1:
-            singles |= b
-    kept = [b for b in blockers if not b & singles]
-    union = 0
-    for b in kept:
-        union |= b
-    seed = ((1 << g.n) - 1) & ~singles & ~union
-    universe = [v for v in range(g.n) if (union >> v) & 1]
-    _check_cap(len(universe) + seed.bit_count(), force)
-    return _FamilyEngine(universe, seed, kept)
-
-
 class _GpEngine:
-    gate = 4  # see _MvEngine.gate
-
     def __init__(self, g: Graph):
         self.universe = list(range(g.n))
         # state: (member mask, union of member-pair path interiors)
@@ -439,7 +420,7 @@ class _GpEngine:
 class _Mirrors:
     """The automorphisms a search has found, for its symmetry rules.
 
-    ``costly`` is the gate of those rules, n² times the engine's ``gate``
+    ``costly`` is the gate of those rules, n² times the kind's ``_GATE``
     tests: ``solve_max`` mirrors onto a failed child that cost that many,
     and ``_lower_search`` checks the children at a depth once a subtree
     there cost that many, so that graphs without symmetry pay little for
@@ -560,16 +541,22 @@ def _make_engine(g: Graph, kind: str, force: bool):
     disconnected graph has), a test of the adjacency alone."""
     kind = visibility.check_kind(kind)
     if kind == "tmv":
-        return _tmv_engine(g, force)
+        # On a connected graph, X keeps all pairs visible exactly when every
+        # pair at distance 2 retains a common neighbor outside X.  Proof
+        # sketch of the nontrivial direction: walk a geodesic and replace
+        # each internal vertex that falls in X by a common neighbor of its
+        # two path neighbors lying outside X; each swap keeps the walk a
+        # geodesic, so induction repairs a fully X-avoiding shortest path.
+        # So the family is the "blockers", the common-neighbor sets of the
+        # distance-2 pairs, read from the adjacency before any metric.
+        return _FamilyEngine(g.n, {common for _, _, common in distance_two_pairs(g)}, force)
     _check_cap(g.n, force)
     if kind == "gp":
         return _GpEngine(g)
     pairs = distance_two_pairs(g)
     if len(pairs) != g.n * (g.n - 1) // 2 - g.edge_count():
         return _MvEngine(g)
-    engine = _FamilyEngine(list(range(g.n)), 0, {c | 1 << a | 1 << b for a, b, c in pairs})
-    engine.gate = _MvEngine.gate  # so the mv counts do not depend on the engine
-    return engine
+    return _FamilyEngine(g.n, {c | 1 << a | 1 << b for a, b, c in pairs}, force)
 
 
 def _connected_metric(g: Graph) -> DistanceMatrix:
@@ -606,7 +593,7 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     the symmetry rules below, so small searches do not pay for them.
     After a failed dive, a child that an automorphism fixing the
     set and the ids outside the search's range maps onto an earlier failed
-    child is skipped (``_Mirrors``, with ``solve_lower``'s gate): a solution
+    child is skipped (``_Mirrors``, with the kind's ``_GATE``, as in ``solve_lower``): a solution
     below it would have an image below that child, earlier in the order.
 
     The witness is then completed in ascending ids.  ``cert`` is a set of
@@ -633,7 +620,7 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     # live[t]: the candidate bits whose doll value is at least t
     live = [0] * (k + 1)
     nodes = skipped = 0
-    mirrors = _Mirrors(dmat, engine.gate)
+    mirrors = _Mirrors(dmat, _GATE[kind])
     costly = mirrors.costly
     everyone = (1 << g.n) - 1
     full = (1 << k) - 1  # every candidate bit
@@ -666,8 +653,9 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
         return out, rest
 
     def grow(state, cands: int, need: int):
-        """State of the first extension of ``state`` by ``need`` vertices of
-        ``cands`` (a bitmask of candidate bits, lowest first), or None.
+        """State of the first extension of ``state`` by ``need`` >= 1
+        vertices of ``cands`` (a bitmask of candidate bits, lowest first),
+        or None.
 
         A node dives on its first candidate that can join and filters the
         rest only after that dive fails.  By heredity no vertex outside the
@@ -678,8 +666,6 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
         images ``mirrors.find`` may map a later child onto.
         """
         nonlocal nodes, skipped, pruned, accepted, paths, off
-        if not need:
-            return state
         if paths is None and nodes >= costly:
             paths, off = convex()
         bound = live[need]
@@ -872,10 +858,10 @@ def _sets_reach(a: int, k: int, need: int) -> bool:
     return False
 
 
-def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
+def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int], gate: int):
     """Smallest maximal set of ``engine`` with at most ``bound`` vertices
     (any size when None), as (member mask, tests, children skipped, sets
-    cut by the lookahead).
+    cut by the lookahead).  ``gate`` is the kind's entry of ``_GATE``.
 
     One depth-first pass visits the valid sets in lexicographic order.  A
     set some later vertex can join is not maximal (the child proves it);
@@ -914,8 +900,8 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
 
     Symmetric children are skipped, setwise.  Child y of the set X is
     skipped when an automorphism σ maps X onto itself, as a set, and y
-    onto a vertex r < y outside X.  Validity of every engine, and the tmv
-    seed set, are defined by the metric, which σ preserves, so σ maps
+    onto a vertex r < y outside X.  Validity of every engine, and so the
+    family engine's seed set, are defined by the metric, which σ preserves, so σ maps
     each maximal set W in y's subtree (W holds y, and of the vertices
     below y exactly X) onto a maximal set σ(W) of the same size that
     holds X and r.  The least vertex where the two differ lies below y,
@@ -933,7 +919,7 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
     search; last ``find_automorphism`` looks for σ from those cells.
     When ``alike`` is discrete the graph has no symmetry and nothing is
     looked up.  A child is checked only when its subtree may
-    cost ``_Mirrors.costly`` tests, n² times the engine's ``gate``: once
+    cost ``_Mirrors.costly`` tests, n² times ``gate``: once
     a searched child of its size did, and only while the child's subtree
     can hold n times ``gate`` sets, of at most n tests each.  A vertex the
     lookahead retests counts as one test there, since it is search work
@@ -949,11 +935,11 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int]):
     best_size = bound + 1
     best_mask = None
     nodes = skipped = pruned = 0
-    mirrors = _Mirrors(dmat, engine.gate)
+    mirrors = _Mirrors(dmat, gate)
     costly = mirrors.costly
     alike: Optional[tuple[int, ...]] = None  # dmat.alike once a depth is ripe, () if discrete
     opened = [False] * (dmat.n + 2)  # opened[s]: a searched child of size s cost ``costly`` tests
-    sets = dmat.n * engine.gate  # sets of at most n tests each that make a costly subtree
+    sets = dmat.n * gate  # sets of at most n tests each that make a costly subtree
     family = isinstance(engine, _FamilyEngine)  # the lookahead needs a forbidden-set family
     # near[u], far[u]: the one-vertex F - u as one mask, and the larger F - u
     near, far = (engine.near, engine.far) if family else ((), ())
@@ -1137,7 +1123,7 @@ def solve_lower(
         engine = _make_engine(g, kind, force)
         dmat = _connected_metric(g)
         bound = visibility.neighborhood_bound(g) if kind == "mv" else None
-        mask, nodes, skipped, pruned = _lower_search(dmat, engine, bound)
+        mask, nodes, skipped, pruned = _lower_search(dmat, engine, bound, _GATE[kind])
     witness = VertexSet(g.n, mask)
     if not visibility.is_maximal_set(g, witness, kind):
         raise RuntimeError("solver produced a non-maximal witness; search and predicate disagree")
@@ -1154,7 +1140,7 @@ def greedy_maximal(g: Graph, kind: str, seed: int) -> VertexSet:
     Deterministic given the seed; the resulting set is maximal, which the
     definitional ``visibility.is_maximal_set`` rechecks.  mv and gp scan
     with ``visibility.greedy_maximal``.  tmv scans the blocker family of
-    ``_tmv_engine``, uncapped since greedy does not search: from the
+    its engine, uncapped since greedy does not search: from the
     mandatory vertices it keeps each universe vertex, in permutation
     order, that completes no blocker.  The vertices outside the universe
     and the seed are convex-P3 centres, which no valid set holds, so the
@@ -1163,7 +1149,7 @@ def greedy_maximal(g: Graph, kind: str, seed: int) -> VertexSet:
     _connected_metric(g)
     order = permutation(g.n, seed)
     if kind == "tmv":
-        engine = _tmv_engine(g, force=True)
+        engine = _make_engine(g, "tmv", force=True)
         universe = set(engine.universe)
         state = engine.seed_state
         for v in order:
@@ -1198,10 +1184,9 @@ def independent_domination(g: Graph) -> SolveResult:
     metric.
     """
     start = time.perf_counter()
-    _check_cap(g.n, False)
     # independence: the edges are the forbidden sets
-    engine = _FamilyEngine(list(range(g.n)), 0, [1 << u | 1 << v for u, v in g.edges()])
-    mask, nodes, skipped, pruned = _lower_search(_connected_metric(g), engine, None)
+    engine = _FamilyEngine(g.n, [1 << u | 1 << v for u, v in g.edges()], False)
+    mask, nodes, skipped, pruned = _lower_search(_connected_metric(g), engine, None, _GATE["tmv"])
     adj = g.adj_masks
     cover = 0
     m = mask

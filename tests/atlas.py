@@ -112,22 +112,19 @@ def reduction_holds(base, t=3):
 
 @contextmanager
 def gate_off():
-    """Every engine's ``gate`` at 0 for the duration: the searches look for
-    an automorphism at every child they may skip, not only past a costly
-    search, so the symmetry rules meet every case a small graph has.  A
-    family engine built for mv takes ``_MvEngine.gate``, so it gets 0 too.
-    The max search then also builds its convex paths before the doll's
-    first search, so their bound acts in every phase and in the witness
-    completion."""
-    engines = (solvers._MvEngine, solvers._FamilyEngine, solvers._GpEngine)
-    saved = [engine.gate for engine in engines]
-    for engine in engines:
-        engine.gate = 0
+    """Every kind's symmetry gate (``solvers._GATE``) at 0 for the
+    duration: the searches look for an automorphism at every child they
+    may skip, not only past a costly search, so the symmetry rules meet
+    every case a small graph has.  Independence reads tmv's entry, so it
+    gets 0 too.  The max search then also builds its convex paths before
+    the doll's first search, so their bound acts in every phase and in the
+    witness completion."""
+    saved = dict(solvers._GATE)
+    solvers._GATE.update(dict.fromkeys(saved, 0))
     try:
         yield
     finally:
-        for engine, gate in zip(engines, saved):
-            engine.gate = gate
+        solvers._GATE.update(saved)
 
 
 def form_definition_mismatches(g):

@@ -355,6 +355,14 @@ class TestAutomorphism:
             assert p is not None and p[v] == 0 and sorted(p) == list(range(g.n))
             assert all((min(p[a], p[b]), max(p[a], p[b])) in edges for a, b in edges)
 
+    def test_budget_gives_up(self):
+        # K3□K4 has an automorphism mapping 0 to 4, but the finder meets a
+        # dead end before it, so one failed image exhausts the budget
+        dmat = distance_matrix(cartesian_product(complete(3), complete(4)))
+        assert find_automorphism(dmat, 0, 0, 4, 1) is None
+        p = find_automorphism(dmat, 0, 0, 4, 1 << 30)
+        assert p is not None and p[0] == 4
+
     def test_invariants_differ(self):
         g = path(4)
         dmat = distance_matrix(g)

@@ -235,7 +235,7 @@ class TestSymmetry:
                         if kind == "mv" and isinstance(engine, solvers._FamilyEngine):
                             family_mv += count
         assert skipped > 0
-        # diameter-2 mv runs on the family engine, whose gate is zeroed too
+        # diameter-2 mv runs on the family engine, at mv's gate, zeroed too
         assert family_mv > 0
 
     def test_lower_setwise_without_gate_match_oracle(self):
