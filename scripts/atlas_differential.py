@@ -11,13 +11,16 @@ It also solves each lower and max query again with every kind's
 symmetry gate at 0, as ``tests/test_solvers.py`` does up to 6 vertices: the
 lower search then checks every child for symmetry, and the max search
 builds its convex paths before its first search, so that their bound
-acts from the doll's first phase on.  It checks ``visibility._joins``
-against the whole-set predicate on every valid set and outside vertex,
-as ``tests/test_visibility.py`` does up to 6 vertices (628,294 checks),
-and each forbidden-set form against the definitions on every subset,
-as ``tests/test_forms.py`` does up to 6 vertices (2,080 forms, 266,240
+acts from the doll's first phase on.  It checks the join tests,
+``visibility._joins`` and the ``can_add`` of the engine
+``solvers._make_engine`` picks, against the whole-set predicate on every
+valid set and outside vertex (``atlas.joins_mismatches``; 628,294
+checks, and a mismatch names its test, ``joins`` or ``engine``), as
+``tests/test_visibility.py`` does up to 6 vertices, and each
+forbidden-set form against the definitions on every subset, as
+``tests/test_forms.py`` does up to 6 vertices (2,080 forms, 266,240
 subsets).  It prints the counts of join checks, of forms and subsets
-and of branches the convex-path bound cut, takes about 30 s, prints
+and of branches the convex-path bound cut, takes about 25 s, prints
 each mismatch and exits 1 if there is any.
 """
 
@@ -53,7 +56,7 @@ def main() -> int:
         bad += [(kind, "no gate", *rest) for kind, *rest in gate_bad]
         cuts += pruned
         joins_bad, count = joins_mismatches(g)
-        bad += [(kind, "joins", *rest) for kind, *rest in joins_bad]
+        bad += joins_bad
         checks += count
         form_bad, count = form_definition_mismatches(g)
         bad += [(kind, "form", x) for kind, x in form_bad]

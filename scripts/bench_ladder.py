@@ -42,19 +42,18 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, ROOT)
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from atlas import load_atlas  # noqa: E402
+from atlas import build, load_atlas  # noqa: E402
 from perfbench.hostspeed import HostSpeed  # noqa: E402
 
-from vislab.families import complete, cycle, grid, hypercube, path, star  # noqa: E402
-from vislab.graph_core import Graph, cartesian_product  # noqa: E402
-from vislab.rng import SplitMix64, permutation  # noqa: E402
+from vislab.families import star  # noqa: E402
+from vislab.graph_core import Graph  # noqa: E402
+from vislab.rng import permutation  # noqa: E402
 from vislab.solvers import (  # noqa: E402
     greedy_profile,
     independent_domination,
     solve_lower,
     solve_max,
 )
-from vislab.theorems import _draw_connected  # noqa: E402
 
 RUNS = 3
 FAST_S = 0.1
@@ -63,8 +62,9 @@ RELABEL_SEED = 22
 GREEDY_RUNS = 20
 
 # (instance, kind, variant, relabelled); every row is run with force.
-# ``G<n>-<p>-<s>`` is theorems._draw_connected(SplitMix64(1000 n + s), n, p),
-# as in the dense lower queries of ROADMAP.md.
+# Instances are ``atlas.build`` names: ``G<n>-<p>-<s>`` is
+# theorems._draw_connected(SplitMix64(1000 n + s), n, p), as in the dense
+# lower queries of ROADMAP.md.
 LADDER = (
     ("K4xK5", "mv", "lower", False),
     ("K4xK6", "mv", "lower", False),
@@ -108,18 +108,6 @@ GREEDY_LADDER = (
     ("Q5", "tmv"),
     ("Q5", "mv"),
 )
-
-
-def build(spec: str) -> Graph:
-    if spec[0] == "Q":
-        return hypercube(int(spec[1:]))
-    if spec[0] == "G":
-        n, p, s = spec[1:].split("-")
-        return _draw_connected(SplitMix64(1000 * int(n) + int(s)), int(n), float(p))
-    a, b = (int(part[1:]) for part in spec.split("x"))
-    if spec[0] == "P":
-        return grid((a, b))
-    return cartesian_product(complete(a), complete(b))
 
 
 def relabel(g: Graph) -> Graph:
@@ -179,8 +167,8 @@ def domination_corpus() -> list[Graph]:
     for n in range(8, 25):
         for p in (0.2, 0.35, 0.5, 0.65):
             for s in range(3):
-                graphs.append(_draw_connected(SplitMix64(1000 * n + s), n, p))
-    graphs += [path(24), cycle(24), star(23), grid((4, 6)), hypercube(4), build("K4xK6")]
+                graphs.append(build(f"G{n}-{p}-{s}"))
+    graphs += [build("P24"), build("C24"), star(23), build("P4xP6"), build("Q4"), build("K4xK6")]
     return graphs
 
 

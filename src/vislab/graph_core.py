@@ -498,16 +498,12 @@ def find_automorphism(
     image = list(range(n))
     cand = list(cells)
     todo = ((1 << n) - 1) & ~fixed
+    # never None: each w keeps itself as a candidate, and src keeps dst (checked above)
     m = fixed
     while m:
         low = m & -m
         m ^= low
-        got = narrow(cand, todo, low.bit_length() - 1, low.bit_length() - 1)
-        if got is None:
-            return None
-        cand = got[0]
-    if not (cand[src] >> dst) & 1:
-        return None
+        cand = narrow(cand, todo, low.bit_length() - 1, low.bit_length() - 1)[0]
     # branch points: (vertex, images not yet tried, candidates, unmapped)
     stack: list[tuple[int, int, list[int], int]] = []
     u, choices = src, 1 << dst

@@ -1,7 +1,8 @@
-"""The frozen graph-atlas corpus and the solver-versus-oracle comparison.
+"""The frozen graph-atlas corpus, named instances and the differential checks.
 
 ``data/atlas_connected.txt`` holds every connected graph with at most 7
-vertices up to isomorphism (written by ``scripts/freeze_atlas.py``).
+vertices up to isomorphism (written by ``scripts/freeze_atlas.py``), and
+``build`` makes the named instances of the tests and scripts past it.
 An answer table maps (kind, variant) to the (value, witness tuple) the
 solvers must return: ``oracle_answers`` fills it by brute force over
 every subset, ``form_answers`` by a walk over the valid sets of each
@@ -9,21 +10,30 @@ forbidden-set form, which reaches graphs far past the atlas, and
 ``oracle_rows`` picks the brute-force rows a check is about.
 ``solver_mismatches`` is the one comparison of the solvers with such a
 table, and ``form_definition_mismatches`` checks the forms themselves
-against the definitions.
+against the definitions.  ``join_mismatches`` is the one comparison of
+the join tests, ``visibility._joins`` and every search engine's
+``can_add``, with whole-set validity; ``joins_mismatches`` runs it over
+every valid set of a graph.  The tests run it on every labelled graph
+with at most 5 vertices and every atlas graph with at most 6, on
+hypothesis samples, mv walks and long-shadow scans, and
+``scripts/atlas_differential.py`` on the atlas graphs with 7.
 """
 
 import os
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import oracles
 from vislab import solvers
-from vislab.families import gen_gadget
-from vislab.graph_core import Graph, VertexSet
-from vislab.solvers import independent_domination, solve_lower, solve_max
+from vislab.families import complete, cycle, gen_gadget, hypercube, path
+from vislab.graph_core import Graph, VertexSet, cartesian_product, is_connected
+from vislab.rng import SplitMix64
+from vislab.solvers import _make_engine, independent_domination, solve_lower, solve_max
+from vislab.theorems import _draw_connected
 from vislab.visibility import KINDS, _joins, is_valid_set
 
 ATLAS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "atlas_connected.txt")
+FACTORS = {"P": path, "C": cycle, "K": complete}
 
 
 def load_atlas(sizes):
@@ -38,6 +48,21 @@ def load_atlas(sizes):
                 pairs = [tuple(int(x) for x in e.split("-")) for e in edges]
                 out.append((int(index), Graph.from_edges(int(n), pairs)))
     return out
+
+
+def build(spec):
+    """The graph named ``spec``.  ``Q<k>`` is ``hypercube(k)`` and
+    ``G<n>-<p>-<s>`` is ``theorems._draw_connected(SplitMix64(1000 n + s),
+    n, p)``, the random-graph draws of ROADMAP.md.  Otherwise ``spec`` is
+    factors ``P<n>``, ``C<n>`` and ``K<n>`` (path, cycle, complete graph)
+    joined by ``x``, and names their Cartesian product: ``P4xP6`` is
+    ``grid((4, 6))``."""
+    if spec[0] == "Q":
+        return hypercube(int(spec[1:]))
+    if spec[0] == "G":
+        n, p, s = spec[1:].split("-")
+        return _draw_connected(SplitMix64(1000 * int(n) + int(s)), int(n), float(p))
+    return reduce(cartesian_product, [FACTORS[part[0]](int(part[1:])) for part in spec.split("x")])
 
 
 @lru_cache(maxsize=16)
@@ -146,22 +171,63 @@ def form_definition_mismatches(g):
     return bad, forms
 
 
+def state_of(engine, x_mask):
+    """Engine state holding the members of ``x_mask`` (and any seed)."""
+    state = engine.seed_state
+    m = x_mask & ~engine.seed_state[0]
+    while m:
+        low = m & -m
+        state = engine.add(state, low.bit_length() - 1)
+        m ^= low
+    return state
+
+
+def join_mismatches(g, kind, masks, valid=None):
+    """The join tests of ``kind`` against whole-set validity, as
+    (mismatches (test, member list, v, its answer), number of checks).
+    Each valid set of ``masks`` and each vertex v outside it is one check:
+    ``valid(mask | 1 << v)`` (mask -> bool, by default ``is_valid_set``)
+    must be the answer of ``visibility._joins`` (test "joins") and, on a
+    connected graph, of the ``can_add`` of ``_make_engine(g, kind,
+    force=True)`` (test "engine"), where a vertex outside the engine's
+    universe joins exactly when it is seeded.  The solvers refuse
+    disconnected graphs, and there ``_MvEngine`` would accept a member of
+    another component."""
+    if valid is None:
+        def valid(m):
+            return is_valid_set(g, VertexSet(g.n, m), kind)
+    engine = _make_engine(g, kind, force=True) if is_connected(g) else None
+    universe = set(engine.universe) if engine else ()
+    bad = []
+    checks = 0
+    for mask in masks:
+        if not valid(mask):
+            continue
+        state = state_of(engine, mask) if engine else None
+        for v in range(g.n):
+            if mask >> v & 1:
+                continue
+            want = valid(mask | 1 << v)
+            checks += 1
+            answers = [("joins", _joins(g, mask, v, kind))]
+            if engine:
+                seeded = bool(engine.seed_state[0] >> v & 1)
+                answers.append(("engine", engine.can_add(state, v) if v in universe else seeded))
+            for test, got in answers:
+                if got != want:
+                    bad.append((test, VertexSet(g.n, mask).members(), v, got))
+    return bad, checks
+
+
 def joins_mismatches(g):
-    """``visibility._joins`` against the whole-set ``is_valid_set`` for every
-    kind, every valid set x and every vertex v outside it, as (mismatches
-    (kind, x, v, joins answer), number of checks)."""
+    """``join_mismatches`` for every kind over every valid set of ``g``,
+    reading one ``is_valid_set`` table per kind, as (mismatches (kind,
+    test, member list, v, answer), number of checks)."""
     bad = []
     checks = 0
     for kind in KINDS:
-        for mask in range(1 << g.n):
-            x = VertexSet(g.n, mask)
-            if not is_valid_set(g, x, kind):
-                continue
-            for v in range(g.n):
-                if v in x:
-                    continue
-                got = _joins(g, mask, v, kind)
-                checks += 1
-                if got != is_valid_set(g, x.add(v), kind):
-                    bad.append((kind, x.members(), v, got))
+        table = [is_valid_set(g, VertexSet(g.n, m), kind) for m in range(1 << g.n)]
+        kind_bad, count = join_mismatches(g, kind, range(1 << g.n), table.__getitem__)
+        bad += [(kind, *rest) for rest in kind_bad]
+        checks += count
     return bad, checks

@@ -3,8 +3,10 @@
 Revalidation shows that an answer is valid and maximal, not that it is
 optimal: a search bound that cuts too much returns a worse optimum
 without any error.  So every connected graph with at most 6 vertices is
-solved both ways, comparing values and canonical witnesses.  The 853
-graphs with 7 vertices take about 20 s and run as
+solved both ways, comparing values and canonical witnesses.  The join
+tests, ``visibility._joins`` and every engine's ``can_add``, are checked
+on the same graphs by ``test_visibility.TestJoins``.  The 853 graphs
+with 7 vertices, both comparisons, take about 25 s and run as
 ``scripts/atlas_differential.py``.
 """
 

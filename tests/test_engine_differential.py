@@ -3,8 +3,14 @@
 Revalidation of a solver's answer catches an engine that is too lax, but
 not one that is too strict: a ``can_add`` that wrongly refuses a vertex
 only makes the maximum smaller.  So every engine answer is compared
-directly with ``is_valid_set`` on the extended set.  The mv cut-edge
-shortcut must return the witness the search would return.
+directly with ``is_valid_set`` on the extended set, through
+``atlas.join_mismatches``, which checks ``visibility._joins`` beside it.
+Here it runs on hypothesis samples with at most 8 vertices and on the mv
+walks below; ``test_visibility.TestJoins`` runs it on every valid set of
+every labelled graph with at most 5 vertices and every atlas graph with
+at most 6, and ``scripts/atlas_differential.py`` on the atlas graphs
+with 7.  The mv cut-edge shortcut must return the witness the search
+would return.
 
 The mv engine settles most members from their geodesic intervals alone
 (adjacent, at distance 2, or with no member inside the interval) and
@@ -15,89 +21,20 @@ to search: an engine that searched only the last such member's interval
 passes every test on at most 8 vertices, but not these.
 """
 
+from functools import cache
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atlas import load_atlas
+from atlas import build, join_mismatches
 from conftest import connected_graphs, labelled_graphs, relabelled
-from vislab.families import complete, cycle, grid, hypercube, path, random_block_graph, random_tree
-from vislab.graph_core import (
-    Graph,
-    VertexSet,
-    bridges,
-    cartesian_product,
-    is_connected,
-)
+from vislab.families import complete, grid, random_block_graph, random_tree
+from vislab.graph_core import Graph, VertexSet, bridges, is_connected
 from vislab.rng import SplitMix64
-from vislab.solvers import _make_engine, solve_lower
+from vislab.solvers import solve_lower
 from vislab.theorems import _draw_connected
 from vislab.visibility import KINDS, is_maximal_set, is_valid_set
-
-
-def connected_labelled_graphs(max_n):
-    return (g for g in labelled_graphs(max_n) if is_connected(g))
-
-
-def state_of(engine, x_mask):
-    """Engine state holding the members of ``x_mask`` (and any seed)."""
-    state = engine.seed_state
-    m = x_mask & ~engine.seed_state[0]
-    while m:
-        low = m & -m
-        state = engine.add(state, low.bit_length() - 1)
-        m ^= low
-    return state
-
-
-def mismatches(g, kind, valid, x_masks):
-    """Pairs (X, v) where the engine and ``valid`` (mask -> bool) disagree.
-
-    Vertices outside the engine's universe are either seeded (always
-    addable) or impossible (never addable); both claims are checked too.
-    """
-    engine = _make_engine(g, kind, force=True)
-    universe = set(engine.universe)
-    bad = []
-    for x in x_masks:
-        state = state_of(engine, x)
-        for v in range(g.n):
-            if (x >> v) & 1:
-                continue
-            if v in universe:
-                got = engine.can_add(state, v)
-            else:
-                got = bool((engine.seed_state[0] >> v) & 1)
-            if got != valid(x | (1 << v)):
-                bad.append((x, v))
-    return bad
-
-
-def exhaustive_mismatches(g, kind):
-    """``mismatches`` over every valid X of ``g``."""
-    table = [is_valid_set(g, VertexSet(g.n, m), kind) for m in range(1 << g.n)]
-    x_masks = [m for m in range(1 << g.n) if table[m]]
-    return mismatches(g, kind, table.__getitem__, x_masks)
-
-
-def test_exhaustive_up_to_five_vertices():
-    graphs = list(connected_labelled_graphs(5))
-    assert len(graphs) == 772
-    for g in graphs:
-        for kind in KINDS:
-            bad = exhaustive_mismatches(g, kind)
-            assert not bad, (kind, g.n, list(g.edges()), bad[:3])
-
-
-def test_exhaustive_atlas_six_vertices():
-    # every labelled graph with at most 5 vertices is covered by the test above
-    graphs = load_atlas([6])
-    assert len(graphs) == 112
-    for index, g in graphs:
-        for kind in KINDS:
-            bad = exhaustive_mismatches(g, kind)
-            assert not bad, (kind, index, list(g.edges()), bad[:3])
 
 
 @given(g=connected_graphs(min_n=2, max_n=8), kind=st.sampled_from(KINDS), data=st.data())
@@ -109,12 +46,12 @@ def test_sampled_up_to_eight_vertices(g, kind, data):
     for v in range(g.n):
         if (pool >> v) & 1 and is_valid_set(g, VertexSet(g.n, x | (1 << v)), kind):
             x |= 1 << v
-    bad = mismatches(g, kind, lambda m: is_valid_set(g, VertexSet(g.n, m), kind), [x])
+    bad, _ = join_mismatches(g, kind, [x])
     assert not bad, bad
 
 
 def test_shortcut_witness_exhaustive_up_to_five_vertices():
-    bridged = [g for g in connected_labelled_graphs(5) if g.n >= 2 and bridges(g)]
+    bridged = [g for g in labelled_graphs(5) if g.n >= 2 and is_connected(g) and bridges(g)]
     for g in bridged:
         fast = solve_lower(g, "mv")
         slow = solve_lower(g, "mv", fast_path=False)
@@ -151,42 +88,29 @@ def test_shortcut_witness_on_long_geodesics():
 
 
 def mv_walk_mismatches(g, walks, rng):
-    """Grow ``walks`` random valid mv sets one vertex at a time, comparing
-    ``can_add`` with ``is_valid_set`` for every non-member at every step.
-    Returns the (member mask, v) pairs that disagree and the number of
-    checks."""
-    engine = _make_engine(g, "mv", force=True)
-    bad, checks = [], 0
+    """Grow ``walks`` random valid mv sets one vertex at a time and check
+    every set on the way with ``atlas.join_mismatches``."""
+
+    @cache
+    def valid(m):
+        return is_valid_set(g, VertexSet(g.n, m), "mv")
+
+    masks = []
     for _ in range(walks):
-        state, x = engine.seed_state, 0
+        x = 0
         while True:
-            joinable = []
-            for v in range(g.n):
-                if (x >> v) & 1:
-                    continue
-                want = is_valid_set(g, VertexSet(g.n, x | (1 << v)), "mv")
-                checks += 1
-                if engine.can_add(state, v) != want:
-                    bad.append((state[0], v))
-                if want:
-                    joinable.append(v)
+            masks.append(x)
+            joinable = [v for v in range(g.n) if not x >> v & 1 and valid(x | 1 << v)]
             if not joinable:
                 break
-            v = joinable[rng.below(len(joinable))]
-            state, x = engine.add(state, v), x | (1 << v)
-    return bad, checks
+            x |= 1 << joinable[rng.below(len(joinable))]
+    return join_mismatches(g, "mv", masks, valid)
 
 
 def test_mv_walks_on_products_and_hypercube():
-    bases = {
-        "P4xP5": grid((4, 5)),
-        "Q4": hypercube(4),
-        "K3xK4": cartesian_product(complete(3), complete(4)),
-        "C5xC4": cartesian_product(cycle(5), cycle(4)),
-        "P3xK4": cartesian_product(path(3), complete(4)),
-    }
     total = 0
-    for name, base in bases.items():
+    for name in ("P4xP5", "Q4", "K3xK4", "C5xC4", "P3xK4"):
+        base = build(name)
         for seed, g in enumerate((base, relabelled(base, 1), relabelled(base, 2))):
             bad, checks = mv_walk_mismatches(g, 10, SplitMix64(seed))
             assert not bad, (name, seed, bad[:3])

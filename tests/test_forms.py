@@ -20,12 +20,9 @@ P4xP4 (diameter 6) and a G(16, 0.3) draw (diameter 4).
 import pytest
 
 import oracles
-from atlas import form_answers, form_definition_mismatches, load_atlas, solver_mismatches
+from atlas import build, form_answers, form_definition_mismatches, load_atlas, solver_mismatches
 from conftest import relabelled
-from vislab.families import complete, grid, path
-from vislab.graph_core import cartesian_product
-from vislab.rng import SplitMix64
-from vislab.theorems import _draw_connected
+from vislab.families import path
 
 
 def test_forms_match_definitions_on_atlas():
@@ -45,24 +42,13 @@ def test_mv_form_needs_diameter_two():
     assert not oracles.valid_oracle(path(4), [0, 1, 3], "mv")
 
 
-def _draw(n, p, s):
-    return _draw_connected(SplitMix64(1000 * n + s), n, p)
-
-
-SLICE = {
-    "K3xK5": lambda: cartesian_product(complete(3), complete(5)),
-    "K4xK4": lambda: cartesian_product(complete(4), complete(4)),
-    "P4xP4": lambda: grid((4, 4)),
-    "G16-0.5-0": lambda: _draw(16, 0.5, 0),
-    "G16-0.5-1": lambda: _draw(16, 0.5, 1),
-    "G18-0.4-0": lambda: _draw(18, 0.4, 0),
-    "G18-0.4-1": lambda: _draw(18, 0.4, 1),
-}
+# ``atlas.build`` names
+SLICE = ("K3xK5", "K4xK4", "P4xP4", "G16-0.5-0", "G16-0.5-1", "G18-0.4-0", "G18-0.4-1")
 
 
 @pytest.mark.parametrize("name", sorted(SLICE))
 def test_solvers_match_form_oracle(name):
-    g = SLICE[name]()
+    g = build(name)
     for seed in (None, 1, 2):
         h = g if seed is None else relabelled(g, seed)
         want = form_answers(h)
@@ -80,7 +66,7 @@ def test_solvers_match_form_oracle(name):
 def test_mv_past_diameter_two_matches_definitional_walk(name, seed):
     # _MvEngine's interval tests, member reaches and pair walks, against a
     # join test that lists every geodesic between the members
-    g = grid((4, 4)) if name == "P4xP4" else _draw(16, 0.3, 0)
+    g = build(name)
     h = g if seed is None else relabelled(g, seed)
     assert oracles.forbidden_sets_oracle(h, "mv") is None
     want_max, want_lower = oracles.walk_oracle(

@@ -4,7 +4,6 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from atlas import load_atlas

@@ -1,4 +1,5 @@
-"""Argument handling of the scripts under ``scripts/``."""
+"""The scripts under ``scripts/``: each loads, its instance names build,
+and the ladder's argument handling."""
 
 import glob
 import importlib.util
@@ -6,7 +7,15 @@ import os
 
 import pytest
 
+from atlas import build
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# every script but freeze_atlas.py, which needs networkx
+SCRIPTS = sorted(
+    os.path.basename(p)[:-3]
+    for p in glob.glob(os.path.join(ROOT, "scripts", "*.py"))
+    if not p.endswith("freeze_atlas.py")
+)
 
 
 def load_script(name):
@@ -14,6 +23,18 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_loads(name):
+    assert callable(load_script(name).main)
+
+
+def test_instance_names_build():
+    ladder, forms = load_script("bench_ladder"), load_script("form_differential")
+    for rows in (ladder.LADDER, ladder.GREEDY_LADDER, forms.ROWS):
+        for row in rows:
+            assert build(row[0]).n > 0, row
 
 
 class TestBenchLadder:

@@ -3,7 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from atlas import form_answers, gate_off, load_atlas, oracle_answers, oracle_rows, solver_mismatches
+from atlas import (
+    build,
+    form_answers,
+    gate_off,
+    load_atlas,
+    oracle_answers,
+    oracle_rows,
+    solver_mismatches,
+)
 from conftest import bowtie, connected_graphs, relabelled
 from vislab import graph_core, solvers, visibility
 from vislab.families import (
@@ -26,7 +34,7 @@ from vislab.graph_core import (
     distance_matrix,
     mcs_order,
 )
-from vislab.rng import SplitMix64, permutation
+from vislab.rng import permutation
 from vislab.solvers import (
     DEFAULT_CAP,
     _make_engine,
@@ -36,7 +44,6 @@ from vislab.solvers import (
     solve_lower,
     solve_max,
 )
-from vislab.theorems import _draw_connected
 from vislab.visibility import KINDS, is_maximal_set, is_valid_set
 
 
@@ -615,8 +622,7 @@ class TestLookahead:
 
     @pytest.mark.parametrize("n, p, s, kind, value, witness, tests", ROWS)
     def test_dense_rows(self, n, p, s, kind, value, witness, tests):
-        g = _draw_connected(SplitMix64(1000 * n + s), n, p)
-        res = solve_lower(g, kind, force=True)
+        res = solve_lower(build(f"G{n}-{p}-{s}"), kind, force=True)
         assert (res.value, res.witness.members()) == (value, witness)
         assert res.pruned > 0
         assert res.nodes <= tests

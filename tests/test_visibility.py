@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from atlas import joins_mismatches, load_atlas
+from atlas import join_mismatches, joins_mismatches, load_atlas
 from conftest import bowtie, connected_graphs, graphs, labelled_graphs
 from vislab.families import complete, cycle, grid, hypercube, path, random_tree, star
 from vislab.graph_core import Graph, VertexSet
@@ -236,8 +236,10 @@ class TestMaximality:
 
 
 class TestJoins:
-    """``_joins`` retests only the pairs a new vertex can break; it must
-    agree with the whole-set predicate on every valid set and vertex."""
+    """``_joins`` retests only the pairs a new vertex can break, and each
+    search engine's ``can_add`` reads its own state: both must agree with
+    the whole-set predicate on every valid set and vertex
+    (``atlas.join_mismatches``; the engines on connected graphs only)."""
 
     def test_exhaustive_on_atlas(self):
         corpus = load_atlas(range(1, 7))
@@ -250,8 +252,11 @@ class TestJoins:
         assert checks == 46354
 
     def test_exhaustive_on_labelled_graphs(self):
-        # every labelled graph with n <= 4, the disconnected ones included
-        for g in labelled_graphs(4):
+        # every labelled graph with n <= 5: _joins on all 1,099, the
+        # disconnected ones included, and the engines on the 772 connected
+        graphs = list(labelled_graphs(5))
+        assert len(graphs) == 1099
+        for g in graphs:
             bad, _ = joins_mismatches(g)
             assert not bad, (list(g.edges()), bad[:5])
 
@@ -268,13 +273,8 @@ class TestJoins:
                     for u in permutation(g.n, seed):
                         if _joins(g, kept[-1], u, kind):
                             kept.append(kept[-1] | 1 << u)
-                    for mask in kept:
-                        x = VertexSet(g.n, mask)
-                        for v in range(g.n):
-                            if not (mask >> v) & 1:
-                                got = _joins(g, mask, v, kind)
-                                assert got == is_valid_set(g, x.add(v), kind), (
-                                    g.n, kind, x.members(), v, got)
+                    bad, _ = join_mismatches(g, kind, kept)
+                    assert not bad, (g.n, kind, seed, bad[:5])
 
 
 class TestCenters:
