@@ -16,12 +16,13 @@ acts from the doll's first phase on.  It checks the join tests,
 ``solvers._make_engine`` picks, against the whole-set predicate on every
 valid set and outside vertex (``atlas.joins_mismatches``; 628,294
 checks, and a mismatch names its test, ``joins`` or ``engine``), as
-``tests/test_visibility.py`` does up to 6 vertices, and each
-forbidden-set form against the definitions on every subset, as
-``tests/test_forms.py`` does up to 6 vertices (2,080 forms, 266,240
-subsets).  It prints the counts of join checks, of forms and subsets
-and of branches the convex-path bound cut, takes about 25 s, prints
-each mismatch and exits 1 if there is any.
+``tests/test_visibility.py`` does up to 6 vertices, and each kind's
+whole-set predicate ``is_valid_set`` (327,552 subsets) and each
+forbidden-set form (2,080 forms, 266,240 subsets) against the
+definitions on every subset, as ``tests/test_forms.py`` does up to 6
+vertices.  It prints the counts of join checks, of predicate subsets,
+of forms and their subsets and of branches the convex-path bound cut,
+takes about 30 s, prints each mismatch and exits 1 if there is any.
 """
 
 import os
@@ -32,7 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from atlas import (  # noqa: E402
-    form_definition_mismatches,
+    definition_mismatches,
     gate_off,
     joins_mismatches,
     load_atlas,
@@ -40,12 +41,13 @@ from atlas import (  # noqa: E402
     reduction_holds,
     solver_mismatches,
 )
+from vislab.visibility import KINDS  # noqa: E402
 
 
 def main() -> int:
     start = time.perf_counter()
     graphs = load_atlas({7})
-    failed = checks = cuts = forms = subsets = 0
+    failed = checks = cuts = forms = subsets = predicates = 0
     for index, g in graphs:
         want = oracle_answers(g)
         bad, _, _ = solver_mismatches(g, want, fast_paths=(True, False))
@@ -58,16 +60,18 @@ def main() -> int:
         joins_bad, count = joins_mismatches(g)
         bad += joins_bad
         checks += count
-        form_bad, count = form_definition_mismatches(g)
-        bad += [(kind, "form", x) for kind, x in form_bad]
+        form_bad, count = definition_mismatches(g)
+        bad += form_bad
         forms += count
         subsets += count << g.n
+        predicates += len(KINDS) << g.n
         if bad:
             failed += 1
             print(f"atlas {index}: {list(g.edges())} {bad}")
     print(
         f"{len(graphs)} graphs, {failed} with mismatches, {checks} join checks, "
-        f"{forms} forms over {subsets} subsets, {cuts} convex-path cuts, "
+        f"{predicates} predicate subsets, {forms} forms over {subsets} subsets, "
+        f"{cuts} convex-path cuts, "
         f"{time.perf_counter() - start:.0f}s"
     )
     return 1 if failed else 0

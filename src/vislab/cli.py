@@ -139,9 +139,15 @@ def _parse_ids(raw: str) -> list[int]:
     if raw in ("", "-"):
         return []
     try:
-        return [int(tok) for tok in raw.split(",")]
+        ids = [int(tok) for tok in raw.split(",")]
     except ValueError:
         raise _UsageError(f"expected comma-separated integers, got {raw!r}")
+    seen = set()
+    for v in ids:
+        if v in seen:
+            raise _UsageError(f"duplicate vertex id {v} in {raw!r}")
+        seen.add(v)
+    return ids
 
 
 def _int_params(ns, count: int) -> list[int]:

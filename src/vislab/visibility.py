@@ -22,8 +22,23 @@ inspect shortest-path intervals directly, with no structural shortcuts.
 Solvers revalidate their answers against these predicates.  Each reach
 is told the vertices its caller asks about and stops at the layer that
 decides them: once all are seen, or once the layer of one passes without
-it.  Visibility is symmetric, so a whole-set check asks each source only
-for the members (mv) or vertices (tmv) above it.
+it.  Visibility is symmetric, so ``is_mv_set`` asks each source only for
+the members above it, and ``is_tmv_set`` asks about the vertices above it.
+
+``is_tmv_set`` runs no reach.  A blocked corner, two neighbours of a
+member y at distance 2 whose common neighbours are all members
+(``_corner``), is an invisible pair, so the set is refused at once.
+Otherwise each source a settles only its shadow, the vertices b with a
+member y != a inside some a,b-geodesic, d(a, y) + d(y, b) = d(a, b);
+any other vertex has a geodesic from a with no member inside, so it
+needs no test.  The shadow is settled layer by layer with a pull: a
+vertex is visible exactly when a neighbour one layer closer to a is
+visible and is a or not a member.  So a vertex can be dark (invisible)
+only when all of those neighbours hide (are members or dark), and the
+pull asks only the neighbours of hiding vertices in the next layer: the
+first ring of each member's shadow, then whatever a dark vertex
+continues into.  Darkness passes through vertices below a, so they are
+settled too, but only a dark vertex above a refuses.
 
 Adding one vertex v to a valid set X (``_joins``, behind
 ``greedy_maximal`` and ``is_maximal_set``) retests only the pairs v can
@@ -33,20 +48,33 @@ v is interior to some geodesic exactly when a neighbour of v lies one
 layer further from a, ``adj[v] & layers[a][d(a, v) + 1]``; a source that
 fails this layer test sees past X + v what it saw past X.
 
-So mv runs one reach from v, then one from each member a that passes the
-layer test, asking it only for the members b above a that v lies
-between, d(a, v) + d(v, b) = d(a, b); both ends of such a pair pass the
-test, so the smaller end is enough, as in ``is_mv_set``.  That need is
-the shadow of v from a, the union of ``layers[a][d(a, v) + j] &
-layers[v][j]`` over j >= 1, masked to the members above a.  Its first
-slice is the layer test, and it ends at its first empty slice, since a
-geodesic from v to a later slice crosses every earlier one.  A member
-above a is open until the layer of a or of v that holds it is passed;
-the slices are walked while two are open, and the last one is placed by
-its distances.  tmv runs one reach from each source a != v that passes
-the layer test, asking for every vertex, neighbours of v first (a
-refused v always breaks a distance-2 pair of its own neighbours, so a
-failure shows there early).  gp checks only the triples that hold v.
+So mv runs one reach from v, then asks each member a that passes the
+layer test only for the members b above a that v lies between, d(a, v)
++ d(v, b) = d(a, b); both ends of such a pair pass the test, so the
+smaller end is enough, as in ``is_mv_set``.  That need is the shadow of
+v from a, the union of ``layers[a][d(a, v) + j] & layers[v][j]`` over
+j >= 1, masked to the members above a.  Its first slice is the layer
+test, and it ends at its first empty slice, since a geodesic from v to a
+later slice crosses every earlier one.  A member above a is open until
+the layer of a or of v that holds it is passed; the slices are walked
+while two are open, and the last one is placed by its distances.  Before
+any member reach, each asked pair (a, b) is cut on v's slice
+``layers[a][d(a, v)] & layers[b][d(b, v)]``, the vertices as far from a
+and from b as v is: every a,b-geodesic crosses it, so if it lies inside
+X + v the pair is invisible and v is refused.  Then one reach from each
+such a asks for its pairs.  tmv first refuses v with a blocked corner
+past X + v, then runs one reach from each source a != v that passes the
+layer test, asking for every vertex, neighbours of v first.  gp checks
+only the triples that hold v.
+
+Every answer stays definitional: a blocked corner and a blocked slice
+are each an invisible pair read off the metric, so each is sufficient
+on its own, and the pull is the reach's own rule, applied where a vertex
+can fail.  The distance-2 lemma of ``solvers`` (a set is tmv exactly
+when no distance-2 pair has all of its common neighbours in it) only
+explains why a tmv refusal shows at a corner: a refused v always breaks
+a distance-2 pair of its own neighbours.  No answer leans on it; a set
+with no blocked corner still goes through the pull or the reaches.
 
 ``solvers.greedy_maximal`` scans with ``greedy_maximal`` for mv and gp.
 For tmv it scans the blocker family of its search engine, so here
@@ -144,19 +172,87 @@ def is_mv_set(g: Graph, x: VertexSet) -> bool:
     return True
 
 
+def _corner(adj: Sequence[int], y: int, blocked: int) -> bool:
+    """Whether two neighbours of y at distance 2 from each other have all
+    of their common neighbours in ``blocked``.
+
+    Such a pair is invisible past ``blocked``: its geodesics are the paths
+    through one common neighbour, and each is blocked.  y is a common
+    neighbour of every such pair, so this can hold only for y in
+    ``blocked``.
+    """
+    open_mask = ~blocked
+    m = adj[y]
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        m ^= low
+        # the later neighbours of y that are not adjacent to u
+        far, near_u = m & ~adj[u], adj[u] & open_mask
+        while far:
+            w = far & -far
+            if not near_u & adj[w.bit_length() - 1]:
+                return True
+            far ^= w
+    return False
+
+
 def is_tmv_set(g: Graph, x: VertexSet) -> bool:
     """Every pair of vertices of the graph is visible past ``x``.
 
     On a disconnected graph with at least two vertices no set qualifies,
     the empty set included, because cross-component pairs are not visible.
+    A member with a blocked corner (``_corner``) refuses at once, on any
+    graph.  Otherwise each source a is asked only about its shadow, the
+    vertices b with d(a, y) + d(y, b) = d(a, b) for a member y != a;
+    every other vertex has a geodesic from a with no member inside.  The
+    layers of a are settled outwards with a pull: a vertex is visible
+    exactly when a neighbour one layer closer is visible and is a or not
+    a member, so only the neighbours of hiding vertices (members and dark
+    vertices) one layer further out are tested, and the walk ends past
+    the last member once no vertex is dark.  A dark vertex above a
+    refuses (see the module docstring).
     """
     _check_universe(g, x)
-    full = (1 << g.n) - 1
-    # visibility is symmetric, so each source needs only the vertices above it
-    for a in range(g.n):
-        need = full & (-2 << a)
-        if need & ~visible_mask(g, a, x.mask & ~(1 << a), need):
+    adj, blocked = g.adj_masks, x.mask
+    m = blocked
+    while m:
+        low = m & -m
+        if _corner(adj, low.bit_length() - 1, blocked):
             return False
+        m ^= low
+    if g.n and UNREACHABLE in g.metric.rows[0]:
+        return False
+    layers = g.metric.layers
+    for a in range(g.n):
+        lay_a = layers[a]
+        # rest: the members past layer d - 1; dark: the invisible vertices
+        # of layer d; top: the last layer (one empty layer pads the list),
+        # where a member hides nothing
+        d, top, rest, dark = 1, len(lay_a) - 2, blocked & ~(1 << a), 0
+        # visibility is symmetric, so each source needs only the vertices above it
+        above = -2 << a
+        while d < top and (rest or dark):
+            layer = lay_a[d]
+            hide = rest & layer | dark
+            rest &= ~layer
+            d += 1
+            if not hide:
+                continue
+            ask, m = 0, hide
+            while m:
+                low = m & -m
+                ask |= adj[low.bit_length() - 1]
+                m ^= low
+            ask &= lay_a[d]
+            relay, dark = layer & ~hide, 0
+            while ask:
+                low = ask & -ask
+                if not adj[low.bit_length() - 1] & relay:
+                    dark |= low
+                ask ^= low
+            if dark & above:
+                return False
     return True
 
 
@@ -232,6 +328,7 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
         # members above a (the top member has none to ask for), rest those
         # whose place in the shadow is still open
         lay_v, row_v = layers[v], rows[v]
+        asked = []
         m = mask
         while m & (m - 1):
             low = m & -m
@@ -252,9 +349,23 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
                 if row_a[v] + row_v[b] == row_a[b]:
                     shadow |= rest
             need = shadow & m
-            if need and need & ~visible_mask(g, a, new & ~low, need):
+            if need:
+                # every a,b-geodesic crosses the slice of v, the vertices as
+                # far from a and from b as v is, so X + v holding it blocks
+                # the pair
+                cut, todo = lay_a[row_a[v]] & ~new, need
+                while todo:
+                    b = (todo & -todo).bit_length() - 1
+                    if not cut & layers[b][row_v[b]]:
+                        return False
+                    todo &= todo - 1
+                asked.append((a, need))
+        for a, need in asked:
+            if need & ~visible_mask(g, a, new & ~(1 << a), need):
                 return False
         return True
+    if _corner(g.adj_masks, v, new):
+        return False
     # a tmv-valid set exists only on a connected graph
     need = (1 << g.n) - 1
     for group in (adj, need & ~adj & ~(1 << v)):

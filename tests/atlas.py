@@ -9,10 +9,10 @@ every subset, ``form_answers`` by a walk over the valid sets of each
 forbidden-set form, which reaches graphs far past the atlas, and
 ``oracle_rows`` picks the brute-force rows a check is about.
 ``solver_mismatches`` is the one comparison of the solvers with such a
-table, and ``form_definition_mismatches`` checks the forms themselves
-against the definitions.  ``join_mismatches`` is the one comparison of
-the join tests, ``visibility._joins`` and every search engine's
-``can_add``, with whole-set validity; ``joins_mismatches`` runs it over
+table, and ``definition_mismatches`` checks the whole-set predicates
+and the forms themselves against the definitions.  ``join_mismatches``
+is the one comparison of the join tests, ``visibility._joins`` and
+every search engine's ``can_add``, with whole-set validity; ``joins_mismatches`` runs it over
 every valid set of a graph.  The tests run it on every labelled graph
 with at most 5 vertices and every atlas graph with at most 6, on
 hypothesis samples, mv walks and long-shadow scans, and
@@ -152,22 +152,26 @@ def gate_off():
         solvers._GATE.update(saved)
 
 
-def form_definition_mismatches(g):
-    """Each forbidden-set form of ``g`` (``oracles.forbidden_sets_oracle``)
+def definition_mismatches(g):
+    """Each kind's whole-set predicate ``is_valid_set`` and each
+    forbidden-set form of ``g`` (``oracles.forbidden_sets_oracle``)
     against ``oracles.valid_oracle`` on every subset, as (mismatches
-    (kind, member list), number of forms): a set must be valid exactly
-    when it holds none of its form's sets."""
+    (kind, test, member list), number of forms): a set must be valid
+    exactly when the predicate (test "predicate") says so and when it
+    holds none of its form's sets (test "form").  mv at diameter 3 or
+    more has no form, so only its predicate is checked."""
     bad = []
     forms = 0
     for kind in KINDS:
         sets = oracles.forbidden_sets_oracle(g, kind)
-        if sets is None:
-            continue
-        forms += 1
+        forms += sets is not None
         for mask in range(1 << g.n):
             x = [v for v in range(g.n) if mask >> v & 1]
-            if oracles.form_valid(sets, x) != oracles.valid_oracle(g, x, kind):
-                bad.append((kind, x))
+            want = oracles.valid_oracle(g, x, kind)
+            if is_valid_set(g, VertexSet(g.n, mask), kind) != want:
+                bad.append((kind, "predicate", x))
+            if sets is not None and oracles.form_valid(sets, x) != want:
+                bad.append((kind, "form", x))
     return bad, forms
 
 

@@ -345,6 +345,10 @@ class TestCheck:
         rc, _, err = cli("check", "--kind", "mv", "--set", "9", stdin_text=P4_TEXT)
         assert rc == 2 and "out of range" in err
 
+    def test_repeated_id(self):
+        rc, out, err = cli("check", "--kind", "mv", "--set", "0,2,0", stdin_text=P4_TEXT)
+        assert rc == 2 and out == "" and "duplicate vertex id 0" in err
+
 
 class TestVerify:
     def test_matrix_table(self):
@@ -397,6 +401,10 @@ class TestExport:
     def test_highlight(self):
         rc, out, _ = cli("export", "--dot", "--highlight", "1,2", stdin_text=P4_TEXT)
         assert 'fillcolor="gray80"' in out
+
+    def test_repeated_highlight_id(self):
+        rc, out, err = cli("export", "--dot", "--highlight", "1,1", stdin_text=P4_TEXT)
+        assert rc == 2 and out == "" and "duplicate vertex id 1" in err
 
     def test_requires_dot_flag(self):
         rc, _, err = cli("export", stdin_text=P4_TEXT)

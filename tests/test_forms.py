@@ -2,11 +2,12 @@
 
 On a connected graph, tmv, gp, and mv on graphs of diameter at most 2,
 each have a fixed family of forbidden vertex sets: a set is valid iff it
-holds none of them (``oracles.forbidden_sets_oracle``).  Each form is
-pinned here against the definitional ``oracles.valid_oracle`` on every
-vertex subset of the atlas graphs with at most 6 vertices
-(``atlas.form_definition_mismatches``), and on those with 7 by
-``scripts/atlas_differential.py``.  A plain walk
+holds none of them (``oracles.forbidden_sets_oracle``).  Each form, and
+each kind's whole-set predicate ``is_valid_set`` (mv at every
+diameter), is pinned here against the definitional
+``oracles.valid_oracle`` on every vertex subset of the atlas graphs
+with at most 6 vertices (``atlas.definition_mismatches``), and on those
+with 7 by ``scripts/atlas_differential.py``.  A plain walk
 over the valid sets (``oracles.walk_oracle``), joined through a form
 (``oracles.form_joins``, tabled by ``atlas.form_answers``), then checks
 ``solve_max`` and ``solve_lower`` (``atlas.solver_mismatches``) on 15-
@@ -20,7 +21,7 @@ P4xP4 (diameter 6) and a G(16, 0.3) draw (diameter 4).
 import pytest
 
 import oracles
-from atlas import build, form_answers, form_definition_mismatches, load_atlas, solver_mismatches
+from atlas import build, definition_mismatches, form_answers, load_atlas, solver_mismatches
 from conftest import relabelled
 from vislab.families import path
 
@@ -29,7 +30,7 @@ def test_forms_match_definitions_on_atlas():
     graphs = load_atlas(range(1, 7))
     forms = 0
     for index, g in graphs:
-        bad, count = form_definition_mismatches(g)
+        bad, count = definition_mismatches(g)
         assert not bad, (index, bad[:5])
         forms += count
     # every tmv and gp form, and the mv form on the graphs of diameter <= 2

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,14 +9,17 @@ from atlas import join_mismatches, joins_mismatches, load_atlas
 from conftest import bowtie, connected_graphs, graphs, labelled_graphs
 from vislab.families import complete, cycle, grid, hypercube, path, random_tree, star
 from vislab.graph_core import Graph, VertexSet
+from vislab import visibility
 from vislab.rng import permutation
 from vislab.visibility import (
     KINDS,
+    _corner,
     _joins,
     check_kind,
     convex_p3_centers,
     greedy_maximal,
     is_maximal_set,
+    is_tmv_set,
     is_valid_set,
     neighborhood_bound,
     neighborhood_lemma_scan,
@@ -191,6 +196,58 @@ class TestValidity:
     def test_tmv_disconnected_nothing_valid(self):
         g = Graph.from_edges(3, [(0, 1)])
         assert not is_valid_set(g, vset(g), "tmv")
+        # no member has a blocked corner, yet the components see nothing
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
+        assert not any(is_tmv_set(g, VertexSet(g.n, m)) for m in range(1 << g.n))
+
+    def test_corner_matches_oracle_on_atlas(self):
+        # _corner(adj, y, blocked) holds exactly when two neighbours of y at
+        # distance 2 see each other past no blocked set, for every y of
+        # every atlas graph with n <= 6 and every blocked set holding y
+        for _, g in load_atlas(range(1, 7)):
+            for y in range(g.n):
+                pairs = [(u, w) for u, w in combinations(g.adj[y], 2) if not g.has_edge(u, w)]
+                for blocked in range(1 << g.n):
+                    if not blocked >> y & 1:
+                        continue
+                    ids = [v for v in range(g.n) if blocked >> v & 1]
+                    want = any(not oracles.visible_oracle(g, ids, u, w) for u, w in pairs)
+                    assert _corner(g.adj_masks, y, blocked) == want, (list(g.edges()), y, ids)
+
+    @staticmethod
+    def all_pairs_tmv(g, mask):
+        # every pair asked of visible_mask from both ends
+        full = (1 << g.n) - 1
+        return all(visible_mask(g, a, mask & ~(1 << a), full) == full for a in range(g.n))
+
+    def test_tmv_pull_alone_on_atlas(self, monkeypatch):
+        # on a connected graph a blocked corner refuses every set that is not
+        # tmv, so with _corner off the pull alone must decide each subset
+        monkeypatch.setattr(visibility, "_corner", lambda adj, y, blocked: False)
+        for index, g in load_atlas(range(1, 7)):
+            for m in range(1 << g.n):
+                assert is_tmv_set(g, VertexSet(g.n, m)) == self.all_pairs_tmv(g, m), (index, m)
+
+    @pytest.mark.parametrize("corner", [True, False])
+    def test_tmv_matches_all_pairs_on_long_graphs(self, corner, monkeypatch):
+        # geodesics longer than the atlas's: every set kept along the tmv
+        # greedy scans of TestJoins.test_long_shadows and each of its
+        # one-vertex extensions, with and without the corner test, against
+        # all_pairs_tmv (pair_visible pair by pair takes 6 s here)
+        if not corner:
+            monkeypatch.setattr(visibility, "_corner", lambda adj, y, blocked: False)
+        graphs = (grid((6, 6)), grid((6, 12)), hypercube(5), path(12), random_tree(24, seed=24))
+        for g in graphs:
+            kept = {0}
+            for seed in range(3):
+                mask = 0
+                for u in permutation(g.n, seed):
+                    if _joins(g, mask, u, "tmv"):
+                        mask |= 1 << u
+                        kept.add(mask)
+            for mask in kept:
+                for m in [mask] + [mask | 1 << v for v in range(g.n) if not mask >> v & 1]:
+                    assert is_tmv_set(g, VertexSet(g.n, m)) == self.all_pairs_tmv(g, m), (g.n, m)
 
     def test_disconnected_pair_semantics(self):
         # no geodesic at all: the pair fails mutual visibility, while the
