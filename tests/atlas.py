@@ -12,11 +12,12 @@ forbidden-set form, which reaches graphs far past the atlas, and
 table, and ``definition_mismatches`` checks the whole-set predicates
 and the forms themselves against the definitions.  ``join_mismatches``
 is the one comparison of the join tests, ``visibility._joins`` and
-every search engine's ``can_add``, with whole-set validity; ``joins_mismatches`` runs it over
-every valid set of a graph.  The tests run it on every labelled graph
-with at most 5 vertices and every atlas graph with at most 6, on
-hypothesis samples, mv walks and long-shadow scans, and
-``scripts/atlas_differential.py`` on the atlas graphs with 7.
+every search engine's ``can_add``, with whole-set validity;
+``joins_mismatches`` runs it over every valid set of a graph.  The
+tests run it on every labelled graph with at most 5 vertices and every
+atlas graph with at most 6, on hypothesis samples, mv walks and
+long-shadow scans, and ``scripts/atlas_differential.py`` on the atlas
+graphs with 7.
 """
 
 import os

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 import oracles
 from atlas import join_mismatches, joins_mismatches, load_atlas
 from conftest import bowtie, connected_graphs, graphs, labelled_graphs
+from vislab import visibility
 from vislab.families import complete, cycle, grid, hypercube, path, random_tree, star
 from vislab.graph_core import Graph, VertexSet
-from vislab import visibility
 from vislab.rng import permutation
 from vislab.visibility import (
     KINDS,
@@ -201,9 +201,9 @@ class TestValidity:
         assert not any(is_tmv_set(g, VertexSet(g.n, m)) for m in range(1 << g.n))
 
     def test_corner_matches_oracle_on_atlas(self):
-        # _corner(adj, y, blocked) holds exactly when two neighbours of y at
-        # distance 2 see each other past no blocked set, for every y of
-        # every atlas graph with n <= 6 and every blocked set holding y
+        # _corner(adj, y, blocked) holds exactly when some two neighbours of
+        # y at distance 2 are not visible past the blocked set, for every y
+        # of every atlas graph with n <= 6 and every blocked set holding y
         for _, g in load_atlas(range(1, 7)):
             for y in range(g.n):
                 pairs = [(u, w) for u, w in combinations(g.adj[y], 2) if not g.has_edge(u, w)]
