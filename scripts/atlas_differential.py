@@ -6,7 +6,8 @@ Usage: python scripts/atlas_differential.py
 The test suite covers the 143 connected atlas graphs with at most 6
 vertices (``tests/test_atlas_differential.py``); this script runs the
 same comparison on the 853 with 7 vertices, and checks the
-NP-completeness reduction's formula on each of them as a base graph.
+NP-completeness reduction's formula on each of them as a base graph, at
+t = 3 and 4, and on every base with 2 to 5 vertices at t = 5.
 It also solves each lower and max query again with every kind's
 symmetry gate at 0, as ``tests/test_solvers.py`` does up to 6 vertices: the
 lower search then checks every child for symmetry, and the max search
@@ -51,8 +52,9 @@ def main() -> int:
     for index, g in graphs:
         want = oracle_answers(g)
         bad, _, _ = solver_mismatches(g, want, fast_paths=(True, False))
-        if not reduction_holds(g):
-            bad.append(("gadget", "reduction formula"))
+        for t in (3, 4):
+            if not reduction_holds(g, t):
+                bad.append(("gadget", "reduction formula", t))
         with gate_off():
             gate_bad, _, pruned = solver_mismatches(g, want, fast_paths=(False,))
         bad += [(kind, "no gate", *rest) for kind, *rest in gate_bad]
@@ -68,8 +70,14 @@ def main() -> int:
         if bad:
             failed += 1
             print(f"atlas {index}: {list(g.edges())} {bad}")
+    small = load_atlas(range(2, 6))
+    for index, base in small:
+        if not reduction_holds(base, 5):
+            failed += 1
+            print(f"atlas {index}: {list(base.edges())} [('gadget', 'reduction formula', 5)]")
     print(
-        f"{len(graphs)} graphs, {failed} with mismatches, {checks} join checks, "
+        f"{len(graphs)} graphs and {len(small)} t = 5 bases, {failed} with mismatches, "
+        f"{checks} join checks, "
         f"{predicates} predicate subsets, {forms} forms over {subsets} subsets, "
         f"{cuts} convex-path cuts, "
         f"{time.perf_counter() - start:.0f}s"

@@ -1,11 +1,15 @@
 """Time the exact mv solvers and greedy profiles on a fixed instance ladder.
 
-Usage: python scripts/bench_ladder.py LABEL
+Usage: python scripts/bench_ladder.py LABEL | --counts
 
 Benchmarks the vislab source tree next to this script and writes
 ``BENCH_<LABEL>.json`` at the repository root.  LABEL is letters, digits,
 ``_``, ``.`` and ``-``, not starting with ``-``; ``-h`` or ``--help``
-prints the usage line.  Each ladder row is run
+prints the usage line.  ``--counts`` times nothing: it rewrites the
+counts ledger ``tests/data/counts.tsv``, one tab-separated line per
+``ledger()`` row (instance, kind, variant, relabel seed or ``-``, value,
+witness, nodes, skipped, pruned), which ``tests/test_scripts.py``
+recomputes.  Each ladder row is run
 three times, and a row whose fastest run is under 0.1 s eight times more,
 since such rows drift by 20-40% between two ladders over three runs.  An
 exact row records the value, the node count, the children skipped by
@@ -42,7 +46,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, ROOT)
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from atlas import build, load_atlas  # noqa: E402
+from atlas import build, load_atlas, sweep_graphs  # noqa: E402
 from perfbench.hostspeed import HostSpeed  # noqa: E402
 
 from vislab.families import star  # noqa: E402
@@ -99,6 +103,19 @@ LADDER = (
     # mv max on a large clique product in the identity labelling (item 2)
     ("G24-0.5-2", "mv", "lower", False),
     ("K6xK6", "mv", "max", False),
+)
+
+# the exact rows of over 0.5 s, which the counts ledger leaves to the ladder
+SLOW = (
+    ("Q5", "mv", "max", False),
+    ("Q5", "mv", "max", True),
+    ("G24-0.5-2", "mv", "lower", False),
+    ("K6xK6", "mv", "max", False),
+)
+COUNTS = os.path.join(ROOT, "tests", "data", "counts.tsv")
+COUNT_FIELDS = (
+    "instance", "kind", "variant", "relabel_seed", "value", "witness", "nodes", "skipped",
+    "pruned",
 )
 
 # (instance, kind); every row is greedy_profile(g, kind, GREEDY_RUNS, seed 0)
@@ -159,6 +176,46 @@ def run_row(spec: str, kind: str, variant: str, relabelled: bool) -> tuple:
         "witness": list(witness),
     }
     return row, spans
+
+
+def ledger() -> list[tuple]:
+    """The rows of the counts ledger, as ``LADDER`` rows: the exact
+    ``LADDER`` rows but ``SLOW``; tmv and gp, max and lower, on every
+    ladder instance but K6xK6; and the six queries of the small-sweep
+    benchmark on each graph of its corpus (``sweep<i>``)."""
+    rows = [row for row in LADDER if row not in SLOW]
+    for spec in dict.fromkeys(row[0] for row in LADDER):
+        if spec != "K6xK6":
+            for kind in ("tmv", "gp"):
+                for variant in ("max", "lower"):
+                    if (spec, kind, variant, False) not in rows:
+                        rows.append((spec, kind, variant, False))
+    for i in range(len(sweep_graphs())):
+        for kind in ("mv", "tmv", "gp"):
+            for variant in ("max", "lower"):
+                rows.append((f"sweep{i}", kind, variant, False))
+    return rows
+
+
+def count_line(spec: str, kind: str, variant: str, relabelled: bool) -> str:
+    """The ledger line of a ``LADDER`` row, its ``COUNT_FIELDS`` joined by
+    tabs; an empty witness is ``-``."""
+    g = build(spec)
+    if relabelled:
+        g = relabel(g)
+    res = (solve_max if variant == "max" else solve_lower)(fresh(g), kind, force=True)
+    fields = (
+        spec, kind, variant, RELABEL_SEED if relabelled else "-", res.value,
+        ",".join(map(str, res.witness.members())) or "-", res.nodes, res.skipped, res.pruned,
+    )
+    return "\t".join(map(str, fields))
+
+
+def write_counts() -> None:
+    with open(COUNTS, "w", encoding="utf-8") as handle:
+        handle.write("# " + "\t".join(COUNT_FIELDS) + "\n")
+        for row in ledger():
+            handle.write(count_line(*row) + "\n")
 
 
 def domination_corpus() -> list[Graph]:
@@ -229,6 +286,9 @@ def main(argv: list[str]) -> int:
     usage = __doc__.strip().splitlines()[2]
     if argv in (["-h"], ["--help"]):
         print(usage)
+        return 0
+    if argv == ["--counts"]:
+        write_counts()
         return 0
     if len(argv) != 1 or not re.fullmatch(r"[A-Za-z0-9_.][A-Za-z0-9_.-]*", argv[0]):
         print(usage, file=sys.stderr)

@@ -21,11 +21,23 @@ which both searches rely on:
   and once the search cost the symmetry gate's tests, so does the count
   of its candidates that can join, at most two on each convex path
   (``graph_core.convex_paths``, the only geodesic between its ends) less
-  the members already on it.  The canonical witness is then completed
-  member by member in ascending ids: each id is asked whether an optimum
-  holds it with the members chosen so far, answered by an automorphism
-  onto a known optimum or by the same bounded search over the candidates
-  above it;
+  the members already on it.  Past that gate a phase these bounds leave
+  open starts from its vertex's orbit.  Phase i looks for a valid set S
+  of ``doll[i+1] + 1`` vertices of the suffix ``order[i:]`` holding its
+  first vertex v.  An automorphism σ fixing every vertex outside the
+  suffix maps the suffix onto itself, and it keeps validity, which the
+  metric defines, so σ(S) is another such set; without v it would be a
+  set of ``doll[i+1] + 1`` vertices of ``order[i+1:]``, one more than
+  that suffix holds, so σ(S) holds v and S holds σ⁻¹(v).  So S holds
+  v's whole orbit under those automorphisms: an orbit of more than
+  ``doll[i+1] + 1`` vertices refutes the phase with no test, and a
+  smaller one is added before the search.  The canonical witness is then
+  completed member by member in ascending ids: each id is asked whether
+  an optimum holds it with the members chosen so far, answered by an
+  automorphism onto a known optimum or by the same bounded search over
+  the candidates above it.  The doll gives that completion its value and
+  a first optimum only, so which optimum the doll finds cannot change the
+  witness;
 * lower: one depth-first pass over the valid sets; a vertex refused by
   a set stays refused by its supersets, so maximality is tested only
   against the vertices no ancestor refused, and for mv the incumbent
@@ -145,7 +157,8 @@ class SolveResult:
     tests (for max, those of the doll pass and of the witness completion;
     zero when a shortcut answered).  ``skipped`` counts the children either
     search resolved by symmetry, with no test and no search below them;
-    ``nodes`` does not count them.  ``pruned`` counts the sets at which the
+    ``nodes`` does not count them; for max they include the doll phases
+    refuted by the size of an orbit.  ``pruned`` counts the sets at which the
     lower search's refusal lookahead returned, with no further test there,
     and for max the branches the convex-path bound cut.
     ``independent_domination`` runs the lower search, so all three count
@@ -596,6 +609,25 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     child is skipped (``_Mirrors``, with the kind's ``_GATE``, as in ``solve_lower``): a solution
     below it would have an image below that child, earlier in the order.
 
+    Past the same gate, a phase that ``grow``'s entry cuts leave open
+    starts from the orbit O of v = ``order[i]`` under the automorphisms
+    fixing every id outside ``order[i:]`` (``orbit_seeded``).  Lemma:
+    every set S the phase looks for, ``doll[i+1] + 1`` ids of
+    ``order[i:]`` with v among them, holds O.  Proof: such an
+    automorphism σ maps ``order[i:]`` onto itself, since it is a
+    bijection that fixes the rest, and it keeps the seed and validity,
+    which the metric defines; so σ(S) is a valid set of as many ids of
+    ``order[i:]``.  Without v it would lie in ``order[i+1:]``, where at
+    most ``doll[i+1]`` ids can join together, so σ(S) holds v, and S
+    holds σ⁻¹(v).  The inverses run over the same automorphisms.  Fixing
+    the ids outside the range is enough: it is all the proof asks of σ,
+    and no fixing of ``order[i:]`` itself is needed, since S may be any
+    set there.  An O of more than ``doll[i+1] + 1`` ids refutes the phase
+    with no test (``skipped`` counts it); otherwise O's other ids go
+    through ``can_add``, one test each, and ``grow`` searches the rest of
+    the candidates for that many fewer vertices.  The phase's answer, so
+    every ``doll`` value, stays the same.
+
     The witness is then completed in ascending ids.  ``cert`` is a set of
     ``doll[0]`` vertices holding the members chosen so far, first the
     doll's witness.  Each id u below its next member is asked whether some
@@ -607,7 +639,10 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     cost the gate's tests, yes when it maps u into ``cert`` (tried once the
     doll cost the gate's tests).  Otherwise ``grow`` searches the
     candidates above u.  ``skipped`` counts these answers with the skipped
-    children.
+    children.  Each answer is exact whatever ``cert`` holds, so the
+    witness does not depend on which optimum the doll found: a seeded
+    phase may find another one, and the completion still picks the
+    lexicographically first.
     """
     start = time.perf_counter()
     engine = _make_engine(g, kind, force)
@@ -652,6 +687,57 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
                 rest &= ~bits
         return out, rest
 
+    def cramped(members: int, cands: int, need: int) -> bool:
+        """Whether a branch with the member mask ``members`` and the
+        candidate bits ``cands`` has less room than ``need``: the most
+        candidates that can join, at most two on each convex path less the
+        members on it.  A cut counts as pruned."""
+        nonlocal pruned
+        room = (cands & off).bit_count()
+        if room >= need:
+            return False
+        for mask, bits in paths:
+            here = (cands & bits).bit_count()
+            if here:
+                most = 2 - (members & mask).bit_count()
+                room += here if here < most else most
+                if room >= need:
+                    return False
+        pruned += 1
+        return True
+
+    def orbit_seeded(state, cands: int, need: int, v: int):
+        """(state, candidate bits, need) of the doll phase of ``v`` with the
+        rest of v's orbit added; the state is None when that orbit refutes
+        the phase.
+
+        The orbit is the one under the automorphisms fixing every id outside
+        ``free``, as far as ``mirrors.find`` finds it; every set the phase
+        looks for holds all of it (``solve_max``).  More than ``need + 1``
+        ids refute the phase with no test, and so does an orbit id that
+        cannot join."""
+        nonlocal nodes, skipped
+        fixed = everyone & ~free
+        orbit = 1 << v
+        size = 1
+        while (perm := mirrors.find(fixed, v, free & ~orbit)) is not None:
+            orbit |= 1 << perm[v]
+            size += 1
+            if size > need + 1:
+                skipped += 1
+                return None, cands, need
+        rest = orbit ^ 1 << v
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            nodes += 1
+            if not can_add(state, w):
+                return None, cands, need
+            state = add(state, w)
+            cands &= ~bit[w]
+        return state, cands, need + 1 - size
+
     def grow(state, cands: int, need: int):
         """State of the first extension of ``state`` by ``need`` >= 1
         vertices of ``cands`` (a bitmask of candidate bits, lowest first),
@@ -665,27 +751,14 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
         ``costly`` tests since the last failed child that cost less: the
         images ``mirrors.find`` may map a later child onto.
         """
-        nonlocal nodes, skipped, pruned, accepted, paths, off
+        nonlocal nodes, skipped, accepted, paths, off
         if paths is None and nodes >= costly:
             paths, off = convex()
         bound = live[need]
         count = cands.bit_count()
-        if paths and count >= need and cands & bound:
-            # room: the most candidates that can join, at most two a path
-            room = (cands & off).bit_count()
-            if room < need:
-                members = state[0]
-                for mask, bits in paths:
-                    here = (cands & bits).bit_count()
-                    if here:
-                        most = 2 - (members & mask).bit_count()
-                        room += here if here < most else most
-                        if room >= need:
-                            break
-                else:
-                    pruned += 1
-                    accepted = 0
-                    return None
+        if paths and count >= need and cands & bound and cramped(state[0], cands, need):
+            accepted = 0
+            return None
         while True:
             if count < need or not cands & bound:
                 accepted = 0
@@ -743,7 +816,20 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
         if can_add(wit, v):
             wit = add(wit, v)
         else:
-            got = grow(add(seed, v), full >> (i + 1) << (i + 1), doll[i + 1])
+            state, cands, need = add(seed, v), full >> (i + 1) << (i + 1), doll[i + 1]
+            if nodes >= costly:
+                # grow's entry cuts first, then v's orbit seeds or refutes
+                if paths is None:
+                    paths, off = convex()
+                if (
+                    cands.bit_count() < need
+                    or not cands & live[need]
+                    or paths and cramped(state[0], cands, need)
+                ):
+                    state = None
+                else:
+                    state, cands, need = orbit_seeded(state, cands, need, v)
+            got = state if state is None or not need else grow(state, cands, need)
             if got is None:
                 doll[i] = doll[i + 1]
                 continue

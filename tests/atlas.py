@@ -20,11 +20,13 @@ long-shadow scans, and ``scripts/atlas_differential.py`` on the atlas
 graphs with 7.
 """
 
+import importlib.util
 import os
 from contextlib import contextmanager
 from functools import lru_cache, reduce
 
 import oracles
+import vislab
 from vislab import solvers
 from vislab.families import complete, cycle, gen_gadget, hypercube, path
 from vislab.graph_core import Graph, VertexSet, cartesian_product, is_connected
@@ -33,7 +35,8 @@ from vislab.solvers import _make_engine, independent_domination, solve_lower, so
 from vislab.theorems import _draw_connected
 from vislab.visibility import KINDS, _joins, is_valid_set
 
-ATLAS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "atlas_connected.txt")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ATLAS = os.path.join(ROOT, "tests", "data", "atlas_connected.txt")
 FACTORS = {"P": path, "C": cycle, "K": complete}
 
 
@@ -51,13 +54,28 @@ def load_atlas(sizes):
     return out
 
 
+@lru_cache(maxsize=1)
+def sweep_graphs():
+    """The graphs of the benchmark's small-sweep corpus, in its order
+    (``perfbench/workloads.py``, ``sweep_corpus``)."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return tuple(workloads.sweep_corpus(vislab))
+
+
 def build(spec):
-    """The graph named ``spec``.  ``Q<k>`` is ``hypercube(k)`` and
+    """The graph named ``spec``.  ``Q<k>`` is ``hypercube(k)``,
     ``G<n>-<p>-<s>`` is ``theorems._draw_connected(SplitMix64(1000 n + s),
-    n, p)``, the random-graph draws of ROADMAP.md.  Otherwise ``spec`` is
-    factors ``P<n>``, ``C<n>`` and ``K<n>`` (path, cycle, complete graph)
-    joined by ``x``, and names their Cartesian product: ``P4xP6`` is
-    ``grid((4, 6))``."""
+    n, p)``, the random-graph draws of ROADMAP.md, and ``sweep<i>`` is
+    graph i of the small-sweep corpus (``sweep_graphs``).  Otherwise
+    ``spec`` is factors ``P<n>``, ``C<n>`` and ``K<n>`` (path, cycle,
+    complete graph) joined by ``x``, and names their Cartesian product:
+    ``P4xP6`` is ``grid((4, 6))``."""
+    if spec.startswith("sweep"):
+        return sweep_graphs()[int(spec[5:])]
     if spec[0] == "Q":
         return hypercube(int(spec[1:]))
     if spec[0] == "G":
@@ -129,10 +147,13 @@ def solver_mismatches(g, want, fast_paths=(True,), force=False):
 
 def reduction_holds(base, t=3):
     """Whether the NP-completeness reduction's formula holds on ``base``:
-    the lower tmv number of gadget(base, t) is t(m + 1) + i(base).  The
+    the lower tmv number of gadget(base, t) is t(m + 1) + i(base).  i(base)
+    comes from ``oracles.independent_domination_oracle``, not from
+    ``independent_domination``, which runs the same lower search as the
+    gadget side, so that a fault they share cannot cancel out.  The
     gadget's tmv candidates can exceed the search cap, so it is forced."""
     gadget, _ = gen_gadget(base, t)
-    want = t * (base.edge_count() + 1) + independent_domination(base).value
+    want = t * (base.edge_count() + 1) + oracles.independent_domination_oracle(base)[0]
     return solve_lower(gadget, "tmv", force=True).value == want
 
 

@@ -1,5 +1,5 @@
 """The scripts under ``scripts/``: each loads, its instance names build,
-and the ladder's argument handling."""
+the ladder's argument handling, and the counts ledger the ladder writes."""
 
 import glob
 import importlib.util
@@ -58,8 +58,35 @@ class TestBenchLadder:
         assert capsys.readouterr().out.startswith("Usage: python scripts/bench_ladder.py LABEL")
         assert not self.written(tmp_path)
 
+    def test_counts_writes_ledger(self, ladder, tmp_path, monkeypatch):
+        row = ("Q4", "gp", "max", True)
+        monkeypatch.setattr(ladder, "COUNTS", str(tmp_path / "counts.tsv"))
+        monkeypatch.setattr(ladder, "ledger", lambda: [row])
+        assert ladder.main(["--counts"]) == 0
+        header, line = (tmp_path / "counts.tsv").read_text(encoding="utf-8").splitlines()
+        assert header == "# " + "\t".join(ladder.COUNT_FIELDS)
+        assert line == ladder.count_line(*row)
+        assert line.startswith("Q4\tgp\tmax\t22\t")
+        assert not self.written(tmp_path)
+
     @pytest.mark.parametrize("argv", [[], ["a", "b"], ["-x"], ["--label"], ["a/b"], ["a b"], [""]])
     def test_bad_label_exits_2(self, ladder, tmp_path, capsys, argv):
         assert ladder.main(argv) == 2
         assert "Usage:" in capsys.readouterr().err
         assert not self.written(tmp_path)
+
+
+def test_counts_ledger():
+    # every value, witness and count of tests/data/counts.tsv, recomputed:
+    # a change that moves one regenerates the file with
+    # ``python scripts/bench_ladder.py --counts`` and names the row
+    ladder = load_script("bench_ladder")
+    with open(ladder.COUNTS, encoding="utf-8") as handle:
+        lines = [line.rstrip("\n") for line in handle if not line.startswith("#")]
+    rows = ladder.ledger()
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        got = ladder.count_line(*row)
+        if got != line:
+            for field, now, was in zip(ladder.COUNT_FIELDS, got.split("\t"), line.split("\t")):
+                assert now == was, f"{' '.join(map(str, row))}: {field} is {now}, ledger {was}"
