@@ -14,7 +14,8 @@ anything per vertex.
 
 ``DistanceMatrix`` is the one metric: distance rows, per-source BFS
 layer masks and the geodesic interiors of every pair.  ``Graph.metric``
-builds it once per graph object, and every query reads that one.
+builds it once per graph object, and every query reads that one;
+``Graph.engines`` keeps the solvers' search engines the same way.
 Distance rows use the sentinel ``UNREACHABLE`` (an alias of ``None``) for
 vertex pairs with no connecting path; it can never leak into arithmetic
 because adding it raises.  It appears in ``rows`` only: layers and
@@ -96,6 +97,14 @@ class Graph:
         """The graph's ``DistanceMatrix``, built on first use and kept as long
         as the graph: every query on one graph object reads the same one."""
         return distance_matrix(self)
+
+    @cached_property
+    def engines(self) -> dict:
+        """The search engines ``solvers`` has built on this graph, by kind,
+        each on first use; like ``metric`` they are kept as long as the
+        graph, so every query of one kind on one graph object runs on the
+        same engine."""
+        return {}
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

@@ -7,9 +7,13 @@ refuse to start above ``DEFAULT_CAP`` (24) candidate vertices, those whose
 singleton is valid: every vertex for mv and gp, fewer for tmv, whose
 candidates come from the distance-2 pairs of the adjacency
 (``graph_core.distance_two_pairs``).  Every engine refuses as soon as it
-knows its candidates, and every solver builds its engine before it reads
+knows its candidates, and every solver gets its engine before it reads
 the metric (``solve_lower`` after the mv cut-edge shortcut, which needs no
 search), so an oversized input is refused before the distance matrix.
+Engines are kept per graph object and kind (``Graph.engines``, next to
+``Graph.metric``), so the queries on one graph build each engine once;
+the cap is still checked on every call, so an engine that a forced call
+built does not let an unforced query through.
 
 All three kinds are hereditary (every subset of a valid set is valid),
 which both searches rely on:
@@ -68,9 +72,11 @@ Each kind gets a small engine that answers "can vertex v join the current
 set" incrementally.  An engine has the vertices the searches branch on
 (``universe``), the state holding the vertices in every maximal set
 (``seed_state``), ``add`` and ``can_add``; ``state[0]`` is the member
-bitmask of every state.  How costly a search must be before the
-searches look for automorphisms is set per kind (``_GATE``).  The three
-engines:
+bitmask of every state.  ``order`` is the universe in ``mcs_order``,
+set by the first ``solve_max``.  A kept engine is shared by every query
+on its graph, so its tables are tuples and never change.  How costly a
+search must be before the searches look for automorphisms is set per
+kind (``_GATE``).  The three engines:
 
 * family (``_FamilyEngine``): X is valid exactly when it holds no set F
   of a fixed family, so v can join X exactly when no F - v lies inside
@@ -196,9 +202,10 @@ class GreedyProfile:
 def _check_cap(size: int, force: bool) -> None:
     """Refuse a search over ``size`` > ``DEFAULT_CAP`` candidates unless forced.
 
-    ``_FamilyEngine`` calls it once it knows its candidates, and
-    ``_make_engine`` for mv and gp before anything else, all before the
-    metric is read, so an oversized input never builds one."""
+    ``_make_engine`` calls it on every call, for mv and gp before anything
+    else and for tmv from a kept engine's candidates, and ``_FamilyEngine``
+    once it knows its candidates, all before the metric is read, so an
+    oversized input never builds one."""
     if size > DEFAULT_CAP and not force:
         raise InstanceTooLargeError(
             f"instance too large: {size} candidate vertices exceed the search cap "
@@ -244,11 +251,14 @@ class _MvEngine:
     interior is left, and is walked layer by layer otherwise.
     """
 
+    __slots__ = ("adj", "universe", "seed_state", "order", "dist", "layers", "between", "thru")
+
     def __init__(self, g: Graph):
         n = g.n
         self.adj = g.adj_masks
-        self.universe = list(range(n))
+        self.universe = tuple(range(n))
         self.seed_state = (0, ())
+        self.order = None
         dmat = g.metric
         self.dist = dmat.rows
         self.layers = dmat.layers
@@ -263,7 +273,7 @@ class _MvEngine:
                     t[a] |= 1 << b
                     t[b] |= 1 << a
                     m ^= low
-        self.thru = thru
+        self.thru = tuple(map(tuple, thru))
 
     def add(self, state, v: int):
         mask, members = state
@@ -357,6 +367,8 @@ class _FamilyEngine:
     the larger F - u of the kept F, so ``can_add`` is one mask test and a
     scan of that list."""
 
+    __slots__ = ("universe", "seed_state", "order", "near", "far")
+
     def __init__(self, n: int, family, force: bool):
         impossible = 0
         for f in family:
@@ -369,8 +381,9 @@ class _FamilyEngine:
         seed = ((1 << n) - 1) & ~impossible & ~union
         _check_cap(union.bit_count() + seed.bit_count(), force)
         size = union.bit_length()
-        self.universe = [v for v in range(size) if (union >> v) & 1]
+        self.universe = tuple(v for v in range(size) if (union >> v) & 1)
         self.seed_state = (seed,)
+        self.order = None
         near = [0] * size
         far: list[list[int]] = [[] for _ in range(size)]
         for f in kept:
@@ -383,8 +396,8 @@ class _FamilyEngine:
                     far[low.bit_length() - 1].append(rest)
                 else:
                     near[low.bit_length() - 1] |= rest
-        self.near = near
-        self.far = far
+        self.near = tuple(near)
+        self.far = tuple(map(tuple, far))
 
     def add(self, state, v: int):
         return (state[0] | (1 << v),)
@@ -400,10 +413,13 @@ class _FamilyEngine:
 
 
 class _GpEngine:
+    __slots__ = ("universe", "seed_state", "order", "between")
+
     def __init__(self, g: Graph):
-        self.universe = list(range(g.n))
+        self.universe = tuple(range(g.n))
         # state: (member mask, union of member-pair path interiors)
         self.seed_state = (0, 0)
+        self.order = None
         self.between = g.metric.between
 
     def add(self, state, v: int):
@@ -548,11 +564,24 @@ class _Stabilizer:
 
 
 def _make_engine(g: Graph, kind: str, force: bool):
-    """The search engine of ``kind`` on ``g``, with the cap checked before
-    the metric is read.  mv runs on the family engine exactly when every
-    non-adjacent pair is at distance 2 (diameter at most 2, which no
-    disconnected graph has), a test of the adjacency alone."""
+    """The search engine of ``kind`` on ``g``: built on the first call of
+    each kind and kept in ``g.engines``, next to ``g.metric``, so later
+    queries on the same graph object share it.  The cap is checked on
+    every call, so an unforced query is refused even when a forced one
+    built the engine: from ``g.n`` for mv and gp, and for tmv from the
+    kept universe and seed, or on a first call by the family engine once
+    it knows them.  A first call checks it before the metric is read.
+    mv runs on the family engine exactly when every non-adjacent pair is
+    at distance 2 (diameter at most 2, which no disconnected graph has),
+    a test of the adjacency alone."""
     kind = visibility.check_kind(kind)
+    if kind != "tmv":
+        _check_cap(g.n, force)
+    engine = g.engines.get(kind)
+    if engine is not None:
+        if kind == "tmv":
+            _check_cap(len(engine.universe) + engine.seed_state[0].bit_count(), force)
+        return engine
     if kind == "tmv":
         # On a connected graph, X keeps all pairs visible exactly when every
         # pair at distance 2 retains a common neighbor outside X.  Proof
@@ -562,14 +591,17 @@ def _make_engine(g: Graph, kind: str, force: bool):
         # geodesic, so induction repairs a fully X-avoiding shortest path.
         # So the family is the "blockers", the common-neighbor sets of the
         # distance-2 pairs, read from the adjacency before any metric.
-        return _FamilyEngine(g.n, {common for _, _, common in distance_two_pairs(g)}, force)
-    _check_cap(g.n, force)
-    if kind == "gp":
-        return _GpEngine(g)
-    pairs = distance_two_pairs(g)
-    if len(pairs) != g.n * (g.n - 1) // 2 - g.edge_count():
-        return _MvEngine(g)
-    return _FamilyEngine(g.n, {c | 1 << a | 1 << b for a, b, c in pairs}, force)
+        engine = _FamilyEngine(g.n, {common for _, _, common in distance_two_pairs(g)}, force)
+    elif kind == "gp":
+        engine = _GpEngine(g)
+    else:
+        pairs = distance_two_pairs(g)
+        if len(pairs) != g.n * (g.n - 1) // 2 - g.edge_count():
+            engine = _MvEngine(g)
+        else:
+            engine = _FamilyEngine(g.n, {c | 1 << a | 1 << b for a, b, c in pairs}, force)
+    g.engines[kind] = engine
+    return engine
 
 
 def _connected_metric(g: Graph) -> DistanceMatrix:
@@ -648,7 +680,9 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     engine = _make_engine(g, kind, force)
     dmat = _connected_metric(g)
 
-    order = mcs_order(g, engine.universe)
+    order = engine.order
+    if order is None:
+        order = engine.order = tuple(mcs_order(g, engine.universe))
     k = len(order)
     can_add, add = engine.can_add, engine.add
     doll = [0] * (k + 1)
@@ -875,8 +909,9 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
         state = add(state, u)
         left -= 1
         refuted = 0
-    # break the closure's reference cycle, so that the engine's tables go
-    # with this frame; the metric stays with the graph
+    # break the closure's reference cycle, so that the search's own tables
+    # (doll, live, the mirrors found) go with this frame; the engine and
+    # the metric stay with the graph
     del grow
     witness = VertexSet(g.n, cert)
     if not visibility.is_valid_set(g, witness, kind):
@@ -1169,7 +1204,9 @@ def _lower_search(dmat: DistanceMatrix, engine, bound: Optional[int], gate: int)
         best_mask = mask
 
     visit(engine.seed_state, engine.seed_state[0].bit_count(), uni_mask, 0, never, 0)
-    del visit, retest  # break the closures' reference cycles, as in solve_max
+    # break the closures' reference cycles, as in solve_max: the search's
+    # tables go with this frame, the engine stays with the graph
+    del visit, retest
     if best_mask is None:
         raise RuntimeError(
             "no maximal set within the starting bound; lemma and engine disagree"

@@ -381,8 +381,10 @@ class TestVerify:
         lines = err.splitlines()
         rows = len(out.splitlines()) - 2  # the table's header and rule
         assert re.fullmatch(rf"rows {rows} pass {rows} fail 0 elapsed \d+\.\d{{3}}s", lines[0])
-        assert len(lines) == 1 + min(rows, 5)
-        assert all(re.fullmatch(r"slow \S+ .+ \d+\.\d{3}s", line) for line in lines[1:])
+        assert len(lines) == 1 + rows
+        assert all(re.fullmatch(r"row \S+ .+ \d+\.\d{3}s", line) for line in lines[1:])
+        names = sorted(line.split()[1] for line in lines[1:])
+        assert names == sorted(row.split()[0] for row in out.splitlines()[2:])
         times = [float(line.rsplit(" ", 1)[1][:-1]) for line in lines[1:]]
         assert times == sorted(times, reverse=True)
 

@@ -370,7 +370,7 @@ class TestMcsOrder:
     def test_order(self, g, kind):
         universe = _make_engine(g, kind, force=True).universe
         order = mcs_order(g, universe)
-        assert sorted(order) == universe
+        assert tuple(sorted(order)) == universe
         assert mcs_order(g, universe) == order
         if not order:
             return
@@ -430,11 +430,62 @@ class TestEngineChoice:
                 solve(g, "mv")
 
 
+class TestEngineReuse:
+    """Each graph object builds one engine per kind (``Graph.engines``), and
+    a kept engine answers as a new one: the six solves and tmv greedy give
+    the same values, witnesses and counts whatever ran before them on the
+    graph, in either order, as on fresh copies."""
+
+    CALLS = [(kind, variant) for kind in KINDS for variant in ("max", "lower")] + [
+        ("tmv", "greedy")
+    ]
+
+    @staticmethod
+    def answer(g, kind, variant):
+        if variant == "greedy":
+            return greedy_maximal(g, kind, 0).members()
+        got = (solve_max if variant == "max" else solve_lower)(g, kind)
+        return got.value, got.witness.members(), got.nodes, got.skipped, got.pruned
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The engines built while the test runs, in order."""
+        built = []
+        for name in ("_MvEngine", "_FamilyEngine", "_GpEngine"):
+            base = getattr(solvers, name)
+
+            def init(self, *args, base=base):
+                base.__init__(self, *args)
+                built.append(self)
+
+            monkeypatch.setattr(solvers, name, type(name, (base,), {"__slots__": (), "__init__": init}))
+        return built
+
+    def test_one_build_per_kind_same_answers(self, builds):
+        graphs = [g for _, g in load_atlas(range(1, 7))]
+        graphs += [build(spec) for spec in ("K3xK4", "P4xP4", "Q4")]
+        assert len(graphs) == 146
+        for g in graphs:
+            fresh = [self.answer(Graph(g.n, g.adj), *call) for call in self.CALLS]
+            shared = Graph(g.n, g.adj)
+            del builds[:]
+            forward = [self.answer(shared, *call) for call in self.CALLS]
+            backward = [self.answer(shared, *call) for call in reversed(self.CALLS)]
+            assert forward == backward[::-1] == fresh, list(g.edges())
+            assert sorted(shared.engines) == sorted(KINDS)
+            assert sorted(map(id, builds)) == sorted(map(id, shared.engines.values()))
+
+    def test_greedy_runs_share_one_engine(self, builds):
+        g = grid((3, 4))
+        p = greedy_profile(g, "tmv", runs=6, seed=0)
+        assert p.runs == 6 and builds == [g.engines["tmv"]]
+
+
 class TestMaxEdgeCases:
     def test_empty_tmv_universe(self):
         # no pair at distance 2: every vertex is seeded and nothing is searched
         g = complete(5)
-        assert _make_engine(g, "tmv", force=True).universe == []
+        assert _make_engine(g, "tmv", force=True).universe == ()
         assert mcs_order(g, []) == []
         got = solve_max(g, "tmv")
         assert (got.value, got.witness.members()) == (5, (0, 1, 2, 3, 4))
@@ -480,6 +531,30 @@ class TestCap:
         monkeypatch.setattr(graph_core, "distance_matrix", refuse)
         with pytest.raises(InstanceTooLargeError):
             solve(g) if kind is None else solve(g, kind)
+
+    def test_forced_engine_keeps_the_cap(self):
+        # greedy builds Q5's tmv engine forced (32 candidates); the kept
+        # engine does not let an unforced search through
+        q5 = hypercube(5)
+        greedy_maximal(q5, "tmv", 0)
+        assert len(q5.engines["tmv"].universe) == 32
+        with pytest.raises(InstanceTooLargeError):
+            solve_max(q5, "tmv")
+        g = cartesian_product(complete(5), complete(5))
+        for kind in KINDS:
+            _make_engine(g, kind, True)
+            for solve in (solve_max, solve_lower):
+                with pytest.raises(InstanceTooLargeError):
+                    solve(g, kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("solve", [solve_max, solve_lower])
+    def test_fresh_graph_refused_before_metric(self, solve, kind):
+        # 25 vertices, all of them tmv candidates, and no cut edge
+        g = cartesian_product(complete(5), complete(5))
+        with pytest.raises(InstanceTooLargeError):
+            solve(g, kind)
+        assert "metric" not in vars(g) and not g.engines
 
     def test_fast_path_dodges_cap(self):
         # the shortcut answers without any search, so size is no obstacle
