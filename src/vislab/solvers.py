@@ -26,16 +26,11 @@ which both searches rely on:
   of its candidates that can join, at most two on each convex path
   (``graph_core.convex_paths``, the only geodesic between its ends) less
   the members already on it.  Past that gate a phase these bounds leave
-  open starts from its vertex's orbit.  Phase i looks for a valid set S
-  of ``doll[i+1] + 1`` vertices of the suffix ``order[i:]`` holding its
-  first vertex v.  An automorphism σ fixing every vertex outside the
-  suffix maps the suffix onto itself, and it keeps validity, which the
-  metric defines, so σ(S) is another such set; without v it would be a
-  set of ``doll[i+1] + 1`` vertices of ``order[i+1:]``, one more than
-  that suffix holds, so σ(S) holds v and S holds σ⁻¹(v).  So S holds
-  v's whole orbit under those automorphisms: an orbit of more than
-  ``doll[i+1] + 1`` vertices refutes the phase with no test, and a
-  smaller one is added before the search.  The canonical witness is then
+  open starts from its vertex's orbit under the automorphisms fixing
+  every vertex outside the phase's suffix of the order: every set the
+  phase looks for holds that orbit (the lemma and its proof are in
+  ``solve_max``), so a large orbit refutes the phase with no test, and
+  a small one is added before the search.  The canonical witness is then
   completed member by member in ascending ids: each id is asked whether
   an optimum holds it with the members chosen so far, answered by an
   automorphism onto a known optimum or by the same bounded search over
@@ -641,9 +636,10 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     child is skipped (``_Mirrors``, with the kind's ``_GATE``, as in ``solve_lower``): a solution
     below it would have an image below that child, earlier in the order.
 
-    Past the same gate, a phase that ``grow``'s entry cuts leave open
-    starts from the orbit O of v = ``order[i]`` under the automorphisms
-    fixing every id outside ``order[i:]`` (``orbit_seeded``).  Lemma:
+    Each phase is one ``grow`` call with v = ``order[i]`` as its phase
+    vertex.  Past the same gate, a phase that ``grow``'s entry cuts leave
+    open starts from the orbit O of v under the automorphisms fixing
+    every id outside ``order[i:]`` (``orbit_seeded``).  Lemma:
     every set S the phase looks for, ``doll[i+1] + 1`` ids of
     ``order[i:]`` with v among them, holds O.  Proof: such an
     automorphism σ maps ``order[i:]`` onto itself, since it is a
@@ -772,11 +768,16 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
             cands &= ~bit[w]
         return state, cands, need + 1 - size
 
-    def grow(state, cands: int, need: int):
+    def grow(state, cands: int, need: int, phase: Optional[int] = None):
         """State of the first extension of ``state`` by ``need`` >= 1
         vertices of ``cands`` (a bitmask of candidate bits, lowest first),
         or None.
 
+        The entry cuts come first: too few candidates, none in
+        ``live[need]``, or too little room (``cramped``).  ``phase`` is the
+        vertex of a doll phase, already in ``state``: past the gate, a
+        phase the cuts leave open is seeded or refuted by its orbit
+        (``orbit_seeded``), and the seeded state is grown in its place.
         A node dives on its first candidate that can join and filters the
         rest only after that dive fails.  By heredity no vertex outside the
         filtered set can join any child, and every vertex that can join
@@ -790,13 +791,13 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
             paths, off = convex()
         bound = live[need]
         count = cands.bit_count()
-        if paths and count >= need and cands & bound and cramped(state[0], cands, need):
+        if count < need or not cands & bound or paths and cramped(state[0], cands, need):
             accepted = 0
             return None
+        if phase is not None and nodes >= costly:
+            state, cands, need = orbit_seeded(state, cands, need, phase)
+            return state if state is None or not need else grow(state, cands, need)
         while True:
-            if count < need or not cands & bound:
-                accepted = 0
-                return None
             low = cands & -cands
             cands ^= low
             count -= 1
@@ -804,6 +805,9 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
             v = order[low.bit_length() - 1]
             if can_add(state, v):
                 break
+            if count < need or not cands & bound:
+                accepted = 0
+                return None
         nxt = add(state, v)
         if need == 1:
             return nxt
@@ -850,20 +854,7 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
         if can_add(wit, v):
             wit = add(wit, v)
         else:
-            state, cands, need = add(seed, v), full >> (i + 1) << (i + 1), doll[i + 1]
-            if nodes >= costly:
-                # grow's entry cuts first, then v's orbit seeds or refutes
-                if paths is None:
-                    paths, off = convex()
-                if (
-                    cands.bit_count() < need
-                    or not cands & live[need]
-                    or paths and cramped(state[0], cands, need)
-                ):
-                    state = None
-                else:
-                    state, cands, need = orbit_seeded(state, cands, need, v)
-            got = state if state is None or not need else grow(state, cands, need)
+            got = grow(add(seed, v), full >> (i + 1) << (i + 1), doll[i + 1], v)
             if got is None:
                 doll[i] = doll[i + 1]
                 continue

@@ -23,25 +23,23 @@ Solvers revalidate their answers against these predicates.  Each reach
 is told the vertices its caller asks about and stops at the layer that
 decides them: once all are seen, or once the layer of one passes without
 it.  Visibility is symmetric, so ``is_mv_set`` asks each source only for
-the members above it, and ``is_tmv_set`` asks about the vertices above it.
+the members above it.
 
-``is_tmv_set`` runs no reach.  A blocked corner, two neighbours of a
-member y at distance 2 whose common neighbours are all members
-(``_corner``), is an invisible pair, so the set is refused at once.
-Otherwise each source a settles only its shadow, the vertices b with a
-member y != a inside some a,b-geodesic, d(a, y) + d(y, b) = d(a, b);
-any other vertex has a geodesic from a with no member inside, so it
-needs no test.  The shadow is settled layer by layer with a pull: a
-vertex is visible exactly when a neighbour one layer closer to a is
-visible and is a or not a member.  So a vertex can be dark (invisible)
-only when all of those neighbours hide (are members or dark), and the
-pull asks only the neighbours of hiding vertices in the next layer: the
-first ring of each member's shadow, then whatever a dark vertex
-continues into.  Darkness passes through vertices below a, so they are
-settled too, but only a dark vertex above a refuses.
+``is_tmv_set`` runs no reach: a shadow pull alone decides it.  Each
+source a settles only its shadow, the vertices b with a member y != a
+inside some a,b-geodesic, d(a, y) + d(y, b) = d(a, b); any other vertex
+has a geodesic from a with no member inside, so it needs no test.  The
+shadow is settled layer by layer with a pull: a vertex is visible
+exactly when a neighbour one layer closer to a is visible and is a or
+not a member.  So a vertex can be dark (invisible) only when all of
+those neighbours hide (are members or dark), and the pull asks only the
+neighbours of hiding vertices in the next layer: the first ring of each
+member's shadow, then whatever a dark vertex continues into.  Darkness
+passes through vertices below a, so they are settled too, but only a
+dark vertex above a refuses, since visibility is symmetric.
 
 Adding one vertex v to a valid set X (``_joins``, behind
-``greedy_maximal`` and ``is_maximal_set``) retests only the pairs v can
+``greedy_maximal`` and ``is_maximal_set``) retests only what v can
 break.  The lemma: a pair with no geodesic through v keeps its
 X-avoiding geodesic, so it stays visible past X + v.  From a source a,
 v is interior to some geodesic exactly when a neighbour of v lies one
@@ -62,19 +60,20 @@ any member reach, each asked pair (a, b) is cut on v's slice
 ``layers[a][d(a, v)] & layers[b][d(b, v)]``, the vertices as far from a
 and from b as v is: every a,b-geodesic crosses it, so if it lies inside
 X + v the pair is invisible and v is refused.  Then one reach from each
-such a asks for its pairs.  tmv first refuses v with a blocked corner
-past X + v, then runs one reach from each source a != v that passes the
-layer test, asking for every vertex, neighbours of v first.  gp checks
-only the triples that hold v.
+such a asks for its pairs.  gp checks only the triples that hold v.
 
-Every answer stays definitional: a blocked corner and a blocked slice
-are each an invisible pair read off the metric, so each is sufficient
-on its own, and the pull is the reach's own rule, applied where a vertex
-can fail.  The distance-2 lemma of ``solvers`` (a set is tmv exactly
-when no distance-2 pair has all of its common neighbours in it) only
-explains why a tmv refusal shows at a corner: a refused v always breaks
-a distance-2 pair of its own neighbours.  No answer leans on it; a set
-with no blocked corner still goes through the pull or the reaches.
+tmv asks first for a blocked corner at v: two neighbours of v at
+distance 2 whose common neighbours all lie in X + v (``_corner``).  Such
+a pair is invisible, so v is refused.  Otherwise the whole-set pull
+decides X + v.  The distance-2 lemma of ``solvers`` (a set is tmv
+exactly when no distance-2 pair has all of its common neighbours in it)
+explains why the corner is where every refusal shows: X is valid, so a
+distance-2 pair with all of its common neighbours in X + v has v among
+them, and it is a pair of v's neighbours.  So the pull runs only on the
+way to accepting v, and never while ``is_maximal_set`` rechecks a
+maximal set.  No answer leans on the lemma: a blocked corner and a
+blocked slice are each an invisible pair, so each is sufficient on its
+own, and a v with no blocked corner still goes through the pull.
 
 ``solvers.greedy_maximal`` scans with ``greedy_maximal`` for mv and gp.
 For tmv it scans the blocker family of its search engine, so here
@@ -179,7 +178,8 @@ def _corner(adj: Sequence[int], y: int, blocked: int) -> bool:
     Such a pair is invisible past ``blocked``: its geodesics are the paths
     through one common neighbour, and each is blocked.  y is a common
     neighbour of every such pair, so this can hold only for y in
-    ``blocked``.
+    ``blocked``.  tmv ``_joins`` asks it at the vertex v it adds, before
+    the whole-set pull: past a valid set, every refusal of v shows there.
     """
     open_mask = ~blocked
     m = adj[y]
@@ -202,28 +202,20 @@ def is_tmv_set(g: Graph, x: VertexSet) -> bool:
 
     On a disconnected graph with at least two vertices no set qualifies,
     the empty set included, because cross-component pairs are not visible.
-    A member with a blocked corner (``_corner``) refuses at once, on any
-    graph.  Otherwise each source a is asked only about its shadow, the
-    vertices b with d(a, y) + d(y, b) = d(a, b) for a member y != a;
-    every other vertex has a geodesic from a with no member inside.  The
-    layers of a are settled outwards with a pull: a vertex is visible
-    exactly when a neighbour one layer closer is visible and is a or not
-    a member, so only the neighbours of hiding vertices (members and dark
-    vertices) one layer further out are tested, and the walk ends past
-    the last member once no vertex is dark.  A dark vertex above a
-    refuses (see the module docstring).
+    Otherwise the shadow pull alone decides: each source a is asked only
+    about its shadow, the vertices b with d(a, y) + d(y, b) = d(a, b) for
+    a member y != a; every other vertex has a geodesic from a with no
+    member inside.  The layers of a are settled outwards: a vertex is
+    visible exactly when a neighbour one layer closer is visible and is a
+    or not a member, so only the neighbours of hiding vertices (members
+    and dark vertices) one layer further out are tested, and the walk
+    ends past the last member once no vertex is dark.  A dark vertex above
+    a refuses (see the module docstring).
     """
     _check_universe(g, x)
-    adj, blocked = g.adj_masks, x.mask
-    m = blocked
-    while m:
-        low = m & -m
-        if _corner(adj, low.bit_length() - 1, blocked):
-            return False
-        m ^= low
     if g.n and UNREACHABLE in g.metric.rows[0]:
         return False
-    layers = g.metric.layers
+    adj, blocked, layers = g.adj_masks, x.mask, g.metric.layers
     for a in range(g.n):
         lay_a = layers[a]
         # rest: the members past layer d - 1; dark: the invisible vertices
@@ -295,9 +287,15 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
     """Whether the valid set ``mask`` stays valid of ``kind`` with v added.
 
     Equal to ``is_valid_set(g, x.add(v), kind)`` for a valid x with v
-    outside it; only the pairs v can break are retested (see the module
-    docstring for the lemma and for each kind's reaches).
+    outside it.  mv and gp retest only the pairs v can break; tmv asks
+    v's corner (``_corner``), then the whole-set pull of ``is_tmv_set``
+    (see the module docstring for the lemma and each kind's rule).
     """
+    new = mask | (1 << v)
+    if kind == "tmv":
+        # a refusal of v always shows at v's corner, so the whole-set pull
+        # runs only on the way to accepting v
+        return not _corner(g.adj_masks, v, new) and is_tmv_set(g, VertexSet(g.n, new))
     rows, layers = g.metric.rows, g.metric.layers
     if kind == "gp":
         # a member in another component shares no geodesic with v, as in
@@ -320,61 +318,47 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
                     return False
         return True
     adj = g.adj_masks[v]
-    new = mask | (1 << v)
-    if kind == "mv":
-        if mask & ~visible_mask(g, v, mask, mask):
-            return False
-        # every member is in v's component, as v sees them all; m holds the
-        # members above a (the top member has none to ask for), rest those
-        # whose place in the shadow is still open
-        lay_v, row_v = layers[v], rows[v]
-        asked = []
-        m = mask
-        while m & (m - 1):
-            low = m & -m
-            a = low.bit_length() - 1
-            m ^= low
-            lay_a, row_a = layers[a], rows[a]
-            k = row_a[v] + 1
-            shadow = ring = adj & lay_a[k]
-            rest, j = m & ~(lay_a[k] | adj), 1
-            while ring and rest & (rest - 1):
-                k += 1
-                j += 1
-                ring = lay_a[k] & lay_v[j]
-                shadow |= ring
-                rest &= ~(lay_a[k] | lay_v[j])
-            if ring and rest:
-                b = rest.bit_length() - 1
-                if row_a[v] + row_v[b] == row_a[b]:
-                    shadow |= rest
-            need = shadow & m
-            if need:
-                # every a,b-geodesic crosses the slice of v, the vertices as
-                # far from a and from b as v is, so X + v holding it blocks
-                # the pair
-                cut, todo = lay_a[row_a[v]] & ~new, need
-                while todo:
-                    b = (todo & -todo).bit_length() - 1
-                    if not cut & layers[b][row_v[b]]:
-                        return False
-                    todo &= todo - 1
-                asked.append((a, need))
-        for a, need in asked:
-            if need & ~visible_mask(g, a, new & ~(1 << a), need):
-                return False
-        return True
-    if _corner(g.adj_masks, v, new):
+    if mask & ~visible_mask(g, v, mask, mask):
         return False
-    # a tmv-valid set exists only on a connected graph
-    need = (1 << g.n) - 1
-    for group in (adj, need & ~adj & ~(1 << v)):
-        while group:
-            low = group & -group
-            a = low.bit_length() - 1
-            group ^= low
-            if adj & layers[a][rows[a][v] + 1] and need & ~visible_mask(g, a, new & ~low, need):
-                return False
+    # every member is in v's component, as v sees them all; m holds the
+    # members above a (the top member has none to ask for), rest those
+    # whose place in the shadow is still open
+    lay_v, row_v = layers[v], rows[v]
+    asked = []
+    m = mask
+    while m & (m - 1):
+        low = m & -m
+        a = low.bit_length() - 1
+        m ^= low
+        lay_a, row_a = layers[a], rows[a]
+        k = row_a[v] + 1
+        shadow = ring = adj & lay_a[k]
+        rest, j = m & ~(lay_a[k] | adj), 1
+        while ring and rest & (rest - 1):
+            k += 1
+            j += 1
+            ring = lay_a[k] & lay_v[j]
+            shadow |= ring
+            rest &= ~(lay_a[k] | lay_v[j])
+        if ring and rest:
+            b = rest.bit_length() - 1
+            if row_a[v] + row_v[b] == row_a[b]:
+                shadow |= rest
+        need = shadow & m
+        if need:
+            # every a,b-geodesic crosses the slice of v, the vertices as
+            # far from a and from b as v is, so X + v holding it blocks
+            # the pair
+            cut, todo = lay_a[row_a[v]] & ~new, need
+            while todo:
+                b = (todo & -todo).bit_length() - 1
+                if not cut & layers[b][row_v[b]]:
+                    return False
+                todo &= todo - 1
+            asked.append((a, need))
+    for a, need in asked:
+        if need & ~visible_mask(g, a, new & ~(1 << a), need):
+            return False
     return True
 
 
@@ -385,8 +369,8 @@ def is_maximal_set(g: Graph, x: VertexSet, kind: str) -> bool:
     definition of maximality because all three properties are downward
     closed.  ``x`` itself must be valid; anything else is a caller error.
     The set is checked whole with ``is_valid_set``, then each non-member
-    v with ``_joins``, which retests only the pairs v can break (see the
-    module docstring).
+    v with ``_joins``, which retests only what v can break; on a maximal
+    tmv set every v is refused at its corner (see the module docstring).
     """
     if not is_valid_set(g, x, kind):
         raise ValueError("input set not valid")
@@ -473,8 +457,8 @@ def greedy_maximal(g: Graph, kind: str, order: Sequence[int]) -> VertexSet:
     Downward closure makes the result maximal: a vertex rejected at scan
     time is rejected against a subset of the final set, so it stays
     invalid later.  Each vertex v is tested with ``_joins`` against the
-    set kept so far, which retests only the pairs v can break (see the
-    module docstring).
+    set kept so far, which retests only what v can break (see the module
+    docstring).
 
     Raises ``ValueError`` when even the empty set is invalid, which
     happens only for "tmv" on a disconnected graph: every pair is visible

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 import oracles
 from atlas import join_mismatches, joins_mismatches, load_atlas
 from conftest import bowtie, connected_graphs, graphs, labelled_graphs
-from vislab import visibility
+from vislab import solvers, visibility
 from vislab.families import complete, cycle, grid, hypercube, path, random_tree, star
-from vislab.graph_core import Graph, VertexSet
+from vislab.graph_core import Graph, VertexSet, cartesian_product
 from vislab.rng import permutation
 from vislab.visibility import (
     KINDS,
@@ -220,22 +220,18 @@ class TestValidity:
         full = (1 << g.n) - 1
         return all(visible_mask(g, a, mask & ~(1 << a), full) == full for a in range(g.n))
 
-    def test_tmv_pull_alone_on_atlas(self, monkeypatch):
-        # on a connected graph a blocked corner refuses every set that is not
-        # tmv, so with _corner off the pull alone must decide each subset
-        monkeypatch.setattr(visibility, "_corner", lambda adj, y, blocked: False)
+    def test_tmv_matches_all_pairs_on_atlas(self):
+        # the shadow pull decides every subset of every atlas graph with
+        # n <= 6 as every pair asked from both ends does
         for index, g in load_atlas(range(1, 7)):
             for m in range(1 << g.n):
                 assert is_tmv_set(g, VertexSet(g.n, m)) == self.all_pairs_tmv(g, m), (index, m)
 
-    @pytest.mark.parametrize("corner", [True, False])
-    def test_tmv_matches_all_pairs_on_long_graphs(self, corner, monkeypatch):
+    def test_tmv_matches_all_pairs_on_long_graphs(self):
         # geodesics longer than the atlas's: every set kept along the tmv
         # greedy scans of TestJoins.test_long_shadows and each of its
-        # one-vertex extensions, with and without the corner test, against
-        # all_pairs_tmv (pair_visible pair by pair takes 6 s here)
-        if not corner:
-            monkeypatch.setattr(visibility, "_corner", lambda adj, y, blocked: False)
+        # one-vertex extensions, against all_pairs_tmv (pair_visible pair by
+        # pair takes 6 s here)
         graphs = (grid((6, 6)), grid((6, 12)), hypercube(5), path(12), random_tree(24, seed=24))
         for g in graphs:
             kept = {0}
@@ -291,9 +287,28 @@ class TestMaximality:
         assert is_maximal_set(g, x, kind) == \
             oracles.maximal_oracle(g, x.members(), kind)
 
+    def test_tmv_refusals_stop_at_the_corner(self, monkeypatch):
+        # past a valid set every tmv refusal shows at the added vertex's
+        # corner, so rechecking a maximal set never reaches the whole-set
+        # pull: the 20 greedy tmv sets of the greedy-wide graphs and the tmv
+        # lower witness of every atlas graph with n <= 6 (is_valid_set goes
+        # through _CHECKS, so only _joins' calls are counted)
+        maximal = []
+        wide = (grid((6, 6)), cartesian_product(complete(5), complete(5)), hypercube(5), grid((8, 8)))
+        for g in wide:
+            maximal += [(g, solvers.greedy_maximal(g, "tmv", s)) for s in range(20)]
+        for _, g in load_atlas(range(1, 7)):
+            maximal.append((g, solvers.solve_lower(g, "tmv").witness))
+        calls = []
+        pull = visibility.is_tmv_set
+        monkeypatch.setattr(visibility, "is_tmv_set", lambda g, x: calls.append(x) or pull(g, x))
+        for g, x in maximal:
+            assert is_maximal_set(g, x, "tmv"), (g.n, x.members())
+            assert len(calls) == 0, (g.n, x.members(), len(calls))
+
 
 class TestJoins:
-    """``_joins`` retests only the pairs a new vertex can break, and each
+    """``_joins`` retests only what a new vertex can break, and each
     search engine's ``can_add`` reads its own state: both must agree with
     the whole-set predicate on every valid set and vertex
     (``atlas.join_mismatches``; the engines on connected graphs only)."""
