@@ -227,11 +227,15 @@ class TestValidity:
             for m in range(1 << g.n):
                 assert is_tmv_set(g, VertexSet(g.n, m)) == self.all_pairs_tmv(g, m), (index, m)
 
-    def test_tmv_matches_all_pairs_on_long_graphs(self):
+    @pytest.mark.parametrize("corner", [True, False])
+    def test_tmv_matches_all_pairs_on_long_graphs(self, corner, monkeypatch):
         # geodesics longer than the atlas's: every set kept along the tmv
         # greedy scans of TestJoins.test_long_shadows and each of its
         # one-vertex extensions, against all_pairs_tmv (pair_visible pair by
-        # pair takes 6 s here)
+        # pair takes 6 s here); with the corner test off, _joins keeps the
+        # sets by the whole-set pull alone
+        if not corner:
+            monkeypatch.setattr(visibility, "_corner", lambda adj, y, blocked: False)
         graphs = (grid((6, 6)), grid((6, 12)), hypercube(5), path(12), random_tree(24, seed=24))
         for g in graphs:
             kept = {0}
