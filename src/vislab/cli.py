@@ -198,7 +198,9 @@ def _cmd_gen(ns, stdin, stdout) -> int:
         g = families.generate(families.FamilySpec(fam, sizes, ns.seed))
         if fam in ("grid", "hypercube"):
             dims = sizes if fam == "grid" else (2,) * sizes[0]
-            comments.append("dims " + " ".join(str(d) for d in dims))
+            # Q0 is one vertex, with no dimension to stamp
+            if dims:
+                comments.append("dims " + " ".join(str(d) for d in dims))
 
     if ns.roles is not None:
         if roles is None:

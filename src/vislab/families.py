@@ -328,8 +328,6 @@ def generate(spec: FamilySpec) -> Graph:
     if fam == "star":
         return star(*_need(spec, 1))
     if fam == "grid":
-        if not spec.sizes:
-            raise ValueError("grid needs at least one dimension")
         return grid(spec.sizes)
     if fam == "hypercube":
         return hypercube(*_need(spec, 1))

@@ -83,9 +83,10 @@ For tmv it scans the blocker family of its search engine, so here
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph_core import UNREACHABLE, Graph, VertexSet, distance_two_pairs, is_connected
+from .graph_core import UNREACHABLE, Graph, VertexSet, distance_two_pairs
 
 KINDS = ("mv", "tmv", "gp")
 
@@ -251,28 +252,23 @@ def is_tmv_set(g: Graph, x: VertexSet) -> bool:
 def is_gp_set(g: Graph, x: VertexSet) -> bool:
     """No third vertex of ``x`` lies on a shortest path between two of ``x``.
 
-    Pairs in different components impose no constraint: they have no
-    shortest path for anything to sit on.
+    One pass over the member triples: a triple is collinear, one member on
+    a geodesic between the other two, exactly when its largest distance is
+    the sum of the other two, the test of gp ``_joins``.  A triple that
+    spans two components imposes no constraint: a pair in different
+    components has no shortest path for anything to sit on.
     """
     _check_universe(g, x)
     rows = g.metric.rows
-    members = x.members()
-    for i, u in enumerate(members):
-        row_u = rows[u]
-        for v in members[i + 1 :]:
-            duv = row_u[v]
-            if duv is UNREACHABLE or duv <= 1:
-                continue
-            row_v = rows[v]
-            inner = x.mask & ~(1 << u) & ~(1 << v)
-            m = inner
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                a, b = row_u[w], row_v[w]
-                if a is not UNREACHABLE and b is not UNREACHABLE and a + b == duv:
-                    return False
-                m ^= low
+    for a, b, c in combinations(x.members(), 3):
+        row_a = rows[a]
+        p, q = row_a[b], row_a[c]
+        # with b and c both in a's component, so is the pair b, c
+        if p is UNREACHABLE or q is UNREACHABLE:
+            continue
+        r = rows[b][c]
+        if p + q + r == 2 * max(p, q, r):
+            return False
     return True
 
 
@@ -298,9 +294,9 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
         return not _corner(g.adj_masks, v, new) and is_tmv_set(g, VertexSet(g.n, new))
     rows, layers = g.metric.rows, g.metric.layers
     if kind == "gp":
-        # a member in another component shares no geodesic with v, as in
-        # is_gp_set; a triple is collinear when one distance is the sum of
-        # the other two
+        # is_gp_set's test on the triples that hold v: a member in another
+        # component shares no geodesic with v, and a triple is collinear
+        # when its largest distance is the sum of the other two
         row_v = rows[v]
         near = []
         m = mask
@@ -418,7 +414,7 @@ def neighborhood_lemma_scan(g: Graph) -> list[tuple[int, bool]]:
     directions.  When the flag holds, N[x] certifies the upper bound
     "lower mv number <= deg(x) + 1".  Requires a connected graph.
     """
-    if not is_connected(g):
+    if g.n and UNREACHABLE in g.metric.rows[0]:
         raise ValueError("neighborhood scan requires a connected graph")
     masks = g.adj_masks
     out = []

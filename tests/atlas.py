@@ -181,7 +181,8 @@ def definition_mismatches(g):
     (kind, test, member list), number of forms): a set must be valid
     exactly when the predicate (test "predicate") says so and when it
     holds none of its form's sets (test "form").  mv at diameter 3 or
-    more has no form, so only its predicate is checked."""
+    more has no form, and on a disconnected graph no kind has one, so
+    only the predicate is checked there."""
     bad = []
     forms = 0
     for kind in KINDS:

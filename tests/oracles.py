@@ -243,9 +243,10 @@ def block_graph_oracle(g):
 
 
 def forbidden_sets_oracle(g, kind):
-    """The forbidden vertex sets of ``kind`` on the connected graph ``g``, as
-    frozensets, or None where no such form is known (mv at diameter 3 or
-    more).  A set is valid iff it holds none of them:
+    """The forbidden vertex sets of ``kind`` on the graph ``g``, as
+    frozensets, or None where no such form is known (a disconnected
+    graph, and mv at diameter 3 or more).  A set is valid iff it holds
+    none of them:
 
     * tmv: the common neighbours C(a, b) of each pair at distance 2 (a
       geodesic that meets the set can be rerouted around it one interior
@@ -255,6 +256,8 @@ def forbidden_sets_oracle(g, kind):
       distance 2, since members at distance 1 always see each other;
     * gp: each collinear triple {a, b, c}, d(a, c) = d(a, b) + d(b, c).
     """
+    if not connected_oracle(g):
+        return None
     rows = bfs_rows(g)
     pairs = [(a, b) for a, b in combinations(range(g.n), 2) if rows[a][b] == 2]
     if kind == "tmv":

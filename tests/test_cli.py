@@ -42,6 +42,9 @@ class TestGen:
         assert rc == 0
         assert "# dims 2 2 2\n" in out
 
+    def test_hypercube_zero_has_no_dims_comment(self):
+        assert cli("gen", "hypercube", "0") == (0, "1 0\n", "")
+
     @pytest.mark.parametrize(
         "params",
         [

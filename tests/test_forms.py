@@ -6,8 +6,9 @@ holds none of them (``oracles.forbidden_sets_oracle``).  Each form, and
 each kind's whole-set predicate ``is_valid_set`` (mv at every
 diameter), is pinned here against the definitional
 ``oracles.valid_oracle`` on every vertex subset of the atlas graphs
-with at most 6 vertices (``atlas.definition_mismatches``), and on those
-with 7 by ``scripts/atlas_differential.py``.  A plain walk
+with at most 6 vertices (``atlas.definition_mismatches``), on those
+with 7 by ``scripts/atlas_differential.py``, and on every labelled
+graph with at most 5 by ``test_visibility.TestJoins``.  A plain walk
 over the valid sets (``oracles.walk_oracle``), joined through a form
 (``oracles.form_joins``, tabled by ``atlas.form_answers``), then checks
 ``solve_max`` and ``solve_lower`` (``atlas.solver_mismatches``) on 15-

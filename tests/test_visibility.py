@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from atlas import join_mismatches, joins_mismatches, load_atlas
+from atlas import definition_mismatches, join_mismatches, joins_mismatches, load_atlas
 from conftest import bowtie, connected_graphs, graphs, labelled_graphs
 from vislab import solvers, visibility
 from vislab.families import complete, cycle, grid, hypercube, path, random_tree, star
@@ -256,15 +256,6 @@ class TestValidity:
         assert not is_valid_set(g, vset(g, 0, 2), "mv")
         assert is_valid_set(g, vset(g, 0, 2), "gp")
 
-    @pytest.mark.parametrize("kind", KINDS)
-    @given(g=graphs(min_n=1, max_n=5), data=st.data())
-    @settings(max_examples=60)
-    def test_matches_oracle(self, kind, g, data):
-        mask = data.draw(st.integers(0, (1 << g.n) - 1))
-        x = VertexSet(g.n, mask)
-        assert is_valid_set(g, x, kind) == \
-            oracles.valid_oracle(g, x.members(), kind)
-
 
 class TestMaximality:
     def test_invalid_input_raises(self):
@@ -277,19 +268,6 @@ class TestMaximality:
         assert is_maximal_set(g, vset(g, 0, 1, 2), "mv")
         assert not is_maximal_set(g, vset(g, 0, 1), "mv")
         assert is_maximal_set(g, vset(g, 0, 2), "gp")
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @given(data=st.data())
-    @settings(max_examples=40)
-    def test_matches_superset_oracle(self, kind, data):
-        # no set is tmv-valid on a disconnected graph
-        g = data.draw(connected_graphs(1, 5) if kind == "tmv" else graphs(1, 5))
-        mask = data.draw(st.integers(0, (1 << g.n) - 1))
-        x = VertexSet(g.n, mask)
-        if not is_valid_set(g, x, kind):
-            return
-        assert is_maximal_set(g, x, kind) == \
-            oracles.maximal_oracle(g, x.members(), kind)
 
     def test_tmv_refusals_stop_at_the_corner(self, monkeypatch):
         # past a valid set every tmv refusal shows at the added vertex's
@@ -315,7 +293,9 @@ class TestJoins:
     """``_joins`` retests only what a new vertex can break, and each
     search engine's ``can_add`` reads its own state: both must agree with
     the whole-set predicate on every valid set and vertex
-    (``atlas.join_mismatches``; the engines on connected graphs only)."""
+    (``atlas.join_mismatches``; the engines on connected graphs only).
+    On the labelled graphs with at most 5 vertices, the whole-set
+    predicates and ``is_maximal_set`` meet the definitional oracles too."""
 
     def test_exhaustive_on_atlas(self):
         corpus = load_atlas(range(1, 7))
@@ -328,13 +308,30 @@ class TestJoins:
         assert checks == 46354
 
     def test_exhaustive_on_labelled_graphs(self):
-        # every labelled graph with n <= 5: _joins on all 1,099, the
-        # disconnected ones included, and the engines on the 772 connected
+        # every labelled graph with n <= 5: _joins on all 1,099, the 327
+        # disconnected ones included, and the engines on the 772 connected;
+        # on the same graphs every kind's whole-set predicate on every subset
+        # (and each form of a connected graph) against valid_oracle, and
+        # is_maximal_set on every valid set against maximal_oracle (a
+        # disconnected graph has no form and no tmv set)
         graphs = list(labelled_graphs(5))
         assert len(graphs) == 1099
+        subsets = forms = maximal = 0
         for g in graphs:
             bad, _ = joins_mismatches(g)
             assert not bad, (list(g.edges()), bad[:5])
+            bad, count = definition_mismatches(g)
+            assert not bad, (list(g.edges()), bad[:5])
+            subsets += len(KINDS) << g.n
+            forms += count
+            for kind in KINDS:
+                for mask in range(1 << g.n):
+                    x = VertexSet(g.n, mask)
+                    if is_valid_set(g, x, kind):
+                        want = oracles.maximal_oracle(g, x.members(), kind)
+                        assert is_maximal_set(g, x, kind) == want, (list(g.edges()), kind, mask)
+                        maximal += 1
+        assert (subsets, forms, maximal) == (101598, 1944, 53386)
 
     def test_long_shadows(self):
         # geodesics longer than the atlas's diameter of at most 6, so the
