@@ -54,6 +54,13 @@ class TestSolveMaxOracle:
             bad, _, _ = solver_mismatches(g, oracle_rows(g, "max", (kind,)))
             assert not bad, label
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(g=connected_graphs(min_n=1, max_n=5))
+    @settings(max_examples=40)
+    def test_random(self, kind, g):
+        bad, _, _ = solver_mismatches(g, oracle_rows(g, "max", (kind,)))
+        assert not bad
+
     def test_k5_everything_visible(self):
         got = solve_max(complete(5), "mv")
         assert got.value == 5
@@ -93,6 +100,13 @@ class TestSolveLowerOracle:
         for label, g in battery:
             bad, _, _ = solver_mismatches(g, oracle_rows(g, "lower", (kind,)), fast_paths=(False,))
             assert not bad, label
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(g=connected_graphs(min_n=1, max_n=5))
+    @settings(max_examples=40)
+    def test_random(self, kind, g):
+        bad, _, _ = solver_mismatches(g, oracle_rows(g, "lower", (kind,)), fast_paths=(False,))
+        assert not bad
 
     def test_witness_revalidated(self, battery):
         for kind in KINDS:

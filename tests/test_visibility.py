@@ -256,6 +256,15 @@ class TestValidity:
         assert not is_valid_set(g, vset(g, 0, 2), "mv")
         assert is_valid_set(g, vset(g, 0, 2), "gp")
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(g=graphs(min_n=1, max_n=5), data=st.data())
+    @settings(max_examples=60)
+    def test_matches_oracle(self, kind, g, data):
+        mask = data.draw(st.integers(0, (1 << g.n) - 1))
+        x = VertexSet(g.n, mask)
+        assert is_valid_set(g, x, kind) == \
+            oracles.valid_oracle(g, x.members(), kind)
+
 
 class TestMaximality:
     def test_invalid_input_raises(self):
@@ -268,6 +277,19 @@ class TestMaximality:
         assert is_maximal_set(g, vset(g, 0, 1, 2), "mv")
         assert not is_maximal_set(g, vset(g, 0, 1), "mv")
         assert is_maximal_set(g, vset(g, 0, 2), "gp")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_matches_superset_oracle(self, kind, data):
+        # no set is tmv-valid on a disconnected graph
+        g = data.draw(connected_graphs(1, 5) if kind == "tmv" else graphs(1, 5))
+        mask = data.draw(st.integers(0, (1 << g.n) - 1))
+        x = VertexSet(g.n, mask)
+        if not is_valid_set(g, x, kind):
+            return
+        assert is_maximal_set(g, x, kind) == \
+            oracles.maximal_oracle(g, x.members(), kind)
 
     def test_tmv_refusals_stop_at_the_corner(self, monkeypatch):
         # past a valid set every tmv refusal shows at the added vertex's
