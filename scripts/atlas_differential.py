@@ -21,8 +21,13 @@ checks, and a mismatch names its test, ``joins`` or ``engine``), as
 whole-set predicate ``is_valid_set`` (327,552 subsets) and each
 forbidden-set form (2,080 forms, 266,240 subsets) against the
 definitions on every subset, as ``tests/test_forms.py`` does up to 6
-vertices.  It prints the counts of join checks, of predicate subsets,
-of forms and their subsets and of branches the convex-path bound cut,
+vertices.  It checks the three whole-graph readings of
+``graph_core.blocked_corner`` (``simplicial_vertices``,
+``convex_p3_centers`` and ``neighborhood_lemma_scan``) against their
+definitions on every vertex (``atlas.corner_mismatches``), as
+``tests/test_visibility.py`` does up to 6 vertices.  It prints the
+counts of join checks, of predicate subsets, of forms and their
+subsets, of corner checks and of branches the convex-path bound cut,
 takes about 30 s, prints each mismatch and exits 1 if there is any.
 """
 
@@ -34,6 +39,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from atlas import (  # noqa: E402
+    corner_mismatches,
     definition_mismatches,
     gate_off,
     joins_mismatches,
@@ -48,7 +54,7 @@ from vislab.visibility import KINDS  # noqa: E402
 def main() -> int:
     start = time.perf_counter()
     graphs = load_atlas({7})
-    failed = checks = cuts = forms = subsets = predicates = 0
+    failed = checks = cuts = forms = subsets = predicates = corners = 0
     for index, g in graphs:
         want = oracle_answers(g)
         bad, _, _ = solver_mismatches(g, want, fast_paths=(True, False))
@@ -67,6 +73,9 @@ def main() -> int:
         forms += count
         subsets += count << g.n
         predicates += len(KINDS) << g.n
+        corner_bad, count = corner_mismatches(g)
+        bad += corner_bad
+        corners += count
         if bad:
             failed += 1
             print(f"atlas {index}: {list(g.edges())} {bad}")
@@ -79,6 +88,7 @@ def main() -> int:
         f"{len(graphs)} graphs and {len(small)} t = 5 bases, {failed} with mismatches, "
         f"{checks} join checks, "
         f"{predicates} predicate subsets, {forms} forms over {subsets} subsets, "
+        f"{corners} corner checks, "
         f"{cuts} convex-path cuts, "
         f"{time.perf_counter() - start:.0f}s"
     )

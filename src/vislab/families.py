@@ -22,6 +22,7 @@ because downstream checks reason about roles rather than raw ids:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graph_core import (
     PRODUCT_VERTEX_LIMIT,
@@ -66,12 +67,14 @@ def _need(spec: FamilySpec, count: int) -> tuple[int, ...]:
 
 def _check_size(vertices: int, edges: int) -> None:
     """Refuse an instance above ``PRODUCT_VERTEX_LIMIT`` vertices or edges
-    before any of it is built."""
-    if vertices > PRODUCT_VERTEX_LIMIT or edges > PRODUCT_VERTEX_LIMIT:
-        raise InstanceTooLargeError(
-            f"instance would have {vertices} vertices and {edges} edges "
-            f"(limit {PRODUCT_VERTEX_LIMIT})"
-        )
+    before any of it is built.  The message leaves the counts out: one
+    past Python's limit on printing an int would raise a plain
+    ``ValueError`` instead."""
+    for count, what in ((vertices, "vertices"), (edges, "edges")):
+        if count > PRODUCT_VERTEX_LIMIT:
+            raise InstanceTooLargeError(
+                f"instance would have too many {what} (limit {PRODUCT_VERTEX_LIMIT})"
+            )
 
 
 def path(n: int) -> Graph:
@@ -119,6 +122,7 @@ def grid(dims: tuple[int, ...]) -> Graph:
     total = 1
     for d in dims:
         total *= d
+        _check_size(total, 0)  # before the product grows past a few digits
     _check_size(total, sum(total // d * (d - 1) for d in dims))
     g = path(dims[0])
     for d in dims[1:]:
@@ -130,7 +134,9 @@ def hypercube(k: int) -> Graph:
     """Product of k copies of a single edge; vertex ids read as k-bit words."""
     if k < 0:
         raise ValueError("hypercube dimension must be nonnegative")
-    _check_size(1 << k, (k << k) // 2)
+    # 2**21 vertices already pass the limit: no larger power is computed
+    j = min(k, PRODUCT_VERTEX_LIMIT.bit_length())
+    _check_size(1 << j, (j << j) // 2)
     g = path(1)
     for _ in range(k):
         g = cartesian_product(g, path(2))
@@ -171,7 +177,8 @@ def random_block_graph(n: int, max_block: int, seed: int) -> Graph:
     existing vertices until n vertices exist.
 
     Each block draws a size in 2..max_block, clamped near the end so the
-    vertex budget is hit exactly.
+    vertex budget is hit exactly.  All blocks are drawn, and their edges
+    counted, before any edge is built.
     """
     if n < 1:
         raise ValueError("block graph needs at least one vertex")
@@ -179,18 +186,20 @@ def random_block_graph(n: int, max_block: int, seed: int) -> Graph:
         raise ValueError("blocks need at least two vertices")
     _check_size(n, n - 1)
     rng = SplitMix64(seed)
-    edges: list[tuple[int, int]] = []
-    cur = 1
+    blocks = []  # (attach vertex, fresh vertices)
+    cur, edge_count = 1, 0
     while cur < n:
         attach = rng.below(cur)
-        size = 2 + rng.below(max_block - 1)
-        fresh = min(size - 1, n - cur)
-        block = [attach] + list(range(cur, cur + fresh))
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                edges.append((block[i], block[j]))
+        fresh = min(1 + rng.below(max_block - 1), n - cur)
+        blocks.append((attach, fresh))
+        edge_count += (fresh + 1) * fresh // 2
         cur += fresh
-        _check_size(n, len(edges))
+    _check_size(n, edge_count)
+    edges: list[tuple[int, int]] = []
+    cur = 1
+    for attach, fresh in blocks:
+        edges.extend(combinations([attach, *range(cur, cur + fresh)], 2))
+        cur += fresh
     return Graph.from_edges(n, edges)
 
 

@@ -589,24 +589,45 @@ def bridges(g: Graph) -> EdgeList:
     return out
 
 
+def blocked_corner(adj: Sequence[int], y: int, blocked: int) -> bool:
+    """Whether two non-adjacent neighbours of y have all of their common
+    neighbours in the mask ``blocked``; ``adj`` holds the adjacency masks.
+
+    Such a pair is at distance 2, so its geodesics are the paths through
+    one common neighbour, and it is invisible past ``blocked``.  y is a
+    common neighbour of every such pair, so this can hold only for y in
+    ``blocked``.  Four rules read it:
+
+    * ``simplicial_vertices``: blocking every vertex, y has a corner
+      exactly when N(y) is not a clique;
+    * ``visibility.convex_p3_centers``: blocking y alone, y is the unique
+      common neighbour of some distance-2 pair;
+    * ``visibility.neighborhood_lemma_scan``: blocking N[y], N[y] is not
+      a mutual-visibility set;
+    * tmv ``visibility._joins``: blocking X + y, y is refused (past a
+      valid X every refusal shows there).
+    """
+    open_mask = ~blocked
+    m = adj[y]
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        m ^= low
+        # the later neighbours of y that are not adjacent to u
+        far, near_u = m & ~adj[u], adj[u] & open_mask
+        while far:
+            w = far & -far
+            if not near_u & adj[w.bit_length() - 1]:
+                return True
+            far ^= w
+    return False
+
+
 def simplicial_vertices(g: Graph) -> VertexSet:
-    """Vertices whose open neighborhood induces a complete subgraph."""
-    masks = g.adj_masks
-    out = 0
-    for v in range(g.n):
-        nb = masks[v]
-        ok = True
-        m = nb
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            if nb & ~masks[u] & ~low:
-                ok = False
-                break
-            m ^= low
-        if ok:
-            out |= 1 << v
-    return VertexSet(g.n, out)
+    """Vertices whose open neighborhood induces a complete subgraph: no
+    corner at v with every vertex blocked (``blocked_corner``)."""
+    adj, every = g.adj_masks, (1 << g.n) - 1
+    return VertexSet.from_ids(g.n, (v for v in range(g.n) if not blocked_corner(adj, v, every)))
 
 
 def mcs_order(g: Graph, universe: Iterable[int]) -> list[int]:

@@ -62,18 +62,25 @@ and from b as v is: every a,b-geodesic crosses it, so if it lies inside
 X + v the pair is invisible and v is refused.  Then one reach from each
 such a asks for its pairs.  gp checks only the triples that hold v.
 
-tmv asks first for a blocked corner at v: two neighbours of v at
-distance 2 whose common neighbours all lie in X + v (``_corner``).  Such
-a pair is invisible, so v is refused.  Otherwise the whole-set pull
-decides X + v.  The distance-2 lemma of ``solvers`` (a set is tmv
-exactly when no distance-2 pair has all of its common neighbours in it)
-explains why the corner is where every refusal shows: X is valid, so a
-distance-2 pair with all of its common neighbours in X + v has v among
-them, and it is a pair of v's neighbours.  So the pull runs only on the
-way to accepting v, and never while ``is_maximal_set`` rechecks a
-maximal set.  No answer leans on the lemma: a blocked corner and a
-blocked slice are each an invisible pair, so each is sufficient on its
-own, and a v with no blocked corner still goes through the pull.
+tmv asks first for a blocked corner at v: two non-adjacent neighbours
+of v whose common neighbours all lie in X + v
+(``graph_core.blocked_corner``).  Such a pair is invisible, so v is
+refused.  Otherwise the whole-set pull decides X + v.  The distance-2
+lemma of ``solvers`` (a set is tmv exactly when no distance-2 pair has
+all of its common neighbours in it) explains why the corner is where
+every refusal shows: X is valid, so a distance-2 pair with all of its
+common neighbours in X + v has v among them, and it is a pair of v's
+neighbours.  So the pull runs only on the way to accepting v, and never
+while ``is_maximal_set`` rechecks a maximal set.  No answer leans on
+the lemma: a blocked corner and a blocked slice are each an invisible
+pair, so each is sufficient on its own, and a v with no blocked corner
+still goes through the pull.
+
+The same corner test, with another set blocked, is the whole rule of
+``convex_p3_centers`` (y alone: y is the unique common neighbour of a
+distance-2 pair), of ``neighborhood_lemma_scan`` (N[x]: N[x] is not a
+mutual-visibility set) and of ``graph_core.simplicial_vertices`` (every
+vertex: N(y) is not a clique).
 
 ``solvers.greedy_maximal`` scans with ``greedy_maximal`` for mv and gp.
 For tmv it scans the blocker family of its search engine, so here
@@ -86,7 +93,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph_core import UNREACHABLE, Graph, VertexSet, distance_two_pairs
+from .graph_core import UNREACHABLE, Graph, VertexSet, blocked_corner
 
 KINDS = ("mv", "tmv", "gp")
 
@@ -170,32 +177,6 @@ def is_mv_set(g: Graph, x: VertexSet) -> bool:
         if need & ~visible_mask(g, a, x.mask & ~(1 << a), need):
             return False
     return True
-
-
-def _corner(adj: Sequence[int], y: int, blocked: int) -> bool:
-    """Whether two neighbours of y at distance 2 from each other have all
-    of their common neighbours in ``blocked``.
-
-    Such a pair is invisible past ``blocked``: its geodesics are the paths
-    through one common neighbour, and each is blocked.  y is a common
-    neighbour of every such pair, so this can hold only for y in
-    ``blocked``.  tmv ``_joins`` asks it at the vertex v it adds, before
-    the whole-set pull: past a valid set, every refusal of v shows there.
-    """
-    open_mask = ~blocked
-    m = adj[y]
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        m ^= low
-        # the later neighbours of y that are not adjacent to u
-        far, near_u = m & ~adj[u], adj[u] & open_mask
-        while far:
-            w = far & -far
-            if not near_u & adj[w.bit_length() - 1]:
-                return True
-            far ^= w
-    return False
 
 
 def is_tmv_set(g: Graph, x: VertexSet) -> bool:
@@ -284,14 +265,15 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
 
     Equal to ``is_valid_set(g, x.add(v), kind)`` for a valid x with v
     outside it.  mv and gp retest only the pairs v can break; tmv asks
-    v's corner (``_corner``), then the whole-set pull of ``is_tmv_set``
-    (see the module docstring for the lemma and each kind's rule).
+    v's corner (``blocked_corner``), then the whole-set pull of
+    ``is_tmv_set`` (see the module docstring for the lemma and each
+    kind's rule).
     """
     new = mask | (1 << v)
     if kind == "tmv":
         # a refusal of v always shows at v's corner, so the whole-set pull
         # runs only on the way to accepting v
-        return not _corner(g.adj_masks, v, new) and is_tmv_set(g, VertexSet(g.n, new))
+        return not blocked_corner(g.adj_masks, v, new) and is_tmv_set(g, VertexSet(g.n, new))
     rows, layers = g.metric.rows, g.metric.layers
     if kind == "gp":
         # is_gp_set's test on the triples that hold v: a member in another
@@ -380,17 +362,14 @@ def is_maximal_set(g: Graph, x: VertexSet, kind: str) -> bool:
 
 
 def convex_p3_centers(g: Graph) -> VertexSet:
-    """Vertices that are the unique common neighbor of some distance-2 pair.
+    """Vertices that are the unique common neighbor of some distance-2 pair:
+    a corner at v with v alone blocked (``blocked_corner``).
 
-    The pairs come from ``graph_core.distance_two_pairs``, which reads the
-    adjacency alone.  On a connected graph these are exactly the vertices
-    that ``tmv_candidates``, the definitional singleton check, leaves out.
+    On a connected graph these are exactly the vertices that
+    ``tmv_candidates``, the definitional singleton check, leaves out.
     """
-    out = 0
-    for _, _, common in distance_two_pairs(g):
-        if common.bit_count() == 1:
-            out |= common
-    return VertexSet(g.n, out)
+    adj = g.adj_masks
+    return VertexSet.from_ids(g.n, (v for v in range(g.n) if blocked_corner(adj, v, 1 << v)))
 
 
 def tmv_candidates(g: Graph) -> VertexSet:
@@ -409,31 +388,16 @@ def tmv_candidates(g: Graph) -> VertexSet:
 def neighborhood_lemma_scan(g: Graph) -> list[tuple[int, bool]]:
     """Flag each vertex x whose closed neighborhood is a maximal mv set.
 
-    The local criterion: every two neighbors u, v of x are adjacent or
-    share a common neighbor outside N[x].  It is exact in both
-    directions.  When the flag holds, N[x] certifies the upper bound
-    "lower mv number <= deg(x) + 1".  Requires a connected graph.
+    The local criterion: every two non-adjacent neighbors of x share a
+    common neighbor outside N[x], so no corner at x with N[x] blocked
+    (``blocked_corner``).  It is exact in both directions.  When the
+    flag holds, N[x] certifies the upper bound "lower mv number <=
+    deg(x) + 1".  Requires a connected graph.
     """
     if g.n and UNREACHABLE in g.metric.rows[0]:
         raise ValueError("neighborhood scan requires a connected graph")
-    masks = g.adj_masks
-    out = []
-    for x in range(g.n):
-        closed = masks[x] | (1 << x)
-        nb = g.adj[x]
-        flag = True
-        for i, u in enumerate(nb):
-            mu = masks[u]
-            for v in nb[i + 1 :]:
-                if (mu >> v) & 1:
-                    continue
-                if not mu & masks[v] & ~closed:
-                    flag = False
-                    break
-            if not flag:
-                break
-        out.append((x, flag))
-    return out
+    adj = g.adj_masks
+    return [(x, not blocked_corner(adj, x, adj[x] | 1 << x)) for x in range(g.n)]
 
 
 def neighborhood_bound(g: Graph) -> Optional[int]:

@@ -17,23 +17,38 @@ every search engine's ``can_add``, with whole-set validity;
 tests run it on every labelled graph with at most 5 vertices and every
 atlas graph with at most 6, on hypothesis samples, mv walks and
 long-shadow scans, and ``scripts/atlas_differential.py`` on the atlas
-graphs with 7.
+graphs with 7.  ``corner_mismatches`` checks the three whole-graph
+readings of ``graph_core.blocked_corner`` against their definitions,
+on the same graphs.
 """
 
 import importlib.util
 import os
 from contextlib import contextmanager
 from functools import lru_cache, reduce
+from itertools import combinations
 
 import oracles
 import vislab
 from vislab import solvers
 from vislab.families import complete, cycle, gen_gadget, hypercube, path
-from vislab.graph_core import Graph, VertexSet, cartesian_product, is_connected
+from vislab.graph_core import (
+    Graph,
+    VertexSet,
+    cartesian_product,
+    is_connected,
+    simplicial_vertices,
+)
 from vislab.rng import SplitMix64
 from vislab.solvers import _make_engine, independent_domination, solve_lower, solve_max
 from vislab.theorems import _draw_connected
-from vislab.visibility import KINDS, _joins, is_valid_set
+from vislab.visibility import (
+    KINDS,
+    _joins,
+    convex_p3_centers,
+    is_valid_set,
+    neighborhood_lemma_scan,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ATLAS = os.path.join(ROOT, "tests", "data", "atlas_connected.txt")
@@ -257,4 +272,44 @@ def joins_mismatches(g):
         kind_bad, count = join_mismatches(g, kind, range(1 << g.n), table.__getitem__)
         bad += [(kind, *rest) for rest in kind_bad]
         checks += count
+    return bad, checks
+
+
+def corner_mismatches(g):
+    """The three whole-graph readings of ``graph_core.blocked_corner``
+    against their definitions, as (mismatches (reading, vertex, answer),
+    number of checks).  Each vertex v is one check of each reading that
+    applies:
+
+    * "simplicial": v is in ``simplicial_vertices`` exactly when N(v) is
+      a clique;
+    * "centre": v is in ``convex_p3_centers`` exactly when some two
+      non-adjacent neighbours u, w of v have N(u) & N(w) = {v}, and on a
+      connected graph exactly when {v} is not a tmv set
+      (``oracles.valid_oracle``);
+    * "scan": on a connected graph, the flag of v from
+      ``neighborhood_lemma_scan`` holds exactly when N[v] is a maximal mv
+      set (``oracles.maximal_oracle``).
+    """
+    nbrs = [set(nb) for nb in g.adj]
+    connected = is_connected(g)
+    simplicial = simplicial_vertices(g)
+    centres = convex_p3_centers(g)
+    flags = dict(neighborhood_lemma_scan(g)) if connected else {}
+    bad = []
+    checks = 0
+    for v, nb in enumerate(g.adj):
+        loose = [(u, w) for u, w in combinations(nb, 2) if w not in nbrs[u]]
+        centre = any(nbrs[u] & nbrs[w] == {v} for u, w in loose)
+        wants = [("simplicial", v in simplicial, not loose), ("centre", v in centres, centre)]
+        if connected:
+            ball = [v, *nb]
+            wants += [
+                ("centre", v in centres, not oracles.valid_oracle(g, [v], "tmv")),
+                ("scan", flags[v], oracles.maximal_oracle(g, ball, "mv")),
+            ]
+        for reading, got, want in wants:
+            checks += 1
+            if got != want:
+                bad.append((reading, v, got))
     return bad, checks

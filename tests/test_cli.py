@@ -59,6 +59,9 @@ class TestGen:
             ["random_block_graph", str(LIMIT + 1), "3"],
             ["skn", "1449"],
             ["gstar", "--b", str(LIMIT + 1), "--t", "1", "1", "1"],
+            ["hypercube", "15000"],  # 2**15000 has more digits than Python prints
+            ["grid", *["1000000000"] * 500],
+            ["random_block_graph", "3000", "3000", "--seed", "1"],  # edges only
         ],
     )
     def test_oversized_sizes_rejected_before_building(self, params, monkeypatch):
@@ -131,6 +134,13 @@ class TestGen:
     def test_wrong_arity(self):
         rc, _, err = cli("gen", "path")
         assert rc == 2 and "parameter" in err
+        rc, out, err = cli("gen", "skn", "3", "4")
+        assert rc == 2 and out == "" and "takes 1 parameter(s), got 2" in err
+
+    @pytest.mark.parametrize("params", [[], ["-", "-"]])
+    def test_gadget_needs_one_base_graph(self, params):
+        rc, out, err = cli("gen", "gadget", *params, "--t", "3", stdin_text=P4_TEXT)
+        assert rc == 2 and out == "" and "one base-graph file" in err
 
     def test_non_integer_params(self):
         rc, _, err = cli("gen", "path", "four")

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,7 @@ from vislab.families import (
     random_tree,
     star,
 )
-from vislab.graph_core import is_connected
+from vislab.graph_core import PRODUCT_VERTEX_LIMIT, InstanceTooLargeError, is_connected
 from vislab.solvers import solve_max
 from vislab.visibility import tmv_candidates
 
@@ -136,6 +137,18 @@ class TestRandomFamilies:
             random_block_graph(0, 4, 0)
         with pytest.raises(ValueError):
             random_block_graph(5, 1, 0)
+
+    def test_block_graph_refused_before_building(self):
+        # about 2.1M edges: every block is drawn and counted before any
+        # edge is built, so the refusal allocates almost nothing
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceTooLargeError, match=rf"\(limit {PRODUCT_VERTEX_LIMIT}\)"):
+                random_block_graph(3000, 3000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSubdividedComplete:

@@ -125,8 +125,24 @@ class TestParsing:
             parse_graph("2 1\n0 5\n")
 
     def test_duplicate_edge(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 3: duplicate edge 0 1"):
             parse_graph("2 2\n0 1\n1 0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a 1\n", "line 1: malformed header"),
+            ("-1 0\n", "line 1: malformed header"),
+            # comments and blank lines count towards the line number
+            ("# c\n\n2 1\n0 1\n1 0\n", "line 5: expected 1 edges, found extra line"),
+            ("3 1\n0 1 2\n", "line 2: malformed edge"),
+            ("2 1\n0 x\n", "line 2: malformed edge"),
+            ("2 1\n1 1\n", "line 2: self-loop at vertex 1"),
+        ],
+    )
+    def test_malformed_line_named(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_graph(text)
 
     def test_isolated_vertices_allocate_no_neighbour_sets(self):
         # ten bytes of input: a neighbour set per vertex peaked at 232 MiB

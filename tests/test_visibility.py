@@ -5,15 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from atlas import definition_mismatches, join_mismatches, joins_mismatches, load_atlas
+from atlas import (
+    corner_mismatches,
+    definition_mismatches,
+    join_mismatches,
+    joins_mismatches,
+    load_atlas,
+)
 from conftest import bowtie, connected_graphs, graphs, labelled_graphs
 from vislab import solvers, visibility
 from vislab.families import complete, cycle, grid, hypercube, path, random_tree, star
-from vislab.graph_core import Graph, VertexSet, cartesian_product
+from vislab.graph_core import Graph, VertexSet, blocked_corner, cartesian_product
 from vislab.rng import permutation
 from vislab.visibility import (
     KINDS,
-    _corner,
     _joins,
     check_kind,
     convex_p3_centers,
@@ -201,9 +206,10 @@ class TestValidity:
         assert not any(is_tmv_set(g, VertexSet(g.n, m)) for m in range(1 << g.n))
 
     def test_corner_matches_oracle_on_atlas(self):
-        # _corner(adj, y, blocked) holds exactly when some two neighbours of
-        # y at distance 2 are not visible past the blocked set, for every y
-        # of every atlas graph with n <= 6 and every blocked set holding y
+        # blocked_corner(adj, y, blocked) holds exactly when some two
+        # neighbours of y at distance 2 are not visible past the blocked
+        # set, for every y of every atlas graph with n <= 6 and every
+        # blocked set holding y
         for _, g in load_atlas(range(1, 7)):
             for y in range(g.n):
                 pairs = [(u, w) for u, w in combinations(g.adj[y], 2) if not g.has_edge(u, w)]
@@ -212,7 +218,8 @@ class TestValidity:
                         continue
                     ids = [v for v in range(g.n) if blocked >> v & 1]
                     want = any(not oracles.visible_oracle(g, ids, u, w) for u, w in pairs)
-                    assert _corner(g.adj_masks, y, blocked) == want, (list(g.edges()), y, ids)
+                    got = blocked_corner(g.adj_masks, y, blocked)
+                    assert got == want, (list(g.edges()), y, ids)
 
     @staticmethod
     def all_pairs_tmv(g, mask):
@@ -235,7 +242,7 @@ class TestValidity:
         # pair takes 6 s here); with the corner test off, _joins keeps the
         # sets by the whole-set pull alone
         if not corner:
-            monkeypatch.setattr(visibility, "_corner", lambda adj, y, blocked: False)
+            monkeypatch.setattr(visibility, "blocked_corner", lambda adj, y, blocked: False)
         graphs = (grid((6, 6)), grid((6, 12)), hypercube(5), path(12), random_tree(24, seed=24))
         for g in graphs:
             kept = {0}
@@ -370,6 +377,28 @@ class TestJoins:
                             kept.append(kept[-1] | 1 << u)
                     bad, _ = join_mismatches(g, kind, kept)
                     assert not bad, (g.n, kind, seed, bad[:5])
+
+
+class TestCornerReadings:
+    """``simplicial_vertices``, ``convex_p3_centers`` and
+    ``neighborhood_lemma_scan`` each read ``graph_core.blocked_corner``
+    with another set blocked; ``atlas.corner_mismatches`` checks each
+    against its definition, on every labelled graph with at most 5
+    vertices and every atlas graph with at most 6."""
+
+    def test_labelled_graphs_up_to_five_vertices(self):
+        graphs = list(labelled_graphs(5))
+        assert len(graphs) == 1099
+        for g in graphs:
+            bad, _ = corner_mismatches(g)
+            assert not bad, (g.n, list(g.edges()), bad)
+
+    def test_atlas_up_to_six_vertices(self):
+        graphs = load_atlas(range(1, 7))
+        assert len(graphs) == 143
+        for index, g in graphs:
+            bad, _ = corner_mismatches(g)
+            assert not bad, (index, bad)
 
 
 class TestCenters:
