@@ -16,19 +16,21 @@ acts from the doll's first phase on.  It checks the join tests,
 ``visibility._joins`` and the ``can_add`` of the engine
 ``solvers._make_engine`` picks, against the whole-set predicate on every
 valid set and outside vertex (``atlas.joins_mismatches``; 628,294
-checks, and a mismatch names its test, ``joins`` or ``engine``), as
-``tests/test_visibility.py`` does up to 6 vertices, and each kind's
-whole-set predicate ``is_valid_set`` (327,552 subsets) and each
-forbidden-set form (2,080 forms, 266,240 subsets) against the
-definitions on every subset, as ``tests/test_forms.py`` does up to 6
-vertices.  It checks the three whole-graph readings of
-``graph_core.blocked_corner`` (``simplicial_vertices``,
-``convex_p3_centers`` and ``neighborhood_lemma_scan``) against their
-definitions on every vertex (``atlas.corner_mismatches``), as
-``tests/test_visibility.py`` does up to 6 vertices.  It prints the
-counts of join checks, of predicate subsets, of forms and their
-subsets, of corner checks and of branches the convex-path bound cut,
-takes about 30 s, prints each mismatch and exits 1 if there is any.
+checks, and a mismatch names its test, ``joins`` or ``engine``), and
+``visibility.is_maximal_set`` on every valid set against those same
+answers (test ``maximal``; 145,540 sets), as ``tests/test_visibility.py``
+does up to 6 vertices, and each kind's whole-set predicate
+``is_valid_set`` (327,552 subsets) and each forbidden-set form (2,080
+forms, 266,240 subsets) against the definitions on every subset, as
+``tests/test_forms.py`` does up to 6 vertices.  It checks the three
+whole-graph readings of ``graph_core.blocked_corner``
+(``simplicial_vertices``, ``convex_p3_centers`` and
+``neighborhood_lemma_scan``) against their definitions on every vertex
+(``atlas.corner_mismatches``), as ``tests/test_visibility.py`` does up
+to 6 vertices.  It prints the counts of join checks, of maximality
+checks, of predicate subsets, of forms and their subsets, of corner
+checks and of branches the convex-path bound cut, takes about 30 s,
+prints each mismatch and exits 1 if there is any.
 """
 
 import os
@@ -54,7 +56,7 @@ from vislab.visibility import KINDS  # noqa: E402
 def main() -> int:
     start = time.perf_counter()
     graphs = load_atlas({7})
-    failed = checks = cuts = forms = subsets = predicates = corners = 0
+    failed = checks = maximal = cuts = forms = subsets = predicates = corners = 0
     for index, g in graphs:
         want = oracle_answers(g)
         bad, _, _ = solver_mismatches(g, want, fast_paths=(True, False))
@@ -65,9 +67,10 @@ def main() -> int:
             gate_bad, _, pruned = solver_mismatches(g, want, fast_paths=(False,))
         bad += [(kind, "no gate", *rest) for kind, *rest in gate_bad]
         cuts += pruned
-        joins_bad, count = joins_mismatches(g)
+        joins_bad, count, sets = joins_mismatches(g)
         bad += joins_bad
         checks += count
+        maximal += sets
         form_bad, count = definition_mismatches(g)
         bad += form_bad
         forms += count
@@ -86,7 +89,7 @@ def main() -> int:
             print(f"atlas {index}: {list(base.edges())} [('gadget', 'reduction formula', 5)]")
     print(
         f"{len(graphs)} graphs and {len(small)} t = 5 bases, {failed} with mismatches, "
-        f"{checks} join checks, "
+        f"{checks} join checks, {maximal} maximality checks, "
         f"{predicates} predicate subsets, {forms} forms over {subsets} subsets, "
         f"{corners} corner checks, "
         f"{cuts} convex-path cuts, "

@@ -122,8 +122,10 @@ COUNT_FIELDS = (
 GREEDY_LADDER = (
     ("P8xP8", "tmv"),
     ("P8xP8", "mv"),
+    ("P8xP8", "gp"),
     ("Q5", "tmv"),
     ("Q5", "mv"),
+    ("Q5", "gp"),
 )
 
 

@@ -1252,8 +1252,11 @@ def greedy_maximal(g: Graph, kind: str, seed: int) -> VertexSet:
     connected graph ``g``.
 
     Deterministic given the seed; the resulting set is maximal, which the
-    definitional ``visibility.is_maximal_set`` rechecks.  mv and gp scan
-    with ``visibility.greedy_maximal``.  tmv scans the blocker family of
+    definitional ``visibility.is_maximal_set`` rechecks, deciding the mv
+    and gp non-members from the set.  mv and gp scan with
+    ``visibility.greedy_maximal``: mv tests each vertex with ``_joins``,
+    and gp keeps each vertex off the lines of the member pairs kept so
+    far.  tmv scans the blocker family of
     its engine, uncapped since greedy does not search: from the
     mandatory vertices it keeps each universe vertex, in permutation
     order, that completes no blocker.  The vertices outside the universe

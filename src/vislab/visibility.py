@@ -20,10 +20,12 @@ this module is definitional: checks follow the geodesics out of a source
 layer by layer, stopping at blocked vertices (``visible_mask``), or
 inspect shortest-path intervals directly, with no structural shortcuts.
 Solvers revalidate their answers against these predicates.  Each reach
-is told the vertices its caller asks about and stops at the layer that
-decides them: once all are seen, or once the layer of one passes without
-it.  Visibility is symmetric, so ``is_mv_set`` asks each source only for
-the members above it.
+of ``visible_mask`` is told the vertices its caller asks about and stops
+at the layer that decides them: once all are seen, or once the layer of
+one passes without it.  Visibility is symmetric, so ``is_mv_set`` asks
+each source only for the members above it.  Only the mv recheck of
+``is_maximal_set`` asks about every vertex, so its reaches (``_reach``)
+run to their last layer.
 
 ``is_tmv_set`` runs no reach: a shadow pull alone decides it.  Each
 source a settles only its shadow, the vertices b with a member y != a
@@ -38,29 +40,32 @@ member's shadow, then whatever a dark vertex continues into.  Darkness
 passes through vertices below a, so they are settled too, but only a
 dark vertex above a refuses, since visibility is symmetric.
 
-Adding one vertex v to a valid set X (``_joins``, behind
-``greedy_maximal`` and ``is_maximal_set``) retests only what v can
-break.  The lemma: a pair with no geodesic through v keeps its
-X-avoiding geodesic, so it stays visible past X + v.  From a source a,
-v is interior to some geodesic exactly when a neighbour of v lies one
-layer further from a, ``adj[v] & layers[a][d(a, v) + 1]``; a source that
-fails this layer test sees past X + v what it saw past X.
+Adding one vertex v to a valid set X (``_joins``) retests only what v
+can break.  ``_joins`` keeps this per-vertex rule for every kind, as the
+reference that the set-at-a-time rules below are tested against; the mv
+and tmv greedy scans and the tmv recheck run it.  The lemma: a pair with
+no geodesic through v keeps its X-avoiding geodesic, so it stays visible
+past X + v.  From a source a, v is interior to some geodesic exactly
+when a neighbour of v lies one layer further from a, ``adj[v] &
+layers[a][d(a, v) + 1]``; a source that fails this layer test sees past
+X + v what it saw past X.
 
-So mv runs one reach from v, then asks each member a that passes the
-layer test only for the members b above a that v lies between, d(a, v)
-+ d(v, b) = d(a, b); both ends of such a pair pass the test, so the
-smaller end is enough, as in ``is_mv_set``.  That need is the shadow of
-v from a, the union of ``layers[a][d(a, v) + j] & layers[v][j]`` over
-j >= 1, masked to the members above a.  Its first slice is the layer
-test, and it ends at its first empty slice, since a geodesic from v to a
-later slice crosses every earlier one.  A member above a is open until
-the layer of a or of v that holds it is passed; the slices are walked
-while two are open, and the last one is placed by its distances.  Before
-any member reach, each asked pair (a, b) is cut on v's slice
-``layers[a][d(a, v)] & layers[b][d(b, v)]``, the vertices as far from a
-and from b as v is: every a,b-geodesic crosses it, so if it lies inside
-X + v the pair is invisible and v is refused.  Then one reach from each
-such a asks for its pairs.  gp checks only the triples that hold v.
+So mv runs one reach from v, then (``_mv_pairs_hold``) asks each member
+a that passes the layer test only for the members b above a that v lies
+between, d(a, v) + d(v, b) = d(a, b); both ends of such a pair pass the
+test, so the smaller end is enough, as in ``is_mv_set``.  That need is
+the shadow of v from a, the union of ``layers[a][d(a, v) + j] &
+layers[v][j]`` over j >= 1, masked to the members above a.  Its first
+slice is the layer test, and it ends at its first empty slice, since a
+geodesic from v to a later slice crosses every earlier one.  A member
+above a is open until the layer of a or of v that holds it is passed;
+the slices are walked while two are open, and the last one is placed by
+its distances.  Before any member reach, each asked pair (a, b) is cut
+on v's slice ``layers[a][d(a, v)] & layers[b][d(b, v)]``, the vertices
+as far from a and from b as v is: every a,b-geodesic crosses it, so if
+it lies inside X + v the pair is invisible and v is refused.  Then one
+reach from each such a asks for its pairs.  gp checks only the triples
+that hold v.
 
 tmv asks first for a blocked corner at v: two non-adjacent neighbours
 of v whose common neighbours all lie in X + v
@@ -82,10 +87,36 @@ distance-2 pair), of ``neighborhood_lemma_scan`` (N[x]: N[x] is not a
 mutual-visibility set) and of ``graph_core.simplicial_vertices`` (every
 vertex: N(y) is not a clique).
 
+``is_maximal_set`` decides the mv and gp non-members a set at a time.
+For mv it runs one full reach from each member a past X.  The set is
+valid exactly when every reach holds every member.  The non-members
+that every reach holds form ``sees``, and by symmetry they are exactly
+the non-members v that see every member past X: an a,v-geodesic with no
+member inside is one read from either end.  That is the first test of
+mv ``_joins``, so a vertex outside ``sees`` is refused, and only the
+vertices of ``sees`` run the rest of it (``_mv_pairs_hold``), without
+repeating v's reach.
+
+For gp, the *line* of two vertices a, b of one component holds the
+vertices w != a, b collinear with them: w between a and b, b between a
+and w (w beyond b), or a between b and w (w beyond a).  With d = d(a,
+b) these are ``layers[a][k] & layers[b][d - k]`` for 0 < k < d,
+``layers[b][j] & layers[a][d + j]`` for j >= 1, and its mirror
+(``_lines``).  A triple is collinear, one of its vertices on a geodesic
+between the other two, exactly when one of its vertices lies on the line
+of the other two, as those three cases are the three places the vertex
+can take.  A valid gp set X holds no collinear triple, so X + v holds one
+exactly when v lies on the line of a member pair.  So v joins X exactly
+when it is off the union of the lines of X's member pairs, and X is
+maximal exactly when that union covers every non-member.  The gp scan of
+``greedy_maximal`` carries the union: v joins exactly when it is off it,
+and a kept v ORs in its lines with the members kept before it.
+
 ``solvers.greedy_maximal`` scans with ``greedy_maximal`` for mv and gp.
 For tmv it scans the blocker family of its search engine, so here
 ``greedy_maximal`` is that scan's definitional reference and
-``is_maximal_set`` its independent recheck.
+``is_maximal_set`` its independent recheck.  The gp scan and the gp
+recheck read the same lines, so the tests hold both to gp ``_joins``.
 """
 
 from __future__ import annotations
@@ -148,6 +179,28 @@ def visible_mask(g: Graph, src: int, blocked_mask: int, need: int) -> int:
         if left & layer & ~nxt:
             break
         left &= ~nxt
+        frontier = nxt & open_mask
+        d += 1
+    return vis
+
+
+def _reach(g: Graph, src: int, blocked_mask: int) -> int:
+    """Every vertex visible from ``src`` past the blocked vertices: the
+    layered reach of ``visible_mask``, with no ``need`` to stop it, run
+    to its last layer."""
+    masks = g.adj_masks
+    layers = g.metric.layers[src]
+    open_mask = ~blocked_mask
+    vis = frontier = 1 << src
+    d = 1
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        nxt &= layers[d]
+        vis |= nxt
         frontier = nxt & open_mask
         d += 1
     return vis
@@ -269,16 +322,16 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
     ``is_tmv_set`` (see the module docstring for the lemma and each
     kind's rule).
     """
-    new = mask | (1 << v)
     if kind == "tmv":
         # a refusal of v always shows at v's corner, so the whole-set pull
         # runs only on the way to accepting v
+        new = mask | (1 << v)
         return not blocked_corner(g.adj_masks, v, new) and is_tmv_set(g, VertexSet(g.n, new))
-    rows, layers = g.metric.rows, g.metric.layers
     if kind == "gp":
         # is_gp_set's test on the triples that hold v: a member in another
         # component shares no geodesic with v, and a triple is collinear
         # when its largest distance is the sum of the other two
+        rows = g.metric.rows
         row_v = rows[v]
         near = []
         m = mask
@@ -295,9 +348,17 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
                 if p + q + r == 2 * max(p, q, r):
                     return False
         return True
+    return not mask & ~visible_mask(g, v, mask, mask) and _mv_pairs_hold(g, mask, v)
+
+
+def _mv_pairs_hold(g: Graph, mask: int, v: int) -> bool:
+    """Whether every pair of members of the mv set ``mask`` stays visible
+    past ``mask`` with v added, for a v outside it that sees every member:
+    the rest of mv ``_joins`` after v's reach (the shadow of v, the slice
+    cut and the member reaches; see the module docstring)."""
+    new = mask | (1 << v)
+    rows, layers = g.metric.rows, g.metric.layers
     adj = g.adj_masks[v]
-    if mask & ~visible_mask(g, v, mask, mask):
-        return False
     # every member is in v's component, as v sees them all; m holds the
     # members above a (the top member has none to ask for), rest those
     # whose place in the shadow is still open
@@ -340,25 +401,81 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
     return True
 
 
+def _lines(g: Graph, mask: int, v: int) -> int:
+    """The union of the lines of v with each member a of ``mask``.
+
+    The line of a and v holds the vertices w != a, v collinear with them
+    (see the module docstring).  With d = d(a, v), w lies between them in
+    ``layers[a][k] & layers[v][d - k]`` for 0 < k < d, beyond v in ring j
+    ``layers[v][j] & layers[a][d + j]`` and beyond a in its mirror, for j
+    >= 1.  Each extension ends at its first empty ring: a geodesic from
+    its near end (v, or a in the mirror) to a vertex of ring j + 1
+    crosses ring j.  A member in another component has no line with v.
+    """
+    row_v, layers = g.metric.rows[v], g.metric.layers
+    lay_v = layers[v]
+    line = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        a = low.bit_length() - 1
+        d = row_v[a]
+        if d is UNREACHABLE:
+            continue
+        lay_a = layers[a]
+        for k in range(1, d):
+            line |= lay_a[k] & lay_v[d - k]
+        for near, far in ((lay_v, lay_a), (lay_a, lay_v)):
+            j, ring = 1, near[1] & far[d + 1]
+            while ring:
+                line |= ring
+                j += 1
+                ring = near[j] & far[d + j]
+    return line
+
+
 def is_maximal_set(g: Graph, x: VertexSet, kind: str) -> bool:
     """True when no single vertex can be added to the valid set ``x``.
 
     Single-vertex extension testing is equivalent to the superset
     definition of maximality because all three properties are downward
-    closed.  ``x`` itself must be valid; anything else is a caller error.
-    The set is checked whole with ``is_valid_set``, then each non-member
-    v with ``_joins``, which retests only what v can break; on a maximal
-    tmv set every v is refused at its corner (see the module docstring).
+    closed.  ``x`` itself must be valid and over the graph's vertices;
+    anything else raises ``ValueError``.
+
+    mv and gp decide the non-members from the set (the module docstring
+    has both rules and their proofs).  mv runs one full reach from each
+    member past x: the set is valid exactly when every reach holds every
+    member, and by symmetry the non-members that every reach holds are
+    those that see every member.  Only they can join, and each runs the
+    rest of mv ``_joins`` (``_mv_pairs_hold``).  gp checks the set whole
+    with ``is_gp_set``; it is maximal exactly when the lines of its member
+    pairs cover every non-member.  tmv checks the set whole, then each
+    non-member v with ``_joins``; on a maximal tmv set every v is refused
+    at its corner.
     """
+    check_kind(kind)
+    _check_universe(g, x)
+    mask = x.mask
+    free = ~mask & ((1 << g.n) - 1)
+    if kind == "mv":
+        m = mask
+        while m:
+            low = m & -m
+            reach = _reach(g, low.bit_length() - 1, mask)
+            if mask & ~reach:
+                raise ValueError("input set not valid")
+            free &= reach
+            m ^= low
+        return not any(_mv_pairs_hold(g, mask, v) for v in VertexSet(g.n, free))
     if not is_valid_set(g, x, kind):
         raise ValueError("input set not valid")
-    free = ~x.mask & ((1 << g.n) - 1)
-    while free:
-        low = free & -free
-        if _joins(g, x.mask, low.bit_length() - 1, kind):
-            return False
-        free ^= low
-    return True
+    if kind == "gp":
+        lines, m = 0, 0
+        for a in x:
+            lines |= _lines(g, m, a)
+            m |= 1 << a
+        return not free & ~lines
+    return not any(_joins(g, mask, v, kind) for v in VertexSet(g.n, free))
 
 
 def convex_p3_centers(g: Graph) -> VertexSet:
@@ -416,9 +533,12 @@ def greedy_maximal(g: Graph, kind: str, order: Sequence[int]) -> VertexSet:
     same set.  ``order`` must be a permutation of the vertices.
     Downward closure makes the result maximal: a vertex rejected at scan
     time is rejected against a subset of the final set, so it stays
-    invalid later.  Each vertex v is tested with ``_joins`` against the
-    set kept so far, which retests only what v can break (see the module
-    docstring).
+    invalid later.  For mv and tmv, each vertex v is tested with
+    ``_joins`` against the set kept so far, which retests only what v can
+    break.  The gp scan carries the union of the lines of the member pairs
+    kept so far: v joins exactly when it is off the union, and a kept v
+    ORs in its lines with the members before it (``_lines``; see the
+    module docstring for both rules).
 
     Raises ``ValueError`` when even the empty set is invalid, which
     happens only for "tmv" on a disconnected graph: every pair is visible
@@ -432,8 +552,12 @@ def greedy_maximal(g: Graph, kind: str, order: Sequence[int]) -> VertexSet:
         raise ValueError(
             "no valid sets exist: total visibility needs a connected graph"
         )
-    mask = 0
+    mask = lines = 0
     for v in order:
-        if _joins(g, mask, v, kind):
+        if kind == "gp":
+            if not lines >> v & 1:
+                lines |= _lines(g, mask, v)
+                mask |= 1 << v
+        elif _joins(g, mask, v, kind):
             mask |= 1 << v
     return VertexSet(g.n, mask)

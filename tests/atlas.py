@@ -12,7 +12,8 @@ forbidden-set form, which reaches graphs far past the atlas, and
 table, and ``definition_mismatches`` checks the whole-set predicates
 and the forms themselves against the definitions.  ``join_mismatches``
 is the one comparison of the join tests, ``visibility._joins`` and
-every search engine's ``can_add``, with whole-set validity;
+every search engine's ``can_add``, with whole-set validity, and of
+``is_maximal_set`` with those same validity answers;
 ``joins_mismatches`` runs it over every valid set of a graph.  The
 tests run it on every labelled graph with at most 5 vertices and every
 atlas graph with at most 6, on hypothesis samples, mv walks and
@@ -46,6 +47,7 @@ from vislab.visibility import (
     KINDS,
     _joins,
     convex_p3_centers,
+    is_maximal_set,
     is_valid_set,
     neighborhood_lemma_scan,
 )
@@ -226,30 +228,36 @@ def state_of(engine, x_mask):
 
 def join_mismatches(g, kind, masks, valid=None):
     """The join tests of ``kind`` against whole-set validity, as
-    (mismatches (test, member list, v, its answer), number of checks).
-    Each valid set of ``masks`` and each vertex v outside it is one check:
-    ``valid(mask | 1 << v)`` (mask -> bool, by default ``is_valid_set``)
-    must be the answer of ``visibility._joins`` (test "joins") and, on a
-    connected graph, of the ``can_add`` of ``_make_engine(g, kind,
-    force=True)`` (test "engine"), where a vertex outside the engine's
-    universe joins exactly when it is seeded.  The solvers refuse
-    disconnected graphs, and there ``_MvEngine`` would accept a member of
-    another component."""
+    (mismatches (test, member list, v, its answer), number of checks,
+    number of maximality checks).  Each valid set of ``masks`` and each
+    vertex v outside it is one check: ``valid(mask | 1 << v)`` (mask ->
+    bool, by default ``is_valid_set``) must be the answer of
+    ``visibility._joins`` (test "joins") and, on a connected graph, of the
+    ``can_add`` of ``_make_engine(g, kind, force=True)`` (test "engine"),
+    where a vertex outside the engine's universe joins exactly when it is
+    seeded.  The solvers refuse disconnected graphs, and there
+    ``_MvEngine`` would accept a member of another component.  Each valid
+    set is also one maximality check (test "maximal", v None):
+    ``is_maximal_set`` must hold exactly when no vertex outside it joins,
+    read from the same ``valid``."""
     if valid is None:
         def valid(m):
             return is_valid_set(g, VertexSet(g.n, m), kind)
     engine = _make_engine(g, kind, force=True) if is_connected(g) else None
     universe = set(engine.universe) if engine else ()
     bad = []
-    checks = 0
+    checks = sets = 0
     for mask in masks:
         if not valid(mask):
             continue
+        x = VertexSet(g.n, mask)
         state = state_of(engine, mask) if engine else None
+        joinable = False
         for v in range(g.n):
             if mask >> v & 1:
                 continue
             want = valid(mask | 1 << v)
+            joinable |= want
             checks += 1
             answers = [("joins", _joins(g, mask, v, kind))]
             if engine:
@@ -257,22 +265,28 @@ def join_mismatches(g, kind, masks, valid=None):
                 answers.append(("engine", engine.can_add(state, v) if v in universe else seeded))
             for test, got in answers:
                 if got != want:
-                    bad.append((test, VertexSet(g.n, mask).members(), v, got))
-    return bad, checks
+                    bad.append((test, x.members(), v, got))
+        sets += 1
+        got = is_maximal_set(g, x, kind)
+        if got == joinable:
+            bad.append(("maximal", x.members(), None, got))
+    return bad, checks, sets
 
 
 def joins_mismatches(g):
     """``join_mismatches`` for every kind over every valid set of ``g``,
     reading one ``is_valid_set`` table per kind, as (mismatches (kind,
-    test, member list, v, answer), number of checks)."""
+    test, member list, v, answer), number of checks, number of
+    maximality checks)."""
     bad = []
-    checks = 0
+    checks = sets = 0
     for kind in KINDS:
         table = [is_valid_set(g, VertexSet(g.n, m), kind) for m in range(1 << g.n)]
-        kind_bad, count = join_mismatches(g, kind, range(1 << g.n), table.__getitem__)
+        kind_bad, count, kind_sets = join_mismatches(g, kind, range(1 << g.n), table.__getitem__)
         bad += [(kind, *rest) for rest in kind_bad]
         checks += count
-    return bad, checks
+        sets += kind_sets
+    return bad, checks, sets
 
 
 def corner_mismatches(g):

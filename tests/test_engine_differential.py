@@ -46,7 +46,7 @@ def test_sampled_up_to_eight_vertices(g, kind, data):
     for v in range(g.n):
         if (pool >> v) & 1 and is_valid_set(g, VertexSet(g.n, x | (1 << v)), kind):
             x |= 1 << v
-    bad, _ = join_mismatches(g, kind, [x])
+    bad, _, _ = join_mismatches(g, kind, [x])
     assert not bad, bad
 
 
@@ -112,7 +112,7 @@ def test_mv_walks_on_products_and_hypercube():
     for name in ("P4xP5", "Q4", "K3xK4", "C5xC4", "P3xK4"):
         base = build(name)
         for seed, g in enumerate((base, relabelled(base, 1), relabelled(base, 2))):
-            bad, checks = mv_walk_mismatches(g, 10, SplitMix64(seed))
+            bad, checks, _ = mv_walk_mismatches(g, 10, SplitMix64(seed))
             assert not bad, (name, seed, bad[:3])
             total += checks
     assert total > 15000
@@ -124,7 +124,7 @@ def test_mv_walks_on_random_graphs():
     for i in range(30):
         n = 10 + i % 7
         g = _draw_connected(rng, n, (0.2, 0.35, 0.5)[i % 3])
-        bad, checks = mv_walk_mismatches(g, 10, rng)
+        bad, checks, _ = mv_walk_mismatches(g, 10, rng)
         assert not bad, (n, list(g.edges()), bad[:3])
         total += checks
     assert total > 20000

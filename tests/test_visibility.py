@@ -274,10 +274,14 @@ class TestValidity:
 
 
 class TestMaximality:
-    def test_invalid_input_raises(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_invalid_input_raises(self, kind):
+        # mv decides validity from its own reaches, not through is_valid_set
         g = path(3)
         with pytest.raises(ValueError, match="not valid"):
-            is_maximal_set(g, vset(g, 0, 1, 2), "gp")
+            is_maximal_set(g, vset(g, 0, 1, 2), kind)
+        with pytest.raises(ValueError, match="universe"):
+            is_maximal_set(g, VertexSet(g.n + 1, 0b1), kind)
 
     def test_examples(self):
         g = cycle(4)
@@ -322,19 +326,23 @@ class TestJoins:
     """``_joins`` retests only what a new vertex can break, and each
     search engine's ``can_add`` reads its own state: both must agree with
     the whole-set predicate on every valid set and vertex
-    (``atlas.join_mismatches``; the engines on connected graphs only).
+    (``atlas.join_mismatches``; the engines on connected graphs only),
+    and ``is_maximal_set``, which decides mv and gp from the set, must
+    hold exactly when no vertex outside the set joins.
     On the labelled graphs with at most 5 vertices, the whole-set
     predicates and ``is_maximal_set`` meet the definitional oracles too."""
 
     def test_exhaustive_on_atlas(self):
         corpus = load_atlas(range(1, 7))
         assert len(corpus) == 143
-        checks = 0
+        checks = maximal = 0
         for index, g in corpus:
-            bad, count = joins_mismatches(g)
+            bad, count, sets = joins_mismatches(g)
             assert not bad, (index, list(g.edges()), bad[:5])
             checks += count
+            maximal += sets
         assert checks == 46354
+        assert maximal == 13064
 
     def test_exhaustive_on_labelled_graphs(self):
         # every labelled graph with n <= 5: _joins on all 1,099, the 327
@@ -347,7 +355,7 @@ class TestJoins:
         assert len(graphs) == 1099
         subsets = forms = maximal = 0
         for g in graphs:
-            bad, _ = joins_mismatches(g)
+            bad, _, _ = joins_mismatches(g)
             assert not bad, (list(g.edges()), bad[:5])
             bad, count = definition_mismatches(g)
             assert not bad, (list(g.edges()), bad[:5])
@@ -365,18 +373,21 @@ class TestJoins:
     def test_long_shadows(self):
         # geodesics longer than the atlas's diameter of at most 6, so the
         # shadow of v runs further out (on P6xP12 a member above a lies in
-        # it 6 slices from v): every set kept along 3 greedy scans, against
-        # every vertex outside it
+        # it 6 slices from v) and so do the lines of the gp scan: every set
+        # kept along 3 greedy scans, against every vertex outside it, and
+        # greedy_maximal over the same order keeps the scan's last set
         graphs = (grid((6, 6)), grid((6, 12)), hypercube(5), path(12), random_tree(24, seed=24))
         for g in graphs:
             for kind in KINDS:
                 for seed in range(3):
+                    order = permutation(g.n, seed)
                     kept = [0]
-                    for u in permutation(g.n, seed):
+                    for u in order:
                         if _joins(g, kept[-1], u, kind):
                             kept.append(kept[-1] | 1 << u)
-                    bad, _ = join_mismatches(g, kind, kept)
+                    bad, _, _ = join_mismatches(g, kind, kept)
                     assert not bad, (g.n, kind, seed, bad[:5])
+                    assert greedy_maximal(g, kind, order).mask == kept[-1], (g.n, kind, seed)
 
 
 class TestCornerReadings:
