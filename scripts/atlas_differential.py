@@ -25,8 +25,9 @@ forms, 266,240 subsets) against the definitions on every subset, as
 ``tests/test_forms.py`` does up to 6 vertices.  It checks the three
 whole-graph readings of ``graph_core.blocked_corner``
 (``simplicial_vertices``, ``convex_p3_centers`` and
-``neighborhood_lemma_scan``) against their definitions on every vertex
-(``atlas.corner_mismatches``), as ``tests/test_visibility.py`` does up
+``neighborhood_lemma_scan``) and ``visibility.tmv_candidates`` against
+their definitions on every vertex (``atlas.corner_mismatches``; 29,855
+checks), as ``tests/test_visibility.py`` does up
 to 6 vertices.  It prints the counts of join checks, of maximality
 checks, of predicate subsets, of forms and their subsets, of corner
 checks and of branches the convex-path bound cut, takes about 30 s,

@@ -41,14 +41,13 @@ passes through vertices below a, so they are settled too, but only a
 dark vertex above a refuses, since visibility is symmetric.
 
 Adding one vertex v to a valid set X (``_joins``) retests only what v
-can break.  ``_joins`` keeps this per-vertex rule for every kind, as the
-reference that the set-at-a-time rules below are tested against; the mv
-and tmv greedy scans and the tmv recheck run it.  The lemma: a pair with
-no geodesic through v keeps its X-avoiding geodesic, so it stays visible
-past X + v.  From a source a, v is interior to some geodesic exactly
-when a neighbour of v lies one layer further from a, ``adj[v] &
-layers[a][d(a, v) + 1]``; a source that fails this layer test sees past
-X + v what it saw past X.
+can break; the mv and tmv greedy scans and the tmv recheck run it.
+Every join rule here, one vertex or one set at a time, is tested against
+``is_valid_set`` on X + v.  The lemma: a pair with no geodesic through
+v keeps its X-avoiding geodesic, so it stays visible past X + v.  From a
+source a, v is interior to some geodesic exactly when a neighbour of v
+lies one layer further from a, ``adj[v] & layers[a][d(a, v) + 1]``; a
+source that fails this layer test sees past X + v what it saw past X.
 
 So mv runs one reach from v, then (``_mv_pairs_hold``) asks each member
 a that passes the layer test only for the members b above a that v lies
@@ -64,8 +63,8 @@ its distances.  Before any member reach, each asked pair (a, b) is cut
 on v's slice ``layers[a][d(a, v)] & layers[b][d(b, v)]``, the vertices
 as far from a and from b as v is: every a,b-geodesic crosses it, so if
 it lies inside X + v the pair is invisible and v is refused.  Then one
-reach from each such a asks for its pairs.  gp checks only the triples
-that hold v.
+reach from each such a asks for its pairs.  gp reads the lines of v
+(below).
 
 tmv asks first for a blocked corner at v: two non-adjacent neighbours
 of v whose common neighbours all lie in X + v
@@ -106,17 +105,22 @@ b) these are ``layers[a][k] & layers[b][d - k]`` for 0 < k < d,
 between the other two, exactly when one of its vertices lies on the line
 of the other two, as those three cases are the three places the vertex
 can take.  A valid gp set X holds no collinear triple, so X + v holds one
-exactly when v lies on the line of a member pair.  So v joins X exactly
-when it is off the union of the lines of X's member pairs, and X is
-maximal exactly when that union covers every non-member.  The gp scan of
-``greedy_maximal`` carries the union: v joins exactly when it is off it,
-and a kept v ORs in its lines with the members kept before it.
+exactly when a member lies on the line of v with another member, which
+is the same as v lying on the line of a member pair.  That is gp's one
+join rule.  gp ``_joins`` reads it from v's side: v joins X exactly when
+the lines of v with the members miss X.  The set-at-a-time readings take
+the other side: v joins X exactly when it is off the union of the lines
+of X's member pairs, and X is maximal exactly when that union covers
+every non-member.  The gp scan of ``greedy_maximal`` carries the union:
+v joins exactly when it is off it, and a kept v ORs in its lines with
+the members kept before it.
 
 ``solvers.greedy_maximal`` scans with ``greedy_maximal`` for mv and gp.
 For tmv it scans the blocker family of its search engine, so here
 ``greedy_maximal`` is that scan's definitional reference and
-``is_maximal_set`` its independent recheck.  The gp scan and the gp
-recheck read the same lines, so the tests hold both to gp ``_joins``.
+``is_maximal_set`` its independent recheck.  gp ``_joins``, the gp scan
+and the gp recheck all read ``_lines``, and ``is_gp_set``'s triple test
+is the one independent of it.
 """
 
 from __future__ import annotations
@@ -215,7 +219,7 @@ def pair_visible(g: Graph, x: VertexSet, a: int, b: int) -> bool:
         return True
     if g.metric.rows[a][b] is UNREACHABLE:
         return False
-    vis = visible_mask(g, a, x.mask & ~(1 << a), 1 << b)
+    vis = visible_mask(g, a, x.mask, 1 << b)
     return bool((vis >> b) & 1)
 
 
@@ -227,7 +231,7 @@ def is_mv_set(g: Graph, x: VertexSet) -> bool:
     # visibility is symmetric, so each source needs only the members above it
     for a in x.members():
         need = x.mask & (-2 << a)
-        if need & ~visible_mask(g, a, x.mask & ~(1 << a), need):
+        if need & ~visible_mask(g, a, x.mask, need):
             return False
     return True
 
@@ -288,9 +292,10 @@ def is_gp_set(g: Graph, x: VertexSet) -> bool:
 
     One pass over the member triples: a triple is collinear, one member on
     a geodesic between the other two, exactly when its largest distance is
-    the sum of the other two, the test of gp ``_joins``.  A triple that
-    spans two components imposes no constraint: a pair in different
-    components has no shortest path for anything to sit on.
+    the sum of the other two.  A triple that spans two components imposes
+    no constraint: a pair in different components has no shortest path
+    for anything to sit on.  This is the one whole-set gp test, kept
+    apart from the lines of ``_lines`` as their independent check.
     """
     _check_universe(g, x)
     rows = g.metric.rows
@@ -317,10 +322,11 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
     """Whether the valid set ``mask`` stays valid of ``kind`` with v added.
 
     Equal to ``is_valid_set(g, x.add(v), kind)`` for a valid x with v
-    outside it.  mv and gp retest only the pairs v can break; tmv asks
-    v's corner (``blocked_corner``), then the whole-set pull of
-    ``is_tmv_set`` (see the module docstring for the lemma and each
-    kind's rule).
+    outside it, which is what the tests compare it with.  mv retests only
+    the pairs v can break; gp refuses v exactly when a member lies on the
+    line of v with another member (``_lines``); tmv asks v's corner
+    (``blocked_corner``), then the whole-set pull of ``is_tmv_set`` (see
+    the module docstring for the lemma and each kind's rule).
     """
     if kind == "tmv":
         # a refusal of v always shows at v's corner, so the whole-set pull
@@ -328,26 +334,7 @@ def _joins(g: Graph, mask: int, v: int, kind: str) -> bool:
         new = mask | (1 << v)
         return not blocked_corner(g.adj_masks, v, new) and is_tmv_set(g, VertexSet(g.n, new))
     if kind == "gp":
-        # is_gp_set's test on the triples that hold v: a member in another
-        # component shares no geodesic with v, and a triple is collinear
-        # when its largest distance is the sum of the other two
-        rows = g.metric.rows
-        row_v = rows[v]
-        near = []
-        m = mask
-        while m:
-            low = m & -m
-            a = low.bit_length() - 1
-            m ^= low
-            if row_v[a] is not UNREACHABLE:
-                near.append((a, row_v[a]))
-        for i, (a, p) in enumerate(near):
-            row_a = rows[a]
-            for b, q in near[i + 1 :]:
-                r = row_a[b]
-                if p + q + r == 2 * max(p, q, r):
-                    return False
-        return True
+        return not _lines(g, mask, v) & mask
     return not mask & ~visible_mask(g, v, mask, mask) and _mv_pairs_hold(g, mask, v)
 
 
@@ -396,7 +383,7 @@ def _mv_pairs_hold(g: Graph, mask: int, v: int) -> bool:
                 todo &= todo - 1
             asked.append((a, need))
     for a, need in asked:
-        if need & ~visible_mask(g, a, new & ~(1 << a), need):
+        if need & ~visible_mask(g, a, new, need):
             return False
     return True
 

@@ -19,8 +19,8 @@ tests run it on every labelled graph with at most 5 vertices and every
 atlas graph with at most 6, on hypothesis samples, mv walks and
 long-shadow scans, and ``scripts/atlas_differential.py`` on the atlas
 graphs with 7.  ``corner_mismatches`` checks the three whole-graph
-readings of ``graph_core.blocked_corner`` against their definitions,
-on the same graphs.
+readings of ``graph_core.blocked_corner``, and ``tmv_candidates``,
+against their definitions, on the same graphs.
 """
 
 import importlib.util
@@ -50,6 +50,7 @@ from vislab.visibility import (
     is_maximal_set,
     is_valid_set,
     neighborhood_lemma_scan,
+    tmv_candidates,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -290,10 +291,10 @@ def joins_mismatches(g):
 
 
 def corner_mismatches(g):
-    """The three whole-graph readings of ``graph_core.blocked_corner``
-    against their definitions, as (mismatches (reading, vertex, answer),
-    number of checks).  Each vertex v is one check of each reading that
-    applies:
+    """The three whole-graph readings of ``graph_core.blocked_corner``,
+    and ``tmv_candidates``, against their definitions, as (mismatches
+    (reading, vertex, answer), number of checks).  Each vertex v is one
+    check of each reading that applies:
 
     * "simplicial": v is in ``simplicial_vertices`` exactly when N(v) is
       a clique;
@@ -301,6 +302,8 @@ def corner_mismatches(g):
       non-adjacent neighbours u, w of v have N(u) & N(w) = {v}, and on a
       connected graph exactly when {v} is not a tmv set
       (``oracles.valid_oracle``);
+    * "candidate": v is in ``tmv_candidates`` exactly when {v} is a tmv
+      set, on any graph (on a disconnected one no set is);
     * "scan": on a connected graph, the flag of v from
       ``neighborhood_lemma_scan`` holds exactly when N[v] is a maximal mv
       set (``oracles.maximal_oracle``).
@@ -309,17 +312,23 @@ def corner_mismatches(g):
     connected = is_connected(g)
     simplicial = simplicial_vertices(g)
     centres = convex_p3_centers(g)
+    candidates = tmv_candidates(g)
     flags = dict(neighborhood_lemma_scan(g)) if connected else {}
     bad = []
     checks = 0
     for v, nb in enumerate(g.adj):
         loose = [(u, w) for u, w in combinations(nb, 2) if w not in nbrs[u]]
         centre = any(nbrs[u] & nbrs[w] == {v} for u, w in loose)
-        wants = [("simplicial", v in simplicial, not loose), ("centre", v in centres, centre)]
+        singleton = oracles.valid_oracle(g, [v], "tmv")
+        wants = [
+            ("simplicial", v in simplicial, not loose),
+            ("centre", v in centres, centre),
+            ("candidate", v in candidates, singleton),
+        ]
         if connected:
             ball = [v, *nb]
             wants += [
-                ("centre", v in centres, not oracles.valid_oracle(g, [v], "tmv")),
+                ("centre", v in centres, not singleton),
                 ("scan", flags[v], oracles.maximal_oracle(g, ball, "mv")),
             ]
         for reading, got, want in wants:

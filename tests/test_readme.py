@@ -1,15 +1,18 @@
 """README.md's examples, replayed: the ``$ vislab`` transcripts through
 ``cli.run`` and the values the library tour gives in its comments, so the
-README cannot drift from what the program prints."""
+README cannot drift from what the program prints; and README names every
+committed benchmark file."""
 
 import ast
+import glob
 import io
 import os
 import shlex
 
 from vislab.cli import run
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def code_blocks(lang):
@@ -64,3 +67,11 @@ def test_library_tour_values():
             assert eval(code, scope) == want, line
             pinned += 1
     assert pinned == 5
+
+
+def test_names_every_bench_file():
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    files = [os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "BENCH_*.json"))]
+    assert files
+    assert [f for f in sorted(files) if f"`{f}`" not in text] == []

@@ -1,5 +1,6 @@
-"""The scripts under ``scripts/``: each loads, its instance names build,
-the ladder's argument handling, and the counts ledger the ladder writes."""
+"""The scripts under ``scripts/``: each compiles, each but
+``freeze_atlas.py`` loads, their instance names build, the ladder's
+argument handling and times, and the counts ledger the ladder writes."""
 
 import glob
 import importlib.util
@@ -10,12 +11,9 @@ import pytest
 from atlas import build
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PATHS = sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py")))
 # every script but freeze_atlas.py, which needs networkx
-SCRIPTS = sorted(
-    os.path.basename(p)[:-3]
-    for p in glob.glob(os.path.join(ROOT, "scripts", "*.py"))
-    if not p.endswith("freeze_atlas.py")
-)
+SCRIPTS = [os.path.basename(p)[:-3] for p in PATHS if not p.endswith("freeze_atlas.py")]
 
 
 def load_script(name):
@@ -23,6 +21,14 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("path", PATHS, ids=os.path.basename)
+def test_script_compiles(path):
+    # parsed, not run, so that a script whose imports are missing is
+    # still checked
+    with open(path, encoding="utf-8") as handle:
+        compile(handle.read(), path, "exec")
 
 
 @pytest.mark.parametrize("name", SCRIPTS)
@@ -68,6 +74,22 @@ class TestBenchLadder:
         assert line == ladder.count_line(*row)
         assert line.startswith("Q4\tgp\tmax\t22\t")
         assert not self.written(tmp_path)
+
+    def test_times_keep_microseconds(self, ladder):
+        # a stub host speed that rescales every span to twice its wall time
+        class Speed:
+            def rescaled(self, start, end):
+                return (end - start) * 2
+
+        spans = [(1.0, 1.0023457), (2.0, 2.0031234), (3.0, 3.0027)]
+        row = ladder.with_times({"instance": "P8xP8"}, spans, Speed())
+        assert row == {
+            "instance": "P8xP8",
+            "wall_s": 0.0027,
+            "walls_s": [0.002346, 0.003123, 0.0027],
+            "rescaled_s": 0.0054,
+            "rescaled_walls_s": [0.004691, 0.006247, 0.0054],
+        }
 
     @pytest.mark.parametrize("argv", [[], ["a", "b"], ["-x"], ["--label"], ["a/b"], ["a b"], [""]])
     def test_bad_label_exits_2(self, ladder, tmp_path, capsys, argv):

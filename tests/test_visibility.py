@@ -393,9 +393,9 @@ class TestJoins:
 class TestCornerReadings:
     """``simplicial_vertices``, ``convex_p3_centers`` and
     ``neighborhood_lemma_scan`` each read ``graph_core.blocked_corner``
-    with another set blocked; ``atlas.corner_mismatches`` checks each
-    against its definition, on every labelled graph with at most 5
-    vertices and every atlas graph with at most 6."""
+    with another set blocked; ``atlas.corner_mismatches`` checks each,
+    and ``tmv_candidates``, against its definition, on every labelled
+    graph with at most 5 vertices and every atlas graph with at most 6."""
 
     def test_labelled_graphs_up_to_five_vertices(self):
         graphs = list(labelled_graphs(5))
@@ -428,13 +428,6 @@ class TestCenters:
             cand = set(tmv_candidates(g).members())
             assert cand == set(range(g.n)) - centers
 
-    @given(connected_graphs(min_n=1, max_n=6))
-    @settings(max_examples=60)
-    def test_candidate_iff_singleton_valid(self, g):
-        cand = tmv_candidates(g)
-        for v in range(g.n):
-            assert (v in cand) == is_valid_set(g, vset(g, v), "tmv")
-
 
 class TestNeighborhoodScan:
     def test_disconnected_raises(self):
@@ -457,14 +450,6 @@ class TestNeighborhoodScan:
             flags = dict(neighborhood_lemma_scan(g))
             for v in simplicial_vertices(g):
                 assert flags[v]
-
-    @given(connected_graphs(min_n=1, max_n=6))
-    @settings(max_examples=60)
-    def test_flag_means_ball_is_maximal(self, g):
-        for x, flag in neighborhood_lemma_scan(g):
-            ball = VertexSet(g.n, g.adj_masks[x] | 1 << x)
-            direct = is_valid_set(g, ball, "mv") and is_maximal_set(g, ball, "mv")
-            assert flag == direct
 
     def test_bound(self):
         assert neighborhood_bound(grid((3, 4))) == 3
