@@ -1,4 +1,4 @@
-"""Time the exact mv solvers and greedy profiles on a fixed instance ladder.
+"""Time the exact solvers and greedy profiles on a fixed instance ladder.
 
 Usage: python scripts/bench_ladder.py LABEL | --counts
 
@@ -99,6 +99,10 @@ LADDER = (
     ("G22-0.6-0", "tmv", "lower", False),
     ("G24-0.5-0", "mv", "lower", False),
     ("G24-0.5-0", "tmv", "lower", False),
+    # the gp engine, on its slowest rows of these instances
+    ("K5xK6", "gp", "lower", False),
+    ("Q5", "gp", "max", False),
+    ("P6xP6", "gp", "max", False),
     # baselines of open ROADMAP items: mv lower at diameter 3 (item 10),
     # mv max on a large clique product in the identity labelling (item 2)
     ("G24-0.5-2", "mv", "lower", False),

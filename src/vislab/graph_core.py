@@ -13,13 +13,13 @@ claiming more than ``PRODUCT_VERTEX_LIMIT`` vertices before allocating
 anything per vertex.
 
 ``DistanceMatrix`` is the one metric: distance rows, per-source BFS
-layer masks and the geodesic interiors of every pair.  ``Graph.metric``
-builds it once per graph object, and every query reads that one;
-``Graph.engines`` keeps the solvers' search engines the same way.
-Distance rows use the sentinel ``UNREACHABLE`` (an alias of ``None``) for
-vertex pairs with no connecting path; it can never leak into arithmetic
-because adding it raises.  It appears in ``rows`` only: layers and
-interiors are masks.
+layer masks, the geodesic interiors of every pair and the shadow table
+``thru``.  ``Graph.metric`` builds it once per graph object, and every
+query reads that one; ``Graph.engines`` keeps the solvers' search
+engines the same way.  Distance rows use the sentinel ``UNREACHABLE``
+(an alias of ``None``) for vertex pairs with no connecting path; it can
+never leak into arithmetic because adding it raises.  It appears in
+``rows`` only: layers and interiors are masks.
 """
 
 from __future__ import annotations
@@ -186,8 +186,12 @@ class DistanceMatrix:
     distance k from u, padded with one empty layer.  ``between[u][v]`` is
     the bitmask of internal vertices of the u,v-geodesics, built on first
     use: w is one exactly when it lies in ``layers[u][k]`` and
-    ``layers[v][d - k]`` for some 0 < k < d = d(u, v).  ``layers`` and
-    ``between`` are meant for connected graphs; on a disconnected one
+    ``layers[v][d - k]`` for some 0 < k < d = d(u, v).  ``thru[v][a]``,
+    the shadow table, also built on first use, holds the b != v with v
+    inside some a,b-geodesic, a != v: the rings ``layers[v][j] &
+    layers[a][d(a, v) + j]`` for j >= 1 up to the first empty one, which a
+    geodesic from v to any later ring crosses.  ``layers``, ``between``
+    and ``thru`` are meant for connected graphs; on a disconnected one
     they see only the source's component.
     """
 
@@ -213,6 +217,23 @@ class DistanceMatrix:
                     table[u][v] = table[v][u] = inner
                     m ^= low
         return tuple(tuple(row) for row in table)
+
+    @cached_property
+    def thru(self) -> tuple[tuple[int, ...], ...]:
+        layers, table = self.layers, []
+        for v, lay_v in enumerate(layers):
+            row = []
+            for a, d in enumerate(self.rows[v]):
+                # v itself (d = 0) and another component have no shadow
+                shadow = ring = lay_v[1] & layers[a][d + 1] if d else 0
+                j = 1
+                while ring:
+                    j += 1
+                    ring = lay_v[j] & layers[a][d + j]
+                    shadow |= ring
+                row.append(shadow)
+            table.append(tuple(row))
+        return tuple(table)
 
     @cached_property
     def alike(self) -> tuple[int, ...]:

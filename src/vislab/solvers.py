@@ -97,17 +97,17 @@ kind (``_GATE``).  The three engines:
   the union of their interiors: every geodesic from v to a vertex of the
   interval I(v, a) lies in I(v, a), so the restriction loses no path.
   Adding v can also break visibility between members, so each member
-  pair a, b with v in ``g.metric.between[a][b]`` is rechecked: it is lost
-  when no interior vertex is left outside the set and v, kept at
-  distance 2 when one is, and otherwise walked layer by layer inside the
-  interior, avoiding the set and v;
-* gp (``_GpEngine``): a union of the ``g.metric.between`` interiors of
-  current pairs is carried along; v must avoid it and contribute no
-  member-covering interior, one bit test plus one mask test per member.
-  The collinear triples a, b, c (b on a geodesic from a to c) are a
-  forbidden-set family, but on the family engine ``can_add`` would scan
-  every collinear pair through v, hundreds per vertex on a hypercube,
-  which made gp max many times slower.
+  pair a, b with v inside an a,b-geodesic (b in ``g.metric.thru[v][a]``)
+  is rechecked: it is lost when no interior vertex is left outside the
+  set and v, kept at distance 2 when one is, and otherwise walked layer
+  by layer inside the interior, avoiding the set and v;
+* gp (``_GpEngine``): the union of the member pairs' lines is carried
+  along, so v joins exactly when it is off it (``visibility`` has the
+  rule), one bit test; ``add`` ORs in v's line with each member a,
+  ``between[v][a] | thru[v][a] | thru[a][v]``.  On the family engine of
+  the collinear triples, ``can_add`` would scan every collinear pair
+  through v, hundreds per vertex on a hypercube, and gp max ran many
+  times slower.
 
 Answers are revalidated through the definitional predicates in the
 visibility module before being returned; a disagreement raises rather
@@ -239,9 +239,9 @@ class _MvEngine:
     reach fails at the first layer that passes without one of the hard
     members it holds, since a hard member lies in one layer of v only.
 
-    ``thru[v][a]`` holds the vertices b such that v is interior to some
-    a,b-geodesic: adding v can only break those member pairs, since a
-    valid set already keeps every other pair visible.  Such a pair is
+    The metric's shadow table ``thru[v][a]`` holds the b with v inside
+    some a,b-geodesic: adding v can only break those member pairs, since
+    a valid set already keeps every other pair visible.  Such a pair is
     settled by its interior mask at distance 2 or when nothing of the
     interior is left, and is walked layer by layer otherwise.
     """
@@ -249,26 +249,14 @@ class _MvEngine:
     __slots__ = ("adj", "universe", "seed_state", "order", "dist", "layers", "between", "thru")
 
     def __init__(self, g: Graph):
-        n = g.n
         self.adj = g.adj_masks
-        self.universe = tuple(range(n))
+        self.universe = tuple(range(g.n))
         self.seed_state = (0, ())
         self.order = None
         dmat = g.metric
         self.dist = dmat.rows
         self.layers = dmat.layers
-        self.between = dmat.between
-        thru = [[0] * n for _ in range(n)]
-        for a, row in enumerate(self.between):
-            for b in range(a + 1, n):
-                m = row[b]
-                while m:
-                    low = m & -m
-                    t = thru[low.bit_length() - 1]
-                    t[a] |= 1 << b
-                    t[b] |= 1 << a
-                    m ^= low
-        self.thru = tuple(map(tuple, thru))
+        self.between, self.thru = dmat.between, dmat.thru
 
     def add(self, state, v: int):
         mask, members = state
@@ -408,37 +396,27 @@ class _FamilyEngine:
 
 
 class _GpEngine:
-    __slots__ = ("universe", "seed_state", "order", "between")
+    __slots__ = ("universe", "seed_state", "order", "between", "thru")
 
     def __init__(self, g: Graph):
         self.universe = tuple(range(g.n))
-        # state: (member mask, union of member-pair path interiors)
+        # state: (member mask, union of the lines of the member pairs)
         self.seed_state = (0, 0)
         self.order = None
-        self.between = g.metric.between
+        self.between, self.thru = g.metric.between, g.metric.thru
 
     def add(self, state, v: int):
-        mask, forbid = state
-        row = self.between[v]
+        mask, lines = state
+        between, thru, thru_v = self.between[v], self.thru, self.thru[v]
         m = mask
         while m:
-            low = m & -m
-            forbid |= row[low.bit_length() - 1]
-            m ^= low
-        return (mask | (1 << v), forbid)
+            a = (m & -m).bit_length() - 1
+            lines |= between[a] | thru_v[a] | thru[a][v]
+            m &= m - 1
+        return (mask | (1 << v), lines)
 
     def can_add(self, state, v: int) -> bool:
-        mask, forbid = state
-        if (forbid >> v) & 1:
-            return False
-        row = self.between[v]
-        m = mask
-        while m:
-            low = m & -m
-            if row[low.bit_length() - 1] & mask:
-                return False
-            m ^= low
-        return True
+        return not state[1] >> v & 1
 
 
 class _Mirrors:

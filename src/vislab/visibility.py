@@ -119,8 +119,9 @@ the members kept before it.
 For tmv it scans the blocker family of its search engine, so here
 ``greedy_maximal`` is that scan's definitional reference and
 ``is_maximal_set`` its independent recheck.  gp ``_joins``, the gp scan
-and the gp recheck all read ``_lines``, and ``is_gp_set``'s triple test
-is the one independent of it.
+and the gp recheck all read ``_lines``, the gp engine of ``solvers`` the
+same lines off ``DistanceMatrix.between`` and ``thru``, and
+``is_gp_set``'s triple test is the one independent of them.
 """
 
 from __future__ import annotations

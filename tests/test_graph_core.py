@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 import oracles
 from atlas import load_atlas
-from conftest import bowtie, connected_graphs, graphs, labelled_graphs
+from conftest import bowtie, graphs, labelled_graphs
 from vislab.families import complete, cycle, grid, hypercube, path, random_tree
 from vislab.graph_core import (
     PRODUCT_VERTEX_LIMIT,
@@ -34,12 +34,13 @@ from vislab.graph_core import (
 
 
 def metric_mismatches(g):
-    """Where ``layers`` and ``between`` disagree with the brute-force oracles."""
+    """Where ``layers``, ``between`` and ``thru`` disagree with the
+    brute-force oracles; layers see only the source's component."""
     dmat = distance_matrix(g)
     rows = oracles.bfs_rows(g)
     bad = []
     for u in range(g.n):
-        ecc = max(rows[u])
+        ecc = max(d for d in rows[u] if d is not oracles.INF)
         want = [sum(1 << v for v in range(g.n) if rows[u][v] == k) for k in range(ecc + 1)]
         if list(dmat.layers[u]) != want + [0]:
             bad.append(("layers", u))
@@ -47,6 +48,12 @@ def metric_mismatches(g):
             inner = oracles.interval_oracle(g, u, v) - {u, v}
             if dmat.between[u][v] != sum(1 << w for w in inner):
                 bad.append(("between", u, v))
+            # thru[u][v]: the b with u inside the interval of v and b
+            beyond = [
+                b for b in range(g.n) if u not in (v, b) and u in oracles.interval_oracle(g, v, b)
+            ]
+            if dmat.thru[u][v] != sum(1 << b for b in beyond):
+                bad.append(("thru", u, v))
     return bad
 
 
@@ -189,7 +196,7 @@ class TestMetric:
         assert dmat.between[0][2] == dmat.between[2][0] == 0b1010
         assert dmat.between[0][1] == dmat.between[0][0] == 0
 
-    @given(connected_graphs(max_n=6))
+    @given(graphs(max_n=6))
     def test_metric_matches_oracle(self, g):
         assert not metric_mismatches(g)
 

@@ -528,6 +528,7 @@ class TestCap:
             raise AssertionError("metric built despite the cap")
 
         monkeypatch.setattr(DistanceMatrix, "between", property(refuse))
+        monkeypatch.setattr(DistanceMatrix, "thru", property(refuse))
         monkeypatch.setattr(graph_core, "distance_matrix", refuse)
         with pytest.raises(InstanceTooLargeError):
             solve(g) if kind is None else solve(g, kind)
