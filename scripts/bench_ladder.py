@@ -68,7 +68,9 @@ GREEDY_RUNS = 20
 # (instance, kind, variant, relabelled); every row is run with force.
 # Instances are ``atlas.build`` names: ``G<n>-<p>-<s>`` is
 # theorems._draw_connected(SplitMix64(1000 n + s), n, p), as in the dense
-# lower queries of ROADMAP.md.
+# lower queries of ROADMAP.md, ``B<n>-<b>-<s>`` is random_block_graph(n,
+# b, s), ``K<s>chain<k>`` is k copies of K_s glued in a path at cut
+# vertices, and ``@<s>`` relabels by permutation(n, s).
 LADDER = (
     ("K4xK5", "mv", "lower", False),
     ("K4xK6", "mv", "lower", False),
@@ -107,6 +109,14 @@ LADDER = (
     # mv max on a large clique product in the identity labelling (item 2)
     ("G24-0.5-2", "mv", "lower", False),
     ("K6xK6", "mv", "max", False),
+    # sparse graphs, where gp lower once walked down from a near-maximum
+    # maximal set (ROADMAP item 18): two block graphs with gp⁻ = 2, and
+    # two relabelled clique chains with gp⁻ = 4 and 3
+    ("B120-10-1", "gp", "lower", False),
+    ("B240-6-1", "gp", "lower", False),
+    ("K4chain10@1", "gp", "lower", False),
+    ("K3chain20@1", "gp", "lower", False),
+    ("B240-6-1", "gp", "max", False),
 )
 
 # the exact rows of over 0.5 s, which the counts ledger leaves to the ladder
@@ -115,6 +125,7 @@ SLOW = (
     ("Q5", "mv", "max", True),
     ("G24-0.5-2", "mv", "lower", False),
     ("K6xK6", "mv", "max", False),
+    ("B240-6-1", "gp", "max", False),
 )
 COUNTS = os.path.join(ROOT, "tests", "data", "counts.tsv")
 COUNT_FIELDS = (
@@ -187,15 +198,17 @@ def run_row(spec: str, kind: str, variant: str, relabelled: bool) -> tuple:
 def ledger() -> list[tuple]:
     """The rows of the counts ledger, as ``LADDER`` rows: the exact
     ``LADDER`` rows but ``SLOW``; tmv and gp, max and lower, on every
-    ladder instance but K6xK6; and the six queries of the small-sweep
-    benchmark on each graph of its corpus (``sweep<i>``)."""
+    ladder instance but K6xK6, again but ``SLOW``; and the six queries of
+    the small-sweep benchmark on each graph of its corpus
+    (``sweep<i>``)."""
     rows = [row for row in LADDER if row not in SLOW]
     for spec in dict.fromkeys(row[0] for row in LADDER):
         if spec != "K6xK6":
             for kind in ("tmv", "gp"):
                 for variant in ("max", "lower"):
-                    if (spec, kind, variant, False) not in rows:
-                        rows.append((spec, kind, variant, False))
+                    row = (spec, kind, variant, False)
+                    if row not in rows and row not in SLOW:
+                        rows.append(row)
     for i in range(len(sweep_graphs())):
         for kind in ("mv", "tmv", "gp"):
             for variant in ("max", "lower"):

@@ -79,7 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--kind", required=True, choices=list(KINDS))
         if name == "solve":
             p.add_argument("--variant", required=True, choices=["max", "lower"])
-            p.add_argument("--no-fast-path", action="store_true")
+            p.add_argument("--no-fast-path", action="store_true",
+                           help="skip the lower shortcuts, mv's cut-edge shortcut "
+                                "and gp's maximal-pair scan, so the search answers")
             p.add_argument("--force", action="store_true",
                            help="run past the search-size cap")
             p.add_argument("--stats", action="store_true",

@@ -9,7 +9,8 @@ candidates come from the distance-2 pairs of the adjacency
 (``graph_core.distance_two_pairs``).  Every engine refuses as soon as it
 knows its candidates, and every solver gets its engine before it reads
 the metric (``solve_lower`` after the mv cut-edge shortcut, which needs no
-search), so an oversized input is refused before the distance matrix.
+search, and after gp's pair scan, which checks the cap first), so an
+oversized input is refused before the distance matrix.
 Engines are kept per graph object and kind (``Graph.engines``, next to
 ``Graph.metric``), so the queries on one graph build each engine once;
 the cap is still checked on every call, so an engine that a forced call
@@ -46,7 +47,12 @@ which both searches rely on:
   vertex that every set below it must leave out can no longer be
   refused there, or only by sets that reach the incumbent's size.  gp
   is a forbidden-set family too, its collinear triples, but it stays on
-  its own engine for speed, so its lower search has no lookahead.
+  its own engine for speed, so its lower search has no lookahead; it
+  starts at its floor instead.  On two or more vertices every pair is in
+  general position and no singleton is maximal, so a scan of the pairs in
+  lexicographic order (``_first_maximal_pair``) answers whenever gp⁻ = 2;
+  otherwise the incumbent starts at the size of one greedy pass of the
+  engine over its ``mcs_order``, a maximal set.
   ``independent_domination`` runs the same pass over independence, whose
   maximal sets are the independent dominating sets.
 
@@ -68,7 +74,8 @@ set" incrementally.  An engine has the vertices the searches branch on
 (``universe``), the state holding the vertices in every maximal set
 (``seed_state``), ``add`` and ``can_add``; ``state[0]`` is the member
 bitmask of every state.  ``order`` is the universe in ``mcs_order``,
-set by the first ``solve_max``.  A kept engine is shared by every query
+computed on first use by ``solve_max`` or gp's lower search and kept
+(``_mcs_order``).  A kept engine is shared by every query
 on its graph, so its tables are tuples and never change.  How costly a
 search must be before the searches look for automorphisms is set per
 kind (``_GATE``).  The three engines:
@@ -147,6 +154,7 @@ from .rng import permutation
 DEFAULT_CAP = 24
 
 FAST_PATH_CUT_EDGE = "cut-edge shortcut"
+FAST_PATH_GP_PAIR = "maximal-pair scan"
 
 
 @dataclass(frozen=True)
@@ -154,14 +162,17 @@ class SolveResult:
     """Outcome of an exact solve.
 
     ``value`` always equals ``len(witness)``.  ``fast_path`` names the
-    shortcut taken, if any; ``nodes`` counts the search's ``can_add``
-    tests (for max, those of the doll pass and of the witness completion;
-    zero when a shortcut answered).  ``skipped`` counts the children either
-    search resolved by symmetry, with no test and no search below them;
-    ``nodes`` does not count them; for max they include the doll phases
-    refuted by the size of an orbit.  ``pruned`` counts the sets at which the
-    lower search's refusal lookahead returned, with no further test there,
-    and for max the branches the convex-path bound cut.
+    shortcut of ``solve_lower`` taken, if any: ``FAST_PATH_CUT_EDGE`` for
+    mv, ``FAST_PATH_GP_PAIR`` for gp.  ``nodes`` counts the search's
+    ``can_add`` tests (for max, those of the doll pass and of the witness
+    completion; for gp lower, also those of the greedy pass that sets its
+    starting bound; zero when a shortcut answered).  ``skipped`` counts
+    the children either search resolved by symmetry, with no test and no
+    search below them; ``nodes`` does not count them; for max they include
+    the doll phases refuted by the size of an orbit.  ``pruned`` counts the
+    sets at which the lower search's refusal lookahead returned, with no
+    further test there, and for max the branches the convex-path bound
+    cut.
     ``independent_domination`` runs the lower search, so all three count
     the same way there.  ``elapsed`` is wall-clock seconds and is the only
     field that is not reproducible bit for bit.
@@ -198,9 +209,10 @@ def _check_cap(size: int, force: bool) -> None:
     """Refuse a search over ``size`` > ``DEFAULT_CAP`` candidates unless forced.
 
     ``_make_engine`` calls it on every call, for mv and gp before anything
-    else and for tmv from a kept engine's candidates, and ``_FamilyEngine``
-    once it knows its candidates, all before the metric is read, so an
-    oversized input never builds one."""
+    else and for tmv from a kept engine's candidates, ``_FamilyEngine``
+    once it knows its candidates, and gp ``solve_lower`` before its pair
+    scan, all before the metric is read, so an oversized input never
+    builds one."""
     if size > DEFAULT_CAP and not force:
         raise InstanceTooLargeError(
             f"instance too large: {size} candidate vertices exceed the search cap "
@@ -577,6 +589,29 @@ def _make_engine(g: Graph, kind: str, force: bool):
     return engine
 
 
+def _mcs_order(g: Graph, engine) -> tuple[int, ...]:
+    """``engine.order``, the engine's universe in ``mcs_order``: computed on
+    first use and kept with the engine."""
+    if engine.order is None:
+        engine.order = tuple(mcs_order(g, engine.universe))
+    return engine.order
+
+
+def _greedy_bound(g: Graph, engine) -> tuple[int, int]:
+    """(size, tests) of one greedy pass of ``engine`` over ``engine.order``:
+    from the seed state, each vertex is added when ``can_add`` lets it.
+    The set is maximal, so its size bounds the lower number
+    (``solve_lower`` has the proof); ``tests`` counts the ``can_add``
+    calls."""
+    can_add, add = engine.can_add, engine.add
+    order = _mcs_order(g, engine)
+    state = engine.seed_state
+    for v in order:
+        if can_add(state, v):
+            state = add(state, v)
+    return state[0].bit_count(), len(order)
+
+
 def _connected_metric(g: Graph) -> DistanceMatrix:
     """``g.metric``, once its first row shows that ``g`` is connected."""
     if g.n and UNREACHABLE in g.metric.rows[0]:
@@ -654,9 +689,7 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     engine = _make_engine(g, kind, force)
     dmat = _connected_metric(g)
 
-    order = engine.order
-    if order is None:
-        order = engine.order = tuple(mcs_order(g, engine.universe))
+    order = _mcs_order(g, engine)
     k = len(order)
     can_add, add = engine.can_add, engine.add
     doll = [0] * (k + 1)
@@ -897,26 +930,56 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     )
 
 
-def _first_maximal_pair(dmat: DistanceMatrix, stop: tuple[int, int]):
-    """Lexicographically first vertex pair that is a maximal mv set.
+def _first_maximal_pair(
+    dmat: DistanceMatrix, kind: str, stop: Optional[tuple[int, int]] = None
+) -> Optional[tuple[int, int]]:
+    """Lexicographically first vertex pair that is a maximal set of ``kind``
+    (mv or gp) on the connected graph of ``dmat``, or ``stop`` when the
+    scan reaches it first; None when no pair is maximal and no ``stop``
+    was given.
 
-    On a connected graph every pair is mv-valid, so only maximality is
-    checked: w extends {a, b} unless one of the three vertices lies on
-    every geodesic between the other two.  Every x,z-geodesic has exactly
-    one vertex at distance k from x, and the vertices some geodesic has
-    there are the slice ``layers[x][k] & layers[z][d(x,z) - k]``; so y is
-    on every x,z-geodesic iff d(x,y) + d(y,z) = d(x,z) and the slice at
-    k = d(x,y) is y alone.  ``stop`` must be a pair known to be maximal
-    (the endpoints of a cut edge are), so the scan ends there.
+    On a connected graph every pair is valid for both kinds, so only
+    maximality is checked: a pair is maximal when every other vertex w is
+    refused.  For gp, w is refused exactly when it is collinear with a
+    and b, one of d(a,b) = d(a,w) + d(w,b), d(a,w) = d(a,b) + d(b,w) and
+    d(b,w) = d(b,a) + d(a,w) (``solve_lower`` has the proof); a and b
+    pass that test themselves, with a distance 0.  The w that refused the
+    last pair is asked first, since it often refuses the next one too;
+    the order of the tests does not change which pair passes them all.
+    For mv, w is refused unless it extends {a, b}, which it does unless
+    one of the three vertices lies on every geodesic between the other
+    two.  Every x,z-geodesic has exactly one vertex at distance k from x,
+    and the vertices some geodesic has there are the slice ``layers[x][k]
+    & layers[z][d(x,z) - k]``; so y is on every x,z-geodesic iff d(x,y) +
+    d(y,z) = d(x,z) and the slice at k = d(x,y) is y alone.  ``stop``
+    must be a pair known to be maximal (for mv the endpoints of a cut
+    edge are), so the scan ends there.
     """
     rows, layers = dmat.rows, dmat.layers
-    for a in range(dmat.n):
-        da, la = rows[a], layers[a]
+    gp = kind == "gp"
+    last = 0  # gp: the w that refused the last pair, asked first of the next
+    stop_a, stop_b = stop or (-1, -1)
+    for a, da in enumerate(rows):
+        la = layers[a]
         for b in range(a + 1, dmat.n):
-            if (a, b) == stop:
+            if b == stop_b and a == stop_a:
                 return stop
-            db, lb = rows[b], layers[b]
+            db = rows[b]
             dab = da[b]
+            if gp:
+                x, y = da[last], db[last]
+                if x + y != dab and x - y != dab and y - x != dab:
+                    continue
+                w = 0
+                for x, y in zip(da, db):
+                    if x + y != dab and x - y != dab and y - x != dab:
+                        last = w
+                        break
+                    w += 1
+                else:
+                    return (a, b)
+                continue
+            lb = layers[b]
             for w in range(dmat.n):
                 if w == a or w == b:
                     continue
@@ -1200,22 +1263,68 @@ def solve_lower(
     pair in lexicographic order, which is the witness the search would
     find.
 
+    For gp the pair scan (``_first_maximal_pair``) is the shortcut, tagged
+    ``FAST_PATH_GP_PAIR``; it runs after the cap check and before the
+    engine, so an oversized input is still refused before the metric, and
+    a pair answer never builds ``between`` or ``thru``.  Its test: a set
+    is in general position when none of its vertices lies on a geodesic
+    between two others, so on n >= 2 vertices every pair is valid, a
+    singleton is never maximal (any second vertex joins it) and gp⁻ >= 2.
+    The pair {a, b} is maximal exactly when every other w is refused, that
+    is, when one of a, b, w lies on some geodesic between the other two.
+    A vertex y lies on some x,z-geodesic exactly when d(x,y) + d(y,z) =
+    d(x,z): two geodesics joined at y make a walk of that length, and a
+    geodesic through y splits there into two.  So w is refused exactly
+    when d(a,w) + d(w,b) = d(a,b), d(a,b) + d(b,w) = d(a,w) or d(b,a) +
+    d(a,w) = d(b,w): w is collinear with a and b, on their line
+    (``visibility._lines``).  The maximal sets of size 2 are the maximal
+    pairs, so the first maximal pair in lexicographic order is the
+    canonical witness exactly when gp⁻ = 2, and when no pair is maximal
+    gp⁻ >= 3.  The ends a, b of a cut edge always form a maximal pair:
+    each other w lies on b's side of the edge, and then every a,w-path
+    crosses it, so d(a,w) = d(a,b) + d(b,w), or on a's side, and then
+    d(b,w) = d(b,a) + d(a,w).  So a graph with a cut edge has gp⁻ = 2,
+    and the scan answers for it.
+
+    When the scan finds no pair, or the fast path is off, the gp search
+    starts with the incumbent bound of ``_greedy_bound``: one pass over
+    ``mcs_order`` that keeps each vertex ``can_add`` lets join the set
+    kept so far.  A vertex the pass refused was refused by a subset of the
+    final set S; if S + v were valid, so would its subset be, by heredity,
+    so S is maximal and gp⁻ <= |S|.  The search still meets every maximal
+    set of size at most |S|, the smallest among them, so the value and the
+    canonical witness are those of the search without a bound.
+
     ``skipped`` counts the children the search resolved by symmetry: those
     an automorphism mapping their parent set onto itself maps onto a
     smaller vertex outside it.  That changes neither the value nor the
     canonical witness (``_lower_search`` has the proof).
     """
     start = time.perf_counter()
-    shortcut = None
-    if fast_path and kind == "mv" and g.n >= 2 and (cut := bridges(g)):
-        shortcut = FAST_PATH_CUT_EDGE
-        a, b = _first_maximal_pair(_connected_metric(g), cut[0])
-        mask, nodes, skipped, pruned = 1 << a | 1 << b, 0, 0, 0
+    pair = shortcut = None
+    if fast_path and g.n >= 2:
+        if kind == "mv" and (cut := bridges(g)):
+            shortcut = FAST_PATH_CUT_EDGE
+            pair = _first_maximal_pair(_connected_metric(g), kind, cut[0])
+        elif kind == "gp":
+            # the cap before the metric, as _make_engine checks it, and the
+            # scan before the engine, whose tables a pair never needs
+            _check_cap(g.n, force)
+            pair = _first_maximal_pair(_connected_metric(g), kind)
+            if pair is not None:
+                shortcut = FAST_PATH_GP_PAIR
+    if pair is not None:
+        mask, nodes, skipped, pruned = 1 << pair[0] | 1 << pair[1], 0, 0, 0
     else:
         engine = _make_engine(g, kind, force)
         dmat = _connected_metric(g)
-        bound = visibility.neighborhood_bound(g) if kind == "mv" else None
-        mask, nodes, skipped, pruned = _lower_search(dmat, engine, bound, _GATE[kind])
+        bound, nodes = None, 0
+        if kind == "mv":
+            bound = visibility.neighborhood_bound(g)
+        elif kind == "gp":
+            bound, nodes = _greedy_bound(g, engine)
+        mask, tests, skipped, pruned = _lower_search(dmat, engine, bound, _GATE[kind])
+        nodes += tests
     witness = VertexSet(g.n, mask)
     if not visibility.is_maximal_set(g, witness, kind):
         raise RuntimeError("solver produced a non-maximal witness; search and predicate disagree")

@@ -32,7 +32,7 @@ from itertools import combinations
 import oracles
 import vislab
 from vislab import solvers
-from vislab.families import complete, cycle, gen_gadget, hypercube, path
+from vislab.families import complete, cycle, gen_gadget, hypercube, path, random_block_graph
 from vislab.graph_core import (
     Graph,
     VertexSet,
@@ -40,7 +40,7 @@ from vislab.graph_core import (
     is_connected,
     simplicial_vertices,
 )
-from vislab.rng import SplitMix64
+from vislab.rng import SplitMix64, permutation
 from vislab.solvers import _make_engine, independent_domination, solve_lower, solve_max
 from vislab.theorems import _draw_connected
 from vislab.visibility import (
@@ -84,21 +84,44 @@ def sweep_graphs():
     return tuple(workloads.sweep_corpus(vislab))
 
 
+def clique_chain(s, k):
+    """k copies of K_s glued in a path at single cut vertices: copy i holds
+    the vertices i(s - 1) to i(s - 1) + s - 1."""
+    edges = []
+    for i in range(k):
+        edges += combinations(range(i * (s - 1), i * (s - 1) + s), 2)
+    return Graph.from_edges(k * (s - 1) + 1, edges)
+
+
 def build(spec):
     """The graph named ``spec``.  ``Q<k>`` is ``hypercube(k)``,
     ``G<n>-<p>-<s>`` is ``theorems._draw_connected(SplitMix64(1000 n + s),
-    n, p)``, the random-graph draws of ROADMAP.md, and ``sweep<i>`` is
-    graph i of the small-sweep corpus (``sweep_graphs``).  Otherwise
-    ``spec`` is factors ``P<n>``, ``C<n>`` and ``K<n>`` (path, cycle,
-    complete graph) joined by ``x``, and names their Cartesian product:
-    ``P4xP6`` is ``grid((4, 6))``."""
+    n, p)``, the random-graph draws of ROADMAP.md, ``B<n>-<b>-<s>`` is
+    ``random_block_graph(n, b, s)``, ``K<s>chain<k>`` is
+    ``clique_chain(s, k)`` and ``sweep<i>`` is graph i of the small-sweep
+    corpus (``sweep_graphs``).  Otherwise ``spec`` is factors ``P<n>``,
+    ``C<n>`` and ``K<n>`` (path, cycle, complete graph) joined by ``x``,
+    and names their Cartesian product: ``P4xP6`` is ``grid((4, 6))``.
+    A suffix ``@<s>`` relabels any of them, vertex v renamed
+    ``permutation(n, s)[v]``: ``K4chain10@1``."""
+    spec, at, seed = spec.partition("@")
+    if at:
+        g = build(spec)
+        perm = permutation(g.n, int(seed))
+        return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     if spec.startswith("sweep"):
         return sweep_graphs()[int(spec[5:])]
     if spec[0] == "Q":
         return hypercube(int(spec[1:]))
+    if spec[0] == "B":
+        n, b, s = spec[1:].split("-")
+        return random_block_graph(int(n), int(b), int(s))
     if spec[0] == "G":
         n, p, s = spec[1:].split("-")
         return _draw_connected(SplitMix64(1000 * int(n) + int(s)), int(n), float(p))
+    if "chain" in spec:
+        s, k = spec[1:].split("chain")
+        return clique_chain(int(s), int(k))
     return reduce(cartesian_product, [FACTORS[part[0]](int(part[1:])) for part in spec.split("x")])
 
 

@@ -9,8 +9,9 @@ Here it runs on hypothesis samples with at most 8 vertices and on the mv
 walks below; ``test_visibility.TestJoins`` runs it on every valid set of
 every labelled graph with at most 5 vertices and every atlas graph with
 at most 6, and ``scripts/atlas_differential.py`` on the atlas graphs
-with 7.  The mv cut-edge shortcut must return the witness the search
-would return.
+with 7.  The mv cut-edge shortcut and the gp pair scan must return the
+witness the search would return: the first pair ``is_maximal_set``
+accepts.
 
 The mv engine settles most members from their geodesic intervals alone
 (adjacent, at distance 2, or with no member inside the interval) and
@@ -59,19 +60,32 @@ def test_shortcut_witness_exhaustive_up_to_five_vertices():
         assert fast.witness == slow.witness, list(g.edges())
 
 
-def first_maximal_pair(g):
+def test_gp_scan_witness_exhaustive_up_to_five_vertices():
+    # the scan answers exactly when some pair is maximal, with the first one
+    for g in labelled_graphs(5):
+        if g.n < 2 or not is_connected(g):
+            continue
+        fast = solve_lower(g, "gp")
+        slow = solve_lower(g, "gp", fast_path=False)
+        assert fast.witness == slow.witness, list(g.edges())
+        pair = first_maximal_pair(g, "gp")
+        assert (fast.fast_path is not None) == (pair is not None), list(g.edges())
+        assert pair is None or fast.witness.members() == pair
+
+
+def first_maximal_pair(g, kind="mv"):
     """The lexicographically first pair that ``is_maximal_set`` accepts."""
     for pair in combinations(range(g.n), 2):
-        if is_maximal_set(g, VertexSet.from_ids(g.n, pair), "mv"):
+        if is_maximal_set(g, VertexSet.from_ids(g.n, pair), kind):
             return pair
     return None
 
 
-def test_shortcut_witness_on_long_geodesics():
-    # bridged graphs far past five vertices, with long geodesics and many
-    # of them between two vertices: K30 with a 10-vertex tail, the 6x6 grid
-    # (252 geodesics corner to corner) with a 4-vertex tail, random trees
-    # and block graphs on 20 to 40 vertices, each in three labellings
+def long_geodesic_graphs():
+    """Bridged graphs far past five vertices, with long geodesics and many
+    of them between two vertices: K30 with a 10-vertex tail, the 6x6 grid
+    (252 geodesics corner to corner) with a 4-vertex tail, random trees
+    and block graphs on 20 to 40 vertices, each in three labellings."""
     graphs = [
         Graph.from_edges(40, list(complete(30).edges()) + [(v, v + 1) for v in range(29, 39)]),
         Graph.from_edges(40, list(grid((6, 6)).edges()) + [(v, v + 1) for v in range(35, 39)]),
@@ -81,10 +95,22 @@ def test_shortcut_witness_on_long_geodesics():
     for g in graphs:
         assert bridges(g)
         for seed in (0, 1, 2):
-            h = relabelled(g, seed) if seed else g
-            fast = solve_lower(h, "mv")
-            assert fast.fast_path is not None
-            assert fast.witness.members() == first_maximal_pair(h), (list(g.edges()), seed)
+            yield relabelled(g, seed) if seed else g
+
+
+def test_shortcut_witness_on_long_geodesics():
+    for h in long_geodesic_graphs():
+        fast = solve_lower(h, "mv")
+        assert fast.fast_path is not None
+        assert fast.witness.members() == first_maximal_pair(h), list(h.edges())
+
+
+def test_gp_scan_witness_on_long_geodesics():
+    # a cut edge makes a maximal gp pair, so the scan always answers here
+    for h in long_geodesic_graphs():
+        fast = solve_lower(h, "gp", force=True)
+        assert fast.fast_path is not None
+        assert fast.witness.members() == first_maximal_pair(h, "gp"), list(h.edges())
 
 
 def mv_walk_mismatches(g, walks, rng):

@@ -52,14 +52,18 @@ def test_greedy_lands_between_the_optima(g, kind, seed):
     assert lo <= profile.min_size <= profile.max_size <= hi
 
 
-@given(g=connected_graphs(min_n=2, max_n=6))
-@settings(max_examples=60)
-def test_shortcut_value_matches_search(g):
-    assume(bridges(g))
-    fast = solve_lower(g, "mv")
-    slow = solve_lower(g, "mv", fast_path=False)
-    assert fast.value == slow.value == 2
+@given(g=connected_graphs(min_n=2, max_n=6), kind=st.sampled_from(("mv", "gp")))
+@settings(max_examples=120)
+def test_shortcut_value_matches_search(g, kind):
+    # mv's cut-edge shortcut answers on a graph with a cut edge, gp's pair
+    # scan exactly when gp⁻ = 2, which a cut edge implies
+    fast = solve_lower(g, kind)
+    slow = solve_lower(g, kind, fast_path=False)
+    assert fast.value == slow.value
     assert fast.witness == slow.witness
+    cut = bool(bridges(g))
+    assert bool(fast.fast_path) == (cut if kind == "mv" else slow.value == 2)
+    assert slow.value == 2 or not cut
 
 
 @given(g=connected_graphs(min_n=1, max_n=6), kind=st.sampled_from(KINDS))

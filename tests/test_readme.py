@@ -46,7 +46,7 @@ def test_cli_transcripts():
             out = stdout.getvalue()
         assert out.splitlines() == block[1:], block[0]
         replayed += 1
-    assert replayed == 3
+    assert replayed == 4
 
 
 def test_library_tour_values():

@@ -139,28 +139,82 @@ class TestFastPath:
 
     def test_disabled_matches(self):
         # path 0-2-1: both cut edges contain 2, but the canonical witness
-        # is the non-edge {0, 1}
+        # is the non-edge {0, 1}; C6 has gp⁻ = 2 with no cut edge, and
+        # K3□K3 and the bowtie have no maximal gp pair
         p3 = Graph.from_edges(3, [(0, 2), (1, 2)])
-        for g in (path(5), star(4), random_tree(9, 3), bowtie(), p3):
-            fast = solve_lower(g, "mv")
-            slow = solve_lower(g, "mv", fast_path=False)
-            assert fast.value == slow.value
-            assert fast.witness == slow.witness
+        for g in (path(5), star(4), random_tree(9, 3), bowtie(), p3, cycle(6), build("K3xK3")):
+            for kind in ("mv", "gp"):
+                fast = solve_lower(g, kind)
+                slow = solve_lower(g, kind, fast_path=False)
+                assert slow.fast_path is None
+                assert fast.value == slow.value
+                assert fast.witness == slow.witness
 
     def test_bridgeless_untagged(self):
         got = solve_lower(cycle(5), "mv")
         assert got.fast_path is None
 
-    def test_only_for_mv_lower(self):
+    def test_only_for_mv_and_gp_lower(self):
+        got = solve_lower(path(5), "gp")
+        assert got.fast_path == solvers.FAST_PATH_GP_PAIR
+        assert got.nodes == 0
+        assert got.witness.members() == (0, 1)
         assert solve_lower(path(5), "tmv").fast_path is None
-        assert solve_lower(path(5), "gp").fast_path is None
-        assert solve_max(path(5), "mv").fast_path is None
+        for kind in KINDS:
+            assert solve_max(path(5), kind).fast_path is None
 
     def test_witness_is_a_bridge(self):
         got = solve_lower(bowtie(), "mv")
         # bowtie has no bridge, so no shortcut applies
         assert got.fast_path is None
         assert got.value == 3
+
+
+class TestGpFloor:
+    """gp lower on sparse graphs, where the search with no starting bound
+    walked down from a near-maximum maximal set: 26,180,738 tests on
+    B120-10-1, 672,458 on K4chain10@1 and 619,043 on K3chain20@1."""
+
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize(
+        "spec, witness",
+        [
+            ("B120-10-1", (28, 68)),
+            ("B240-6-1", (0, 6)),
+            ("K4chain10@1", (0, 11, 13, 16)),
+            ("K3chain20@1", (0, 16, 32)),
+        ],
+    )
+    def test_sparse_rows(self, spec, witness, fast):
+        got = solve_lower(build(spec), "gp", force=True, fast_path=fast)
+        assert got.witness.members() == witness
+        paired = fast and len(witness) == 2
+        assert got.fast_path == (solvers.FAST_PATH_GP_PAIR if paired else None)
+        assert got.nodes < 20_000
+        assert (got.nodes == 0) == paired
+
+    def test_pair_builds_no_tables(self, monkeypatch):
+        # a maximal pair answers from the distance rows alone
+        def refuse(*args):
+            raise AssertionError("between or thru built for a pair answer")
+
+        monkeypatch.setattr(DistanceMatrix, "between", property(refuse))
+        monkeypatch.setattr(DistanceMatrix, "thru", property(refuse))
+        got = solve_lower(path(DEFAULT_CAP + 6), "gp", force=True)
+        assert got.witness.members() == (0, 1)
+
+    @pytest.mark.parametrize("spec", ["C5", "K3xK3", "Q3", "K4chain5@2", "P3xC5"])
+    def test_greedy_bound_is_a_maximal_set(self, spec):
+        # the bound is the size of the definitional greedy scan over the
+        # engine's mcs order, whose set is maximal
+        g = build(spec)
+        engine = _make_engine(g, "gp", False)
+        size, tests = solvers._greedy_bound(g, engine)
+        assert engine.order == tuple(mcs_order(g, range(g.n)))
+        scan = visibility.greedy_maximal(g, "gp", engine.order)
+        assert is_maximal_set(g, scan, "gp")
+        assert (size, tests) == (len(scan), g.n)
+        assert solve_lower(g, "gp", fast_path=False).value <= size
 
 
 def circulant(n, steps):
