@@ -7,10 +7,10 @@ Benchmarks the vislab source tree next to this script and writes
 ``_``, ``.`` and ``-``, not starting with ``-``; ``-h`` or ``--help``
 prints the usage line.  ``--counts`` times nothing: it rewrites the
 counts ledger ``tests/data/counts.tsv``, one tab-separated line per
-``ledger()`` row (instance, kind, variant, relabel seed or ``-``, value,
-witness, nodes, skipped, pruned), which ``tests/test_scripts.py``
-recomputes.  Each ladder row is run
-three times, and a row whose fastest run is under 0.1 s eight times more,
+``ledger()`` row (instance, kind, variant, value, witness, nodes,
+skipped, pruned), which ``tests/test_scripts.py`` recomputes.  Each
+ladder row is run three times, and a row whose fastest run is under
+0.1 s eight times more,
 since such rows drift by 20-40% between two ladders over three runs.  An
 exact row records the value, the node count, the children skipped by
 symmetry and the branches pruned (all deterministic) and the witness; a
@@ -51,7 +51,6 @@ from perfbench.hostspeed import HostSpeed  # noqa: E402
 
 from vislab.families import star  # noqa: E402
 from vislab.graph_core import Graph  # noqa: E402
-from vislab.rng import permutation  # noqa: E402
 from vislab.solvers import (  # noqa: E402
     greedy_profile,
     independent_domination,
@@ -62,76 +61,72 @@ from vislab.solvers import (  # noqa: E402
 RUNS = 3
 FAST_S = 0.1
 FAST_RUNS = 11
-RELABEL_SEED = 22
 GREEDY_RUNS = 20
 
-# (instance, kind, variant, relabelled); every row is run with force.
+# (instance, kind, variant); every row is run with force.
 # Instances are ``atlas.build`` names: ``G<n>-<p>-<s>`` is
 # theorems._draw_connected(SplitMix64(1000 n + s), n, p), as in the dense
 # lower queries of ROADMAP.md, ``B<n>-<b>-<s>`` is random_block_graph(n,
 # b, s), ``K<s>chain<k>`` is k copies of K_s glued in a path at cut
 # vertices, and ``@<s>`` relabels by permutation(n, s).
 LADDER = (
-    ("K4xK5", "mv", "lower", False),
-    ("K4xK6", "mv", "lower", False),
-    ("K4xK6", "mv", "max", False),
-    ("P5xP5", "mv", "max", False),
-    ("P6xP6", "mv", "max", False),
-    ("P4xP6", "mv", "max", False),
-    ("P4xP6", "mv", "max", True),
-    ("K5xK5", "mv", "lower", False),
-    ("Q5", "mv", "lower", False),
-    ("Q5", "mv", "max", False),
-    ("K5xK5", "mv", "max", False),
-    ("K5xK6", "mv", "max", False),
-    ("Q5", "mv", "lower", True),
-    ("P5xP5", "mv", "max", True),
-    ("P6xP6", "mv", "lower", True),
-    ("P6xP6", "mv", "max", True),
-    ("K5xK5", "mv", "max", True),
-    ("Q5", "mv", "max", True),
-    ("K3xK5", "mv", "lower", False),
-    ("K4xK4", "mv", "lower", False),
-    ("Q4", "mv", "lower", False),
-    ("G22-0.6-1", "mv", "lower", False),
-    ("G22-0.6-1", "tmv", "lower", False),
-    ("G24-0.5-1", "mv", "lower", False),
-    ("G24-0.5-1", "tmv", "lower", False),
-    ("G22-0.6-0", "mv", "lower", False),
-    ("G22-0.6-0", "tmv", "lower", False),
-    ("G24-0.5-0", "mv", "lower", False),
-    ("G24-0.5-0", "tmv", "lower", False),
+    ("K4xK5", "mv", "lower"),
+    ("K4xK6", "mv", "lower"),
+    ("K4xK6", "mv", "max"),
+    ("P5xP5", "mv", "max"),
+    ("P6xP6", "mv", "max"),
+    ("P4xP6", "mv", "max"),
+    ("P4xP6@22", "mv", "max"),
+    ("K5xK5", "mv", "lower"),
+    ("Q5", "mv", "lower"),
+    ("Q5", "mv", "max"),
+    ("K5xK5", "mv", "max"),
+    ("K5xK6", "mv", "max"),
+    ("Q5@22", "mv", "lower"),
+    ("P5xP5@22", "mv", "max"),
+    ("P6xP6@22", "mv", "lower"),
+    ("P6xP6@22", "mv", "max"),
+    ("K5xK5@22", "mv", "max"),
+    ("Q5@22", "mv", "max"),
+    ("K3xK5", "mv", "lower"),
+    ("K4xK4", "mv", "lower"),
+    ("Q4", "mv", "lower"),
+    ("G22-0.6-1", "mv", "lower"),
+    ("G22-0.6-1", "tmv", "lower"),
+    ("G24-0.5-1", "mv", "lower"),
+    ("G24-0.5-1", "tmv", "lower"),
+    ("G22-0.6-0", "mv", "lower"),
+    ("G22-0.6-0", "tmv", "lower"),
+    ("G24-0.5-0", "mv", "lower"),
+    ("G24-0.5-0", "tmv", "lower"),
     # the gp engine, on its slowest rows of these instances
-    ("K5xK6", "gp", "lower", False),
-    ("Q5", "gp", "max", False),
-    ("P6xP6", "gp", "max", False),
+    ("K5xK6", "gp", "lower"),
+    ("Q5", "gp", "max"),
+    ("P6xP6", "gp", "max"),
     # baselines of open ROADMAP items: mv lower at diameter 3 (item 10),
     # mv max on a large clique product in the identity labelling (item 2)
-    ("G24-0.5-2", "mv", "lower", False),
-    ("K6xK6", "mv", "max", False),
+    ("G24-0.5-2", "mv", "lower"),
+    ("K6xK6", "mv", "max"),
     # sparse graphs, where gp lower once walked down from a near-maximum
     # maximal set (ROADMAP item 18): two block graphs with gp⁻ = 2, and
-    # two relabelled clique chains with gp⁻ = 4 and 3
-    ("B120-10-1", "gp", "lower", False),
-    ("B240-6-1", "gp", "lower", False),
-    ("K4chain10@1", "gp", "lower", False),
-    ("K3chain20@1", "gp", "lower", False),
-    ("B240-6-1", "gp", "max", False),
+    # two clique chains in the labelling @1, with gp⁻ = 4 and 3
+    ("B120-10-1", "gp", "lower"),
+    ("B240-6-1", "gp", "lower"),
+    ("K4chain10@1", "gp", "lower"),
+    ("K3chain20@1", "gp", "lower"),
+    ("B240-6-1", "gp", "max"),
 )
 
 # the exact rows of over 0.5 s, which the counts ledger leaves to the ladder
 SLOW = (
-    ("Q5", "mv", "max", False),
-    ("Q5", "mv", "max", True),
-    ("G24-0.5-2", "mv", "lower", False),
-    ("K6xK6", "mv", "max", False),
-    ("B240-6-1", "gp", "max", False),
+    ("Q5", "mv", "max"),
+    ("Q5@22", "mv", "max"),
+    ("G24-0.5-2", "mv", "lower"),
+    ("K6xK6", "mv", "max"),
+    ("B240-6-1", "gp", "max"),
 )
 COUNTS = os.path.join(ROOT, "tests", "data", "counts.tsv")
-COUNT_FIELDS = (
-    "instance", "kind", "variant", "relabel_seed", "value", "witness", "nodes", "skipped",
-    "pruned",
-)
+COUNT_FIELDS = ("instance", "kind", "variant", "value", "witness", "nodes", "skipped", "pruned")
 
 # (instance, kind); every row is greedy_profile(g, kind, GREEDY_RUNS, seed 0)
 GREEDY_LADDER = (
@@ -142,11 +137,6 @@ GREEDY_LADDER = (
     ("Q5", "mv"),
     ("Q5", "gp"),
 )
-
-
-def relabel(g: Graph) -> Graph:
-    perm = permutation(g.n, RELABEL_SEED)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def fresh(g: Graph) -> Graph:
@@ -170,10 +160,8 @@ def timed(call, name: str) -> tuple:
     return results[0], spans
 
 
-def run_row(spec: str, kind: str, variant: str, relabelled: bool) -> tuple:
+def run_row(spec: str, kind: str, variant: str) -> tuple:
     g = build(spec)
-    if relabelled:
-        g = relabel(g)
     solve = solve_max if variant == "max" else solve_lower
 
     def call():
@@ -185,7 +173,6 @@ def run_row(spec: str, kind: str, variant: str, relabelled: bool) -> tuple:
         "instance": spec,
         "n": g.n,
         "query": f"{kind} {variant}",
-        "relabel_seed": RELABEL_SEED if relabelled else None,
         "value": value,
         "nodes": nodes,
         "skipped": skipped,
@@ -206,26 +193,23 @@ def ledger() -> list[tuple]:
         if spec != "K6xK6":
             for kind in ("tmv", "gp"):
                 for variant in ("max", "lower"):
-                    row = (spec, kind, variant, False)
+                    row = (spec, kind, variant)
                     if row not in rows and row not in SLOW:
                         rows.append(row)
     for i in range(len(sweep_graphs())):
         for kind in ("mv", "tmv", "gp"):
             for variant in ("max", "lower"):
-                rows.append((f"sweep{i}", kind, variant, False))
+                rows.append((f"sweep{i}", kind, variant))
     return rows
 
 
-def count_line(spec: str, kind: str, variant: str, relabelled: bool) -> str:
+def count_line(spec: str, kind: str, variant: str) -> str:
     """The ledger line of a ``LADDER`` row, its ``COUNT_FIELDS`` joined by
     tabs; an empty witness is ``-``."""
-    g = build(spec)
-    if relabelled:
-        g = relabel(g)
-    res = (solve_max if variant == "max" else solve_lower)(fresh(g), kind, force=True)
+    res = (solve_max if variant == "max" else solve_lower)(fresh(build(spec)), kind, force=True)
     fields = (
-        spec, kind, variant, RELABEL_SEED if relabelled else "-", res.value,
-        ",".join(map(str, res.witness.members())) or "-", res.nodes, res.skipped, res.pruned,
+        spec, kind, variant, res.value, ",".join(map(str, res.witness.members())) or "-",
+        res.nodes, res.skipped, res.pruned,
     )
     return "\t".join(map(str, fields))
 
@@ -317,8 +301,8 @@ def main(argv: list[str]) -> int:
     label = argv[0]
     timed_rows = []
     with HostSpeed() as speed:
-        for spec, kind, variant, relabelled in LADDER:
-            timed_rows.append(run_row(spec, kind, variant, relabelled))
+        for spec, kind, variant in LADDER:
+            timed_rows.append(run_row(spec, kind, variant))
             print(f"{spec} {kind} {variant} done", file=sys.stderr, flush=True)
         for spec, kind in GREEDY_LADDER:
             timed_rows.append(run_greedy_row(spec, kind))

@@ -930,13 +930,10 @@ def solve_max(g: Graph, kind: str, *, force: bool = False) -> SolveResult:
     )
 
 
-def _first_maximal_pair(
-    dmat: DistanceMatrix, kind: str, stop: Optional[tuple[int, int]] = None
-) -> Optional[tuple[int, int]]:
+def _first_maximal_pair(dmat: DistanceMatrix, kind: str) -> Optional[tuple[int, int]]:
     """Lexicographically first vertex pair that is a maximal set of ``kind``
-    (mv or gp) on the connected graph of ``dmat``, or ``stop`` when the
-    scan reaches it first; None when no pair is maximal and no ``stop``
-    was given.
+    (mv or gp) on the connected graph of ``dmat``; None when no pair is
+    maximal.
 
     On a connected graph every pair is valid for both kinds, so only
     maximality is checked: a pair is maximal when every other vertex w is
@@ -951,19 +948,14 @@ def _first_maximal_pair(
     two.  Every x,z-geodesic has exactly one vertex at distance k from x,
     and the vertices some geodesic has there are the slice ``layers[x][k]
     & layers[z][d(x,z) - k]``; so y is on every x,z-geodesic iff d(x,y) +
-    d(y,z) = d(x,z) and the slice at k = d(x,y) is y alone.  ``stop``
-    must be a pair known to be maximal (for mv the endpoints of a cut
-    edge are), so the scan ends there.
+    d(y,z) = d(x,z) and the slice at k = d(x,y) is y alone.
     """
     rows, layers = dmat.rows, dmat.layers
     gp = kind == "gp"
     last = 0  # gp: the w that refused the last pair, asked first of the next
-    stop_a, stop_b = stop or (-1, -1)
     for a, da in enumerate(rows):
         la = layers[a]
         for b in range(a + 1, dmat.n):
-            if b == stop_b and a == stop_a:
-                return stop
             db = rows[b]
             dab = da[b]
             if gp:
@@ -993,7 +985,7 @@ def _first_maximal_pair(
                 break
             else:
                 return (a, b)
-    return stop
+    return None
 
 
 def _sets_reach(a: int, k: int, need: int) -> bool:
@@ -1263,13 +1255,16 @@ def solve_lower(
     pair in lexicographic order, which is the witness the search would
     find.
 
-    For gp the pair scan (``_first_maximal_pair``) is the shortcut, tagged
-    ``FAST_PATH_GP_PAIR``; it runs after the cap check and before the
-    engine, so an oversized input is still refused before the metric, and
-    a pair answer never builds ``between`` or ``thru``.  Its test: a set
-    is in general position when none of its vertices lies on a geodesic
-    between two others, so on n >= 2 vertices every pair is valid, a
-    singleton is never maximal (any second vertex joins it) and gp⁻ >= 2.
+    Both shortcuts are the one pair scan (``_first_maximal_pair``), called
+    the same way.  For mv it runs only when ``bridges`` finds a cut edge,
+    and then ends at or before that edge, which is itself a maximal pair.
+    For gp it runs on every input, tagged ``FAST_PATH_GP_PAIR``, after
+    the cap check and before the engine, so an oversized input is still
+    refused before the metric, and a pair answer never builds ``between``
+    or ``thru``.  Its test: a set is in general position when none of its
+    vertices lies on a geodesic between two others, so on n >= 2 vertices
+    every pair is valid, a singleton is never maximal (any second vertex
+    joins it) and gp⁻ >= 2.
     The pair {a, b} is maximal exactly when every other w is refused, that
     is, when one of a, b, w lies on some geodesic between the other two.
     A vertex y lies on some x,z-geodesic exactly when d(x,y) + d(y,z) =
@@ -1302,17 +1297,14 @@ def solve_lower(
     """
     start = time.perf_counter()
     pair = shortcut = None
-    if fast_path and g.n >= 2:
-        if kind == "mv" and (cut := bridges(g)):
-            shortcut = FAST_PATH_CUT_EDGE
-            pair = _first_maximal_pair(_connected_metric(g), kind, cut[0])
-        elif kind == "gp":
+    if fast_path and g.n >= 2 and (kind == "gp" or kind == "mv" and bridges(g)):
+        if kind == "gp":
             # the cap before the metric, as _make_engine checks it, and the
             # scan before the engine, whose tables a pair never needs
             _check_cap(g.n, force)
-            pair = _first_maximal_pair(_connected_metric(g), kind)
-            if pair is not None:
-                shortcut = FAST_PATH_GP_PAIR
+        pair = _first_maximal_pair(_connected_metric(g), kind)
+        if pair is not None:
+            shortcut = FAST_PATH_GP_PAIR if kind == "gp" else FAST_PATH_CUT_EDGE
     if pair is not None:
         mask, nodes, skipped, pruned = 1 << pair[0] | 1 << pair[1], 0, 0, 0
     else:

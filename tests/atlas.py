@@ -93,6 +93,12 @@ def clique_chain(s, k):
     return Graph.from_edges(k * (s - 1) + 1, edges)
 
 
+def relabelled(g, seed):
+    """``g`` with vertex v renamed ``permutation(n, seed)[v]``."""
+    perm = permutation(g.n, seed)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def build(spec):
     """The graph named ``spec``.  ``Q<k>`` is ``hypercube(k)``,
     ``G<n>-<p>-<s>`` is ``theorems._draw_connected(SplitMix64(1000 n + s),
@@ -103,12 +109,10 @@ def build(spec):
     ``C<n>`` and ``K<n>`` (path, cycle, complete graph) joined by ``x``,
     and names their Cartesian product: ``P4xP6`` is ``grid((4, 6))``.
     A suffix ``@<s>`` relabels any of them, vertex v renamed
-    ``permutation(n, s)[v]``: ``K4chain10@1``."""
+    ``permutation(n, s)[v]`` (``relabelled``): ``K4chain10@1``."""
     spec, at, seed = spec.partition("@")
     if at:
-        g = build(spec)
-        perm = permutation(g.n, int(seed))
-        return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        return relabelled(build(spec), int(seed))
     if spec.startswith("sweep"):
         return sweep_graphs()[int(spec[5:])]
     if spec[0] == "Q":

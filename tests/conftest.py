@@ -12,7 +12,6 @@ from vislab.families import (
     star,
 )
 from vislab.graph_core import Graph, is_connected
-from vislab.rng import permutation
 
 
 @st.composite
@@ -36,12 +35,6 @@ def labelled_graphs(max_n):
 
 def connected_graphs(min_n=1, max_n=6):
     return graphs(min_n=min_n, max_n=max_n).filter(is_connected)
-
-
-def relabelled(g, seed):
-    """``g`` with vertex v renamed ``permutation(n, seed)[v]``."""
-    perm = permutation(g.n, seed)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def bowtie() -> Graph:

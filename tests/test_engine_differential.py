@@ -28,8 +28,8 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atlas import build, join_mismatches
-from conftest import connected_graphs, labelled_graphs, relabelled
+from atlas import build, join_mismatches, relabelled
+from conftest import connected_graphs, labelled_graphs
 from vislab.families import complete, grid, random_block_graph, random_tree
 from vislab.graph_core import Graph, VertexSet, bridges, is_connected
 from vislab.rng import SplitMix64

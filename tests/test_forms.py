@@ -22,8 +22,14 @@ P4xP4 (diameter 6) and a G(16, 0.3) draw (diameter 4).
 import pytest
 
 import oracles
-from atlas import build, definition_mismatches, form_answers, load_atlas, solver_mismatches
-from conftest import relabelled
+from atlas import (
+    build,
+    definition_mismatches,
+    form_answers,
+    load_atlas,
+    relabelled,
+    solver_mismatches,
+)
 from vislab.families import path
 
 

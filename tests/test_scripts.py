@@ -65,15 +65,19 @@ class TestBenchLadder:
         assert not self.written(tmp_path)
 
     def test_counts_writes_ledger(self, ladder, tmp_path, monkeypatch):
-        row = ("Q4", "gp", "max", True)
+        row = ("Q4@22", "gp", "max")
         monkeypatch.setattr(ladder, "COUNTS", str(tmp_path / "counts.tsv"))
         monkeypatch.setattr(ladder, "ledger", lambda: [row])
         assert ladder.main(["--counts"]) == 0
         header, line = (tmp_path / "counts.tsv").read_text(encoding="utf-8").splitlines()
         assert header == "# " + "\t".join(ladder.COUNT_FIELDS)
         assert line == ladder.count_line(*row)
-        assert line.startswith("Q4\tgp\tmax\t22\t")
+        assert line.startswith("Q4@22\tgp\tmax\t")
+        assert len(line.split("\t")) == len(ladder.COUNT_FIELDS) == 8
         assert not self.written(tmp_path)
+        # a SLOW row that names no LADDER row, say a misspelt ``@22``,
+        # would leave its ladder row in the ledger
+        assert set(ladder.SLOW) <= set(ladder.LADDER)
 
     def test_times_keep_microseconds(self, ladder):
         # a stub host speed that rescales every span to twice its wall time
@@ -96,6 +100,23 @@ class TestBenchLadder:
         assert ladder.main(argv) == 2
         assert "Usage:" in capsys.readouterr().err
         assert not self.written(tmp_path)
+
+
+def test_ledger_values_ignore_labels():
+    # mv, tmv and gp, max and lower, are graph invariants: a relabelled
+    # row ``X@s`` has the value of its row ``X``, though not its witness
+    # or its counts
+    ladder = load_script("bench_ladder")
+    with open(ladder.COUNTS, encoding="utf-8") as handle:
+        rows = [line.split("\t") for line in handle if not line.startswith("#")]
+    values = {tuple(row[:3]): row[3] for row in rows}
+    pairs = 0
+    for (spec, kind, variant), value in values.items():
+        base = (spec.partition("@")[0], kind, variant)
+        if base[0] != spec and base in values:
+            assert value == values[base], f"{spec} {kind} {variant}: {value}, {base[0]}: {values[base]}"
+            pairs += 1
+    assert pairs == 25
 
 
 def test_counts_ledger():

@@ -10,9 +10,10 @@ from atlas import (
     load_atlas,
     oracle_answers,
     oracle_rows,
+    relabelled,
     solver_mismatches,
 )
-from conftest import bowtie, connected_graphs, relabelled
+from conftest import bowtie, connected_graphs
 from vislab import graph_core, solvers, visibility
 from vislab.families import (
     complete,
